@@ -15,10 +15,13 @@ from geordd import (
     estimate_geodesic_riemannian_fuzzy,
     estimate_riemannian_fuzzy,
     estimate_sharp,
+    sample_frechet_mean,
 )
 from geordd.errors import (
     EmbeddingUnavailable,
     EmptyStratum,
+    LogExpUnavailable,
+    MissingAssignment,
     MissingTreatment,
     WeakCompliance,
 )
@@ -60,6 +63,36 @@ def _one_sided_wasserstein(rng, n=500, p_at=0.3, shift=1.0):
         for ri, ti in zip(r, t)
     )
     return RddSample(r=r, ys=ys, cutoff=0.0, t=t, z=z), space
+
+
+def _one_sided_euclid(rng, n=500, p_nc=0.3, side=NoncomplianceSide.ALWAYS_TAKERS):
+    """Scalar outcomes with one noncomplier stratum of share ``p_nc``."""
+    eu = Euclidean(1)
+    r = rng.uniform(-1, 1, n)
+    z = (r >= 0).astype(int)
+    nc = (rng.random(n) < p_nc).astype(int)
+    if side is NoncomplianceSide.ALWAYS_TAKERS:
+        t = np.where(z == 1, 1, nc)
+    else:
+        t = np.where(z == 1, 1 - nc, 0)
+    y = np.sin(r) + 1.0 * t
+    return RddSample(r=r, ys=tuple(eu.point([v]) for v in y), cutoff=0.0, t=t, z=z)
+
+
+def _tangent_late(sample, reference, side=None):
+    return estimate_riemannian_fuzzy(sample, reference, 0.4, 0.4)
+
+
+def _tangent_geodesic(sample, reference, side=NoncomplianceSide.ALWAYS_TAKERS):
+    return estimate_geodesic_riemannian_fuzzy(sample, reference, side, 0.4, 0.4)
+
+
+def _embedding_geodesic(sample, reference, side=NoncomplianceSide.ALWAYS_TAKERS):
+    return estimate_geodesic_fuzzy(sample, 0.4, 0.4, side)
+
+
+TANGENT_ESTIMATORS = [_tangent_late, _tangent_geodesic]
+GEODESIC_ESTIMATORS = [_embedding_geodesic, _tangent_geodesic]
 
 
 class TestEstimateCompliance:
@@ -178,6 +211,31 @@ class TestGeodesicFuzzy:
         np.testing.assert_allclose(diff, geo.tau, atol=1e-8)
 
 
+@pytest.mark.parametrize("estimate", GEODESIC_ESTIMATORS)
+class TestGeodesicRefusals:
+    def test_missing_assignment(self, estimate):
+        sample = _euclid_fuzzy(np.random.default_rng(18))
+        with pytest.raises(MissingAssignment):
+            estimate(sample, Euclidean(1).point([0.0]))
+
+    def test_empty_never_taker_stratum(self, estimate):
+        # only always-takers exist, the compliance jump is partial
+        sample = _one_sided_euclid(np.random.default_rng(19))
+        with pytest.raises(EmptyStratum, match="empty"):
+            estimate(
+                sample, Euclidean(1).point([0.0]), NoncomplianceSide.NEVER_TAKERS
+            )
+
+    def test_stratum_too_thin_for_window(self, estimate):
+        # a single always-taker: one distinct running value in the window
+        base = _one_sided_euclid(np.random.default_rng(20), p_nc=0.0)
+        t = base.t.copy()
+        t[np.flatnonzero(base.r < 0)[-1]] = 1
+        sample = RddSample(r=base.r, ys=base.ys, cutoff=0.0, t=t, z=base.z)
+        with pytest.raises(EmptyStratum, match="degenerate"):
+            estimate(sample, Euclidean(1).point([0.0]))
+
+
 class TestRiemannianFuzzy:
     def test_euclidean_coincides_with_embedding_variant(self):
         rng = np.random.default_rng(11)
@@ -212,6 +270,21 @@ class TestRiemannianFuzzy:
         oracle = (nu1 - nu0) / (np.clip(m1, 0, 1) - np.clip(m0, 0, 1))
         np.testing.assert_allclose(est.tau, oracle, atol=1e-8)
 
+    @pytest.mark.parametrize("estimate", TANGENT_ESTIMATORS)
+    def test_wasserstein_has_no_logexp(self, estimate):
+        sample, _ = _one_sided_wasserstein(np.random.default_rng(21))
+        with pytest.raises(LogExpUnavailable):
+            estimate(sample, sample.ys[0])
+
+    @pytest.mark.parametrize("estimate", TANGENT_ESTIMATORS)
+    def test_data_dependent_reference(self, estimate):
+        sample = _one_sided_euclid(np.random.default_rng(22))
+        est = estimate(sample, None)
+        assert est.warnings[0] == "data_dependent_reference"
+        fixed = estimate(sample, sample_frechet_mean(sample))
+        assert "data_dependent_reference" not in fixed.warnings
+        np.testing.assert_array_equal(est.tau, fixed.tau)
+
 
 def _sphere_log_oracle(base, y):
     """Independent sphere log-map implementation for oracles."""
@@ -230,8 +303,13 @@ def _sphere_exp_oracle(base, v):
     return np.cos(norm) * base + np.sin(norm) * v / norm
 
 
-def _sphere_fuzzy(rng, n=500, p_at=0.3, scale=0.25):
-    """One-sided noncompliance with compositional outcomes, mild dispersion."""
+def _sphere_fuzzy(
+    rng, n=500, p_nc=0.3, scale=0.25, side=NoncomplianceSide.ALWAYS_TAKERS
+):
+    """One-sided noncompliance with compositional outcomes, mild dispersion.
+
+    ``p_nc`` is the share of noncompliers on the stratum's side of the cutoff.
+    """
     sp = CompositionalSphere(3)
     omega = CompositionalSphere.from_shares(np.array([0.4, 0.35, 0.25]))
     u1 = np.array([1.0, -1.0, 0.0])
@@ -241,14 +319,50 @@ def _sphere_fuzzy(rng, n=500, p_at=0.3, scale=0.25):
 
     r = rng.uniform(-1, 1, n)
     z = (r >= 0).astype(int)
-    always = (rng.random(n) < p_at).astype(int)
-    t = np.where(z == 1, 1, always)
+    nc = (rng.random(n) < p_nc).astype(int)
+    if side is NoncomplianceSide.ALWAYS_TAKERS:
+        t = np.where(z == 1, 1, nc)
+    else:
+        t = np.where(z == 1, 1 - nc, 0)
     ys = []
     for ri, ti in zip(r, t):
         v = scale * (0.3 * ri * u1 + ti * 0.6 * u2)
         point = _sphere_exp_oracle(omega.data, v)
         ys.append(sp.point(sp.project_to_orthant(point)))
     return RddSample(r=r, ys=tuple(ys), cutoff=0.0, t=t, z=z), sp, omega
+
+
+def _check_hand_composed(sample, sp, omega, side):
+    """Endpoints against tangent WLS fits, the stratum shift and the Exp chart."""
+    est = estimate_geodesic_riemannian_fuzzy(sample, omega, side, 0.5, 0.5)
+    assert not est.warnings
+    logs = np.stack([_sphere_log_oracle(omega.data, y.data) for y in sample.ys])
+    t = sample.t.astype(float)
+    m0 = np.clip(wls_intercept_oracle(sample.r, t, 0.0, 0.5, "left"), 0, 1)
+    m1 = np.clip(wls_intercept_oracle(sample.r, t, 0.0, 0.5, "right"), 0, 1)
+    den = m1 - m0
+    if side is NoncomplianceSide.ALWAYS_TAKERS:
+        strat, strat_side = (sample.t == 1) & (sample.z == 0), "left"
+    else:
+        strat, strat_side = (sample.t == 0) & (sample.z == 1), "right"
+    nu_plus = np.array(
+        [
+            wls_intercept_oracle(
+                sample.r[strat], logs[strat, j], 0.0, 0.5, strat_side
+            )
+            for j in range(3)
+        ]
+    )
+    for k, kside in enumerate(("left", "right")):
+        nu_z = np.array(
+            [
+                wls_intercept_oracle(sample.r, logs[:, j], 0.0, 0.5, kside)
+                for j in range(3)
+            ]
+        )
+        arg = nu_plus + (nu_z - nu_plus) / den
+        oracle = _sphere_exp_oracle(omega.data, arg)
+        assert sp.distance(est.endpoints[k], sp.point(oracle)) < 1e-8
 
 
 class TestGeodesicRiemannianFuzzy:
@@ -266,40 +380,17 @@ class TestGeodesicRiemannianFuzzy:
 
     def test_sphere_hand_composed_endpoints(self):
         rng = np.random.default_rng(15)
-        sample, sp, omega = _sphere_fuzzy(rng)
-        est = estimate_geodesic_riemannian_fuzzy(
-            sample, omega, NoncomplianceSide.ALWAYS_TAKERS, 0.5, 0.5
-        )
-        # independent composition: tangent WLS fits + stratum fit + Exp chart
-        logs = np.stack([_sphere_log_oracle(omega.data, y.data) for y in sample.ys])
-        t = sample.t.astype(float)
-        m0 = np.clip(wls_intercept_oracle(sample.r, t, 0.0, 0.5, "left"), 0, 1)
-        m1 = np.clip(wls_intercept_oracle(sample.r, t, 0.0, 0.5, "right"), 0, 1)
-        den = m1 - m0
-        strat = (sample.t == 1) & (sample.z == 0)
-        nu_plus = np.array(
-            [
-                wls_intercept_oracle(
-                    sample.r[strat], logs[strat, j], 0.0, 0.5, "left"
-                )
-                for j in range(3)
-            ]
-        )
-        for k, side in enumerate(("left", "right")):
-            nu_z = np.array(
-                [
-                    wls_intercept_oracle(sample.r, logs[:, j], 0.0, 0.5, side)
-                    for j in range(3)
-                ]
-            )
-            arg = nu_plus + (nu_z - nu_plus) / den
-            oracle = _sphere_exp_oracle(omega.data, arg)
-            assert sp.distance(est.endpoints[k], sp.point(oracle)) < 1e-8
+        _check_hand_composed(*_sphere_fuzzy(rng), NoncomplianceSide.ALWAYS_TAKERS)
+
+    def test_sphere_hand_composed_never_takers(self):
+        rng = np.random.default_rng(23)
+        side = NoncomplianceSide.NEVER_TAKERS
+        _check_hand_composed(*_sphere_fuzzy(rng, side=side), side)
 
     def test_exp_out_of_domain_projected_with_warning(self):
         rng = np.random.default_rng(16)
         # small denominator amplifies the tangent jump past the cut locus
-        sample, sp, omega = _sphere_fuzzy(rng, n=900, p_at=0.88, scale=1.2)
+        sample, sp, omega = _sphere_fuzzy(rng, n=900, p_nc=0.88, scale=1.2)
         est = estimate_geodesic_riemannian_fuzzy(
             sample, omega, NoncomplianceSide.ALWAYS_TAKERS, 0.5, 0.5
         )
