@@ -18,7 +18,7 @@ each evaluation point have half-width 2b and never cross the cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
     SolverDiverged,
 )
 from .frechet import (
-    FrechetSolveConfig,
     KernelKind,
     KernelSpec,
     Side,
@@ -60,7 +59,6 @@ class BandwidthConfig:
     grid_size: int = 20
     n_eval: int = 100
     kernel: KernelKind = KernelKind.TRIANGULAR
-    solve: FrechetSolveConfig | None = None
 
     def __post_init__(self):
         if self.grid_size < 1:
@@ -251,7 +249,7 @@ def _solver_fit(sample, p, h, side, window, cfg: BandwidthConfig):
     profile = compute_weights(
         sample.r, p, h, KernelSpec(cfg.kernel, side), window=window
     )
-    return weighted_frechet_mean(sample.ys, profile.weights, cfg.solve)
+    return weighted_frechet_mean(sample.ys, profile.weights)
 
 
 def select_bandwidth(
@@ -267,9 +265,7 @@ def select_bandwidth(
     """
     cfg = cfg or DEFAULT_BANDWIDTH_CONFIG
     if grid_size is not None:
-        cfg = BandwidthConfig(
-            grid_size=grid_size, n_eval=cfg.n_eval, kernel=cfg.kernel, solve=cfg.solve
-        )
+        cfg = replace(cfg, grid_size=grid_size)
     c = sample.cutoff if c is None else float(c)
     b_min, b_max = compute_bounds(sample.r, c)
     grid = np.geomspace(b_min, b_max, cfg.grid_size)

@@ -23,7 +23,7 @@ from . import __version__
 from .bandwidth import BandwidthSearch, select_bandwidth
 from .errors import REFUSAL_ERRORS, GeorddError, ParseError
 from .frechet import Side, batch_lfr_embeddings
-from .io import ingest, space_from_spec
+from .io import ingest, object_from_json, space_from_spec
 from .rdd_fuzzy import (
     FuzzyVariant,
     NoncomplianceSide,
@@ -290,8 +290,6 @@ def _cmd_fuzzy(opts: dict, out: Path) -> int:
     h0, h1, search = _resolve_bandwidths(sample, opts, out)
     reference = None
     if opts.get("ref"):
-        from .io import object_from_json
-
         with open(opts["ref"], encoding="utf-8") as fh:
             reference = object_from_json(json.load(fh), sample.space)
     if variant is FuzzyVariant.EMBEDDING:
@@ -318,8 +316,7 @@ def _cmd_fuzzy(opts: dict, out: Path) -> int:
     if search is not None:
         report["bandwidth_search"] = search.to_json()
     _write_json(report, out / "report.json")
-    if sample.space.embedding_available:
-        _plot_data(sample, h0, h1, opts["bins"], out)
+    _plot_data(sample, h0, h1, opts["bins"], out)
     return 0
 
 

@@ -406,7 +406,6 @@ def lfr_estimate(
     r: float,
     h: float,
     side: Side,
-    cfg: FrechetSolveConfig | None = None,
     *,
     kernel: KernelKind = KernelKind.TRIANGULAR,
     window: tuple[float, float] | None = None,
@@ -416,12 +415,14 @@ def lfr_estimate(
 
     Equivalent to the weighted Frechet mean under the local-linear weight
     profile at ``r``; in Euclidean space this is the local linear intercept
-    fit on the chosen side.
+    fit on the chosen side.  A degenerate window raises
+    :class:`DegenerateWindow` tagged with the side.
     """
-    profile = compute_weights(sample.r, r, h, KernelSpec(kernel, side), window=window)
-    return weighted_frechet_mean(
-        sample.ys, profile.weights, cfg, return_info=return_info
-    )
+    try:
+        profile = compute_weights(sample.r, r, h, KernelSpec(kernel, side), window=window)
+    except DegenerateWindow as err:
+        raise DegenerateWindow(f"{side.value} side: {err}") from None
+    return weighted_frechet_mean(sample.ys, profile.weights, return_info=return_info)
 
 
 def batch_lfr_embeddings(

@@ -1,17 +1,16 @@
 """Fuzzy-design estimators for imperfect compliance at the cutoff.
 
-Four estimands are covered:
+Two estimands: the compliers' average effect, the outcome jump at the cutoff
+divided by the compliance jump; and, under one-sided noncompliance, the
+compliers' effect as a geodesic between complier endpoints, found by
+shifting the noncomplier stratum mean at the cutoff by the amplified jumps.
 
-- ``EMBEDDING``: compliers' average effect as a Hilbert-space contrast, the
-  jump of the embedded LFR limits divided by the compliance jump.
-- ``GEODESIC_ONE_SIDED``: compliers' effect as a geodesic inside the space,
-  identified under one-sided noncompliance via the always-taker (or
-  never-taker) stratum mean.
-- ``RIEMANNIAN_TANGENT``: same ratio contrast computed in the tangent space
-  at a fixed reference point, for manifolds with Log/Exp charts (covers the
-  compositional sphere, which has no isometric embedding).
-- ``GEODESIC_RIEMANNIAN``: geodesic version of the tangent-space estimand
-  under one-sided noncompliance.
+Each is read in one of two coordinate charts.  The embedding chart maps
+outcomes through the isometric Hilbert embedding psi and back through psi^-1
+with a feasibility projection (``EMBEDDING``, ``GEODESIC_ONE_SIDED``).  The
+tangent chart maps them through Log at a reference point and back through Exp
+(``RIEMANNIAN_TANGENT``, ``GEODESIC_RIEMANNIAN``); it covers manifolds
+without an isometric embedding, such as the compositional sphere.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DegenerateWindow,
+    EmbeddingUnavailable,
     EmptyStratum,
     ExpOutOfDomain,
     InverseInfeasible,
@@ -32,7 +32,6 @@ from .errors import (
     WeakCompliance,
 )
 from .frechet import (
-    FrechetSolveConfig,
     KernelKind,
     KernelSpec,
     Side,
@@ -40,9 +39,9 @@ from .frechet import (
     kernel_eval,
     weighted_frechet_mean,
 )
-from .rdd_sharp import lfr_at_cutoff, sample_frechet_mean
+from .rdd_sharp import sample_frechet_mean
 from .sample import RddSample
-from .spaces import GeodesicEffect, HilbertSpace, MetricObject
+from .spaces import CompositionalSphere, GeodesicEffect, HilbertSpace, MetricObject
 
 __all__ = [
     "DELTA_COMPLY",
@@ -131,11 +130,6 @@ class FuzzyEstimate:
         self.tau.setflags(write=False)
         if not (0.0 <= self.m0 <= 1.0 and 0.0 <= self.m1 <= 1.0):
             raise ValueError("clamped compliance intercepts must lie in [0, 1]")
-        if abs(self.denominator) <= DELTA_COMPLY:
-            raise WeakCompliance(
-                f"compliance jump {self.denominator!r} is within the refusal "
-                f"threshold {DELTA_COMPLY}"
-            )
 
     def to_json(self) -> dict:
         out = {
@@ -155,13 +149,10 @@ class FuzzyEstimate:
         return out
 
 
-def _require_t(sample: RddSample):
+def _require_columns(sample: RddSample, assignment: bool = False):
     if sample.t is None:
         raise MissingTreatment("fuzzy estimation needs a treatment column")
-
-
-def _require_z(sample: RddSample):
-    if sample.z is None:
+    if assignment and sample.z is None:
         raise MissingAssignment(
             "geodesic fuzzy estimation needs the assignment column Z = 1{R >= c}"
         )
@@ -195,7 +186,7 @@ def estimate_compliance(
     kernel: KernelKind = KernelKind.TRIANGULAR,
 ) -> ComplianceFit:
     """Local linear intercepts of T on R at the cutoff, one per side."""
-    _require_t(sample)
+    _require_columns(sample)
     t = sample.t.astype(float)
     m0, b0 = _scalar_local_linear(
         sample.r, t, sample.cutoff, h0, KernelSpec(kernel, Side.LEFT)
@@ -206,7 +197,104 @@ def estimate_compliance(
     return ComplianceFit(m0=m0, m1=m1, slope0=b0, slope1=b1, h0=float(h0), h1=float(h1))
 
 
-def _checked_denominator(fit: ComplianceFit) -> tuple[float, float, float]:
+class _EmbeddingChart:
+    """Hilbert embedding psi: a fit is psi of the weighted Frechet mean."""
+
+    #: the effect's reference point is the sample Frechet mean
+    omega = None
+
+    def __init__(self, sample: RddSample, alt: str):
+        space = sample.space
+        if not isinstance(space, HilbertSpace):
+            raise EmbeddingUnavailable(
+                f"{type(space).__name__} has no isometric embedding; use the "
+                f"{alt} instead"
+            )
+        self.space = space
+        self.ys = sample.ys
+        self.warnings: list[str] = []
+
+    def fit(self, weights: np.ndarray, idx: np.ndarray | None = None):
+        """Coordinates of the fit, and the fitted object."""
+        ys = self.ys if idx is None else [self.ys[i] for i in idx]
+        mu = weighted_frechet_mean(ys, weights)
+        return self.space.embed(mu), mu
+
+    def norm(self, u: np.ndarray) -> float:
+        return self.space.hilbert_norm(u)
+
+    def back(self, q: np.ndarray) -> MetricObject:
+        try:
+            return self.space.inverse_embed(q)
+        except InverseInfeasible:
+            self.warnings.append("projection_applied")
+            return self.space.inverse_embed(q, project=True)
+
+
+class _TangentChart:
+    """Log chart at ``omega``: a fit is a weighted average of Log coordinates."""
+
+    def __init__(self, sample: RddSample, reference: MetricObject | None, alt: str):
+        space = sample.space
+        if not space.logexp_available:
+            raise LogExpUnavailable(
+                f"{type(space).__name__} has no Log/Exp charts; use the "
+                f"{alt} instead"
+            )
+        self.space = space
+        self.warnings: list[str] = []
+        if reference is not None:
+            space._check_member(reference, "reference point")
+            self.omega = reference
+        else:
+            # Data-dependent reference: convenient default, but the
+            # tangent-space rate guarantees assume a fixed reference.
+            self.warnings.append("data_dependent_reference")
+            self.omega = sample_frechet_mean(sample)
+        self.rows = np.stack([space.log_map(self.omega, y) for y in sample.ys])
+
+    def fit(self, weights: np.ndarray, idx: np.ndarray | None = None):
+        """Coordinates of the fit; no object is fitted in this chart."""
+        rows = self.rows if idx is None else self.rows[idx]
+        return (weights @ rows) / weights.sum(), None
+
+    def norm(self, u: np.ndarray) -> float:
+        return float(np.linalg.norm(u))
+
+    def back(self, v: np.ndarray) -> MetricObject:
+        try:
+            return self.space.exp_map(self.omega, v)
+        except ExpOutOfDomain:
+            self.warnings.append("exp_out_of_domain")
+            return _projected_exp(self.space, self.omega, v)
+
+
+def _projected_exp(space, omega: MetricObject, v: np.ndarray) -> MetricObject:
+    """Total fallback for Exp arguments outside the chart domain."""
+    if isinstance(space, CompositionalSphere):
+        v = np.asarray(v, dtype=float)
+        v = v - float(np.dot(v, omega.data)) * omega.data
+        norm = float(np.linalg.norm(v))
+        if norm >= np.pi:
+            v = v * ((np.pi - 1e-9) / norm)
+            norm = np.pi - 1e-9
+        z = np.cos(norm) * omega.data + np.sin(norm) * v / norm
+        return space.point(space.project_to_orthant(z))
+    return space.exp_map(omega, v)
+
+
+def _estimate(
+    sample: RddSample,
+    chart: _EmbeddingChart | _TangentChart,
+    variant: FuzzyVariant,
+    h0: float,
+    h1: float,
+    kernel: KernelKind,
+    noncompliance_side: NoncomplianceSide | None = None,
+) -> FuzzyEstimate:
+    """Ratio of the one-sided jumps in ``chart``; with a noncompliance side,
+    also the complier endpoints and the geodesic between them."""
+    fit = estimate_compliance(sample, h0, h1, kernel=kernel)
     m0 = float(np.clip(fit.m0, 0.0, 1.0))
     m1 = float(np.clip(fit.m1, 0.0, 1.0))
     den = m1 - m0
@@ -214,14 +302,62 @@ def _checked_denominator(fit: ComplianceFit) -> tuple[float, float, float]:
         raise WeakCompliance(
             f"compliance jump {den!r} is within the refusal threshold {DELTA_COMPLY}"
         )
-    return m0, m1, den
+    (nu0, mu0), (nu1, mu1) = (
+        chart.fit(
+            compute_weights(sample.r, sample.cutoff, h, KernelSpec(kernel, side)).weights
+        )
+        for h, side in ((h0, Side.LEFT), (h1, Side.RIGHT))
+    )
+    tau = (nu1 - nu0) / den
+
+    endpoints = effect = None
+    if noncompliance_side is not None:
+        stratum = noncompliance_side.value
+        # always-takers (T = 1, Z = 0) are observed left of the cutoff,
+        # never-takers (T = 0, Z = 1) right of it
+        always = noncompliance_side is NoncomplianceSide.ALWAYS_TAKERS
+        idx = np.flatnonzero((sample.t == always) & (sample.z != always))
+        h, side = (h0, Side.LEFT) if always else (h1, Side.RIGHT)
+        if idx.size:
+            try:
+                profile = compute_weights(
+                    sample.r[idx], sample.cutoff, h, KernelSpec(kernel, side)
+                )
+            except DegenerateWindow as err:
+                raise EmptyStratum(
+                    f"the {stratum} stratum is degenerate near the cutoff: {err}"
+                ) from None
+            plus, _ = chart.fit(profile.weights, idx)
+            targets = [(plus + (nu - plus) / den, None) for nu in (nu0, nu1)]
+        elif abs(den - 1.0) > _FULL_COMPLIANCE_TOL:
+            raise EmptyStratum(
+                f"the {stratum} stratum is empty but the fitted compliance jump "
+                f"is {den!r}, not one"
+            )
+        else:  # full compliance: the stratum term cancels
+            targets = [(nu0, mu0), (nu1, mu1)]
+        endpoints = tuple(mu if mu is not None else chart.back(q) for q, mu in targets)
+        omega = chart.omega if chart.omega is not None else sample_frechet_mean(sample)
+        effect = GeodesicEffect.between(*endpoints, omega)
+
+    return FuzzyEstimate(
+        variant=variant,
+        tau=tau,
+        magnitude=chart.norm(tau) if effect is None else effect.length,
+        m0=m0,
+        m1=m1,
+        denominator=den,
+        compliance=fit,
+        endpoints=endpoints,
+        effect=effect,
+        warnings=tuple(chart.warnings),
+    )
 
 
 def estimate_fuzzy_late(
     sample: RddSample,
     h0: float,
     h1: float,
-    cfg: FrechetSolveConfig | None = None,
     *,
     kernel: KernelKind = KernelKind.TRIANGULAR,
 ) -> FuzzyEstimate:
@@ -232,40 +368,9 @@ def estimate_fuzzy_late(
     outcomes the contrast is a quantile-function difference (a local average
     quantile treatment effect).
     """
-    _require_t(sample)
-    space = sample.space
-    if not isinstance(space, HilbertSpace):
-        from .errors import EmbeddingUnavailable
-
-        raise EmbeddingUnavailable(
-            f"{type(space).__name__} has no isometric embedding; use the "
-            "tangent-space variant instead"
-        )
-    fit = estimate_compliance(sample, h0, h1, kernel=kernel)
-    m0, m1, den = _checked_denominator(fit)
-    nu0, _ = lfr_at_cutoff(sample, Side.LEFT, h0, cfg, kernel)
-    nu1, _ = lfr_at_cutoff(sample, Side.RIGHT, h1, cfg, kernel)
-    tau = (space.embed(nu1) - space.embed(nu0)) / den
-    return FuzzyEstimate(
-        variant=FuzzyVariant.EMBEDDING,
-        tau=tau,
-        magnitude=space.hilbert_norm(tau),
-        m0=m0,
-        m1=m1,
-        denominator=den,
-        compliance=fit,
-    )
-
-
-def _stratum_mask(sample: RddSample, side: NoncomplianceSide) -> np.ndarray:
-    if side is NoncomplianceSide.ALWAYS_TAKERS:
-        return (sample.t == 1) & (sample.z == 0)
-    return (sample.t == 0) & (sample.z == 1)
-
-
-def _stratum_kernel_side(side: NoncomplianceSide) -> Side:
-    # always-takers are observed left of the cutoff, never-takers right of it
-    return Side.LEFT if side is NoncomplianceSide.ALWAYS_TAKERS else Side.RIGHT
+    _require_columns(sample)
+    chart = _EmbeddingChart(sample, "tangent-space variant")
+    return _estimate(sample, chart, FuzzyVariant.EMBEDDING, h0, h1, kernel)
 
 
 def estimate_geodesic_fuzzy(
@@ -273,7 +378,6 @@ def estimate_geodesic_fuzzy(
     h0: float,
     h1: float,
     noncompliance_side: NoncomplianceSide,
-    cfg: FrechetSolveConfig | None = None,
     *,
     kernel: KernelKind = KernelKind.TRIANGULAR,
 ) -> FuzzyEstimate:
@@ -286,112 +390,11 @@ def estimate_geodesic_fuzzy(
     compliance jump is one, the stratum term cancels and the endpoints reduce
     to the sharp LFR limits.
     """
-    _require_t(sample)
-    _require_z(sample)
-    space = sample.space
-    if not isinstance(space, HilbertSpace):
-        from .errors import EmbeddingUnavailable
-
-        raise EmbeddingUnavailable(
-            f"{type(space).__name__} has no isometric embedding; use the "
-            "geodesic tangent-space variant instead"
-        )
-    fit = estimate_compliance(sample, h0, h1, kernel=kernel)
-    m0, m1, den = _checked_denominator(fit)
-
-    nu0, _ = lfr_at_cutoff(sample, Side.LEFT, h0, cfg, kernel)
-    nu1, _ = lfr_at_cutoff(sample, Side.RIGHT, h1, cfg, kernel)
-    psi0, psi1 = space.embed(nu0), space.embed(nu1)
-    warnings: list[str] = []
-
-    mask = _stratum_mask(sample, noncompliance_side)
-    if not mask.any():
-        if abs(den - 1.0) > _FULL_COMPLIANCE_TOL:
-            raise EmptyStratum(
-                f"the {noncompliance_side.value} stratum is empty but the fitted "
-                f"compliance jump is {den!r}, not one"
-            )
-        mu0, mu1 = nu0, nu1
-    else:
-        side = _stratum_kernel_side(noncompliance_side)
-        h = h0 if side is Side.LEFT else h1
-        stratum = sample.subset(mask)
-        try:
-            profile = compute_weights(
-                stratum.r, sample.cutoff, h, KernelSpec(kernel, side)
-            )
-        except DegenerateWindow as err:
-            raise EmptyStratum(
-                f"the {noncompliance_side.value} stratum is degenerate near the "
-                f"cutoff: {err}"
-            ) from None
-        mu_plus = weighted_frechet_mean(stratum.ys, profile.weights, cfg)
-        psi_plus = space.embed(mu_plus)
-
-        endpoints = []
-        for psi_z in (psi0, psi1):
-            q = psi_plus + (psi_z - psi_plus) / den
-            proj = space.project_embedding(q)
-            try:
-                endpoints.append(space.inverse_embed(q))
-            except InverseInfeasible:
-                warnings.append("projection_applied")
-                endpoints.append(space.inverse_embed(proj))
-        mu0, mu1 = endpoints
-
-    omega = sample_frechet_mean(sample, cfg)
-    effect = GeodesicEffect.between(mu0, mu1, omega)
-    tau = (psi1 - psi0) / den
-    return FuzzyEstimate(
-        variant=FuzzyVariant.GEODESIC_ONE_SIDED,
-        tau=tau,
-        magnitude=effect.length,
-        m0=m0,
-        m1=m1,
-        denominator=den,
-        compliance=fit,
-        endpoints=(mu0, mu1),
-        effect=effect,
-        warnings=tuple(warnings),
+    _require_columns(sample, assignment=True)
+    chart = _EmbeddingChart(sample, "geodesic tangent-space variant")
+    return _estimate(
+        sample, chart, FuzzyVariant.GEODESIC_ONE_SIDED, h0, h1, kernel, noncompliance_side
     )
-
-
-# ---------------------------------------------------------------------------
-# tangent-space variants for Riemannian manifolds (Log/Exp charts)
-# ---------------------------------------------------------------------------
-
-
-def _log_coordinates(sample: RddSample, omega: MetricObject) -> np.ndarray:
-    space = sample.space
-    return np.stack([space.log_map(omega, y) for y in sample.ys])
-
-
-def _tangent_lfr(
-    r: np.ndarray,
-    tangent: np.ndarray,
-    center: float,
-    h: float,
-    spec: KernelSpec,
-) -> np.ndarray:
-    """Euclidean LFR fit (weighted average) in tangent coordinates."""
-    profile = compute_weights(r, center, h, spec)
-    w = profile.weights
-    return (w @ tangent) / w.sum()
-
-
-def _resolve_reference(
-    sample: RddSample,
-    reference: MetricObject | None,
-    cfg: FrechetSolveConfig | None,
-    warnings: list[str],
-):
-    if reference is not None:
-        sample.space._check_member(reference, "reference point")
-        return reference
-    # Data-dependent reference: convenient default, but the tangent-space
-    # rate guarantees assume a fixed reference.
-    warnings.append("data_dependent_reference")
-    return sample_frechet_mean(sample, cfg)
 
 
 def estimate_riemannian_fuzzy(
@@ -399,7 +402,6 @@ def estimate_riemannian_fuzzy(
     reference: MetricObject | None,
     h0: float,
     h1: float,
-    cfg: FrechetSolveConfig | None = None,
     *,
     kernel: KernelKind = KernelKind.TRIANGULAR,
 ) -> FuzzyEstimate:
@@ -410,36 +412,9 @@ def estimate_riemannian_fuzzy(
     by the reciprocal compliance jump.  In Euclidean space this coincides
     exactly with the embedding estimator.
     """
-    _require_t(sample)
-    space = sample.space
-    if not space.logexp_available:
-        raise LogExpUnavailable(
-            f"{type(space).__name__} has no Log/Exp charts; use the embedding "
-            "variant instead"
-        )
-    warnings: list[str] = []
-    omega = _resolve_reference(sample, reference, cfg, warnings)
-    fit = estimate_compliance(sample, h0, h1, kernel=kernel)
-    m0, m1, den = _checked_denominator(fit)
-
-    tangent = _log_coordinates(sample, omega)
-    nu0 = _tangent_lfr(
-        sample.r, tangent, sample.cutoff, h0, KernelSpec(kernel, Side.LEFT)
-    )
-    nu1 = _tangent_lfr(
-        sample.r, tangent, sample.cutoff, h1, KernelSpec(kernel, Side.RIGHT)
-    )
-    tau = (nu1 - nu0) / den
-    return FuzzyEstimate(
-        variant=FuzzyVariant.RIEMANNIAN_TANGENT,
-        tau=tau,
-        magnitude=float(np.linalg.norm(tau)),
-        m0=m0,
-        m1=m1,
-        denominator=den,
-        compliance=fit,
-        warnings=tuple(warnings),
-    )
+    _require_columns(sample)
+    chart = _TangentChart(sample, reference, "embedding variant")
+    return _estimate(sample, chart, FuzzyVariant.RIEMANNIAN_TANGENT, h0, h1, kernel)
 
 
 def estimate_geodesic_riemannian_fuzzy(
@@ -448,7 +423,6 @@ def estimate_geodesic_riemannian_fuzzy(
     noncompliance_side: NoncomplianceSide,
     h0: float,
     h1: float,
-    cfg: FrechetSolveConfig | None = None,
     *,
     kernel: KernelKind = KernelKind.TRIANGULAR,
 ) -> FuzzyEstimate:
@@ -460,89 +434,8 @@ def estimate_geodesic_riemannian_fuzzy(
     domain (tangent norm at the cut locus, or image outside the feasible
     region) are projected back with an ``exp_out_of_domain`` warning.
     """
-    _require_t(sample)
-    _require_z(sample)
-    space = sample.space
-    if not space.logexp_available:
-        raise LogExpUnavailable(
-            f"{type(space).__name__} has no Log/Exp charts; use the geodesic "
-            "embedding variant instead"
-        )
-    warnings: list[str] = []
-    omega = _resolve_reference(sample, reference, cfg, warnings)
-    fit = estimate_compliance(sample, h0, h1, kernel=kernel)
-    m0, m1, den = _checked_denominator(fit)
-
-    tangent = _log_coordinates(sample, omega)
-    nu0 = _tangent_lfr(
-        sample.r, tangent, sample.cutoff, h0, KernelSpec(kernel, Side.LEFT)
+    _require_columns(sample, assignment=True)
+    chart = _TangentChart(sample, reference, "geodesic embedding variant")
+    return _estimate(
+        sample, chart, FuzzyVariant.GEODESIC_RIEMANNIAN, h0, h1, kernel, noncompliance_side
     )
-    nu1 = _tangent_lfr(
-        sample.r, tangent, sample.cutoff, h1, KernelSpec(kernel, Side.RIGHT)
-    )
-
-    mask = _stratum_mask(sample, noncompliance_side)
-    if not mask.any():
-        if abs(den - 1.0) > _FULL_COMPLIANCE_TOL:
-            raise EmptyStratum(
-                f"the {noncompliance_side.value} stratum is empty but the fitted "
-                f"compliance jump is {den!r}, not one"
-            )
-        args = [nu0, nu1]
-    else:
-        side = _stratum_kernel_side(noncompliance_side)
-        h = h0 if side is Side.LEFT else h1
-        idx = np.flatnonzero(mask)
-        try:
-            nu_plus = _tangent_lfr(
-                sample.r[idx],
-                tangent[idx],
-                sample.cutoff,
-                h,
-                KernelSpec(kernel, side),
-            )
-        except DegenerateWindow as err:
-            raise EmptyStratum(
-                f"the {noncompliance_side.value} stratum is degenerate near the "
-                f"cutoff: {err}"
-            ) from None
-        args = [nu_plus + (nu_z - nu_plus) / den for nu_z in (nu0, nu1)]
-
-    endpoints = []
-    for v in args:
-        try:
-            endpoints.append(space.exp_map(omega, v))
-        except ExpOutOfDomain:
-            warnings.append("exp_out_of_domain")
-            endpoints.append(_projected_exp(space, omega, v))
-    mu0, mu1 = endpoints
-    effect = GeodesicEffect.between(mu0, mu1, omega)
-    tau = (nu1 - nu0) / den
-    return FuzzyEstimate(
-        variant=FuzzyVariant.GEODESIC_RIEMANNIAN,
-        tau=tau,
-        magnitude=effect.length,
-        m0=m0,
-        m1=m1,
-        denominator=den,
-        compliance=fit,
-        endpoints=(mu0, mu1),
-        effect=effect,
-        warnings=tuple(warnings),
-    )
-
-
-def _projected_exp(space, omega: MetricObject, v: np.ndarray) -> MetricObject:
-    """Total fallback for Exp arguments outside the chart domain."""
-    from .spaces import CompositionalSphere
-
-    if isinstance(space, CompositionalSphere):
-        v = np.asarray(v, dtype=float)
-        v = v - float(np.dot(v, omega.data)) * omega.data
-        norm = float(np.linalg.norm(v))
-        if norm >= np.pi:
-            v = v * ((np.pi - 1e-9) / norm)
-            norm = np.pi - 1e-9
-        z = np.cos(norm) * omega.data + np.sin(norm) * v / norm
-        return space.point(space.project_to_orthant(z))
-    return space.exp_map(omega, v)

@@ -7,18 +7,15 @@ estimates are compared through the quotient metric on geodesics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateWindow
 from .frechet import (
-    FrechetSolveConfig,
     KernelKind,
-    KernelSpec,
     Side,
-    SolveInfo,
-    compute_weights,
+    compute_weights,  # noqa: F401 - bench/tracing.py wraps this module's name
+    lfr_estimate,
     weighted_frechet_mean,
 )
 from .sample import RddSample
@@ -61,49 +58,15 @@ class SharpEstimate:
         }
 
 
-def _info_dict(info: SolveInfo) -> dict:
-    return {
-        "method": info.method,
-        "objective": info.objective,
-        "iterations": info.iterations,
-        "converged": info.converged,
-        "projected": info.projected,
-        "multistart_spread": info.multistart_spread,
-    }
-
-
-def sample_frechet_mean(
-    sample: RddSample, cfg: FrechetSolveConfig | None = None
-) -> MetricObject:
+def sample_frechet_mean(sample: RddSample) -> MetricObject:
     """Unweighted Frechet mean of all outcomes (default reference point)."""
-    return weighted_frechet_mean(sample.ys, np.ones(sample.n), cfg)
-
-
-def lfr_at_cutoff(
-    sample: RddSample,
-    side: Side,
-    h: float,
-    cfg: FrechetSolveConfig | None = None,
-    kernel: KernelKind = KernelKind.TRIANGULAR,
-):
-    """One-sided LFR limit at the cutoff, with side-tagged degeneracy errors."""
-    try:
-        profile = compute_weights(
-            sample.r, sample.cutoff, h, KernelSpec(kernel, side)
-        )
-    except DegenerateWindow as err:
-        raise DegenerateWindow(f"{side.value} side: {err}") from None
-    obj, info = weighted_frechet_mean(
-        sample.ys, profile.weights, cfg, return_info=True
-    )
-    return obj, info
+    return weighted_frechet_mean(sample.ys, np.ones(sample.n))
 
 
 def estimate_sharp(
     sample: RddSample,
     h0: float,
     h1: float,
-    cfg: FrechetSolveConfig | None = None,
     *,
     kernel: KernelKind = KernelKind.TRIANGULAR,
     reference: MetricObject | None = None,
@@ -115,9 +78,10 @@ def estimate_sharp(
     LFR fits at the cutoff; the reference point for effect comparisons
     defaults to the unweighted Frechet mean of all outcomes.
     """
-    start, info0 = lfr_at_cutoff(sample, Side.LEFT, h0, cfg, kernel)
-    end, info1 = lfr_at_cutoff(sample, Side.RIGHT, h1, cfg, kernel)
-    omega = reference if reference is not None else sample_frechet_mean(sample, cfg)
+    c = sample.cutoff
+    start, info0 = lfr_estimate(sample, c, h0, Side.LEFT, kernel=kernel, return_info=True)
+    end, info1 = lfr_estimate(sample, c, h1, Side.RIGHT, kernel=kernel, return_info=True)
+    omega = reference if reference is not None else sample_frechet_mean(sample)
     effect = GeodesicEffect.between(start, end, omega)
     return SharpEstimate(
         effect=effect,
@@ -126,7 +90,7 @@ def estimate_sharp(
         n0=sample.n_left,
         n1=sample.n_right,
         magnitude=effect.length,
-        diagnostics={"left": _info_dict(info0), "right": _info_dict(info1)},
+        diagnostics={"left": asdict(info0), "right": asdict(info1)},
     )
 
 

@@ -7,6 +7,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    EmbeddingUnavailable,
     InvariantViolation,
     MixedSpaces,
     NonFinitePayload,
@@ -95,29 +96,10 @@ class RddSample:
         """Stacked embedded outcomes, (n, D); requires an embeddable space."""
         space = self.space
         if not isinstance(space, HilbertSpace):
-            from .errors import EmbeddingUnavailable
-
             raise EmbeddingUnavailable(
                 f"{type(space).__name__} has no isometric embedding"
             )
         return space.embed_many(self.ys)
-
-    def subset(self, mask: np.ndarray) -> "RddSample":
-        """Subsample by boolean mask, skipping the per-side minimum check.
-
-        Strata used by fuzzy estimators are often small; the caller is
-        responsible for degenerate-window handling downstream.
-        """
-        mask = np.asarray(mask, dtype=bool)
-        sub = object.__new__(RddSample)
-        object.__setattr__(sub, "r", self.r[mask])
-        object.__setattr__(
-            sub, "ys", tuple(y for y, keep in zip(self.ys, mask) if keep)
-        )
-        object.__setattr__(sub, "cutoff", self.cutoff)
-        object.__setattr__(sub, "t", None if self.t is None else self.t[mask])
-        object.__setattr__(sub, "z", None if self.z is None else self.z[mask])
-        return sub
 
     def validate_sharp(self):
         """Check the sharp-design consistency T = 1{R >= c} when T is present."""

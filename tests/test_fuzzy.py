@@ -65,21 +65,25 @@ def _one_sided_wasserstein(rng, n=500, p_at=0.3, shift=1.0):
     return RddSample(r=r, ys=ys, cutoff=0.0, t=t, z=z), space
 
 
+def _one_sided_treatment(rng, z, p_nc, side):
+    """T with noncompliers of share ``p_nc`` on the stratum's side of the cutoff."""
+    nc = (rng.random(z.size) < p_nc).astype(int)
+    if side is NoncomplianceSide.ALWAYS_TAKERS:
+        return np.where(z == 1, 1, nc)
+    return np.where(z == 1, 1 - nc, 0)
+
+
 def _one_sided_euclid(rng, n=500, p_nc=0.3, side=NoncomplianceSide.ALWAYS_TAKERS):
-    """Scalar outcomes with one noncomplier stratum of share ``p_nc``."""
+    """Scalar outcomes with one noncomplier stratum."""
     eu = Euclidean(1)
     r = rng.uniform(-1, 1, n)
     z = (r >= 0).astype(int)
-    nc = (rng.random(n) < p_nc).astype(int)
-    if side is NoncomplianceSide.ALWAYS_TAKERS:
-        t = np.where(z == 1, 1, nc)
-    else:
-        t = np.where(z == 1, 1 - nc, 0)
+    t = _one_sided_treatment(rng, z, p_nc, side)
     y = np.sin(r) + 1.0 * t
     return RddSample(r=r, ys=tuple(eu.point([v]) for v in y), cutoff=0.0, t=t, z=z)
 
 
-def _tangent_late(sample, reference, side=None):
+def _tangent_late(sample, reference):
     return estimate_riemannian_fuzzy(sample, reference, 0.4, 0.4)
 
 
@@ -306,10 +310,7 @@ def _sphere_exp_oracle(base, v):
 def _sphere_fuzzy(
     rng, n=500, p_nc=0.3, scale=0.25, side=NoncomplianceSide.ALWAYS_TAKERS
 ):
-    """One-sided noncompliance with compositional outcomes, mild dispersion.
-
-    ``p_nc`` is the share of noncompliers on the stratum's side of the cutoff.
-    """
+    """One-sided noncompliance with compositional outcomes, mild dispersion."""
     sp = CompositionalSphere(3)
     omega = CompositionalSphere.from_shares(np.array([0.4, 0.35, 0.25]))
     u1 = np.array([1.0, -1.0, 0.0])
@@ -319,11 +320,7 @@ def _sphere_fuzzy(
 
     r = rng.uniform(-1, 1, n)
     z = (r >= 0).astype(int)
-    nc = (rng.random(n) < p_nc).astype(int)
-    if side is NoncomplianceSide.ALWAYS_TAKERS:
-        t = np.where(z == 1, 1, nc)
-    else:
-        t = np.where(z == 1, 1 - nc, 0)
+    t = _one_sided_treatment(rng, z, p_nc, side)
     ys = []
     for ri, ti in zip(r, t):
         v = scale * (0.3 * ri * u1 + ti * 0.6 * u2)
