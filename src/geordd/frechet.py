@@ -13,6 +13,12 @@ outcomes in a space with an isometric Hilbert embedding, it is the
 inverse-embedded weighted average of the embedded outcomes, metrically
 projected onto the feasible set.  Only positively curved spaces without an
 embedding (the compositional sphere) need an iterative solver.
+
+Every local-linear fit takes its weights from one private core,
+``_local_linear``, at any number of centers: single-point fits, the batched
+fits of the bandwidth search and the compliance first stage.  One rule marks
+a window degenerate: sigma^2 <= ``SIGMA2_FLOOR``.  That includes windows with
+fewer than two distinct running values, whose sigma^2 is rounding noise.
 """
 
 from __future__ import annotations
@@ -71,9 +77,6 @@ class KernelSpec:
     kind: KernelKind = KernelKind.TRIANGULAR
     side: Side = Side.TWO_SIDED
 
-    def with_side(self, side: Side) -> "KernelSpec":
-        return KernelSpec(self.kind, side)
-
 
 def kernel_eval(spec: KernelSpec, x) -> np.ndarray | float:
     """Evaluate the side-masked base kernel; zero outside [-1, 1]."""
@@ -99,6 +102,9 @@ class WeightProfile:
     sum by ``n_norm`` gives exactly one.  ``n_norm`` is the count used to
     normalize the kernel moments: the number of observations on the kernel's
     side of the center (restricted to the clamp window when one is given).
+    ``slope_weights`` give the slope of the same fit: for scalar outcomes y,
+    ``(weights @ y, slope_weights @ y) / n_norm`` is the intercept and slope
+    of the kernel-weighted least-squares line in R - center.
     """
 
     bandwidth: float
@@ -110,9 +116,11 @@ class WeightProfile:
     sigma2: float
     weights: np.ndarray
     n_norm: int
+    slope_weights: np.ndarray
 
     def __post_init__(self):
         self.weights.setflags(write=False)
+        self.slope_weights.setflags(write=False)
 
     def to_json(self) -> dict:
         return {
@@ -159,12 +167,40 @@ class SolveInfo:
 DEFAULT_SOLVE_CONFIG = FrechetSolveConfig()
 
 
-def _side_mask(r: np.ndarray, center: float, side: Side) -> np.ndarray:
-    if side is Side.LEFT:
-        return r < center
-    if side is Side.RIGHT:
-        return r >= center
-    return np.ones_like(r, dtype=bool)
+def _local_linear(r, centers, h, spec: KernelSpec, lo=None, hi=None):
+    """Local-linear weights at m centers at once.
+
+    ``r`` is (n,) and ``centers`` (m,); ``lo``/``hi`` optionally clamp each
+    window to R in [lo, hi] (broadcastable to (m,)).  Returns, per center
+    row, the (m, n) kernel values ``k`` and offsets ``d = R - center``, the
+    (m,) ``n_norm``, the (3, m) normalized moments mu0, mu1, mu2, the (m,)
+    sigma^2, the (m, n) intercept weights k (mu2 - mu1 d) / sigma^2, and
+    ``valid = sigma2 > SIGMA2_FLOOR``.  Rows that are not valid hold finite
+    weights that mean nothing.
+    """
+    d = r[None, :] - centers[:, None]
+    if spec.side is Side.LEFT:
+        keep = d < 0.0
+    elif spec.side is Side.RIGHT:
+        keep = d >= 0.0
+    else:
+        keep = np.ones(d.shape, dtype=bool)
+    if lo is not None:
+        keep &= r >= np.reshape(lo, (-1, 1))
+    if hi is not None:
+        keep &= r <= np.reshape(hi, (-1, 1))
+    n_norm = keep.sum(axis=1)
+
+    k = np.where(keep, kernel_eval(KernelSpec(spec.kind), d / h), 0.0) / h
+    kd = k * d
+    mu = np.stack([k.sum(axis=1), kd.sum(axis=1), (kd * d).sum(axis=1)])
+    mu /= np.maximum(n_norm, 1)
+    mu0, mu1, mu2 = mu
+    sigma2 = mu0 * mu2 - mu1 * mu1
+    valid = sigma2 > SIGMA2_FLOOR
+    safe = np.where(valid, sigma2, 1.0)
+    weights = k * (mu2[:, None] - mu1[:, None] * d) / safe[:, None]
+    return k, d, n_norm, mu, sigma2, weights, valid
 
 
 def compute_weights(
@@ -180,42 +216,30 @@ def compute_weights(
     [window[0], window[1]] on top of the kernel support, as needed by
     cutoff-respecting smoothness checks.
 
-    Raises :class:`DegenerateWindow` when fewer than two distinct running
-    values carry kernel weight, or when sigma^2 falls at or below the
-    degeneracy floor.
+    Raises ``ValueError`` unless ``h`` is positive and finite, and
+    :class:`DegenerateWindow` when sigma^2 falls at or below the degeneracy
+    floor (which includes every window with fewer than two distinct running
+    values carrying kernel weight).
     """
     r = np.asarray(r_values, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise EmptyInput("r_values must be a nonempty 1-d array")
     h = float(h)
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"bandwidth must be positive and finite, got {h!r}")
     center = float(center)
 
-    keep = _side_mask(r, center, spec.side)
-    if window is not None:
-        keep &= (r >= window[0]) & (r <= window[1])
-    n_norm = int(keep.sum())
-
-    d = r - center
-    k = np.where(keep, kernel_eval(spec.with_side(Side.TWO_SIDED), d / h), 0.0) / h
-
-    active = k > 0.0
-    if np.unique(r[active]).size < 2:
-        raise DegenerateWindow(
-            f"window at {center!r} (h={h!r}, side={spec.side.value}) has fewer "
-            "than two distinct running values"
-        )
-    mu0 = float(k.sum() / n_norm)
-    mu1 = float((k * d).sum() / n_norm)
-    mu2 = float((k * d * d).sum() / n_norm)
-    sigma2 = mu0 * mu2 - mu1 * mu1
-    if sigma2 <= SIGMA2_FLOOR:
+    lo, hi = (None, None) if window is None else window
+    k, d, n_norm, mu, sigma2, weights, valid = _local_linear(
+        r, np.array([center]), h, spec, lo, hi
+    )
+    mu0, mu1, mu2 = (float(v) for v in mu[:, 0])
+    sigma2 = float(sigma2[0])
+    if not valid[0]:
         raise DegenerateWindow(
             f"window at {center!r} (h={h!r}, side={spec.side.value}) is degenerate: "
             f"sigma^2 = {sigma2!r}"
         )
-    weights = k * (mu2 - mu1 * d) / sigma2
     return WeightProfile(
         bandwidth=h,
         side=spec.side,
@@ -224,8 +248,9 @@ def compute_weights(
         mu1=mu1,
         mu2=mu2,
         sigma2=sigma2,
-        weights=weights,
-        n_norm=n_norm,
+        weights=weights[0],
+        n_norm=int(n_norm[0]),
+        slope_weights=k[0] * (mu0 * d[0] - mu1) / sigma2,
     )
 
 
@@ -242,16 +267,6 @@ def _common_space(objects: Sequence[MetricObject]) -> Space:
         if o.space != space:
             raise MixedSpaces("objects live in different spaces")
     return space
-
-
-def frechet_objective(
-    objects: Sequence[MetricObject], weights: np.ndarray, candidate: MetricObject
-) -> float:
-    """Weighted sum of squared distances from ``candidate`` to the objects."""
-    space = candidate.space
-    return float(
-        sum(w * space.distance(candidate, o) ** 2 for w, o in zip(weights, objects))
-    )
 
 
 def weighted_frechet_mean(
@@ -454,43 +469,9 @@ def batch_lfr_embeddings(
     """
     r_obs = np.asarray(r_obs, dtype=float)
     centers = np.atleast_1d(np.asarray(centers, dtype=float))
-    m, n = centers.size, r_obs.size
-    d = r_obs[None, :] - centers[:, None]
-
-    spec = KernelSpec(kernel, Side.TWO_SIDED)
-    k = kernel_eval(spec, d / h) / h
-    if side is Side.LEFT:
-        k = np.where(d < 0.0, k, 0.0)
-        side_mask = d < 0.0
-    elif side is Side.RIGHT:
-        k = np.where(d >= 0.0, k, 0.0)
-        side_mask = d >= 0.0
-    else:
-        side_mask = np.ones_like(k, dtype=bool)
-
-    window_mask = np.ones((m, n), dtype=bool)
-    if lo is not None:
-        window_mask &= r_obs[None, :] >= np.broadcast_to(
-            np.asarray(lo, dtype=float), (m,)
-        )[:, None]
-    if hi is not None:
-        window_mask &= r_obs[None, :] <= np.broadcast_to(
-            np.asarray(hi, dtype=float), (m,)
-        )[:, None]
-    k = np.where(window_mask, k, 0.0)
-    n_norm = (side_mask & window_mask).sum(axis=1)
-
-    kd = k * d
-    s0 = k.sum(axis=1)
-    s1 = kd.sum(axis=1)
-    s2 = (kd * d).sum(axis=1)
-    det = s0 * s2 - s1 * s1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigma2 = det / np.where(n_norm > 0, n_norm, 1) ** 2
-    valid = (n_norm >= 2) & (sigma2 > SIGMA2_FLOOR)
-
-    weights = k * s2[:, None] - kd * s1[:, None]
-    safe_det = np.where(valid, det, 1.0)
-    fits = (weights @ emb) / safe_det[:, None]
+    _, _, n_norm, _, _, weights, valid = _local_linear(
+        r_obs, centers, h, KernelSpec(kernel, side), lo, hi
+    )
+    fits = (weights @ emb) / np.where(valid, n_norm, 1)[:, None]
     fits[~valid] = np.nan
     return fits, valid

@@ -36,7 +36,6 @@ from .frechet import (
     KernelSpec,
     Side,
     compute_weights,
-    kernel_eval,
     weighted_frechet_mean,
 )
 from .rdd_sharp import sample_frechet_mean
@@ -158,26 +157,6 @@ def _require_columns(sample: RddSample, assignment: bool = False):
         )
 
 
-def _scalar_local_linear(
-    r: np.ndarray,
-    values: np.ndarray,
-    center: float,
-    h: float,
-    spec: KernelSpec,
-) -> tuple[float, float]:
-    """Closed-form weighted least squares line fit; returns (intercept, slope)."""
-    compute_weights(r, center, h, spec)  # raises DegenerateWindow when unfit
-    d = r - center
-    base = kernel_eval(spec, d / h) / h
-    s0 = base.sum()
-    s1 = (base * d).sum()
-    s2 = (base * d * d).sum()
-    x0 = (base * values).sum()
-    x1 = (base * d * values).sum()
-    det = s0 * s2 - s1 * s1
-    return float((s2 * x0 - s1 * x1) / det), float((s0 * x1 - s1 * x0) / det)
-
-
 def estimate_compliance(
     sample: RddSample,
     h0: float,
@@ -188,12 +167,11 @@ def estimate_compliance(
     """Local linear intercepts of T on R at the cutoff, one per side."""
     _require_columns(sample)
     t = sample.t.astype(float)
-    m0, b0 = _scalar_local_linear(
-        sample.r, t, sample.cutoff, h0, KernelSpec(kernel, Side.LEFT)
-    )
-    m1, b1 = _scalar_local_linear(
-        sample.r, t, sample.cutoff, h1, KernelSpec(kernel, Side.RIGHT)
-    )
+    line = []
+    for h, side in ((h0, Side.LEFT), (h1, Side.RIGHT)):
+        p = compute_weights(sample.r, sample.cutoff, h, KernelSpec(kernel, side))
+        line += [float(p.weights @ t) / p.n_norm, float(p.slope_weights @ t) / p.n_norm]
+    m0, b0, m1, b1 = line
     return ComplianceFit(m0=m0, m1=m1, slope0=b0, slope1=b1, h0=float(h0), h1=float(h1))
 
 

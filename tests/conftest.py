@@ -126,6 +126,18 @@ def wls_intercept_oracle(r, y, c, h, side, kernel="triangular"):
     return beta[0]
 
 
+def wls_line_oracle(r, y, c, h, keep, kernel="triangular"):
+    """Intercept and slope (rows of the result) of the kernel-weighted least
+    squares line of ``y`` on R - c over the observations in ``keep``, by
+    explicitly solving the normal equations; ``y`` may have several columns."""
+    r = np.asarray(r, dtype=float)
+    u = (r - c) / h
+    k = triangular(u) if kernel == "triangular" else (np.abs(u) <= 1).astype(float)
+    k = np.where(keep, k / h, 0.0)
+    X = np.column_stack([np.ones_like(r), r - c])
+    return np.linalg.solve((X * k[:, None]).T @ X, (X * k[:, None]).T @ y)
+
+
 def golden_section(fn, lo, hi, tol=1e-12):
     """Scalar minimization by golden-section search."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0

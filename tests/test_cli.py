@@ -163,6 +163,19 @@ class TestCommands:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "degenerate_window"
 
+    @pytest.mark.parametrize("bw", ["0", "-1", "nan", "inf"])
+    def test_bad_bandwidth_exits_one(self, tmp_path, capsys, bw):
+        # a bandwidth that is not positive and finite is a configuration
+        # error, not a refusal on the data
+        path = _setting_one_csv(tmp_path, n=100)
+        code = main(
+            ["sharp", "--input", str(path), "--space", "euclid",
+             "--cutoff", "0", "--bw", bw, "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "ValueError"
+
     def test_fuzzy_geodesic_needs_side(self, tmp_path):
         rng = np.random.default_rng(7)
         eu = Euclidean(1)

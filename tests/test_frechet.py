@@ -16,8 +16,9 @@ from geordd import (
     weighted_frechet_mean,
 )
 from geordd.errors import DegenerateWindow, EmptyInput, SolverDiverged
+from geordd.frechet import batch_lfr_embeddings
 
-from conftest import golden_section, rand_sphere, wls_intercept_oracle
+from conftest import golden_section, rand_sphere, wls_intercept_oracle, wls_line_oracle
 
 TRI = KernelKind.TRIANGULAR
 UNI = KernelKind.UNIFORM
@@ -79,10 +80,15 @@ class TestComputeWeights:
             profile.mu0 * profile.mu2 - profile.mu1**2, abs=1e-12
         )
 
-    def test_single_distinct_point_degenerate(self):
-        r = np.array([-0.5, -0.5])
+    @pytest.mark.parametrize("ties", [2, 100_000])
+    @pytest.mark.parametrize("kind", [UNI, TRI], ids=["uniform", "triangular"])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_single_distinct_point_degenerate(self, scale, kind, ties):
+        # sigma^2 of a single distinct value is rounding noise under the
+        # floor at any scale of R, also with points off the kernel support
+        r = np.concatenate([np.full(ties, -0.5), [-3.0, -2.0, 0.5]]) * scale
         with pytest.raises(DegenerateWindow):
-            compute_weights(r, 0.0, 1.0, KernelSpec(UNI, Side.LEFT))
+            compute_weights(r, 0.0, 1.0 * scale, KernelSpec(kind, Side.LEFT))
 
     def test_empty_window_degenerate(self):
         r = np.array([-5.0, -4.0, 3.0, 4.0])
@@ -112,6 +118,11 @@ class TestComputeWeights:
             r = rng.uniform(-1, 1, 100)
             profile = compute_weights(r, 0.1, 0.4, KernelSpec(TRI, side))
             assert profile.weights.sum() / profile.n_norm == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bandwidth_must_be_positive_and_finite(self, h):
+        with pytest.raises(ValueError, match="positive and finite"):
+            compute_weights(np.linspace(-1, 1, 50), 0.0, h)
 
     def test_json_serializable(self):
         import json
@@ -180,6 +191,41 @@ class TestWeightedFrechetMean:
         for p in pts:
             f_p = sum(wi * space.distance(p, q) ** 2 for wi, q in zip(w, pts))
             assert f_out <= f_p + 1e-8
+
+
+class TestBatchLfrEmbeddings:
+    @pytest.mark.parametrize("clamp", [False, True], ids=["free", "clamped"])
+    @pytest.mark.parametrize("kind", [TRI, UNI], ids=["triangular", "uniform"])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT, Side.TWO_SIDED])
+    def test_matches_wls_oracle(self, side, kind, clamp):
+        rng = np.random.default_rng(13)
+        r = np.sort(rng.uniform(-1, 1, 400))
+        emb = rng.normal(size=(400, 3))
+        # centers inside the data and past both edges; bandwidths down to
+        # windows holding fewer than two distinct running values
+        centers = np.concatenate([np.linspace(-1.2, 1.2, 25), r[[5, 200, 394]]])
+        lo = np.where(np.arange(centers.size) % 2, centers - 0.25, -0.6) if clamp else None
+        hi = 0.7 if clamp else None
+        seen = set()
+        for h in (0.3, 0.02, 1e-4):
+            fits, valid = batch_lfr_embeddings(r, emb, centers, h, side, kernel=kind, lo=lo, hi=hi)
+            lo_j = np.broadcast_to(-np.inf if lo is None else lo, centers.shape)
+            hi_j = np.inf if hi is None else hi
+            for j, c in enumerate(centers):
+                window = (lo_j[j], hi_j)
+                try:
+                    compute_weights(r, c, h, KernelSpec(kind, side), window=window)
+                except DegenerateWindow:
+                    assert not valid[j]
+                    assert np.all(np.isnan(fits[j]))
+                    continue
+                assert valid[j]
+                keep = (r >= window[0]) & (r <= window[1])
+                keep &= {Side.LEFT: r < c, Side.RIGHT: r >= c}.get(side, True)
+                oracle = wls_line_oracle(r, emb, c, h, keep, kind.value)[0]
+                np.testing.assert_allclose(fits[j], oracle, rtol=1e-10, atol=1e-10)
+            seen.update(valid.tolist())
+        assert seen == {True, False}
 
 
 def _euclid_sample(rng, n=120, fn=lambda r: r, sigma=0.0):

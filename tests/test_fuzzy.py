@@ -6,6 +6,7 @@ import pytest
 from geordd import (
     CompositionalSphere,
     Euclidean,
+    KernelKind,
     NoncomplianceSide,
     RddSample,
     Wasserstein1D,
@@ -25,7 +26,7 @@ from geordd.errors import (
     MissingTreatment,
     WeakCompliance,
 )
-from conftest import rand_sphere, wls_intercept_oracle
+from conftest import rand_sphere, wls_intercept_oracle, wls_line_oracle
 
 
 def _euclid_fuzzy(rng, n=600, jump_p=(0.2, 0.8), theta=1.0, sigma=0.0):
@@ -107,6 +108,18 @@ class TestEstimateCompliance:
         assert fit.m0 == pytest.approx(0.0, abs=1e-12)
         assert fit.m1 == pytest.approx(1.0, abs=1e-12)
         assert fit.denominator == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kernel", [KernelKind.TRIANGULAR, KernelKind.UNIFORM])
+    def test_intercepts_and_slopes_match_wls_oracle(self, kernel):
+        rng = np.random.default_rng(5)
+        sample = _euclid_fuzzy(rng)
+        fit = estimate_compliance(sample, 0.3, 0.5, kernel=kernel)
+        r, t = sample.r, sample.t.astype(float)
+        left = wls_line_oracle(r, t, 0.0, 0.3, r < 0.0, kernel.value)
+        right = wls_line_oracle(r, t, 0.0, 0.5, r >= 0.0, kernel.value)
+        np.testing.assert_allclose(
+            [fit.m0, fit.slope0, fit.m1, fit.slope1], [*left, *right], rtol=0, atol=1e-10
+        )
 
     def test_constant_treatment_weak(self):
         rng = np.random.default_rng(1)
