@@ -23,7 +23,7 @@ from . import __version__
 from .bandwidth import BandwidthSearch, select_bandwidth
 from .errors import REFUSAL_ERRORS, GeorddError, ParseError
 from .frechet import Side, batch_lfr_embeddings
-from .io import ingest, object_from_json, space_from_spec
+from .io import ingest, object_from_json
 from .rdd_fuzzy import (
     FuzzyVariant,
     NoncomplianceSide,
@@ -159,32 +159,9 @@ def _parse_interval(text) -> tuple[float, float] | None:
 
 
 def _load_sample(opts: dict) -> RddSample:
-    path = opts["input"]
-    spec = opts["space"]
-    if str(path).lower().endswith((".jsonl", ".ndjson")):
-        # JSON lines need a fully configured space; infer grid width from the
-        # first record's declared shape.
-        first = None
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    first = json.loads(line)
-                    break
-        if first is None:
-            raise ParseError(f"{path}: empty file")
-        n_payload = int(np.prod(first["y"]["shape"]))
-        space = space_from_spec(
-            spec,
-            n_payload,
-            support=_parse_interval(opts.get("support")),
-            max_weight=opts.get("wmax"),
-            domain=_parse_interval(opts.get("domain")),
-            power=opts["power"],
-        )
-        return ingest(path, space, opts["cutoff"])
     return ingest(
-        path,
-        spec,
+        opts["input"],
+        opts["space"],
         opts["cutoff"],
         support=_parse_interval(opts.get("support")),
         max_weight=opts.get("wmax"),

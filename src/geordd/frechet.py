@@ -313,12 +313,11 @@ def _embedding_mean(space: HilbertSpace, objects, w):
     proj = space.project_embedding(mean)
     moved = float(np.abs(proj - mean).max())
     out = space.inverse_embed(proj)
+    emb -= proj  # residuals in place: emb is this call's own (n, D) array
     info = SolveInfo(
         method="embedding",
+        objective=float((w * space.hilbert_sq_norms(emb)).sum()),
         projected=moved > 1e-12 * max(1.0, float(np.abs(mean).max())),
-    )
-    info.objective = float(
-        (w * np.array([space.hilbert_distance(proj, e) ** 2 for e in emb])).sum()
     )
     return out, info
 

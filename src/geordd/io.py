@@ -214,16 +214,26 @@ def ingest_jsonl(path, space: Space, cutoff: float) -> RddSample:
     )
 
 
-def ingest(path, space_spec, cutoff: float, **space_opts) -> RddSample:
-    """Dispatch on file extension: ``.jsonl``/``.ndjson`` or CSV."""
+def ingest(path, space_spec: str | Space, cutoff: float, **space_opts) -> RddSample:
+    """Dispatch on file extension: ``.jsonl``/``.ndjson`` or CSV.
+
+    For JSON lines with a spec string, the payload width comes from the
+    first record's declared shape.
+    """
     suffix = Path(path).suffix.lower()
-    if suffix in (".jsonl", ".ndjson"):
-        if not isinstance(space_spec, Space):
-            raise ParseError(
-                "JSON-lines ingestion needs a fully configured Space instance"
-            )
-        return ingest_jsonl(path, space_spec, cutoff)
-    return ingest_csv(path, space_spec, cutoff, **space_opts)
+    if suffix not in (".jsonl", ".ndjson"):
+        return ingest_csv(path, space_spec, cutoff, **space_opts)
+    if not isinstance(space_spec, Space):
+        with open(path, encoding="utf-8") as fh:
+            first = next((line for line in fh if line.strip()), None)
+        if first is None:
+            raise ParseError(f"{path}: empty file")
+        try:
+            n_payload = int(np.prod(json.loads(first)["y"]["shape"]))
+        except (ValueError, KeyError, TypeError):
+            raise ParseError(f"{path}: first record declares no payload shape") from None
+        space_spec = space_from_spec(space_spec, n_payload, **space_opts)
+    return ingest_jsonl(path, space_spec, cutoff)
 
 
 def write_sample_csv(sample: RddSample, path) -> None:

@@ -16,7 +16,7 @@ without an isometric embedding, such as the compositional sphere.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .frechet import (
     KernelKind,
     KernelSpec,
     Side,
+    WeightProfile,
     compute_weights,
     weighted_frechet_mean,
 )
@@ -79,7 +80,8 @@ class NoncomplianceSide(enum.Enum):
 
 @dataclass(frozen=True)
 class ComplianceFit:
-    """Local linear fits of the treatment indicator on each side of the cutoff."""
+    """Local linear fits of the treatment indicator on each side of the cutoff,
+    with the left and right weight profiles behind them (``profiles``)."""
 
     m0: float
     m1: float
@@ -87,6 +89,7 @@ class ComplianceFit:
     slope1: float
     h0: float
     h1: float
+    profiles: tuple[WeightProfile, WeightProfile] = field(repr=False, compare=False)
 
     @property
     def denominator(self) -> float:
@@ -167,12 +170,16 @@ def estimate_compliance(
     """Local linear intercepts of T on R at the cutoff, one per side."""
     _require_columns(sample)
     t = sample.t.astype(float)
-    line = []
+    line, profiles = [], []
     for h, side in ((h0, Side.LEFT), (h1, Side.RIGHT)):
         p = compute_weights(sample.r, sample.cutoff, h, KernelSpec(kernel, side))
         line += [float(p.weights @ t) / p.n_norm, float(p.slope_weights @ t) / p.n_norm]
+        profiles.append(p)
     m0, b0, m1, b1 = line
-    return ComplianceFit(m0=m0, m1=m1, slope0=b0, slope1=b1, h0=float(h0), h1=float(h1))
+    return ComplianceFit(
+        m0=m0, m1=m1, slope0=b0, slope1=b1, h0=float(h0), h1=float(h1),
+        profiles=tuple(profiles),
+    )
 
 
 class _EmbeddingChart:
@@ -247,18 +254,19 @@ class _TangentChart:
             return _projected_exp(self.space, self.omega, v)
 
 
-def _projected_exp(space, omega: MetricObject, v: np.ndarray) -> MetricObject:
-    """Total fallback for Exp arguments outside the chart domain."""
-    if isinstance(space, CompositionalSphere):
-        v = np.asarray(v, dtype=float)
-        v = v - float(np.dot(v, omega.data)) * omega.data
-        norm = float(np.linalg.norm(v))
-        if norm >= np.pi:
-            v = v * ((np.pi - 1e-9) / norm)
-            norm = np.pi - 1e-9
-        z = np.cos(norm) * omega.data + np.sin(norm) * v / norm
-        return space.point(space.project_to_orthant(z))
-    return space.exp_map(omega, v)
+def _projected_exp(
+    space: CompositionalSphere, omega: MetricObject, v: np.ndarray
+) -> MetricObject:
+    """Total fallback for Exp arguments outside the chart domain (only the
+    sphere's Exp has a bounded domain)."""
+    v = np.asarray(v, dtype=float)
+    v = v - float(np.dot(v, omega.data)) * omega.data
+    norm = float(np.linalg.norm(v))
+    if norm >= np.pi:
+        v = v * ((np.pi - 1e-9) / norm)
+        norm = np.pi - 1e-9
+    z = np.cos(norm) * omega.data + np.sin(norm) * v / norm
+    return space.point(space.project_to_orthant(z))
 
 
 def _estimate(
@@ -280,12 +288,7 @@ def _estimate(
         raise WeakCompliance(
             f"compliance jump {den!r} is within the refusal threshold {DELTA_COMPLY}"
         )
-    (nu0, mu0), (nu1, mu1) = (
-        chart.fit(
-            compute_weights(sample.r, sample.cutoff, h, KernelSpec(kernel, side)).weights
-        )
-        for h, side in ((h0, Side.LEFT), (h1, Side.RIGHT))
-    )
+    (nu0, mu0), (nu1, mu1) = (chart.fit(p.weights) for p in fit.profiles)
     tau = (nu1 - nu0) / den
 
     endpoints = effect = None

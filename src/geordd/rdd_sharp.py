@@ -33,12 +33,12 @@ class SharpEstimate:
     h1: float
     n0: int
     n1: int
-    magnitude: float
     diagnostics: dict
 
-    def __post_init__(self):
-        if abs(self.magnitude - self.effect.length) > 1e-10 * (1 + self.magnitude):
-            raise ValueError("magnitude must equal the effect length")
+    @property
+    def magnitude(self) -> float:
+        """The effect length."""
+        return self.effect.length
 
     @property
     def start(self) -> MetricObject:
@@ -89,7 +89,6 @@ def estimate_sharp(
         h1=float(h1),
         n0=sample.n_left,
         n1=sample.n_right,
-        magnitude=effect.length,
         diagnostics={"left": asdict(info0), "right": asdict(info1)},
     )
 

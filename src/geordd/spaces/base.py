@@ -6,6 +6,17 @@ Points are immutable :class:`MetricObject` values; an estimated treatment
 effect is a :class:`GeodesicEffect`, an ordered pair of endpoints compared
 through the quotient metric :func:`quotient_distance`.
 
+Flat spaces derive from :class:`HilbertSpace`, which writes the embedding,
+its inverse, the feasibility rule, geodesics and transport once.  A new flat
+space supplies ``shape`` and, where the defaults do not hold:
+
+- ``_validate``, when payloads carry invariants (default: none);
+- ``_embed`` and ``_inverse``, when the embedding is not the flattened
+  payload (default: flatten, and reshape back);
+- ``project_embedding``, the metric projection onto the image set, when that
+  set is not the whole Hilbert space (default: the identity);
+- ``_hilbert_weights``, when the inner product is not the dot product.
+
 All operations are pure functions of immutable values and are safe to call
 concurrently.
 """
@@ -13,13 +24,14 @@ concurrently.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import (
     EmbeddingUnavailable,
+    InverseInfeasible,
     LogExpUnavailable,
     NonFinitePayload,
     ShapeMismatch,
@@ -217,12 +229,13 @@ class Space(ABC):
 
 
 class HilbertSpace(Space):
-    """Space isometric to a convex subset of a Hilbert space.
+    """Space isometric to a closed convex subset of a Hilbert space.
 
     The metric, geodesics and transport maps are all inherited from the flat
     geometry of the embedding: geodesics are segments, and transport adds the
     displacement of the embedded endpoints followed by the feasibility
-    projection back onto the image set.
+    projection back onto the image set.  The module docstring lists what a
+    subclass supplies.
     """
 
     @property
@@ -248,34 +261,44 @@ class HilbertSpace(Space):
             return float(u @ v)
         return float((u * self._hilbert_weights) @ v)
 
-    @abstractmethod
-    def _embed(self, arr: np.ndarray) -> np.ndarray:
-        """Map one payload array to a flat embedding vector."""
+    def hilbert_sq_norms(self, rows: np.ndarray) -> np.ndarray:
+        """Squared Hilbert norms of the rows of a (k, D) array, each summed
+        as :meth:`hilbert_inner` sums one pair."""
+        left = rows if self._hilbert_weights is None else rows * self._hilbert_weights
+        return np.matmul(left[:, None, :], rows[:, :, None]).ravel()
 
-    @abstractmethod
+    def _validate(self, arr: np.ndarray) -> np.ndarray:
+        return arr.copy()
+
+    def _embed(self, stack: np.ndarray) -> np.ndarray:
+        """Map a (k, *shape) stack the caller owns to (k, D) rows (may be a view)."""
+        return stack.reshape(len(stack), -1)
+
     def _inverse(self, v: np.ndarray) -> np.ndarray:
-        """Map a feasible flat embedding vector back to a payload array.
+        """Map a feasible flat embedding vector back to a payload array."""
+        return v.reshape(self.shape)
 
-        Must raise :class:`InverseInfeasible` when ``v`` is outside the image
-        set by more than numerical noise.
-        """
-
-    @abstractmethod
     def project_embedding(self, v: np.ndarray) -> np.ndarray:
         """Metric projection of ``v`` onto the image set (flat vector in/out)."""
+        return np.asarray(v, dtype=float).ravel().copy()
 
     def embed(self, a: MetricObject) -> np.ndarray:
         self._check_member(a)
-        return self._embed(a.data)
+        return self._embed(np.stack([a.data]))[0]
 
     def embed_many(self, objs: Sequence[MetricObject]) -> np.ndarray:
         if len(objs) == 0:
             return np.empty((0, self.embedding_dim))
         for o in objs:
             self._check_member(o)
-        return np.stack([self._embed(o.data) for o in objs])
+        return self._embed(np.stack([o.data for o in objs]))
 
     def inverse_embed(self, v, *, project: bool = False) -> MetricObject:
+        """The point embedded at ``v``; with ``project``, at its projection.
+
+        Otherwise raises :class:`InverseInfeasible` when the projection moves
+        ``v`` by more than ``1e-8 * max(1, |v|_inf)`` in the sup norm.
+        """
         v = np.asarray(v, dtype=float).ravel()
         if v.size != self.embedding_dim:
             raise ShapeMismatch(
@@ -283,25 +306,31 @@ class HilbertSpace(Space):
             )
         if not np.all(np.isfinite(v)):
             raise NonFinitePayload("embedding vector contains NaN or infinite entries")
-        if project:
-            v = self.project_embedding(v)
-        return self.point(self._inverse(v))
+        proj = self.project_embedding(v)
+        gap = float(np.abs(proj - v).max())
+        if not project and gap > 1e-8 * max(1.0, float(np.abs(v).max())):
+            raise InverseInfeasible(
+                f"vector is outside the image set of {self!r} (projection moves "
+                f"it by {gap!r}); pass project=True to project first"
+            )
+        return self.point(self._inverse(proj))
 
     def distance(self, a, b) -> float:
         self._check_pair(a, b)
-        return self.hilbert_distance(self._embed(a.data), self._embed(b.data))
+        u, v = self._embed(np.stack([a.data, b.data]))
+        return self.hilbert_distance(u, v)
 
     def geodesic(self, a, b, t: float) -> MetricObject:
         self._check_pair(a, b)
         t = float(t)
-        v = (1.0 - t) * self._embed(a.data) + t * self._embed(b.data)
-        return self.point(self._inverse(v))
+        u, v = self._embed(np.stack([a.data, b.data]))
+        return self.inverse_embed((1.0 - t) * u + t * v, project=True)
 
     def transport(self, a, b, w) -> MetricObject:
         self._check_pair(a, b)
         self._check_member(w, "transported point")
-        v = self._embed(w.data) + self._embed(b.data) - self._embed(a.data)
-        return self.point(self._inverse(self.project_embedding(v)))
+        ea, eb, ew = self._embed(np.stack([a.data, b.data, w.data]))
+        return self.inverse_embed(ew + eb - ea, project=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,32 +338,26 @@ class GeodesicEffect:
     """A treatment effect: the geodesic from ``start`` to ``end``.
 
     ``length`` is the metric distance between the endpoints (the effect
-    magnitude); ``reference`` is the anchor point used by the quotient
-    metric when comparing effects.
+    magnitude), computed once at construction; ``reference`` is the anchor
+    point used by the quotient metric when comparing effects.
     """
 
     start: MetricObject
     end: MetricObject
-    length: float
     reference: MetricObject
+    length: float = field(init=False)
 
     def __post_init__(self):
         space = self.start.space
         space._check_member(self.end, "end point")
         space._check_member(self.reference, "reference point")
-        actual = space.distance(self.start, self.end)
-        if abs(actual - self.length) > 1e-10 * (1.0 + abs(actual)):
-            raise ValueError(
-                f"declared length {self.length!r} does not match endpoint "
-                f"distance {actual!r}"
-            )
+        object.__setattr__(self, "length", space.distance(self.start, self.end))
 
     @classmethod
     def between(
         cls, start: MetricObject, end: MetricObject, reference: MetricObject
     ) -> "GeodesicEffect":
-        length = start.space.distance(start, end)
-        return cls(start=start, end=end, length=length, reference=reference)
+        return cls(start=start, end=end, reference=reference)
 
     @property
     def space(self) -> Space:

@@ -30,18 +30,6 @@ class Euclidean(HilbertSpace):
     def _key(self):
         return (self._dim,)
 
-    def _validate(self, arr):
-        return arr.copy()
-
-    def _embed(self, arr):
-        return arr.copy()
-
-    def _inverse(self, v):
-        return v.copy()
-
-    def project_embedding(self, v):
-        return np.asarray(v, dtype=float).copy()
-
     # Log/Exp are plain shifts in a flat space.
     def log_map(self, base: MetricObject, a: MetricObject) -> np.ndarray:
         self._check_pair(base, a)
@@ -92,15 +80,3 @@ class FunctionalL2(HilbertSpace):
 
     def _key(self):
         return (self._n, self._domain)
-
-    def _validate(self, arr):
-        return arr.copy()
-
-    def _embed(self, arr):
-        return arr.copy()
-
-    def _inverse(self, v):
-        return v.copy()
-
-    def project_embedding(self, v):
-        return np.asarray(v, dtype=float).copy()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvariantViolation, InverseInfeasible
+from ..errors import InvariantViolation
 from .base import HilbertSpace, MetricObject
 
 __all__ = ["NetworkLaplacian", "laplacian_from_weights"]
@@ -78,20 +78,6 @@ class NetworkLaplacian(HilbertSpace):
         off = sym - np.diag(np.diag(sym))
         np.fill_diagonal(off, 0.0)
         return np.diag(-off.sum(axis=1)) + off
-
-    def _embed(self, arr):
-        return arr.ravel().copy()
-
-    def _inverse(self, v):
-        mat = v.reshape(self._m, self._m)
-        proj = self.project_embedding(v).reshape(self._m, self._m)
-        gap = np.abs(mat - proj).max()
-        if gap > 1e-8 * max(1.0, float(np.abs(mat).max())):
-            raise InverseInfeasible(
-                f"vector is outside the Laplacian set (projection moves it by {gap!r}); "
-                "pass project=True to project first"
-            )
-        return proj
 
     def project_embedding(self, v):
         """Symmetrize, clamp off-diagonal entries into the admissible weight

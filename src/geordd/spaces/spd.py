@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvariantViolation, InverseInfeasible
+from ..errors import InvariantViolation
 from .base import HilbertSpace
 
 __all__ = ["SpdSpace", "SPD_VARIANTS"]
@@ -104,29 +104,10 @@ class SpdSpace(HilbertSpace):
 
     # -- embedding ------------------------------------------------------------------
 
-    def _embed(self, arr):
-        if self._variant == "frobenius":
-            return arr.ravel().copy()
-        if self._variant == "power":
-            return _sym_apply(arr, lambda lam: lam**self._power).ravel()
-        if self._variant == "log_euclidean":
-            return _sym_apply(arr, np.log).ravel()
-        # log_cholesky
-        chol = np.linalg.cholesky(arr)
-        out = np.tril(chol, -1)
-        idx = np.arange(self._m)
-        out[idx, idx] = np.log(np.diag(chol))
-        return out.ravel()
-
-    def embed_many(self, objs):
-        if len(objs) == 0:
-            return np.empty((0, self.embedding_dim))
-        for o in objs:
-            self._check_member(o)
-        stack = np.stack([o.data for o in objs])
+    def _embed(self, stack):
         n = stack.shape[0]
         if self._variant == "frobenius":
-            return stack.reshape(n, -1).copy()
+            return super()._embed(stack)
         if self._variant == "power":
             return _sym_apply(stack, lambda lam: lam**self._power).reshape(n, -1)
         if self._variant == "log_euclidean":
@@ -139,55 +120,26 @@ class SpdSpace(HilbertSpace):
 
     # -- inverse and projection -------------------------------------------------------
 
-    def _image_floor(self) -> float:
-        # smallest admissible eigenvalue in the embedding domain
-        if self._variant == "frobenius":
-            return self._eps
-        if self._variant == "power":
-            return self._eps**self._power
-        return -np.inf
-
     def _inverse(self, v):
         mat = v.reshape(self._m, self._m)
-        scale = max(1.0, float(np.abs(mat).max()))
         if self._variant == "log_cholesky":
-            upper = np.triu(mat, 1)
-            if np.abs(upper).max() > 1e-8 * scale:
-                raise InverseInfeasible(
-                    "vector is not lower-triangular in the Log-Cholesky domain; "
-                    "pass project=True to project first"
-                )
             low = np.tril(mat, -1)
             idx = np.arange(self._m)
             low[idx, idx] = np.exp(mat[idx, idx])
             return low @ low.T
-        if np.abs(mat - mat.T).max() > 1e-8 * scale:
-            raise InverseInfeasible(
-                "vector is not symmetric in the embedding domain; "
-                "pass project=True to project first"
-            )
-        sym = _sym(mat)
-        floor = self._image_floor()
-        if floor > -np.inf:
-            lam_min = float(np.linalg.eigvalsh(sym).min())
-            if lam_min < floor - 1e-12 * scale:
-                raise InverseInfeasible(
-                    f"smallest eigenvalue {lam_min!r} is below the image floor "
-                    f"{floor!r}; pass project=True to project first"
-                )
-            sym = _sym_apply(sym, lambda lam: np.maximum(lam, floor))
         if self._variant == "frobenius":
-            return sym
+            return mat
         if self._variant == "power":
-            return _sym_apply(sym, lambda lam: lam ** (1.0 / self._power))
-        return _sym_apply(sym, np.exp)  # log_euclidean
+            return _sym_apply(mat, lambda lam: lam ** (1.0 / self._power))
+        return _sym_apply(mat, np.exp)  # log_euclidean
 
     def project_embedding(self, v):
         mat = np.asarray(v, dtype=float).reshape(self._m, self._m)
         if self._variant == "log_cholesky":
             return np.tril(mat).ravel()
         sym = _sym(mat)
-        floor = self._image_floor()
-        if floor > -np.inf:
+        if self._variant in ("frobenius", "power"):
+            # smallest admissible eigenvalue in the embedding domain
+            floor = self._eps if self._variant == "frobenius" else self._eps**self._power
             sym = _sym_apply(sym, lambda lam: np.maximum(lam, floor))
         return sym.ravel()

@@ -166,22 +166,11 @@ class CompositionalSphere(Space):
     def transport(self, a, b, w) -> MetricObject:
         self._check_pair(a, b)
         self._check_member(w, "transported point")
-        v = self.log_map(a, b)
-        if float(np.linalg.norm(v)) < 1e-14:
-            return self.point(w.data.copy())
-        moved = self.parallel_transport(a, w, v)
-        base = w.data
-        v_t = moved - float(np.dot(moved, base)) * base
-        norm = float(np.linalg.norm(v_t))
-        if norm < 1e-14:
-            return self.point(base.copy())
-        z = np.cos(norm) * base + np.sin(norm) * v_t / norm
-        if np.any(z < -_ANTIPODAL_TOL):
-            raise TransportOutOfSpace(
-                "transported point leaves the positive orthant; "
-                f"min coordinate {z.min()!r}"
-            )
-        return self.point(self.project_to_orthant(z))
+        moved = self.parallel_transport(a, w, self.log_map(a, b))
+        try:
+            return self.exp_map(w, moved)
+        except ExpOutOfDomain as err:
+            raise TransportOutOfSpace(f"transported point: {err}") from None
 
     def project_to_orthant(self, z: np.ndarray) -> np.ndarray:
         """Clamp negative coordinates to zero and renormalize to the sphere."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from ..errors import InvariantViolation, InverseInfeasible
+from ..errors import InvariantViolation
 from .base import HilbertSpace, MetricObject
 
 __all__ = ["Wasserstein1D"]
@@ -75,19 +75,6 @@ class Wasserstein1D(HilbertSpace):
         if self._support is not None:
             out = np.clip(out, *self._support)
         return out
-
-    def _embed(self, arr):
-        return arr.copy()
-
-    def _inverse(self, v):
-        proj = self.project_embedding(v)
-        gap = np.abs(proj - v).max()
-        if gap > 1e-8 * max(1.0, float(np.abs(v).max())):
-            raise InverseInfeasible(
-                f"vector is not a feasible quantile function (projection moves it "
-                f"by {gap!r}); pass project=True to project first"
-            )
-        return proj
 
     def project_embedding(self, v):
         """Weighted isotonic projection (pool-adjacent-violators) onto the

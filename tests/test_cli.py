@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geordd import Euclidean, ScalarDgp, Wasserstein1D, generate_scalar
+from geordd import Euclidean, NetworkLaplacian, ScalarDgp, Wasserstein1D, generate_scalar
 from geordd.cli import main
 from geordd.errors import InvariantViolation, ParseError
 from geordd.io import ingest, ingest_csv, write_sample_csv
 
-from conftest import rand_quantile
+from conftest import rand_laplacian, rand_quantile
 
 
 def _write(path: Path, text: str) -> Path:
@@ -225,6 +225,28 @@ class TestCommands:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["ok"] and report["n"] == 100
+
+    @pytest.mark.parametrize("spec", ["wass", "laplacian"])
+    def test_validate_jsonl_sizes_space_from_first_record(self, tmp_path, spec):
+        rng = np.random.default_rng(12)
+        if spec == "wass":
+            space, sampler, flags = Wasserstein1D(12), rand_quantile, []
+        else:
+            space, sampler, flags = NetworkLaplacian(4, 5.0), rand_laplacian, ["--wmax", "5"]
+        lines = [
+            json.dumps({"r": float(r), "y": sampler(space, rng).to_json()})
+            for r in rng.uniform(-1, 1, 20)
+        ]
+        path = _write(tmp_path / "x.jsonl", "\n".join(lines) + "\n")
+        args = ["validate", "--input", str(path), "--space", spec, "--cutoff", "0"]
+        out = tmp_path / "val"
+        assert main(args + flags + ["--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["space"], report["shape"], report["n"]) == (
+            space.tag, list(space.shape), 20
+        )
+        if flags:  # the weight cap reaches the inferred space
+            assert main(args + ["--wmax", "0.01", "--out", str(out)]) == 1
 
     def test_simulate_network_artifacts(self, tmp_path):
         out = tmp_path / "sim"

@@ -9,7 +9,9 @@ from geordd import (
     KernelKind,
     NoncomplianceSide,
     RddSample,
+    Side,
     Wasserstein1D,
+    compute_weights,
     estimate_compliance,
     estimate_fuzzy_late,
     estimate_geodesic_fuzzy,
@@ -26,6 +28,7 @@ from geordd.errors import (
     MissingTreatment,
     WeakCompliance,
 )
+import geordd.rdd_fuzzy as rdd_fuzzy
 from conftest import rand_sphere, wls_intercept_oracle, wls_line_oracle
 
 
@@ -286,6 +289,21 @@ class TestRiemannianFuzzy:
         )
         oracle = (nu1 - nu0) / (np.clip(m1, 0, 1) - np.clip(m0, 0, 1))
         np.testing.assert_allclose(est.tau, oracle, atol=1e-8)
+
+    def test_weight_profiles_computed_once_per_side(self, monkeypatch):
+        # the outcome fits reuse the compliance fit's two profiles
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return compute_weights(*args, **kwargs)
+
+        monkeypatch.setattr(rdd_fuzzy, "compute_weights", counted)
+        sample = _euclid_fuzzy(np.random.default_rng(14), n=300)
+        est = estimate_riemannian_fuzzy(sample, Euclidean(1).point([0.0]), 0.4, 0.5)
+        assert calls == [(0.0, 0.4), (0.0, 0.5)]
+        assert est.compliance.profiles[0].side is Side.LEFT
+        assert est.compliance.to_json() == estimate_compliance(sample, 0.4, 0.5).to_json()
 
     @pytest.mark.parametrize("estimate", TANGENT_ESTIMATORS)
     def test_wasserstein_has_no_logexp(self, estimate):

@@ -26,6 +26,8 @@ from geordd.errors import (
 )
 from geordd.io import object_from_json
 
+from conftest import EMBEDDABLE_CASES, SPACE_CASES
+
 
 class TestDistance:
     def test_sphere_identity(self):
@@ -220,6 +222,54 @@ class TestEmbedding:
             assert space.distance(p, back) < 1e-8
 
 
+#: embeddable spaces whose image set is a proper subset of the Hilbert space
+BOUNDED_IMAGE_CASES = [
+    c for c in EMBEDDABLE_CASES if not isinstance(c[1], (Euclidean, FunctionalL2))
+]
+
+
+class TestEmbeddingContract:
+    @pytest.mark.parametrize("case", EMBEDDABLE_CASES, ids=[c[0] for c in EMBEDDABLE_CASES])
+    def test_embed_many_rows_are_embeddings(self, case):
+        name, space, sampler = case
+        rng = np.random.default_rng(9)
+        pts = [sampler(space, rng) for _ in range(6)]
+        many = space.embed_many(pts)
+        assert many.shape == (6, space.embedding_dim)
+        np.testing.assert_array_equal(many, np.stack([space.embed(p) for p in pts]))
+        assert space.embed_many([]).shape == (0, space.embedding_dim)
+
+    @pytest.mark.parametrize("case", EMBEDDABLE_CASES, ids=[c[0] for c in EMBEDDABLE_CASES])
+    def test_inverse_of_embedding_roundtrips(self, case):
+        name, space, sampler = case
+        rng = np.random.default_rng(10)
+        for _ in range(6):
+            p = sampler(space, rng)
+            v = space.embed(p)
+            back = space.inverse_embed(v)
+            np.testing.assert_allclose(back.data, p.data, rtol=0, atol=1e-12)
+            # noise far under the feasibility tolerance is not refused
+            near = v + 1e-11 * rng.normal(size=v.size)
+            assert space.distance(space.inverse_embed(near), p) < 1e-9
+
+    @pytest.mark.parametrize(
+        "case", BOUNDED_IMAGE_CASES, ids=[c[0] for c in BOUNDED_IMAGE_CASES]
+    )
+    def test_infeasible_vector_needs_projection(self, case):
+        name, space, sampler = case
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            v = space.embed(sampler(space, rng)) + rng.normal(size=space.embedding_dim)
+            proj = space.project_embedding(v)
+            assert np.abs(proj - v).max() > 1e-3
+            with pytest.raises(InverseInfeasible):
+                space.inverse_embed(v)
+            projected = space.inverse_embed(v, project=True)
+            np.testing.assert_allclose(
+                projected.data, space.inverse_embed(proj).data, rtol=0, atol=1e-12
+            )
+
+
 class TestLogExp:
     def test_zero_vector(self):
         sp = CompositionalSphere(3)
@@ -308,12 +358,10 @@ class TestSerialization:
         desc = FunctionalL2(24).descriptor()
         assert desc.beta1 == 2.0 and desc.beta2 == 2.0
 
-    def test_effect_length_invariant(self):
-        eu = Euclidean(1)
-        with pytest.raises(ValueError):
-            GeodesicEffect(
-                start=eu.point([0.0]),
-                end=eu.point([1.0]),
-                length=5.0,
-                reference=eu.point([0.0]),
-            )
+    def test_effect_length_is_endpoint_distance(self):
+        rng = np.random.default_rng(8)
+        for name, space, sampler in SPACE_CASES:
+            start, end, omega = (sampler(space, rng) for _ in range(3))
+            effect = GeodesicEffect(start, end, omega)
+            assert effect.length == space.distance(start, end), name
+            assert effect.to_json()["length"] == effect.length
