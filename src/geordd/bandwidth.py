@@ -206,6 +206,7 @@ def discrepancy_loss(
     left_lo, left_hi, right_lo, right_hi = _window_bounds(pts, c, b, r_lo, r_hi)
 
     space = sample.space
+    sq = np.zeros(pts.size)
     if isinstance(space, HilbertSpace):
         fits_l, ok_l = batch_lfr_embeddings(
             r, sample.embeddings, pts, 2 * b, Side.LEFT,
@@ -216,14 +217,10 @@ def discrepancy_loss(
             kernel=cfg.kernel, lo=right_lo, hi=right_hi,
         )
         valid = ok_l & ok_r
-        sq = np.zeros(pts.size)
-        for j in np.flatnonzero(valid):
-            u = space.project_embedding(fits_l[j])
-            v = space.project_embedding(fits_r[j])
-            sq[j] = space.hilbert_distance(u, v) ** 2
+        gap = space.project_embedding(fits_l[valid]) - space.project_embedding(fits_r[valid])
+        sq[valid] = space.hilbert_sq_norms(gap)
     else:
         valid = np.zeros(pts.size, dtype=bool)
-        sq = np.zeros(pts.size)
         for j, p in enumerate(pts):
             try:
                 fit_l = _solver_fit(

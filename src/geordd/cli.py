@@ -51,6 +51,8 @@ _SIDES = {
     "never": NoncomplianceSide.NEVER_TAKERS,
 }
 
+_DGPS = ("setting-I", "setting-II", "setting-III", "setting-IV", "network")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -69,53 +71,43 @@ def build_parser() -> argparse.ArgumentParser:
                 help="euclid | l2 | simplex | laplacian | spd:<variant> | wass",
             )
             p.add_argument("--cutoff", type=float, required=True)
-            p.add_argument("--support", default=None, help="lo,hi for wass payloads")
-            p.add_argument("--wmax", type=float, default=None, help="laplacian weight cap")
-            p.add_argument("--domain", default=None, help="lo,hi grid domain for l2")
-            p.add_argument("--power", type=float, default=None, help="spd power exponent")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--config", default=None, help="JSON config file (flags win)")
-        p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--support", help="lo,hi for wass payloads")
+            p.add_argument("--wmax", type=float, help="laplacian weight cap")
+            p.add_argument("--domain", help="lo,hi grid domain for l2")
+            p.add_argument("--power", type=float, help="spd power exponent")
+        p.add_argument("--out", help="output directory")
+        p.add_argument("--config", help="JSON config file (flags win)")
+        p.add_argument("--seed", type=int)
 
     p_sharp = sub.add_parser("sharp", help="sharp-design estimate at the cutoff")
     add_io(p_sharp)
-    p_sharp.add_argument("--bw", default="auto", help="'auto' or 'h0,h1'")
-    p_sharp.add_argument("--bins", type=int, default=None, help="bin count for plot data")
+    p_sharp.add_argument("--bw", help="'auto' or 'h0,h1'")
+    p_sharp.add_argument("--bins", type=int, help="bin count for plot data")
 
     p_fuzzy = sub.add_parser("fuzzy", help="fuzzy-design estimates (needs t column)")
     add_io(p_fuzzy)
-    p_fuzzy.add_argument("--bw", default="auto", help="'auto' or 'h0,h1'")
-    p_fuzzy.add_argument(
-        "--fuzzy-variant",
-        default="late",
-        choices=sorted(_FUZZY_VARIANTS),
-        dest="fuzzy_variant",
-    )
-    p_fuzzy.add_argument("--side", choices=sorted(_SIDES), default=None)
+    p_fuzzy.add_argument("--bw", help="'auto' or 'h0,h1'")
+    p_fuzzy.add_argument("--fuzzy-variant", choices=sorted(_FUZZY_VARIANTS))
+    p_fuzzy.add_argument("--side", choices=sorted(_SIDES))
     p_fuzzy.add_argument(
         "--ref",
-        default=None,
         help="JSON file with the tangent-space reference point (default: "
         "sample Frechet mean, flagged as data-dependent)",
     )
-    p_fuzzy.add_argument("--bins", type=int, default=None)
+    p_fuzzy.add_argument("--bins", type=int)
 
     p_bw = sub.add_parser("bandwidth", help="run the data-adaptive bandwidth search")
     add_io(p_bw)
-    p_bw.add_argument("--grid-size", type=int, default=None, dest="grid_size")
+    p_bw.add_argument("--grid-size", type=int)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo campaigns on synthetic designs")
     add_io(p_sim, need_input=False)
-    p_sim.add_argument(
-        "--dgp",
-        default="network",
-        choices=["setting-I", "setting-II", "setting-III", "setting-IV", "network"],
-    )
-    p_sim.add_argument("--reps", type=int, default=None)
-    p_sim.add_argument("--sizes", default=None, help="comma-separated sample sizes")
-    p_sim.add_argument("--bw", default="auto", help="'auto' or a fixed bandwidth")
-    p_sim.add_argument("--tau", type=float, default=None)
-    p_sim.add_argument("--noise", type=float, default=None)
+    p_sim.add_argument("--dgp", choices=_DGPS)
+    p_sim.add_argument("--reps", type=int)
+    p_sim.add_argument("--sizes", help="comma-separated sample sizes")
+    p_sim.add_argument("--bw", help="'auto' or a fixed bandwidth")
+    p_sim.add_argument("--tau", type=float)
+    p_sim.add_argument("--noise", type=float)
 
     p_val = sub.add_parser("validate", help="parse a sample and check invariants")
     add_io(p_val)
@@ -123,26 +115,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: option values when neither a flag nor the config file sets them (every
+#: flag defaults to None, so that a config-file entry is not overridden)
+_DEFAULTS = dict(
+    out=".", bw="auto", fuzzy_variant="late", dgp="network", seed=0, bins=40, reps=100,
+    sizes="100,200,500,1000", grid_size=20, tau=1.0, noise=0.5, power=0.5,
+)
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     """Effective options: flags beat config-file entries beat defaults."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ParseError(f"{args.config}: config must be a JSON object")
-    merged = dict(cfg)
-    for key, value in vars(args).items():
-        if value is not None:
-            merged[key] = value
-    merged.setdefault("seed", 0)
-    merged.setdefault("bins", 40)
-    merged.setdefault("reps", 100)
-    merged.setdefault("sizes", "100,200,500,1000")
-    merged.setdefault("grid_size", 20)
-    merged.setdefault("tau", 1.0)
-    merged.setdefault("noise", 0.5)
-    merged.setdefault("power", 0.5)
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    merged = {**_DEFAULTS, **cfg, **flags}
+    # argparse checks the choices of flags only; config-file values are checked here
+    for key, names in (("fuzzy_variant", _FUZZY_VARIANTS), ("side", _SIDES), ("dgp", _DGPS)):
+        if merged.get(key) is not None and merged[key] not in list(names):
+            raise ParseError(f"bad {key} {merged[key]!r}; choose from {sorted(names)}")
     return merged
 
 
@@ -173,7 +167,7 @@ def _load_sample(opts: dict) -> RddSample:
 def _resolve_bandwidths(
     sample: RddSample, opts: dict, out: Path
 ) -> tuple[float, float, BandwidthSearch | None]:
-    bw = str(opts.get("bw", "auto"))
+    bw = str(opts["bw"])
     if bw == "auto":
         search = select_bandwidth(sample, grid_size=opts["grid_size"])
         _write_bandwidth_csv(search, out / "bandwidth_search.csv")
@@ -221,9 +215,8 @@ def _plot_data(sample: RddSample, h0: float, h1: float, bins: int, out: Path):
             fits, valid = batch_lfr_embeddings(
                 sample.r, emb, grid, h, Side.TWO_SIDED, lo=lo, hi=hi
             )
-            for j in np.flatnonzero(valid):
-                row = space.project_embedding(fits[j])
-                writer.writerow([side, repr(float(grid[j]))] + [repr(float(v)) for v in row])
+            for r, row in zip(grid[valid], space.project_embedding(fits[valid])):
+                writer.writerow([side, repr(float(r))] + [repr(float(v)) for v in row])
 
     edges = np.linspace(r_lo, r_hi, bins + 1)
     which = np.clip(np.digitize(sample.r, edges) - 1, 0, bins - 1)
@@ -248,8 +241,12 @@ def _cmd_sharp(opts: dict, out: Path) -> int:
     sample.validate_sharp()
     h0, h1, search = _resolve_bandwidths(sample, opts, out)
     est = estimate_sharp(sample, h0, h1)
+    return _write_estimate("sharp", sample, est, h0, h1, search, opts["bins"], out)
+
+
+def _write_estimate(command, sample, est, h0, h1, search, bins, out: Path) -> int:
     report = {
-        "command": "sharp",
+        "command": command,
         "space": sample.space.tag,
         "n": sample.n,
         "estimate": est.to_json(),
@@ -257,7 +254,7 @@ def _cmd_sharp(opts: dict, out: Path) -> int:
     if search is not None:
         report["bandwidth_search"] = search.to_json()
     _write_json(report, out / "report.json")
-    _plot_data(sample, h0, h1, opts["bins"], out)
+    _plot_data(sample, h0, h1, bins, out)
     return 0
 
 
@@ -284,17 +281,7 @@ def _cmd_fuzzy(opts: dict, out: Path) -> int:
             est = estimate_geodesic_fuzzy(sample, h0, h1, nc)
         else:
             est = estimate_geodesic_riemannian_fuzzy(sample, reference, nc, h0, h1)
-    report = {
-        "command": "fuzzy",
-        "space": sample.space.tag,
-        "n": sample.n,
-        "estimate": est.to_json(),
-    }
-    if search is not None:
-        report["bandwidth_search"] = search.to_json()
-    _write_json(report, out / "report.json")
-    _plot_data(sample, h0, h1, opts["bins"], out)
-    return 0
+    return _write_estimate("fuzzy", sample, est, h0, h1, search, opts["bins"], out)
 
 
 def _cmd_bandwidth(opts: dict, out: Path) -> int:
@@ -315,7 +302,7 @@ def _cmd_bandwidth(opts: dict, out: Path) -> int:
 
 def _cmd_simulate(opts: dict, out: Path) -> int:
     sizes = [int(s) for s in str(opts["sizes"]).split(",") if s.strip()]
-    bw = opts.get("bw", "auto")
+    bw = opts["bw"]
     bandwidth = bw if bw == "auto" else float(bw)
     if opts["dgp"] == "network":
         dgp = NetworkDgp(n=max(sizes), seed=opts["seed"])
@@ -398,7 +385,7 @@ def main(argv=None) -> int:
         return 1
     try:
         opts = _merge_config(args)
-        out = Path(opts.get("out", "."))
+        out = Path(opts["out"])
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](opts, out)
     except REFUSAL_ERRORS as err:

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 
 class GeorddError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; ``index`` is the offending row's
+    position when a whole stack of payloads was validated at once."""
 
     code = "error"
+    index: int | None = None
 
 
 # --- data / geometry validation -------------------------------------------

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvariantViolation, MixedSpaces, ParseError
+from .errors import InvariantViolation, MixedSpaces, ParseError, ShapeMismatch
 from .sample import RddSample
 from .spaces import (
     CompositionalSphere,
@@ -84,19 +84,12 @@ def space_from_spec(
     raise ParseError(f"unknown space {spec!r}; choose from {SPACE_NAMES}")
 
 
-def _payload_to_object(space: Space, values: np.ndarray, row: int) -> MetricObject:
+def _record_payload(d, space: Space | None) -> np.ndarray:
+    """The payload of a point's JSON record, checked against ``space``."""
     try:
-        if isinstance(space, CompositionalSphere):
-            return CompositionalSphere.from_shares(values)
-        return space.point(values.reshape(space.shape))
-    except InvariantViolation as err:
-        raise InvariantViolation(f"row {row}: {err}") from None
-
-
-def object_from_json(d: dict, space: Space | None = None) -> MetricObject:
-    """Rebuild a point from its JSON form, validating against ``space`` when
-    provided."""
-    data = np.asarray(d["data"], dtype=float).reshape(tuple(d["shape"]))
+        data = np.asarray(d["data"], dtype=float).reshape(tuple(d["shape"]))
+    except (KeyError, TypeError, ValueError):
+        raise ParseError("expected a point record with a 'shape' and numeric 'data'") from None
     if space is None:
         raise ParseError(
             "JSON ingestion needs a concrete space (tags alone do not carry "
@@ -110,7 +103,38 @@ def object_from_json(d: dict, space: Space | None = None) -> MetricObject:
             f"record variant {variant!r} does not match space variant "
             f"{space.variant!r}"
         )
-    return space.point(data)
+    if data.shape != space.shape:
+        raise ShapeMismatch(f"expected payload of shape {space.shape}, got {data.shape}")
+    return data
+
+
+def object_from_json(d: dict, space: Space | None = None) -> MetricObject:
+    """Rebuild a point from its JSON form, validating against ``space`` when
+    provided."""
+    return space.point(_record_payload(d, space))
+
+
+def _number(value, row: int, column: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        name = "running" if column == "r" else column
+        raise ParseError(f"bad {name} value {value!r}", row=row, column=column) from None
+
+
+def _build_sample(lines, r, t, z, payload, to_points, cutoff) -> RddSample:
+    """Check the parsed columns and build the sample, validating the payload
+    stack with ``to_points``; errors name the record's line in ``lines``."""
+    for name, col in (("t", t), ("z", z)):
+        bad = [] if col is None else np.flatnonzero((col != 0.0) & (col != 1.0))
+        if len(bad):
+            value, row = float(col[bad[0]]), lines[bad[0]]
+            raise ParseError(f"{name} must be 0 or 1, got {value!r}", row=row, column=name)
+    try:
+        ys = to_points(payload)
+    except InvariantViolation as err:
+        raise InvariantViolation(f"row {lines[err.index]}: {err}") from None
+    return RddSample(r=r, ys=ys, cutoff=cutoff, t=t, z=z)
 
 
 def _split_header(header: list[str]):
@@ -126,60 +150,59 @@ def _split_header(header: list[str]):
     return has_t, has_z, n_meta
 
 
+def _csv_records(rows: list[list[str]], n_meta: int):
+    """Line numbers of the nonblank records after the header, and the
+    records as one (n, width) float array."""
+    lengths = np.fromiter(map(len, rows), int, len(rows))[1:]
+    lines = (np.flatnonzero(lengths) + 2).tolist()
+    body = list(filter(None, rows[1:]))
+    try:
+        if np.all(lengths[lengths > 0] == len(rows[0])):
+            return lines, np.array(body, dtype=float).reshape(len(body), len(rows[0]))
+    except ValueError:
+        pass
+    raise _first_bad_record(rows[0], n_meta, lines, body)
+
+
+def _first_bad_record(header, n_meta, lines, body) -> ParseError:
+    """The parse error of the first bad record, found field by field."""
+    meta = [c.strip().lower() for c in header[:n_meta]]
+    for line, row in zip(lines, body):
+        if len(row) != len(header):
+            return ParseError(f"expected {len(header)} fields, got {len(row)}", row=line)
+        try:
+            for column, text in zip(meta, row):
+                _number(text, line, column)
+            np.array(row[n_meta:], dtype=float)
+        except ParseError as err:
+            return err
+        except ValueError:
+            return ParseError("bad payload value", row=line)
+    raise AssertionError("no bad record found")  # pragma: no cover
+
+
 def ingest_csv(path, space_spec: str | Space, cutoff: float, **space_opts) -> RddSample:
     """Load an RDD sample from CSV; see the module docstring for the format."""
-    text = Path(path).read_text(encoding="utf-8")
-    rows = list(csv.reader(_io.StringIO(text)))
+    rows = list(csv.reader(_io.StringIO(Path(path).read_text(encoding="utf-8"))))
     if not rows:
         raise ParseError(f"{path}: empty file")
     has_t, has_z, n_meta = _split_header(rows[0])
-    n_payload = len(rows[0]) - n_meta
-
     if isinstance(space_spec, Space):
         space = space_spec
     else:
-        space = space_from_spec(space_spec, n_payload, **space_opts)
-
-    r, t, z, ys = [], [], [], []
-    for i, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != n_meta + n_payload:
-            raise ParseError(
-                f"expected {n_meta + n_payload} fields, got {len(row)}", row=i
-            )
-        try:
-            r.append(float(row[0]))
-        except ValueError:
-            raise ParseError(f"bad running value {row[0]!r}", row=i, column="r") from None
-        pos = 1
-        for flag, store, name in ((has_t, t, "t"), (has_z, z, "z")):
-            if flag:
-                try:
-                    store.append(int(float(row[pos])))
-                except ValueError:
-                    raise ParseError(
-                        f"bad {name} value {row[pos]!r}", row=i, column=name
-                    ) from None
-                pos += 1
-        try:
-            values = np.array([float(v) for v in row[n_meta:]])
-        except ValueError:
-            raise ParseError("bad payload value", row=i) from None
-        ys.append(_payload_to_object(space, values, i))
-
-    return RddSample(
-        r=np.array(r),
-        ys=tuple(ys),
-        cutoff=cutoff,
-        t=np.array(t) if has_t else None,
-        z=np.array(z) if has_z else None,
-    )
+        space = space_from_spec(space_spec, len(rows[0]) - n_meta, **space_opts)
+    lines, values = _csv_records(rows, n_meta)
+    del rows  # the text fields; validation allocates stack-sized temporaries
+    payload = values[:, n_meta:].reshape(len(values), *space.shape)
+    t, z = (values[:, 1] if has_t else None), (values[:, 1 + has_t] if has_z else None)
+    sphere = isinstance(space, CompositionalSphere)
+    to_points = space.points_from_shares if sphere else space.points
+    return _build_sample(lines, values[:, 0], t, z, payload, to_points, cutoff)
 
 
 def ingest_jsonl(path, space: Space, cutoff: float) -> RddSample:
     """Load an RDD sample from JSON lines of MetricObject records."""
-    r, t, z, ys = [], [], [], []
+    lines, r, t, z, ys = [], [], [], [], []
     has_t = has_z = None
     for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -188,30 +211,27 @@ def ingest_jsonl(path, space: Space, cutoff: float) -> RddSample:
             rec = json.loads(line)
         except json.JSONDecodeError as err:
             raise ParseError(f"bad JSON: {err}", row=i) from None
-        if "r" not in rec or "y" not in rec:
+        if not isinstance(rec, dict) or "r" not in rec or "y" not in rec:
             raise ParseError("record needs 'r' and 'y' fields", row=i)
-        r.append(float(rec["r"]))
+        r.append(_number(rec["r"], i, "r"))
         row_t, row_z = rec.get("t"), rec.get("z")
         if has_t is None:
             has_t, has_z = row_t is not None, row_z is not None
         if (row_t is not None) != has_t or (row_z is not None) != has_z:
             raise ParseError("inconsistent t/z fields across records", row=i)
         if has_t:
-            t.append(int(row_t))
+            t.append(_number(row_t, i, "t"))
         if has_z:
-            z.append(int(row_z))
+            z.append(_number(row_z, i, "z"))
         try:
-            ys.append(object_from_json(rec["y"], space))
-        except InvariantViolation as err:
-            raise InvariantViolation(f"row {i}: {err}") from None
+            ys.append(_record_payload(rec["y"], space))
+        except ParseError as err:
+            raise ParseError(str(err), row=i, column="y") from None
+        lines.append(i)
 
-    return RddSample(
-        r=np.array(r),
-        ys=tuple(ys),
-        cutoff=cutoff,
-        t=np.array(t) if has_t else None,
-        z=np.array(z) if has_z else None,
-    )
+    t, z = (np.array(t) if has_t else None), (np.array(z) if has_z else None)
+    payload = np.array(ys).reshape(len(ys), *space.shape)
+    return _build_sample(lines, np.array(r), t, z, payload, space.points, cutoff)
 
 
 def ingest(path, space_spec: str | Space, cutoff: float, **space_opts) -> RddSample:
@@ -243,26 +263,13 @@ def write_sample_csv(sample: RddSample, path) -> None:
     convention for the simplex space (so the square-root transform is applied
     exactly once on the way in).
     """
-    space = sample.space
-    n_payload = int(np.prod(space.shape))
-    header = ["r"]
-    if sample.t is not None:
-        header.append("t")
-    if sample.z is not None:
-        header.append("z")
-    header += [f"y{j}" for j in range(n_payload)]
-
+    meta = [name for name in ("t", "z") if getattr(sample, name) is not None]
+    columns = [sample.r.tolist()] + [getattr(sample, name).tolist() for name in meta]
+    payload = np.stack([y.data.ravel() for y in sample.ys])
+    if isinstance(sample.space, CompositionalSphere):
+        payload = payload**2  # the shares
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(sample.n):
-            row = [repr(float(sample.r[i]))]
-            if sample.t is not None:
-                row.append(str(int(sample.t[i])))
-            if sample.z is not None:
-                row.append(str(int(sample.z[i])))
-            data = sample.ys[i].data
-            if isinstance(space, CompositionalSphere):
-                data = space.to_shares(sample.ys[i])
-            row += [repr(float(v)) for v in data.ravel()]
-            writer.writerow(row)
+        writer.writerow(["r"] + meta + [f"y{j}" for j in range(payload.shape[1])])
+        for r, *tz, y in zip(*columns, payload.tolist()):
+            writer.writerow([repr(r)] + [str(v) for v in tz] + [repr(v) for v in y])

@@ -7,6 +7,7 @@ estimates are compared through the quotient metric on geodesics.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -58,9 +59,15 @@ class SharpEstimate:
         }
 
 
+_SAMPLE_MEANS = weakref.WeakKeyDictionary()  # sample -> its unweighted Frechet mean
+
+
 def sample_frechet_mean(sample: RddSample) -> MetricObject:
-    """Unweighted Frechet mean of all outcomes (default reference point)."""
-    return weighted_frechet_mean(sample.ys, np.ones(sample.n))
+    """Unweighted Frechet mean of all outcomes (default reference point),
+    solved once per sample."""
+    if sample not in _SAMPLE_MEANS:
+        _SAMPLE_MEANS[sample] = weighted_frechet_mean(sample.ys, np.ones(sample.n))
+    return _SAMPLE_MEANS[sample]
 
 
 def estimate_sharp(

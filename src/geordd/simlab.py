@@ -106,10 +106,7 @@ class ScalarDgp:
         r = rng.uniform(-1.0, 1.0, self.n)
         eps = rng.normal(0.0, self.sigma, self.n)
         y = np.where(r < 0.0, m_minus(r), m_plus(r, self.tau)) + eps
-        space = self.space
-        return RddSample(
-            r=r, ys=tuple(space.point([v]) for v in y), cutoff=self.cutoff
-        )
+        return RddSample(r=r, ys=self.space.points(y[:, None]), cutoff=self.cutoff)
 
     def true_effect(self) -> GeodesicEffect:
         m_minus, m_plus = scalar_regression_functions(self.setting)
@@ -171,7 +168,6 @@ class NetworkDgp:
         rng = rng if rng is not None else np.random.default_rng(self.seed)
         m = self.n_nodes
         probs = self.edge_probabilities()
-        space = self.space
         r = rng.uniform(-1.0, 1.0, self.n)
         iu = np.triu_indices(m, k=1)
 
@@ -179,14 +175,10 @@ class NetworkDgp:
         present = rng.random((self.n, iu[0].size)) < probs[iu][None, :]
         noise = rng.random((self.n, iu[0].size))
         base = np.cos(np.pi * r / 2.0) + self.jump * (r >= 0.0)
-        edge_w = np.where(present, base[:, None] + noise, 0.0)
-
-        ys = []
-        for i in range(self.n):
-            w = np.zeros((m, m))
-            w[iu] = edge_w[i]
-            ys.append(space.point(laplacian_from_weights(w + w.T)))
-        sample = RddSample(r=r, ys=tuple(ys), cutoff=self.cutoff)
+        w = np.zeros((self.n, m, m))
+        w[:, iu[0], iu[1]] = np.where(present, base[:, None] + noise, 0.0)
+        ys = self.space.points(laplacian_from_weights(w + np.swapaxes(w, 1, 2)))
+        sample = RddSample(r=r, ys=ys, cutoff=self.cutoff)
         return sample, self.true_effect()
 
     def _expected_laplacian(self, mean_weight_scale) -> np.ndarray:
@@ -252,16 +244,9 @@ class CampaignResult:
     rate_fit: RateFit | None
     metadata: dict
 
-    def bias_by_size(self, reducer=np.mean) -> dict[int, float]:
-        out = {}
-        for n in self.metadata["sizes"]:
-            vals = [
-                row["bias"]
-                for row in self.rows
-                if row["n"] == n and not row["fail_flag"]
-            ]
-            out[n] = float(reducer(vals))
-        return out
+    def bias_by_size(self) -> dict[int, float]:
+        """Mean bias over the successful replications at each size."""
+        return _mean_bias(self.rows, self.metadata["sizes"])
 
     def to_csv(self) -> str:
         lines = ["setting,n,rep,bandwidth,bias,fail_flag"]
@@ -273,13 +258,20 @@ class CampaignResult:
         return "\n".join(lines) + "\n"
 
 
+def _mean_bias(rows, sizes) -> dict[int, float]:
+    return {
+        n: float(np.mean([r["bias"] for r in rows if r["n"] == n and not r["fail_flag"]]))
+        for n in sizes
+    }
+
+
 def _campaign_config_hash(payload: dict) -> str:
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _one_rep(dgp, rng, bandwidth, bw_cfg):
-    """Returns (bandwidth_used, bias, fallback_flag)."""
+    """One replication: returns (setting, bandwidth_used, bias, fallback_flag)."""
     if isinstance(dgp, NetworkDgp):
         sample, truth = dgp.sample(rng)
         setting = "network"
@@ -340,17 +332,7 @@ def run_campaign(
             rng = np.random.default_rng(children[i * reps + rep])
             try:
                 setting, b, bias, fallback = _one_rep(sized, rng, bandwidth, bw_cfg)
-                n_fallback += fallback
-                rows.append(
-                    {
-                        "setting": setting,
-                        "n": n,
-                        "rep": rep,
-                        "bandwidth": b,
-                        "bias": bias,
-                        "fail_flag": 0,
-                    }
-                )
+                failed = 0
             except (
                 DegenerateWindow,
                 InsufficientData,
@@ -358,17 +340,14 @@ def run_campaign(
                 AllWindowsDegenerate,
                 SolverDiverged,
             ):
-                n_fail += 1
-                rows.append(
-                    {
-                        "setting": getattr(dgp, "setting", "network"),
-                        "n": n,
-                        "rep": rep,
-                        "bandwidth": float("nan"),
-                        "bias": float("nan"),
-                        "fail_flag": 1,
-                    }
-                )
+                setting, b, bias = getattr(dgp, "setting", "network"), np.nan, np.nan
+                fallback, failed = False, 1
+            n_fail += failed
+            n_fallback += fallback
+            rows.append(
+                {"setting": setting, "n": n, "rep": rep, "bandwidth": b, "bias": bias,
+                 "fail_flag": failed}
+            )
 
     total = len(sizes) * reps
     if n_fail > max_fail_share * total:
@@ -399,10 +378,6 @@ def run_campaign(
 
     rate = None
     if len(sizes) >= 2:
-        by_size = {}
-        for n in sizes:
-            vals = [r["bias"] for r in rows if r["n"] == n and not r["fail_flag"]]
-            by_size[n] = float(np.mean(vals))
-        rate = fit_rate(sizes, [by_size[n] for n in sizes])
+        rate = fit_rate(sizes, list(_mean_bias(rows, sizes).values()))
 
     return CampaignResult(rows=tuple(rows), rate_fit=rate, metadata=metadata)

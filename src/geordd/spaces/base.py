@@ -6,6 +6,10 @@ Points are immutable :class:`MetricObject` values; an estimated treatment
 effect is a :class:`GeodesicEffect`, an ordered pair of endpoints compared
 through the quotient metric :func:`quotient_distance`.
 
+Payloads are validated a whole ``(k, *shape)`` stack at a time, by
+:meth:`Space.points` through each space's ``_validate``; :meth:`Space.point`
+is its one-row case.
+
 Flat spaces derive from :class:`HilbertSpace`, which writes the embedding,
 its inverse, the feasibility rule, geodesics and transport once.  A new flat
 space supplies ``shape`` and, where the defaults do not hold:
@@ -13,8 +17,9 @@ space supplies ``shape`` and, where the defaults do not hold:
 - ``_validate``, when payloads carry invariants (default: none);
 - ``_embed`` and ``_inverse``, when the embedding is not the flattened
   payload (default: flatten, and reshape back);
-- ``project_embedding``, the metric projection onto the image set, when that
-  set is not the whole Hilbert space (default: the identity);
+- ``_project``, the metric projection of each row of a ``(k, D)`` stack onto
+  the image set, when that set is not the whole Hilbert space (default: the
+  identity); ``project_embedding`` applies it to one vector or to a stack;
 - ``_hilbert_weights``, when the inner product is not the dot product.
 
 All operations are pure functions of immutable values and are safe to call
@@ -31,6 +36,7 @@ import numpy as np
 
 from ..errors import (
     EmbeddingUnavailable,
+    InvariantViolation,
     InverseInfeasible,
     LogExpUnavailable,
     NonFinitePayload,
@@ -48,13 +54,19 @@ __all__ = [
 ]
 
 
-def _as_float_array(data, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != shape:
-        raise ShapeMismatch(f"expected payload of shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFinitePayload("payload contains NaN or infinite entries")
-    return arr
+def refuse_rows(*checks, error=InvariantViolation):
+    """Raise ``error`` for the first row of a stack that fails a check.
+
+    ``checks`` are ``(mask over rows, message)`` pairs in the order one
+    payload is checked; a message is a string or a function of the row.  The
+    error carries the row's first failed check and its position in ``index``.
+    """
+    failed = [(int(np.argmax(m)), n, msg) for n, (m, msg) in enumerate(checks) if m.any()]
+    if failed:
+        row, _, message = min(failed)
+        err = error(message(row) if callable(message) else message)
+        err.index = row
+        raise err
 
 
 @dataclass(frozen=True)
@@ -164,13 +176,27 @@ class Space(ABC):
 
     def point(self, data) -> MetricObject:
         """Validate ``data`` against the space invariants and wrap it."""
-        arr = _as_float_array(data, self.shape)
-        arr = self._validate(arr)
-        return MetricObject(self, arr)
+        return self.points(np.asarray(data, dtype=float)[None])[0]
+
+    def points(self, stack) -> tuple[MetricObject, ...]:
+        """Validate a ``(k, *shape)`` stack of payloads at once and wrap its
+        rows; a bad row is refused as :meth:`point` refuses it."""
+        arr = np.ascontiguousarray(stack, dtype=float)
+        if arr.shape[1:] != self.shape:
+            raise ShapeMismatch(f"expected payload of shape {self.shape}, got {arr.shape[1:]}")
+        if not np.isfinite(arr).all():
+            finite = np.isfinite(arr).reshape(len(arr), -1).all(axis=1)
+            self._validate(arr[: np.argmin(finite)])  # a bad row before it fails first
+            refuse_rows((~finite, "payload contains NaN or infinite entries"),
+                        error=NonFinitePayload)
+        out = self._validate(arr)
+        out.setflags(write=False)
+        return tuple(MetricObject(self, row) for row in out)
 
     @abstractmethod
-    def _validate(self, arr: np.ndarray) -> np.ndarray:
-        """Check invariants, returning a canonicalized copy."""
+    def _validate(self, stack: np.ndarray) -> np.ndarray:
+        """Check the invariants of a finite (k, *shape) stack with
+        :func:`refuse_rows`, returning its canonical copy."""
 
     def _check_member(self, a: MetricObject, name: str = "argument"):
         if not isinstance(a, MetricObject):
@@ -267,8 +293,8 @@ class HilbertSpace(Space):
         left = rows if self._hilbert_weights is None else rows * self._hilbert_weights
         return np.matmul(left[:, None, :], rows[:, :, None]).ravel()
 
-    def _validate(self, arr: np.ndarray) -> np.ndarray:
-        return arr.copy()
+    def _validate(self, stack: np.ndarray) -> np.ndarray:
+        return stack.copy()
 
     def _embed(self, stack: np.ndarray) -> np.ndarray:
         """Map a (k, *shape) stack the caller owns to (k, D) rows (may be a view)."""
@@ -279,8 +305,14 @@ class HilbertSpace(Space):
         return v.reshape(self.shape)
 
     def project_embedding(self, v: np.ndarray) -> np.ndarray:
-        """Metric projection of ``v`` onto the image set (flat vector in/out)."""
-        return np.asarray(v, dtype=float).ravel().copy()
+        """Metric projection onto the image set of a (D,) vector, or of each
+        row of a (k, D) stack; returns a new array of the same shape."""
+        v = np.asarray(v, dtype=float)
+        return self._project(v.reshape(-1, self.embedding_dim)).reshape(v.shape)
+
+    def _project(self, rows: np.ndarray) -> np.ndarray:
+        """Project each row of a (k, D) array onto the image set (new array)."""
+        return rows.copy()
 
     def embed(self, a: MetricObject) -> np.ndarray:
         self._check_member(a)

@@ -11,17 +11,36 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvariantViolation
-from .base import HilbertSpace, MetricObject
+from .base import HilbertSpace, MetricObject, refuse_rows
+from .spd import _sym
 
 __all__ = ["NetworkLaplacian", "laplacian_from_weights"]
 
 
+def _diag(v: np.ndarray) -> np.ndarray:
+    """Diagonal matrices with the rows of ``v`` on their diagonals."""
+    out = np.zeros(v.shape + v.shape[-1:])
+    np.einsum("...ii->...i", out)[...] = v
+    return out
+
+
+def _off_diagonal(mat: np.ndarray) -> np.ndarray:
+    """A copy of ``mat`` with zero diagonals."""
+    out = np.array(mat, dtype=float)
+    np.einsum("...ii->...i", out)[...] = 0.0
+    return out
+
+
+def _laplacian(off: np.ndarray) -> np.ndarray:
+    """Laplacians whose off-diagonal parts are ``off`` (zero diagonals)."""
+    return _diag(-off.sum(axis=-1)) + off
+
+
 def laplacian_from_weights(w: np.ndarray) -> np.ndarray:
-    """Graph Laplacian L = D - W of a symmetric weight matrix (diagonal ignored)."""
-    w = np.asarray(w, dtype=float)
-    off = w - np.diag(np.diag(w))
-    return np.diag(off.sum(axis=1)) - off
+    """Graph Laplacian L = D - W of a symmetric weight matrix, or of each
+    matrix in a stack (diagonals ignored)."""
+    off = _off_diagonal(w)
+    return _diag(off.sum(axis=-1)) - off
 
 
 class NetworkLaplacian(HilbertSpace):
@@ -58,41 +77,32 @@ class NetworkLaplacian(HilbertSpace):
     def _key(self):
         return (self._m, self._wmax)
 
-    def _validate(self, arr):
-        scale = max(1.0, float(np.abs(arr).max()))
-        if np.abs(arr - arr.T).max() > 1e-10 * scale:
-            raise InvariantViolation("Laplacian must be symmetric")
-        if np.abs(arr.sum(axis=1)).max() > 1e-10 * scale:
-            raise InvariantViolation("Laplacian rows must sum to zero")
-        off = arr - np.diag(np.diag(arr))
-        if off.max() > 1e-10 * scale:
-            raise InvariantViolation("off-diagonal entries must be nonpositive")
-        if np.diag(arr).min() < -1e-10 * scale:
-            raise InvariantViolation("diagonal entries must be nonnegative")
-        if self._wmax is not None and (-off).max() > self._wmax + 1e-10 * scale:
-            raise InvariantViolation(
-                f"edge weights must not exceed {self._wmax}, got {(-off).max()!r}"
-            )
+    def _validate(self, stack):
+        tol = 1e-10 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+        off = _off_diagonal(stack)
+        weight = (-off).max(axis=(1, 2))
+        wmax = np.inf if self._wmax is None else self._wmax + tol
+        refuse_rows(
+            (np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2)) > tol,
+             "Laplacian must be symmetric"),
+            (np.abs(stack.sum(axis=2)).max(axis=1) > tol, "Laplacian rows must sum to zero"),
+            (off.max(axis=(1, 2)) > tol, "off-diagonal entries must be nonpositive"),
+            (np.diagonal(stack, axis1=1, axis2=2).min(axis=1) < -tol,
+             "diagonal entries must be nonnegative"),
+            (weight > wmax,
+             lambda i: f"edge weights must not exceed {self._wmax}, got {weight[i]!r}"),
+        )
         # canonicalize: exact symmetry and exact zero row sums
-        sym = 0.5 * (arr + arr.T)
-        off = sym - np.diag(np.diag(sym))
-        np.fill_diagonal(off, 0.0)
-        return np.diag(-off.sum(axis=1)) + off
+        return _laplacian(_off_diagonal(_sym(stack)))
 
-    def project_embedding(self, v):
+    def _project(self, rows):
         """Symmetrize, clamp off-diagonal entries into the admissible weight
         range, and reset the diagonal from the row sums."""
-        mat = np.asarray(v, dtype=float).reshape(self._m, self._m)
-        sym = 0.5 * (mat + mat.T)
-        off = sym - np.diag(np.diag(sym))
         lo = -self._wmax if self._wmax is not None else -np.inf
-        off = np.clip(off, lo, 0.0)
-        np.fill_diagonal(off, 0.0)
-        out = np.diag(-off.sum(axis=1)) + off
-        return out.ravel()
+        off = np.clip(_off_diagonal(_sym(rows.reshape(-1, self._m, self._m))), lo, 0.0)
+        return _laplacian(off).reshape(rows.shape)
 
     def weights_of(self, a: MetricObject) -> np.ndarray:
         """Edge-weight matrix recovered from the Laplacian."""
         self._check_member(a)
-        off = a.data - np.diag(np.diag(a.data))
-        return -off
+        return -_off_diagonal(a.data)

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvariantViolation
-from .base import HilbertSpace
+from .base import HilbertSpace, refuse_rows
 
 __all__ = ["SpdSpace", "SPD_VARIANTS"]
 
@@ -90,16 +89,17 @@ class SpdSpace(HilbertSpace):
 
     # -- validation ---------------------------------------------------------------
 
-    def _validate(self, arr):
-        scale = max(1.0, float(np.abs(arr).max()))
-        if np.abs(arr - arr.T).max() > 1e-10 * scale:
-            raise InvariantViolation("matrix must be symmetric")
-        sym = _sym(arr)
-        lam_min = float(np.linalg.eigvalsh(sym).min())
-        if lam_min < self._eps - 1e-12 * scale:
-            raise InvariantViolation(
-                f"smallest eigenvalue {lam_min!r} is below the floor {self._eps!r}"
-            )
+    def _validate(self, stack):
+        scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+        sym = _sym(stack)
+        lam_min = np.linalg.eigvalsh(sym).min(axis=1)
+        refuse_rows(
+            (np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2)) > 1e-10 * scale,
+             "matrix must be symmetric"),
+            (lam_min < self._eps - 1e-12 * scale,
+             lambda i: f"smallest eigenvalue {float(lam_min[i])!r} is below the floor "
+             f"{self._eps!r}"),
+        )
         return sym
 
     # -- embedding ------------------------------------------------------------------
@@ -133,13 +133,13 @@ class SpdSpace(HilbertSpace):
             return _sym_apply(mat, lambda lam: lam ** (1.0 / self._power))
         return _sym_apply(mat, np.exp)  # log_euclidean
 
-    def project_embedding(self, v):
-        mat = np.asarray(v, dtype=float).reshape(self._m, self._m)
+    def _project(self, rows):
+        mat = rows.reshape(-1, self._m, self._m)
         if self._variant == "log_cholesky":
-            return np.tril(mat).ravel()
+            return np.tril(mat).reshape(rows.shape)
         sym = _sym(mat)
         if self._variant in ("frobenius", "power"):
             # smallest admissible eigenvalue in the embedding domain
             floor = self._eps if self._variant == "frobenius" else self._eps**self._power
             sym = _sym_apply(sym, lambda lam: np.maximum(lam, floor))
-        return sym.ravel()
+        return sym.reshape(rows.shape)

@@ -17,12 +17,18 @@ from ..errors import (
     InvariantViolation,
     TransportOutOfSpace,
 )
-from .base import MetricObject, Space
+from .base import MetricObject, Space, refuse_rows
 
 __all__ = ["CompositionalSphere"]
 
 #: inner products at or below -1 + _ANTIPODAL_TOL are treated as antipodal
 _ANTIPODAL_TOL = 1e-9
+
+
+def _row_norms(stack: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a (k, dim) stack, each summed as
+    ``np.linalg.norm`` sums one vector."""
+    return np.sqrt(np.matmul(stack[:, None, :], stack[:, :, None]).ravel())
 
 
 def _clip_dot(u, v) -> float:
@@ -50,14 +56,15 @@ class CompositionalSphere(Space):
     def _key(self):
         return (self._dim,)
 
-    def _validate(self, arr):
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > 1e-10:
-            raise InvariantViolation(f"point is not on the unit sphere: |z| = {norm!r}")
-        if np.any(arr < -1e-10):
-            raise InvariantViolation("coordinates must be nonnegative")
-        out = np.clip(arr, 0.0, None)
-        return out / np.linalg.norm(out)
+    def _validate(self, stack):
+        norms = _row_norms(stack)
+        refuse_rows(
+            (np.abs(norms - 1.0) > 1e-10,
+             lambda i: f"point is not on the unit sphere: |z| = {float(norms[i])!r}"),
+            (stack.min(axis=1) < -1e-10, "coordinates must be nonnegative"),
+        )
+        out = np.maximum(stack, 0.0)
+        return out / _row_norms(out)[:, None]
 
     @classmethod
     def from_shares(cls, shares, floor: float = 1e-12) -> MetricObject:
@@ -70,13 +77,20 @@ class CompositionalSphere(Space):
         y = np.asarray(shares, dtype=float)
         if y.ndim != 1 or y.size < 2:
             raise InvariantViolation("shares must be a vector of length >= 2")
-        if np.any(y < -1e-12) or not np.all(np.isfinite(y)):
-            raise InvariantViolation("shares must be finite and nonnegative")
-        if abs(y.sum() - 1.0) > 1e-8:
-            raise InvariantViolation(f"shares must sum to one, got {y.sum()!r}")
+        return cls(y.size).points_from_shares(y[None], floor)[0]
+
+    def points_from_shares(self, shares, floor: float = 1e-12) -> tuple[MetricObject, ...]:
+        """:meth:`from_shares` for each row of a (k, dim) stack of shares,
+        refused row by row as :meth:`points` refuses payloads."""
+        y = np.ascontiguousarray(shares, dtype=float)
+        sums = y.sum(axis=1)
+        refuse_rows(
+            (~np.all((y >= -1e-12) & (y < np.inf), axis=1),
+             "shares must be finite and nonnegative"),
+            (np.abs(sums - 1.0) > 1e-8, lambda i: f"shares must sum to one, got {sums[i]!r}"),
+        )
         y = np.maximum(y, floor)
-        y = y / y.sum()
-        return cls(y.size).point(np.sqrt(y))
+        return self.points(np.sqrt(y / y.sum(axis=1, keepdims=True)))
 
     def to_shares(self, a: MetricObject) -> np.ndarray:
         self._check_member(a)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from ..errors import InvariantViolation
-from .base import HilbertSpace, MetricObject
+from .base import HilbertSpace, MetricObject, refuse_rows
 
 __all__ = ["Wasserstein1D"]
 
@@ -58,32 +57,27 @@ class Wasserstein1D(HilbertSpace):
     def _key(self):
         return (self._n, self._support)
 
-    def _validate(self, arr):
-        scale = max(1.0, float(np.abs(arr).max()))
-        diffs = np.diff(arr)
-        if diffs.min(initial=0.0) < -1e-10 * scale:
-            raise InvariantViolation(
-                f"quantile function must be nondecreasing; worst step {diffs.min()!r}"
-            )
-        if self._support is not None:
-            lo, hi = self._support
-            if arr.min() < lo - 1e-10 * scale or arr.max() > hi + 1e-10 * scale:
-                raise InvariantViolation(
-                    f"quantile values must stay within the support [{lo}, {hi}]"
-                )
-        out = np.maximum.accumulate(arr)  # canonicalize tiny inversions
+    def _validate(self, stack):
+        tol = 1e-10 * np.maximum(1.0, np.abs(stack).max(axis=1))
+        diffs = np.diff(stack, axis=1)
+        lo, hi = self._support or (-np.inf, np.inf)
+        refuse_rows(
+            (diffs.min(axis=1, initial=0.0) < -tol,
+             lambda i: f"quantile function must be nondecreasing; worst step {diffs[i].min()!r}"),
+            ((stack.min(axis=1) < lo - tol) | (stack.max(axis=1) > hi + tol),
+             f"quantile values must stay within the support [{lo}, {hi}]"),
+        )
+        out = np.maximum.accumulate(stack, axis=1)  # canonicalize tiny inversions
         if self._support is not None:
             out = np.clip(out, *self._support)
         return out
 
-    def project_embedding(self, v):
-        """Weighted isotonic projection (pool-adjacent-violators) onto the
-        nondecreasing cone, then clamping into the support interval."""
-        v = np.asarray(v, dtype=float).ravel()
-        if np.all(np.diff(v) >= 0.0):
-            out = v.copy()
-        else:
-            out = isotonic_regression(v, weights=self._hilbert_weights).x.copy()
+    def _project(self, rows):
+        """Weighted isotonic projection (pool-adjacent-violators) of the rows
+        that leave the nondecreasing cone, then clamping into the support."""
+        out = rows.copy()
+        for i in np.flatnonzero(~np.all(np.diff(rows, axis=1) >= 0.0, axis=1)):
+            out[i] = isotonic_regression(rows[i], weights=self._hilbert_weights).x
         if self._support is not None:
             out = np.clip(out, *self._support)
         return out

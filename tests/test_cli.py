@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geordd import Euclidean, NetworkLaplacian, ScalarDgp, Wasserstein1D, generate_scalar
+from geordd import (
+    Euclidean,
+    NetworkLaplacian,
+    RddSample,
+    ScalarDgp,
+    Wasserstein1D,
+    generate_scalar,
+)
 from geordd.cli import main
 from geordd.errors import InvariantViolation, ParseError
 from geordd.io import ingest, ingest_csv, write_sample_csv
@@ -97,6 +104,33 @@ class TestIngest:
         # shares round-trip through one square-root, exact to the ulp
         worst = max(sp.distance(a, b) for a, b in zip(sample.ys, back.ys))
         assert worst < 1e-14
+
+    def test_bad_row_after_blank_line_keeps_its_line_number(self, tmp_path):
+        path = _write(
+            tmp_path / "s.csv",
+            "r,y0,y1,y2\n-0.5,0.0,1.0,2.0\n\n0.5,1.0,0.2,2.0\n",
+        )
+        with pytest.raises(InvariantViolation, match="^row 4: quantile function"):
+            ingest_csv(path, "wass", cutoff=0.0)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("column", ["t", "z"])
+    @pytest.mark.parametrize("value", [0.7, 1.9, 2.0, -1.0])
+    def test_treatment_columns_must_be_zero_or_one(self, tmp_path, fmt, column, value):
+        # row 3 (the second record) carries the bad value
+        t, z = [0, 1], [0, 1]
+        (t if column == "t" else z)[1] = value
+        if fmt == "csv":
+            text = f"r,t,z,y0\n-0.5,{t[0]},{z[0]},1.0\n0.5,{t[1]},{z[1]},2.0\n"
+            path = _write(tmp_path / "s.csv", text)
+        else:
+            y = Euclidean(1).point([1.0]).to_json()
+            recs = [{"r": r, "t": ti, "z": zi, "y": y} for r, ti, zi in zip((-0.5, 0.5), t, z)]
+            text = "\n" + "\n".join(json.dumps(rec) for rec in recs) + "\n"
+            path = _write(tmp_path / "s.jsonl", text)
+        with pytest.raises(ParseError, match=f"row 3, column {column}") as info:
+            ingest(path, "euclid", cutoff=0.0)
+        assert (info.value.row, info.value.column) == (3, column)
 
     def test_jsonl_ingestion(self, tmp_path):
         space = Euclidean(2)
@@ -270,6 +304,77 @@ class TestCommands:
         assert main(args + ["--out", str(out2)]) == 0
         for name in ("campaign.csv", "metadata.json", "report.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            '{"r": 0.2, "y": 5}',
+            '{"r": 0.2, "y": {"space": "euclidean", "shape": [1]}}',
+            '{"r": "abc", "y": {"space": "euclidean", "shape": [1], "data": [1.0]}}',
+            '{"r": 0.2, "y": {"space": "euclidean", "shape": [1], "data": ["x"]}}',
+            '{"r": 0.2, "t": "yes", "y": {"space": "euclidean", "shape": [1], "data": [1.0]}}',
+            "[0.2, 1.0]",
+        ],
+        ids=["y-not-a-record", "y-without-data", "r-not-numeric", "data-not-numeric",
+             "t-not-numeric", "record-not-an-object"],
+    )
+    def test_malformed_jsonl_record_is_a_parse_error(self, tmp_path, capsys, second):
+        first = {"r": -0.2, "y": Euclidean(1).point([0.0]).to_json()}
+        if '"t"' in second:
+            first["t"] = 0
+        path = _write(tmp_path / "s.jsonl", json.dumps(first) + "\n" + second + "\n")
+        code = main(["validate", "--input", str(path), "--space", "euclid",
+                     "--cutoff", "0", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "parse_error"
+        assert "(row 2" in err["message"]
+
+    def test_malformed_reference_file_is_a_parse_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        r = rng.uniform(-1, 1, 200)
+        t = np.where(r >= 0, 1, (rng.random(200) < 0.3).astype(int))
+        path = tmp_path / "f.csv"
+        write_sample_csv(RddSample(r, Euclidean(1).points((r + t)[:, None]), 0.0, t), path)
+        ref = _write(tmp_path / "ref.json", json.dumps({"space": "euclidean", "shape": [1]}))
+        code = main(["fuzzy", "--input", str(path), "--space", "euclid", "--cutoff", "0",
+                     "--bw", "0.5", "--fuzzy-variant", "tangent", "--ref", str(ref),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "parse_error"
+
+    @pytest.mark.parametrize(
+        "entries",
+        [{"bw": "0.5,0.5"}, {"bw": "0.5,0.5", "out": "from-config"}],
+        ids=["bw", "bw-and-out"],
+    )
+    def test_config_file_sets_options_without_flags(self, tmp_path, monkeypatch, entries):
+        path = _setting_one_csv(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        args = ["sharp", "--input", str(path), "--space", "euclid", "--cutoff", "0",
+                "--config", str(cfg)]
+        assert main(args) == 0
+        report = json.loads((tmp_path / entries.get("out", ".") / "report.json").read_text())
+        assert report["estimate"]["bandwidths"] == {"h0": 0.5, "h1": 0.5}
+        assert "bandwidth_search" not in report
+
+    def test_config_file_sets_fuzzy_variant_and_dgp(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dgp": "setting-II", "bw": "0.5", "reps": 10,
+                                   "sizes": "100"}))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["dgp"] == "setting-II"
+
+        cfg.write_text(json.dumps({"fuzzy_variant": "sideways"}))
+        path = _setting_one_csv(tmp_path, n=100)
+        code = main(["fuzzy", "--input", str(path), "--space", "euclid", "--cutoff", "0",
+                     "--bw", "0.5", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "parse_error"
 
     def test_config_file_flags_win(self, tmp_path):
         path = _setting_one_csv(tmp_path)

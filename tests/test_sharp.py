@@ -8,14 +8,18 @@ from geordd import (
     GeodesicEffect,
     KernelSpec,
     KernelKind,
+    NoncomplianceSide,
     RddSample,
     ScalarDgp,
     Side,
     compute_weights,
     effect_distance,
+    estimate_geodesic_riemannian_fuzzy,
+    estimate_riemannian_fuzzy,
     estimate_sharp,
     generate_scalar,
 )
+from geordd.rdd_sharp import sample_frechet_mean
 from geordd.errors import DegenerateWindow
 
 from conftest import wls_intercept_oracle
@@ -107,6 +111,42 @@ class TestEstimateSharp:
         # and no cross-side leakage anywhere
         assert np.all(profile_left.weights[r >= 0] == 0.0)
         assert np.all(profile_right.weights[r < 0] == 0.0)
+
+
+class TestDefaultReference:
+    def test_sample_mean_is_solved_once_per_sample(self, monkeypatch):
+        import geordd.rdd_sharp as rdd_sharp
+
+        solves = []
+        solve = rdd_sharp.weighted_frechet_mean
+
+        def counted(objects, weights, *args, **kwargs):
+            solves.append(len(objects))
+            return solve(objects, weights, *args, **kwargs)
+
+        monkeypatch.setattr(rdd_sharp, "weighted_frechet_mean", counted)
+        rng = np.random.default_rng(11)
+        eu = Euclidean(1)
+        r = rng.uniform(-1, 1, 200)
+        z = (r >= 0).astype(int)
+        t = np.where(z == 1, 1, (rng.random(200) < 0.3).astype(int))
+        sample = RddSample(r=r, ys=tuple(eu.point([v]) for v in r + t), cutoff=0.0, t=t, z=z)
+        sharp = estimate_sharp(sample, 0.5, 0.5)
+        tangent = estimate_riemannian_fuzzy(sample, None, 0.5, 0.5)
+        geodesic = estimate_geodesic_riemannian_fuzzy(
+            sample, None, NoncomplianceSide.ALWAYS_TAKERS, 0.5, 0.5
+        )
+        assert solves == [200]
+        mean = sample_frechet_mean(sample)
+        assert sharp.effect.reference is mean
+        assert geodesic.effect.reference is mean
+        assert "data_dependent_reference" in tangent.warnings
+        assert mean.data[0] == pytest.approx(np.mean(r + t), abs=1e-12)
+
+        # a second sample, even with the same records, gets its own solve
+        twin = RddSample(r=r, ys=sample.ys, cutoff=0.0, t=t, z=z)
+        assert sample_frechet_mean(twin) is not mean
+        assert solves == [200, 200]
 
 
 class TestEffectDistance:

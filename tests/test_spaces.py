@@ -17,6 +17,7 @@ from geordd import (
 from geordd.errors import (
     AntipodalPoints,
     EmbeddingUnavailable,
+    GeorddError,
     InvariantViolation,
     InverseInfeasible,
     LogExpUnavailable,
@@ -25,6 +26,7 @@ from geordd.errors import (
     SpaceMismatch,
 )
 from geordd.io import object_from_json
+from geordd.spaces.network import laplacian_from_weights
 
 from conftest import EMBEDDABLE_CASES, SPACE_CASES
 
@@ -268,6 +270,95 @@ class TestEmbeddingContract:
             np.testing.assert_allclose(
                 projected.data, space.inverse_embed(proj).data, rtol=0, atol=1e-12
             )
+
+
+def _bad_payload(name, data, kind):
+    """A copy of ``data`` that ``point`` refuses: by the space's first
+    invariant check, by a later one, or (kind "nan", and in the spaces without
+    invariants) as non-finite."""
+    bad = data.copy()
+    if kind == "nan" or name in ("euclidean", "functional_l2"):
+        bad.flat[0] = np.nan
+        return bad
+    first = kind == "first"
+    if name == "sphere":  # off the sphere, or on it with a negative coordinate
+        return 2.0 * bad if first else np.concatenate([-bad[:1], bad[1:]])
+    if name == "laplacian":  # asymmetric, or an edge weight above the cap of 5
+        w = np.zeros(bad.shape)
+        w[0, 1] = w[1, 0] = 10.0
+        return bad + np.triu(np.ones(bad.shape), 1) if first else bad + laplacian_from_weights(w)
+    if name.startswith("spd"):  # asymmetric, or negative eigenvalues
+        return bad + np.triu(np.ones(bad.shape), 1) if first else -bad
+    return bad[::-1].copy() if first else bad + 100.0  # decreasing, or off the support
+
+
+def _refusal(fn, *args):
+    with pytest.raises(GeorddError) as info:
+        fn(*args)
+    return info.value
+
+
+class TestStackContract:
+    @pytest.mark.parametrize("case", SPACE_CASES, ids=[c[0] for c in SPACE_CASES])
+    def test_points_equal_pointwise(self, case):
+        name, space, sampler = case
+        rng = np.random.default_rng(21)
+        stack = np.stack([sampler(space, rng).data for _ in range(7)])
+        # perturb within tolerance so that canonicalization has work to do
+        stack = stack * (1.0 + 1e-12 * rng.normal(size=stack.shape))
+        for rows in (stack, stack[::2]):  # contiguous and strided
+            pts = space.points(rows)
+            assert len(pts) == len(rows)
+            for p, x in zip(pts, rows):
+                q = space.point(x)
+                assert p.space == space
+                assert p.data.shape == q.data.shape == space.shape
+                assert p.data.tobytes() == q.data.tobytes()
+        assert space.points(np.empty((0,) + space.shape)) == ()
+
+    @pytest.mark.parametrize("case", SPACE_CASES, ids=[c[0] for c in SPACE_CASES])
+    @pytest.mark.parametrize(
+        "kinds", [("first", "first"), ("late", "first"), ("late", "nan"), ("nan", "first")]
+    )
+    def test_first_bad_row_is_refused_like_point(self, case, kinds):
+        name, space, sampler = case
+        rng = np.random.default_rng(22)
+        stack = np.stack([sampler(space, rng).data for _ in range(6)])
+        bad = stack.copy()
+        for i, kind in zip((2, 4), kinds):
+            bad[i] = _bad_payload(name, stack[i], kind)
+            with pytest.raises(GeorddError):
+                space.point(bad[i])
+        want = _refusal(space.point, bad[2])
+        got = _refusal(space.points, bad)
+        assert (got.code, str(got), got.index) == (want.code, str(want), 2)
+
+    @pytest.mark.parametrize("case", SPACE_CASES, ids=[c[0] for c in SPACE_CASES])
+    def test_wrong_shape_stack_is_refused(self, case):
+        name, space, sampler = case
+        with pytest.raises(ShapeMismatch):
+            space.points(np.zeros((3,) + space.shape + (1,)))
+
+    @pytest.mark.parametrize("case", SPACE_CASES, ids=[c[0] for c in SPACE_CASES])
+    def test_projecting_a_stack_projects_each_row(self, case):
+        name, space, sampler = case
+        rng = np.random.default_rng(23)
+        if not space.embedding_available:
+            with pytest.raises(EmbeddingUnavailable):
+                space.project_embedding(np.zeros((2, space.shape[0])))
+            return
+        pts = [sampler(space, rng) for _ in range(8)]
+        # half feasible, half pushed off the image set
+        stack = space.embed_many(pts) + rng.normal(size=(8, space.embedding_dim)) * (
+            np.arange(8) % 2
+        )[:, None]
+        before = stack.copy()
+        proj = space.project_embedding(stack)
+        assert proj.shape == stack.shape
+        np.testing.assert_array_equal(stack, before)  # the input is not modified
+        for row, p in zip(stack, proj):
+            assert space.project_embedding(row).tobytes() == p.tobytes()
+        assert space.project_embedding(stack[:0]).shape == (0, space.embedding_dim)
 
 
 class TestLogExp:
