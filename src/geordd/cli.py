@@ -123,21 +123,34 @@ _DEFAULTS = dict(
 )
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Effective options: flags beat config-file entries beat defaults."""
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """Effective options: flags beat config-file entries beat defaults.
+
+    argparse converts and checks flags only; a config-file entry for an
+    option of the command gets the same ``type`` and ``choices`` here, so a
+    bad value is a :class:`ParseError` rather than a failure further in.
+    """
     cfg = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ParseError(f"{args.config}: config must be a JSON object")
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for action in commands.choices[args.command]._actions:
+        key = action.dest
+        if key not in cfg:
+            continue
+        if action.type is not None:
+            try:
+                # as argparse converts the text of a flag
+                cfg[key] = action.type(str(cfg[key]))
+            except ValueError:
+                raise ParseError(f"{args.config}: bad {key} {cfg[key]!r}") from None
+        if action.choices is not None and cfg[key] not in action.choices:
+            raise ParseError(f"bad {key} {cfg[key]!r}; choose from {sorted(action.choices)}")
     flags = {key: value for key, value in vars(args).items() if value is not None}
-    merged = {**_DEFAULTS, **cfg, **flags}
-    # argparse checks the choices of flags only; config-file values are checked here
-    for key, names in (("fuzzy_variant", _FUZZY_VARIANTS), ("side", _SIDES), ("dgp", _DGPS)):
-        if merged.get(key) is not None and merged[key] not in list(names):
-            raise ParseError(f"bad {key} {merged[key]!r}; choose from {sorted(names)}")
-    return merged
+    return {**_DEFAULTS, **cfg, **flags}
 
 
 def _parse_interval(text) -> tuple[float, float] | None:
@@ -384,7 +397,7 @@ def main(argv=None) -> int:
         _emit_error(ParseError("invalid command line; see --help"), sys.stderr)
         return 1
     try:
-        opts = _merge_config(args)
+        opts = _merge_config(args, parser)
         out = Path(opts["out"])
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](opts, out)

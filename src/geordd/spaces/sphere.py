@@ -21,8 +21,12 @@ from .base import MetricObject, Space, refuse_rows
 
 __all__ = ["CompositionalSphere"]
 
-#: inner products at or below -1 + _ANTIPODAL_TOL are treated as antipodal
-_ANTIPODAL_TOL = 1e-9
+#: pairs whose angle is within this of pi are treated as antipodal: there the
+#: tangent direction u / |u| carries a relative error of about eps / (pi - theta)
+_ANTIPODAL_TOL = 1e-8
+
+#: exponential images with a coordinate below -_ORTHANT_TOL leave the orthant
+_ORTHANT_TOL = 1e-9
 
 
 def _row_norms(stack: np.ndarray) -> np.ndarray:
@@ -31,8 +35,22 @@ def _row_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(stack[:, None, :], stack[:, :, None]).ravel())
 
 
-def _clip_dot(u, v) -> float:
-    return float(np.clip(np.dot(u, v), -1.0, 1.0))
+def _arc_angles(base: np.ndarray, stack: np.ndarray):
+    """Angles from the unit vector ``base`` to each row b of a (k, dim) stack.
+
+    Returns ``(theta, u, norms)``: the tangent rows u = b - <base, b> base,
+    their norms, and theta = atan2(|u|, <base, b>).  u is formed as
+    (b - base) - <base, b - base> base, which is the same vector for a unit
+    ``base`` but keeps its relative precision as b approaches base, where
+    b - <base, b> base is swamped by the rounding of <base, b>.  With atan2
+    the angle keeps that precision at every distance, where arccos of the
+    inner product loses half its digits near zero.  A row equal to ``base``
+    gives u = 0 and theta = 0 exactly.
+    """
+    d = stack - base
+    u = d - (d @ base)[:, None] * base
+    norms = _row_norms(u)
+    return np.arctan2(norms, stack @ base), u, norms
 
 
 class CompositionalSphere(Space):
@@ -100,36 +118,34 @@ class CompositionalSphere(Space):
 
     def distance(self, a, b) -> float:
         self._check_pair(a, b)
-        # chord form of arccos(<a, b>): well-conditioned near zero distance
-        chord = float(np.linalg.norm(a.data - b.data))
-        return float(2.0 * np.arcsin(min(0.5 * chord, 1.0)))
+        return float(_arc_angles(a.data, b.data[None])[0][0])
 
-    def _check_not_antipodal(self, dot: float):
-        if dot <= -1.0 + _ANTIPODAL_TOL:
+    def _angle(self, a: MetricObject, b: MetricObject):
+        """``(theta, u, |u|)`` of :func:`_arc_angles` for one pair, refusing
+        antipodal pairs, whose connecting geodesic is not unique."""
+        theta, u, norms = _arc_angles(a.data, b.data[None])
+        theta = float(theta[0])
+        if theta >= np.pi - _ANTIPODAL_TOL:
             raise AntipodalPoints("points are antipodal; the geodesic is not unique")
+        return theta, u[0], float(norms[0])
 
     def geodesic(self, a, b, t: float) -> MetricObject:
         self._check_pair(a, b)
-        dot = _clip_dot(a.data, b.data)
-        self._check_not_antipodal(dot)
-        theta = np.arccos(dot)
-        t = float(t)
+        theta, u, norm = self._angle(a, b)
         if theta < 1e-14:
             return self.point(a.data.copy())
-        z = (np.sin((1.0 - t) * theta) * a.data + np.sin(t * theta) * b.data) / np.sin(theta)
+        s = float(t) * theta
+        z = np.cos(s) * a.data + (np.sin(s) / norm) * u
         return self.point(z / np.linalg.norm(z))
 
     # -- Log / Exp charts ------------------------------------------------------------
 
     def log_map(self, base: MetricObject, a: MetricObject) -> np.ndarray:
         self._check_pair(base, a)
-        dot = _clip_dot(base.data, a.data)
-        self._check_not_antipodal(dot)
-        theta = np.arccos(dot)
+        theta, u, norm = self._angle(base, a)
         if theta < 1e-14:
             return np.zeros(self._dim)
-        u = a.data - dot * base.data
-        return theta * u / np.linalg.norm(u)
+        return (theta / norm) * u
 
     def exp_map(self, base: MetricObject, v) -> MetricObject:
         """Exponential chart at ``base``.
@@ -151,7 +167,7 @@ class CompositionalSphere(Space):
                 f"tangent vector norm {norm!r} is at or beyond the cut locus (pi)"
             )
         z = np.cos(norm) * base.data + np.sin(norm) * v / norm
-        if np.any(z < -_ANTIPODAL_TOL):
+        if np.any(z < -_ORTHANT_TOL):
             raise ExpOutOfDomain(
                 f"exponential image leaves the positive orthant; min coordinate {z.min()!r}"
             )
@@ -163,13 +179,10 @@ class CompositionalSphere(Space):
         """Parallel-transport tangent vector ``v`` from ``base`` to ``target``
         along the connecting geodesic."""
         self._check_pair(base, target)
-        dot = _clip_dot(base.data, target.data)
-        self._check_not_antipodal(dot)
-        theta = np.arccos(dot)
+        theta, u, norm = self._angle(base, target)
         if theta < 1e-14:
             return np.asarray(v, dtype=float).copy()
-        u = target.data - dot * base.data
-        u = u / np.linalg.norm(u)
+        u = u / norm
         v = np.asarray(v, dtype=float)
         along = float(np.dot(v, u))
         perp = v - along * u

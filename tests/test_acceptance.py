@@ -193,89 +193,107 @@ def _triples(space, sampler, rng, count):
         yield sampler(space, rng), sampler(space, rng), sampler(space, rng)
 
 
+def _pointwise_properties(space, sampler, rng):
+    """Metric axioms, geodesic parameterization, isometric embedding and the
+    Log/Exp round trip, on N_CASES random draws each."""
+    # metric axioms
+    for a, b, c in _triples(space, sampler, rng, N_CASES):
+        dab, dba = space.distance(a, b), space.distance(b, a)
+        assert dab >= 0.0
+        assert abs(dab - dba) <= 1e-8
+        assert space.distance(a, a) <= 1e-8
+        assert space.distance(a, c) <= dab + space.distance(b, c) + 1e-8
+
+    # geodesic parameterization
+    for a, b, _ in _triples(space, sampler, rng, N_CASES):
+        dab = space.distance(a, b)
+        s, t = sorted(rng.uniform(0, 1, 2))
+        gs, gt = space.geodesic(a, b, s), space.geodesic(a, b, t)
+        assert abs(space.distance(gs, gt) - (t - s) * dab) <= 1e-6 * (1 + dab)
+
+    # isometric embedding
+    if space.embedding_available:
+        for a, b, _ in _triples(space, sampler, rng, N_CASES):
+            gap = abs(
+                space.distance(a, b)
+                - space.hilbert_distance(space.embed(a), space.embed(b))
+            )
+            assert gap <= 1e-8
+
+    # Log/Exp roundtrip
+    if space.logexp_available:
+        for a, b, _ in _triples(space, sampler, rng, N_CASES):
+            back = space.exp_map(a, space.log_map(a, b))
+            assert space.distance(back, b) <= 1e-8
+            assert np.linalg.norm(space.log_map(a, a)) <= 1e-10
+
+
+def _transport_properties(name, space, sampler, rng):
+    """Transport defining property and Lipschitz constant, then the
+    quotient-metric axioms; returns the worst Lipschitz ratio seen."""
+    worst_ratio = 0.0
+    done = 0
+    while done < N_CASES:
+        a1, b1, w = next(_triples(space, sampler, rng, 1))
+        a2 = space.geodesic(a1, sampler(space, rng), 0.25)
+        b2 = space.geodesic(b1, sampler(space, rng), 0.25)
+        try:
+            assert space.distance(space.transport(a1, b1, a1), b1) <= 1e-8
+            z1 = space.transport(a1, b1, w)
+            z2 = space.transport(a2, b2, w)
+        except TransportOutOfSpace:
+            continue  # curved-space transports are partial on the orthant
+        denom = space.distance(a1, a2) + space.distance(b1, b2)
+        if denom > 1e-9:
+            worst_ratio = max(worst_ratio, space.distance(z1, z2) / denom)
+        done += 1
+    if name != "sphere":
+        assert worst_ratio <= 1.0 + 1e-8, (name, worst_ratio)
+    else:
+        assert worst_ratio <= 5.0, worst_ratio
+
+    # quotient-metric axioms on effects sharing a reference point
+    done = 0
+    while done < N_CASES:
+        rng_pts = [sampler(space, rng) for _ in range(7)]
+        omega = rng_pts[6]
+        try:
+            e1 = GeodesicEffect.between(rng_pts[0], rng_pts[1], omega)
+            e2 = GeodesicEffect.between(rng_pts[2], rng_pts[3], omega)
+            e3 = GeodesicEffect.between(rng_pts[4], rng_pts[5], omega)
+            d11 = quotient_distance(e1, e1, omega)
+            d12 = quotient_distance(e1, e2, omega)
+            d21 = quotient_distance(e2, e1, omega)
+            d13 = quotient_distance(e1, e3, omega)
+            d23 = quotient_distance(e2, e3, omega)
+        except TransportOutOfSpace:
+            continue
+        assert d11 <= 1e-8
+        assert abs(d12 - d21) <= 1e-8
+        assert d13 <= d12 + d23 + 1e-8
+        done += 1
+    return worst_ratio
+
+
 def test_acceptance_6_geometry_property_suite():
     lipschitz = {}
     for name, space, sampler in SPACE_CASES:
         rng = np.random.default_rng(abs(hash(name)) % 2**32)
-
-        # metric axioms
-        for a, b, c in _triples(space, sampler, rng, N_CASES):
-            dab, dba = space.distance(a, b), space.distance(b, a)
-            assert dab >= 0.0
-            assert abs(dab - dba) <= 1e-8
-            assert space.distance(a, a) <= 1e-8
-            assert space.distance(a, c) <= dab + space.distance(b, c) + 1e-8
-
-        # geodesic parameterization
-        for a, b, _ in _triples(space, sampler, rng, N_CASES):
-            dab = space.distance(a, b)
-            s, t = sorted(rng.uniform(0, 1, 2))
-            gs, gt = space.geodesic(a, b, s), space.geodesic(a, b, t)
-            assert abs(space.distance(gs, gt) - (t - s) * dab) <= 1e-6 * (1 + dab)
-
-        # isometric embedding
-        if space.embedding_available:
-            for a, b, _ in _triples(space, sampler, rng, N_CASES):
-                gap = abs(
-                    space.distance(a, b)
-                    - space.hilbert_distance(space.embed(a), space.embed(b))
-                )
-                assert gap <= 1e-8
-
-        # Log/Exp roundtrip
-        if space.logexp_available:
-            for a, b, _ in _triples(space, sampler, rng, N_CASES):
-                back = space.exp_map(a, space.log_map(a, b))
-                assert space.distance(back, b) <= 1e-8
-                assert np.linalg.norm(space.log_map(a, a)) <= 1e-10
-
-        # transport defining property and Lipschitz constant
-        worst_ratio = 0.0
-        done = 0
-        while done < N_CASES:
-            a1, b1, w = next(_triples(space, sampler, rng, 1))
-            a2 = space.geodesic(a1, sampler(space, rng), 0.25)
-            b2 = space.geodesic(b1, sampler(space, rng), 0.25)
-            try:
-                assert space.distance(space.transport(a1, b1, a1), b1) <= 1e-8
-                z1 = space.transport(a1, b1, w)
-                z2 = space.transport(a2, b2, w)
-            except TransportOutOfSpace:
-                continue  # curved-space transports are partial on the orthant
-            denom = space.distance(a1, a2) + space.distance(b1, b2)
-            if denom > 1e-9:
-                worst_ratio = max(worst_ratio, space.distance(z1, z2) / denom)
-            done += 1
-        lipschitz[name] = worst_ratio
-        if name != "sphere":
-            assert worst_ratio <= 1.0 + 1e-8, (name, worst_ratio)
-        else:
-            assert worst_ratio <= 5.0, worst_ratio
-
-        # quotient-metric axioms on effects sharing a reference point
-        done = 0
-        while done < N_CASES:
-            rng_pts = [sampler(space, rng) for _ in range(7)]
-            omega = rng_pts[6]
-            try:
-                e1 = GeodesicEffect.between(rng_pts[0], rng_pts[1], omega)
-                e2 = GeodesicEffect.between(rng_pts[2], rng_pts[3], omega)
-                e3 = GeodesicEffect.between(rng_pts[4], rng_pts[5], omega)
-                d11 = quotient_distance(e1, e1, omega)
-                d12 = quotient_distance(e1, e2, omega)
-                d21 = quotient_distance(e2, e1, omega)
-                d13 = quotient_distance(e1, e3, omega)
-                d23 = quotient_distance(e2, e3, omega)
-            except TransportOutOfSpace:
-                continue
-            assert d11 <= 1e-8
-            assert abs(d12 - d21) <= 1e-8
-            assert d13 <= d12 + d23 + 1e-8
-            done += 1
+        _pointwise_properties(space, sampler, rng)
+        lipschitz[name] = _transport_properties(name, space, sampler, rng)
 
     summary = ", ".join(f"{k}: C<={v:.3f}" for k, v in lipschitz.items())
     _report(6, f"metric/geodesic/isometry/log-exp/transport/quotient checks on "
                f">= {N_CASES} cases per space; transport Lipschitz {summary}")
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_acceptance_6_sphere_seed_sweep(seed):
+    # the per-point sphere checks under generator seeds 0-59, so that they do
+    # not hold for one seed only; arccos-based charts failed seeds 32, 33, 35
+    # and 59 at |log_map(a, a)| <= 1e-10
+    _, space, sampler = next(case for case in SPACE_CASES if case[0] == "sphere")
+    _pointwise_properties(space, sampler, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------

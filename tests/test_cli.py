@@ -376,6 +376,16 @@ class TestCommands:
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "parse_error"
 
+    @pytest.mark.parametrize("entries", [{"bins": "x"}, {"bins": 2.5}, {"seed": [1]}],
+                             ids=["text", "fraction", "list"])
+    def test_config_file_values_get_the_flag_type(self, tmp_path, capsys, entries):
+        path = _setting_one_csv(tmp_path)
+        cfg = _write(tmp_path / "cfg.json", json.dumps({"bw": "0.5,0.5", **entries}))
+        code = main(["sharp", "--input", str(path), "--space", "euclid", "--cutoff", "0",
+                     "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "parse_error"
+
     def test_config_file_flags_win(self, tmp_path):
         path = _setting_one_csv(tmp_path)
         cfg = tmp_path / "cfg.json"

@@ -179,6 +179,31 @@ class TestWeightedFrechetMean:
             f_p = sum(wi * sp.distance(p, q) ** 2 for wi, q in zip(w, pts))
             assert f_best <= f_p + 1e-9
 
+    def test_sphere_newton_iterations_pinned(self):
+        # a sample like the benchmark's: n = 500 compositions and one-sided
+        # local-linear weights at the cutoff
+        rng = np.random.default_rng(17)
+        r = rng.uniform(-1.0, 1.0, 500)
+        mean = np.exp(np.outer(r, [0.4, -0.3, 0.0]))
+        g = rng.gamma(10.0 * mean / mean.sum(axis=1, keepdims=True))
+        ys = CompositionalSphere(3).points_from_shares(g / g.sum(axis=1, keepdims=True))
+        w = compute_weights(r, 0.0, 0.45, KernelSpec(TRI, Side.LEFT)).weights
+        assert w.min() < 0.0
+        _, info = weighted_frechet_mean(ys, w, return_info=True)
+        assert info.method == "sphere_newton"
+        assert info.iterations <= 10
+        assert info.grad_norm <= 1e-10
+
+    def test_sphere_newton_converges_quadratically(self):
+        # compositions spread over the orthant, where theta cot(theta) is far
+        # from one: an inexact Hessian converges only linearly (6-7 iterations
+        # with theta cot(theta) replaced by 1)
+        rng = np.random.default_rng(0)
+        ys = CompositionalSphere(3).points_from_shares(rng.dirichlet(np.full(3, 0.5), 200))
+        _, info = weighted_frechet_mean(ys, rng.uniform(0.2, 1.0, 200), return_info=True)
+        assert info.method == "sphere_newton"
+        assert info.iterations <= 4
+
     def test_embeddable_optimality(self, space_case):
         name, space, sampler = space_case
         if not space.embedding_available:
@@ -191,6 +216,55 @@ class TestWeightedFrechetMean:
         for p in pts:
             f_p = sum(wi * space.distance(p, q) ** 2 for wi, q in zip(w, pts))
             assert f_out <= f_p + 1e-8
+
+
+class TestSphereQuarterArcOracle:
+    """At dim = 2 the orthant is the quarter arc z(phi) = (cos phi, sin phi),
+    phi in [0, pi/2], on which arc length is the difference of angles.  From
+    the solver's angle phi0 the objective along the arc is, up to a
+    constant, sum_i w_i x (x + 2 (phi0 - phi_i)) at phi = phi0 + x; written
+    so, it keeps its relative precision near its minimum, and golden-section
+    search locates the exact minimiser x* to about 1e-12."""
+
+    @staticmethod
+    def _solve(phi, w):
+        sp = CompositionalSphere(2)
+        pts = sp.points(np.column_stack([np.cos(phi), np.sin(phi)]))
+        out, info = weighted_frechet_mean(pts, w, return_info=True)
+        phi0 = float(np.arctan2(out.data[1], out.data[0]))
+        shift = golden_section(
+            lambda x: float(np.sum(w * x * (x + 2.0 * (phi0 - phi)))), -phi0, np.pi / 2 - phi0
+        )
+        return shift, info
+
+    def test_positive_weights(self):
+        rng = np.random.default_rng(21)
+        phi = rng.uniform(0.1, 1.4, 40)
+        shift, info = self._solve(phi, rng.uniform(0.2, 1.0, 40))
+        assert info.method == "sphere_newton"
+        assert abs(shift) <= 1e-10
+
+    def test_signed_local_linear_weights(self):
+        rng = np.random.default_rng(22)
+        r = rng.uniform(-1.0, 1.0, 300)
+        phi = 0.7 + 0.3 * r + 0.05 * rng.normal(size=300)
+        w = compute_weights(r, 0.0, 0.6, KernelSpec(TRI, Side.LEFT)).weights
+        assert w.min() < 0.0
+        shift, info = self._solve(phi, w)
+        assert info.method == "sphere_newton"
+        assert abs(shift) <= 1e-10
+
+    def test_fallback_when_newton_leaves_the_orthant(self):
+        # the local-linear fit extrapolates to phi = -0.2 at the cutoff, off
+        # the arc: Newton's step leaves the orthant, the descent takes over
+        # and the minimiser on the arc is its end phi = 0
+        r = np.linspace(-1.0, -0.3, 60)
+        phi = -0.2 - r
+        w = compute_weights(r, 0.0, 2.0, KernelSpec(TRI, Side.LEFT)).weights
+        shift, info = self._solve(phi, w)
+        assert info.method == "sphere_descent"
+        assert info.projected
+        assert abs(shift) <= 1e-10
 
 
 class TestBatchLfrEmbeddings:

@@ -28,7 +28,7 @@ from geordd.errors import (
 from geordd.io import object_from_json
 from geordd.spaces.network import laplacian_from_weights
 
-from conftest import EMBEDDABLE_CASES, SPACE_CASES
+from conftest import EMBEDDABLE_CASES, SPACE_CASES, rand_sphere
 
 
 class TestDistance:
@@ -361,11 +361,55 @@ class TestStackContract:
         assert space.project_embedding(stack[:0]).shape == (0, space.embedding_dim)
 
 
+def _sphere_pairs(dim, rng):
+    """Pairs of orthant points whose distances span 1e-12 to pi/2."""
+    sp = CompositionalSphere(dim)
+    pairs = []
+    for delta in np.geomspace(1e-12, np.pi / 2, 25):
+        # a and e have disjoint supports, so cos(delta) a + sin(delta) e stays
+        # in the orthant up to a quarter turn
+        head = np.arange(dim) < rng.integers(1, dim)
+        x = rng.uniform(0.1, 1.0, dim)
+        a = np.where(head, x, 0.0) / np.linalg.norm(x[head])
+        e = np.where(head, 0.0, x) / np.linalg.norm(x[~head])
+        pairs.append((sp.point(a), sp.point(np.cos(delta) * a + np.sin(delta) * e)))
+        # interior points, the second on the chord towards a third point
+        p, q = rand_sphere(sp, rng), rand_sphere(sp, rng)
+        b = p.data + min(delta, 1.0) * (q.data - p.data)
+        pairs.append((p, sp.point(b / np.linalg.norm(b))))
+    return sp, pairs
+
+
 class TestLogExp:
     def test_zero_vector(self):
         sp = CompositionalSphere(3)
         z = sp.point(np.array([0.5, 0.5, np.sqrt(0.5)]))
         np.testing.assert_allclose(sp.log_map(z, z), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [3, 5, 10])
+    def test_sphere_log_norm_is_distance(self, dim):
+        sp, pairs = _sphere_pairs(dim, np.random.default_rng(dim))
+        dists = np.array([sp.distance(a, b) for a, b in pairs])
+        assert dists.min() < 1e-11 and dists.max() == pytest.approx(np.pi / 2, abs=1e-12)
+        for (a, b), d in zip(pairs, dists):
+            assert abs(np.linalg.norm(sp.log_map(a, b)) - d) <= 1e-12 * d
+
+    @pytest.mark.parametrize("dim", [3, 5, 10])
+    def test_sphere_exp_inverts_log(self, dim):
+        sp, pairs = _sphere_pairs(dim, np.random.default_rng(dim))
+        for a, b in pairs:
+            np.testing.assert_allclose(sp.exp_map(a, sp.log_map(a, b)).data, b.data,
+                                       rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [3, 5, 10])
+    def test_sphere_log_of_self_is_exactly_zero(self, dim):
+        sp = CompositionalSphere(dim)
+        rng = np.random.default_rng(dim)
+        for _ in range(200):
+            a = rand_sphere(sp, rng)
+            again = sp.point(a.data)
+            assert not np.any(sp.log_map(again, again))
+            assert not np.any(sp.log_map(a, again))
 
     def test_sphere_quarter_turn(self):
         sp = CompositionalSphere(3)
