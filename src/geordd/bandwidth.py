@@ -210,11 +210,11 @@ def discrepancy_loss(
     if isinstance(space, HilbertSpace):
         fits_l, ok_l = batch_lfr_embeddings(
             r, sample.embeddings, pts, 2 * b, Side.LEFT,
-            kernel=cfg.kernel, lo=left_lo, hi=left_hi,
+            kernel=cfg.kernel, lo=left_lo, hi=left_hi, tables=sample.lfr_tables,
         )
         fits_r, ok_r = batch_lfr_embeddings(
             r, sample.embeddings, pts, 2 * b, Side.RIGHT,
-            kernel=cfg.kernel, lo=right_lo, hi=right_hi,
+            kernel=cfg.kernel, lo=right_lo, hi=right_hi, tables=sample.lfr_tables,
         )
         valid = ok_l & ok_r
         gap = space.project_embedding(fits_l[valid]) - space.project_embedding(fits_r[valid])

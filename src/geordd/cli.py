@@ -226,7 +226,8 @@ def _plot_data(sample: RddSample, h0: float, h1: float, bins: int, out: Path):
             ("right", h1, np.linspace(c, r_hi, 50), c, None),
         ):
             fits, valid = batch_lfr_embeddings(
-                sample.r, emb, grid, h, Side.TWO_SIDED, lo=lo, hi=hi
+                sample.r, emb, grid, h, Side.TWO_SIDED, lo=lo, hi=hi,
+                tables=sample.lfr_tables,
             )
             for r, row in zip(grid[valid], space.project_embedding(fits[valid])):
                 writer.writerow([side, repr(float(r))] + [repr(float(v)) for v in row])

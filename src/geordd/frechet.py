@@ -14,20 +14,27 @@ inverse-embedded weighted average of the embedded outcomes, metrically
 projected onto the feasible set.  Only positively curved spaces without an
 embedding (the compositional sphere) need an iterative solver.
 
-Every local-linear fit takes its weights from one private core,
-``_local_linear``, at any number of centers: single-point fits, the batched
-fits of the bandwidth search and the compliance first stage.  One rule marks
-a window degenerate: sigma^2 <= ``SIGMA2_FLOOR``.  That includes windows with
-fewer than two distinct running values, whose sigma^2 is rounding noise.
+Every local-linear fit takes its window moments from one engine,
+:class:`LocalLinearTables`, at any number of centers: single-point fits
+(:func:`compute_weights`, which the compliance first stage also uses) and the
+batched fits of the bandwidth search (:func:`batch_lfr_embeddings`).  The
+engine sorts the running variable once and keeps block-anchored power sums
+of it and of the embedded outcomes; each window is then assembled exactly
+from whole-block sums and the points of its two partial blocks, with no
+dense window arrays.  One rule marks a window degenerate: sigma^2 <=
+``SIGMA2_FLOOR``.  That includes windows with fewer than two distinct
+running values, whose sigma^2 is rounding noise.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     DegenerateWindow,
@@ -46,6 +53,7 @@ __all__ = [
     "FrechetSolveConfig",
     "SolveInfo",
     "kernel_eval",
+    "LocalLinearTables",
     "compute_weights",
     "weighted_frechet_mean",
     "lfr_estimate",
@@ -54,6 +62,10 @@ __all__ = [
 
 #: windows with sigma^2 at or below this are degenerate (unit-scaled R)
 SIGMA2_FLOOR = 1e-14
+
+#: whether the kernel vanishes at the values just below and at a support's
+#: lower bound, and just below and at its upper bound
+_SUPPORT_PATTERN = np.array([[True], [False], [False], [True]])
 
 
 class KernelKind(enum.Enum):
@@ -183,40 +195,225 @@ class SolveInfo:
 DEFAULT_SOLVE_CONFIG = FrechetSolveConfig()
 
 
-def _local_linear(r, centers, h, spec: KernelSpec, lo=None, hi=None):
-    """Local-linear weights at m centers at once.
+class LocalLinearTables:
+    """Block sums of a sorted running variable and of optional outcome rows,
+    from which every local-linear window is assembled exactly.
 
-    ``r`` is (n,) and ``centers`` (m,); ``lo``/``hi`` optionally clamp each
-    window to R in [lo, hi] (broadcastable to (m,)).  Returns, per center
-    row, the (m, n) kernel values ``k`` and offsets ``d = R - center``, the
-    (m,) ``n_norm``, the (3, m) normalized moments mu0, mu1, mu2, the (m,)
-    sigma^2, the (m, n) intercept weights k (mu2 - mu1 d) / sigma^2, and
-    ``valid = sigma2 > SIGMA2_FLOOR``.  Rows that are not valid hold finite
-    weights that mean nothing.
+    ``r`` is (n,) and ``psi`` an optional (n, D) array of outcome rows (the
+    embedded outcomes of a batched fit).  ``r`` is sorted once, stably, if it
+    is not sorted already.  The sorted values are cut into blocks of about
+    sqrt(n) points, each with its own anchor a_b (its first value), and each
+    block keeps the power sums of x = r - a_b up to x^3 and, with ``psi``,
+    the sums of x^q psi for q <= 2.  Building them costs O(n D) once; build
+    them once per sample and reuse them for every bandwidth and center.
+
+    The kernel is linear on each side of a center, so a window's moments and
+    fits are polynomials in the offsets d = r - center.  A block that lies
+    wholly inside the window contributes its sums shifted to the center by
+    binomial expansion in s = a_b - center; its span is at most the
+    window's, so the shift loses no digits.  The points of the two partial
+    blocks at the window's edges are summed one by one.  One call at m
+    centers costs O(m sqrt(n) D) (the updating formulas of Fan & Marron
+    1994, JCGS 3:35, and Seifert, Brockmann, Engel & Gasser 1994, JCGS
+    3:192, without binning).
     """
-    d = r[None, :] - centers[:, None]
-    if spec.side is Side.LEFT:
-        keep = d < 0.0
-    elif spec.side is Side.RIGHT:
-        keep = d >= 0.0
-    else:
-        keep = np.ones(d.shape, dtype=bool)
-    if lo is not None:
-        keep &= r >= np.reshape(lo, (-1, 1))
-    if hi is not None:
-        keep &= r <= np.reshape(hi, (-1, 1))
-    n_norm = keep.sum(axis=1)
 
-    k = np.where(keep, kernel_eval(KernelSpec(spec.kind), d / h), 0.0) / h
-    kd = k * d
-    mu = np.stack([k.sum(axis=1), kd.sum(axis=1), (kd * d).sum(axis=1)])
-    mu /= np.maximum(n_norm, 1)
-    mu0, mu1, mu2 = mu
-    sigma2 = mu0 * mu2 - mu1 * mu1
-    valid = sigma2 > SIGMA2_FLOOR
-    safe = np.where(valid, sigma2, 1.0)
-    weights = k * (mu2[:, None] - mu1[:, None] * d) / safe[:, None]
-    return k, d, n_norm, mu, sigma2, weights, valid
+    def __init__(self, r, psi=None):
+        r = np.asarray(r, dtype=float)
+        if r.ndim != 1 or r.size == 0:
+            raise EmptyInput("the running variable must be a nonempty 1-d array")
+        self.order = None
+        if not (r[1:] >= r[:-1]).all():
+            self.order = np.argsort(r, kind="stable")
+            r = r[self.order]
+        n = r.size
+        block = math.isqrt(n - 1) + 1
+        starts = np.arange(0, n, block)
+        self.r = r
+        # r, then +inf and -inf to stand in past its end and (at index -1)
+        # before its start
+        self._fenced = np.concatenate([r, [np.inf, -np.inf]])
+        self._offsets = np.arange(block)
+        self._anchors = r[starts]
+        powers = np.empty((4, n))  # x^t with x = r - a_b
+        powers[0] = 1.0
+        np.subtract(r, np.repeat(self._anchors, block)[:n], out=powers[1])
+        np.multiply(powers[1], powers[1], out=powers[2])
+        np.multiply(powers[2], powers[1], out=powers[3])
+        self._moments = np.add.reduceat(powers, starts, axis=1)  # (4, nb)
+        self.psi = self._psi_moments = None
+        if psi is not None:
+            psi = np.asarray(psi, dtype=float).reshape(n, -1)
+            if self.order is not None:
+                psi = psi[self.order]
+            self.psi = psi
+            full = n // block * block
+            pm = np.matmul(
+                powers[:3, :full].reshape(3, -1, block).transpose(1, 0, 2),
+                psi[:full].reshape(-1, block, psi.shape[1]),
+            )
+            if full < n:
+                pm = np.concatenate([pm, (powers[:3, full:] @ psi[full:])[None]])
+            self._psi_moments = pm.reshape(-1, psi.shape[1])  # (nb * 3, D)
+
+    @property
+    def n(self) -> int:
+        return self.r.size
+
+    def _support(self, c, h, tri):
+        """Support bounds [lo, hi) of the kernel at each center, by
+        kernel_eval's own test: |d / h| < 1 for the triangular kernel (0 at
+        |d| = h), <= 1 for the uniform one.  ``searchsorted`` guesses them;
+        a center whose guess rounding put off is recounted."""
+        r = self.r
+
+        def vanishes(x):  # the kernel is 0 at x = d / h and beyond
+            return x >= 1.0 if tri else x > 1.0
+
+        lo = r.searchsorted(c - h, "right" if tri else "left")
+        hi = r.searchsorted(c + h, "left" if tri else "right")
+        # the kernel must vanish just outside each bound and not just inside
+        x = (self._fenced[np.concatenate([lo - 1, lo, hi - 1, hi])].reshape(4, -1) - c) / h
+        x[:2] *= -1.0
+        bad = (vanishes(x) != _SUPPORT_PATTERN).any(0)
+        if bad.any():
+            for j in np.flatnonzero(bad):
+                x = (r - c[j]) / h
+                lo[j] = np.count_nonzero(vanishes(-x))
+                hi[j] = r.size - np.count_nonzero(vanishes(x))
+        return lo, hi
+
+    def windows(self, centers, h, spec: KernelSpec, lo=None, hi=None) -> "_Windows":
+        """The local-linear windows at ``centers``, with their fits when the
+        tables hold outcome rows (see :class:`_Windows`); ``lo``/``hi``
+        optionally clamp each window to R in [lo, hi] (inclusive,
+        broadcastable to (m,))."""
+        r, n, offsets = self.r, self.r.size, self._offsets
+        block = offsets.size
+        c = np.asarray(centers, dtype=float).reshape(-1)
+        m = c.size
+        tri = spec.kind is KernelKind.TRIANGULAR
+
+        # side and clamp: n_norm counts them, support or not; d < 0 below i_c
+        i_c = r.searchsorted(c, "left")
+        a = 0 if lo is None else r.searchsorted(lo, "left")
+        b = n if hi is None else r.searchsorted(hi, "right")
+        if spec.side is Side.LEFT:
+            b = np.minimum(b, i_c)
+        elif spec.side is Side.RIGHT:
+            a = np.maximum(a, i_c)
+        n_norm = np.maximum(b - a, np.zeros(m, dtype=np.intp))
+        s_lo, s_hi = self._support(c, h, tri)
+        a = np.maximum(a, s_lo)
+        b = np.maximum(np.minimum(b, s_hi), a)
+
+        # the kernel's linear pieces [i0, i1), one per side of the center,
+        # where h^2 k = h + tilt d: tilt is +1 left of the center, -1 right
+        # of it and 0 for the uniform kernel
+        if spec.side is Side.TWO_SIDED:
+            mid = np.minimum(np.maximum(i_c, a), b)
+            i0 = np.concatenate([a, mid]).reshape(2, m).T
+            i1 = np.concatenate([mid, b]).reshape(2, m).T
+            tilts = np.array([1.0, -1.0])
+        else:
+            i0, i1 = a[:, None], b[:, None]
+            tilts = np.array([1.0 if spec.side is Side.LEFT else -1.0])
+        if not tri:
+            tilts[:] = 0.0
+
+        # the blocks [fb0, fb1) lie wholly inside a piece; the points of its
+        # head and tail partial blocks are summed one by one, in (m, 2 K block)
+        # slots whose dead ones carry h^2 k = 0
+        fb0 = (i0 + (block - 1)) // block
+        fb1 = i1 // block
+        head_end = np.minimum(i1, fb0 * block)
+        tail_start = np.maximum(head_end, fb1 * block)
+        starts = np.concatenate([i0, tail_start], 1)[..., None]
+        ends = np.concatenate([head_end, i1], 1)[..., None]
+        slot = starts + offsets
+        idx = slot.reshape(m, -1)
+        live = (slot < ends).reshape(m, -1)
+        d = r[np.minimum(idx, n - 1)] - c[:, None]
+        point_tilt = np.repeat(np.tile(tilts, 2), block) if tilts.size > 1 else tilts[0]
+
+        # the whole blocks, in (m, K, most whole blocks in a piece) slots: on
+        # a block h^2 k = alpha + tilt x with x = r - a_b, where alpha, h^2 k
+        # at the anchor, is taken from the kernel's zero so that k keeps its
+        # digits near the support's edge; both are 0 in dead slots
+        count = fb1 - fb0
+        slots = np.arange(count.max(initial=0))
+        blk = np.minimum(fb0[..., None] + slots, self._anchors.size - 1)
+        alive = slots < count[..., None]
+        tilt = alive * tilts[:, None]
+        s = self._anchors[blk] - c[:, None, None]
+        alpha = alive * (h + tilt * s)
+        A0, A1, A2 = alpha * self._moments[:3, blk] + tilt * self._moments[1:, blk]
+
+        # terms of sum h^2 k d^j: h^2 k, h^2 k d and h^2 k d^2 at each point,
+        # and per block its sums A_t of h^2 k x^t shifted to d = x + s
+        terms = np.empty((3, m, idx.shape[1] + s[0].size))
+        pts, whole = terms[:, :, : idx.shape[1]], terms[:, :, idx.shape[1] :].reshape(3, *s.shape)
+        np.multiply(live, h + point_tilt * d, out=pts[0])
+        np.multiply(pts[0], d, out=pts[1])
+        np.multiply(pts[1], d, out=pts[2])
+        whole[0] = A0
+        sA0 = s * A0
+        np.add(A1, sA0, out=whole[1])
+        sA0 += A1 + A1
+        sA0 *= s
+        np.add(A2, sA0, out=whole[2])
+        S = terms.sum(2)
+        S /= h * h
+
+        mu = S / np.maximum(n_norm, 1)
+        sigma2 = mu[0] * mu[2] - mu[1] * mu[1]
+        valid = sigma2 > SIGMA2_FLOOR
+        fits = None
+        if self.psi is not None:
+            # fit = sum h^2 k (mu2 - mu1 d) psi / (h^2 sigma^2 n_norm): a sparse
+            # weight matrix on the partial-block points, and one weight per
+            # block on its sums of x^q psi, where with v = mu2 - mu1 s
+            # h^2 k (mu2 - mu1 d) = alpha v + (tilt v - alpha mu1) x - tilt mu1 x^2
+            mu1, mu2 = mu[1], mu[2]
+            indptr = np.zeros(m + 1, dtype=np.intp)
+            np.cumsum(live.sum(1), out=indptr[1:])
+            w = (pts[0] * (mu2[:, None] - mu1[:, None] * d))[live]
+            fits = sparse.csr_matrix((w, idx[live], indptr), shape=(m, n)) @ self.psi
+            owner, piece, slot = np.nonzero(alive)
+            mu1, mu2 = mu1[owner], mu2[owner]
+            alpha, tilt = alpha[alive], tilt[alive]
+            v = mu2 - mu1 * s[alive]
+            per_block = np.empty((owner.size, 3))
+            np.multiply(alpha, v, out=per_block[:, 0])
+            np.subtract(tilt * v, alpha * mu1, out=per_block[:, 1])
+            np.multiply(tilt, -mu1, out=per_block[:, 2])
+            coef = np.zeros((m, self._psi_moments.shape[0] // 3, 3))
+            coef[owner, blk[owner, piece, slot]] = per_block
+            fits += coef.reshape(m, -1) @ self._psi_moments
+            fits /= np.where(valid, (h * h) * sigma2 * n_norm, np.nan)[:, None]
+        return _Windows(n_norm, mu, sigma2, valid, i0, i1, tilts, fits)
+
+
+class _Windows(NamedTuple):
+    """Local-linear windows at m centers.
+
+    ``n_norm`` (m,) counts the observations on the kernel's side of each
+    center inside the clamp, ``mu`` (3, m) holds the normalized kernel
+    moments, ``sigma2`` (m,) is mu0 * mu2 - mu1^2, and ``valid`` marks
+    sigma2 > ``SIGMA2_FLOOR``.  ``i0``/``i1`` (m, K) bound each center's K
+    linear pieces of the kernel as sorted indices, on which h^2 k = h + tilt
+    d with ``tilts`` (K,).  ``fits`` (m, D) are the local-linear fits of the
+    tables' outcome rows (NaN rows where not valid), or None without them.
+    """
+
+    n_norm: np.ndarray
+    mu: np.ndarray
+    sigma2: np.ndarray
+    valid: np.ndarray
+    i0: np.ndarray
+    i1: np.ndarray
+    tilts: np.ndarray
+    fits: np.ndarray | None
 
 
 def compute_weights(
@@ -232,6 +429,12 @@ def compute_weights(
     [window[0], window[1]] on top of the kernel support, as needed by
     cutoff-respecting smoothness checks.
 
+    ``r_values`` need not be sorted; the weights come back in its order.
+    ``n_norm``, the moments, sigma^2 and the degeneracy test come from
+    :class:`LocalLinearTables` built on ``r_values`` for this one call (an
+    O(n) set-up), the per-observation weights from the kernel on the
+    window's points.
+
     Raises ``ValueError`` unless ``h`` is positive and finite, and
     :class:`DegenerateWindow` when sigma^2 falls at or below the degeneracy
     floor (which includes every window with fewer than two distinct running
@@ -241,21 +444,28 @@ def compute_weights(
     if r.ndim != 1 or r.size == 0:
         raise EmptyInput("r_values must be a nonempty 1-d array")
     h = float(h)
-    if not (np.isfinite(h) and h > 0):
+    if not (math.isfinite(h) and h > 0):
         raise ValueError(f"bandwidth must be positive and finite, got {h!r}")
     center = float(center)
 
     lo, hi = (None, None) if window is None else window
-    k, d, n_norm, mu, sigma2, weights, valid = _local_linear(
-        r, np.array([center]), h, spec, lo, hi
-    )
-    mu0, mu1, mu2 = (float(v) for v in mu[:, 0])
-    sigma2 = float(sigma2[0])
-    if not valid[0]:
+    tables = LocalLinearTables(r)
+    win = tables.windows(center, h, spec, lo, hi)
+    mu0, mu1, mu2 = win.mu[:, 0].tolist()
+    sigma2 = float(win.sigma2[0])
+    if not win.valid[0]:
         raise DegenerateWindow(
             f"window at {center!r} (h={h!r}, side={spec.side.value}) is degenerate: "
             f"sigma^2 = {sigma2!r}"
         )
+    # h^2 k = h + tilt d on the engine's pieces, back in the caller's order
+    k = np.zeros(r.size)
+    for i0, i1, tilt in zip(win.i0[0].tolist(), win.i1[0].tolist(), win.tilts.tolist()):
+        k[i0:i1] = h + tilt * (tables.r[i0:i1] - center)
+    if tables.order is not None:
+        k[tables.order] = k.copy()
+    k /= h * h * sigma2
+    d = r - center
     return WeightProfile(
         bandwidth=h,
         side=spec.side,
@@ -264,9 +474,9 @@ def compute_weights(
         mu1=mu1,
         mu2=mu2,
         sigma2=sigma2,
-        weights=weights[0],
-        n_norm=int(n_norm[0]),
-        slope_weights=k[0] * (mu0 * d[0] - mu1) / sigma2,
+        weights=k * (mu2 - mu1 * d),
+        n_norm=int(win.n_norm[0]),
+        slope_weights=k * (mu0 * d - mu1),
     )
 
 
@@ -329,7 +539,7 @@ def _embedding_mean(space: HilbertSpace, objects, w):
     mean = (w @ emb) / total
     proj = space.project_embedding(mean)
     moved = float(np.abs(proj - mean).max())
-    out = space.inverse_embed(proj)
+    out = space.point(space._inverse(proj))  # proj is feasible: no second projection
     emb -= proj  # residuals in place: emb is this call's own (n, D) array
     info = SolveInfo(
         method="embedding",
@@ -541,28 +751,33 @@ def batch_lfr_embeddings(
     kernel: KernelKind = KernelKind.TRIANGULAR,
     lo=None,
     hi=None,
+    tables: LocalLinearTables | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized LFR fits in embedding coordinates at many centers.
 
     Parameters
     ----------
-    r_obs : (n,) running values; emb : (n, D) embedded outcomes.
+    r_obs : (n,) running values, in any order; emb : (n, D) embedded
+        outcomes, row for row.
     centers : (m,) evaluation points; ``lo``/``hi`` optional per-center clamp
-        bounds restricting the window (broadcastable to (m,)).
+        bounds restricting the window (inclusive, broadcastable to (m,)).
+    tables : :class:`LocalLinearTables` built from ``r_obs`` and ``emb``
+        (``RddSample.lfr_tables`` holds them for a sample).  Without them the
+        call builds its own, an O(n D) set-up that a bandwidth search should
+        pay once, not per candidate.
 
     Returns
     -------
     fits : (m, D) fitted embedding vectors (NaN rows where degenerate);
     valid : (m,) boolean mask of non-degenerate windows.
 
-    Fits are raw weighted averages; callers project them onto the feasible
-    image set per space.
+    After the set-up a call costs O(m sqrt(n) D): whole blocks through their
+    sums, the partial blocks point by point.  Fits are raw weighted averages;
+    callers project them onto the feasible image set per space.
     """
-    r_obs = np.asarray(r_obs, dtype=float)
-    centers = np.atleast_1d(np.asarray(centers, dtype=float))
-    _, _, n_norm, _, _, weights, valid = _local_linear(
-        r_obs, centers, h, KernelSpec(kernel, side), lo, hi
-    )
-    fits = (weights @ emb) / np.where(valid, n_norm, 1)[:, None]
-    fits[~valid] = np.nan
-    return fits, valid
+    if tables is None:
+        tables = LocalLinearTables(r_obs, emb)
+    elif tables.n != np.size(r_obs) or tables.psi is None:
+        raise ValueError("tables must be built from r_obs and emb")
+    win = tables.windows(centers, h, KernelSpec(kernel, side), lo, hi)
+    return win.fits, win.valid

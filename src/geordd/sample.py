@@ -12,6 +12,7 @@ from .errors import (
     MixedSpaces,
     NonFinitePayload,
 )
+from .frechet import LocalLinearTables
 from .spaces import HilbertSpace, MetricObject, Space
 
 __all__ = ["RddSample", "MIN_SIDE_OBS"]
@@ -100,6 +101,12 @@ class RddSample:
                 f"{type(space).__name__} has no isometric embedding"
             )
         return space.embed_many(self.ys)
+
+    @cached_property
+    def lfr_tables(self) -> LocalLinearTables:
+        """Block sums of ``r`` and :attr:`embeddings`, built once and shared
+        by every batched local-linear fit on this sample."""
+        return LocalLinearTables(self.r, self.embeddings)
 
     def validate_sharp(self):
         """Check the sharp-design consistency T = 1{R >= c} when T is present."""

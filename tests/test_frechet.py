@@ -8,8 +8,10 @@ from geordd import (
     Euclidean,
     KernelKind,
     KernelSpec,
+    NetworkLaplacian,
     RddSample,
     Side,
+    SpdSpace,
     compute_weights,
     kernel_eval,
     lfr_estimate,
@@ -18,7 +20,14 @@ from geordd import (
 from geordd.errors import DegenerateWindow, EmptyInput, SolverDiverged
 from geordd.frechet import batch_lfr_embeddings
 
-from conftest import golden_section, rand_sphere, wls_intercept_oracle, wls_line_oracle
+from conftest import (
+    golden_section,
+    rand_laplacian,
+    rand_spd,
+    rand_sphere,
+    wls_intercept_oracle,
+    wls_line_oracle,
+)
 
 TRI = KernelKind.TRIANGULAR
 UNI = KernelKind.UNIFORM
@@ -147,6 +156,31 @@ class TestWeightedFrechetMean:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             weighted_frechet_mean([], [])
+
+    @pytest.mark.parametrize(
+        "space, sampler",
+        [
+            (NetworkLaplacian(6, max_weight=5.0), rand_laplacian),
+            (SpdSpace(3, "power", power=0.5), rand_spd),
+        ],
+        ids=["laplacian", "spd_power"],
+    )
+    def test_one_projection_per_solve(self, space, sampler, monkeypatch):
+        rng = np.random.default_rng(21)
+        objects = [sampler(space, rng) for _ in range(12)]
+        # signed weights, so the raw weighted average can leave the image set
+        w = np.linspace(-0.4, 1.0, 12)
+        calls = []
+        project = type(space)._project
+
+        def counted(self, rows):
+            calls.append(rows.shape[0])
+            return project(self, rows)
+
+        monkeypatch.setattr(type(space), "_project", counted)
+        out, info = weighted_frechet_mean(objects, w, return_info=True)
+        assert calls == [1]
+        assert out.space == space and info.method == "embedding"
 
     def test_nonpositive_total_weight(self):
         eu = Euclidean(1)

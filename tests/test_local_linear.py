@@ -1,0 +1,240 @@
+"""Edge-input oracle tests for the exact local-linear engine.
+
+Every batched fit is checked against the explicit weighted least squares
+solve (``wls_line_oracle``), and its ``valid`` flag against what
+``compute_weights`` accepts at the same window, on inputs chosen to hit the
+engine's seams: tied running values on every window bound, extreme scales,
+single-valued windows, unsorted input, and both kernels on all three sides.
+"""
+
+import gc
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from geordd import Euclidean, KernelKind, KernelSpec, RddSample, Side, compute_weights
+from geordd.bandwidth import select_bandwidth
+from geordd.errors import DegenerateWindow
+from geordd.frechet import LocalLinearTables, WeightProfile, batch_lfr_embeddings, kernel_eval
+
+from conftest import wls_line_oracle
+
+KINDS = [KernelKind.TRIANGULAR, KernelKind.UNIFORM]
+SIDES = [Side.LEFT, Side.RIGHT, Side.TWO_SIDED]
+
+
+def check_against_oracle(r, emb, centers, h, side, kind, lo=None, hi=None):
+    """Batched fits equal the WLS oracle to 1e-10 wherever compute_weights
+    accepts the window, and are flagged invalid (NaN rows) elsewhere.
+    Returns the valid mask."""
+    fits, valid = batch_lfr_embeddings(r, emb, centers, h, side, kernel=kind, lo=lo, hi=hi)
+    lo_j = np.broadcast_to(-np.inf if lo is None else lo, centers.shape)
+    hi_j = np.broadcast_to(np.inf if hi is None else hi, centers.shape)
+    for j, c in enumerate(centers):
+        window = (lo_j[j], hi_j[j])
+        try:
+            profile = compute_weights(r, c, h, KernelSpec(kind, side), window=window)
+        except DegenerateWindow:
+            assert not valid[j], (j, c)
+            assert np.all(np.isnan(fits[j]))
+            continue
+        assert valid[j], (j, c)
+        keep = (r >= window[0]) & (r <= window[1])
+        keep &= {Side.LEFT: r < c, Side.RIGHT: r >= c}.get(side, True)
+        assert profile.n_norm == keep.sum()
+        oracle = wls_line_oracle(r, emb, c, h, keep, kind.value)[0]
+        np.testing.assert_allclose(fits[j], oracle, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(
+            profile.weights @ emb / profile.n_norm, oracle, rtol=1e-10, atol=1e-10
+        )
+    return valid
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("side", SIDES, ids=lambda s: s.value)
+class TestEdgeInputs:
+    def test_ties_on_every_bound(self, side, kind):
+        # dyadic values: lo, hi, the centers and center +- h are all exact
+        # running values, each tied three times
+        rng = np.random.default_rng(7)
+        grid = np.arange(-16, 17) / 16.0
+        r = np.concatenate([np.repeat(grid, 3), rng.uniform(-1, 1, 150)])
+        emb = rng.normal(size=(r.size, 2))
+        centers = np.arange(-12, 13, 2) / 16.0
+        for h in (0.25, 0.125):
+            valid = check_against_oracle(
+                r, emb, centers, h, side, kind, lo=centers - 0.1875, hi=0.6875
+            )
+            assert valid.any()
+            check_against_oracle(r, emb, centers, h, side, kind)
+
+    def test_ties_where_rounding_moves_the_support(self, side, kind):
+        # c + h and c - h round, so values tied at fl(c + h) and fl(c - h)
+        # sit where searchsorted and the kernel's own test |d / h| <= 1 can
+        # disagree: the engine must follow the kernel
+        rng = np.random.default_rng(8)
+        centers = np.array([0.1, 0.3, -0.7, 0.55])
+        h = 0.2
+        edges = np.concatenate([centers + h, centers - h])
+        edges = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+        r = np.concatenate([np.repeat(edges, 2), centers, rng.uniform(-1, 1, 200)])
+        emb = rng.normal(size=(r.size, 3))
+        check_against_oracle(r, emb, centers, h, side, kind)
+        check_against_oracle(r, emb, centers, h, side, kind, lo=centers - h, hi=centers + h)
+
+    @pytest.mark.parametrize(
+        "transform",
+        [lambda r: r * 1e-6, lambda r: r * 1e6, lambda r: r + 1e3],
+        ids=["times_1e-6", "times_1e6", "plus_1e3"],
+    )
+    def test_extreme_scales(self, side, kind, transform):
+        rng = np.random.default_rng(9)
+        base = rng.uniform(-1, 1, 500)
+        emb = rng.normal(size=(500, 2))
+        centers = np.linspace(-0.9, 0.9, 19)
+        r = transform(base)
+        scale = transform(np.array(1.0)) - transform(np.array(0.0))
+        for h in (0.3, 0.05):
+            check_against_oracle(
+                r, emb, transform(centers), h * scale, side, kind,
+                lo=transform(centers - 0.4), hi=transform(np.array(0.8)),
+            )
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_single_distinct_value_is_degenerate(self, side, kind, scale):
+        # windows whose only points carrying kernel weight share one value,
+        # with other points just off the support, at the clamp or in dead
+        # tails of blocks
+        rng = np.random.default_rng(10)
+        r = np.concatenate([np.full(400, -0.5), np.full(300, 0.5), [-3.0, -2.0, 2.0, 3.0]]) * scale
+        emb = rng.normal(size=(r.size, 2))
+        centers = np.array([-0.5, 0.5, -0.25, 0.25, 0.0]) * scale
+        valid = check_against_oracle(r, emb, centers, 0.4 * scale, side, kind)
+        assert not valid.any()
+        both = check_against_oracle(r, emb, centers, 1.2 * scale, side, kind)
+        assert both[centers == 0.0].all() == (side is Side.TWO_SIDED)
+
+    def test_unsorted_input(self, side, kind):
+        rng = np.random.default_rng(11)
+        r = np.round(rng.uniform(-1, 1, 600), 2)  # ties, in random order
+        emb = rng.normal(size=(600, 4))
+        centers = np.linspace(-1.1, 1.1, 23)
+        lo = centers - 0.3
+        for h in (0.4, 0.03, 0.004):
+            check_against_oracle(r, emb, centers, h, side, kind, lo=lo, hi=0.9)
+            order = np.argsort(r, kind="stable")
+            shuffled = batch_lfr_embeddings(r, emb, centers, h, side, kernel=kind, lo=lo, hi=0.9)
+            ordered = batch_lfr_embeddings(
+                r[order], emb[order], centers, h, side, kernel=kind, lo=lo, hi=0.9
+            )
+            np.testing.assert_array_equal(shuffled[1], ordered[1])
+            np.testing.assert_allclose(shuffled[0], ordered[0], rtol=1e-12, atol=1e-12)
+
+
+def test_tables_are_reused_without_change():
+    rng = np.random.default_rng(12)
+    r = rng.uniform(-1, 1, 2000)
+    emb = rng.normal(size=(2000, 3))
+    tables = LocalLinearTables(r, emb)
+    centers = np.linspace(-0.8, 0.8, 30)
+    for h, side in ((0.1, Side.LEFT), (0.5, Side.RIGHT), (0.02, Side.TWO_SIDED)):
+        fresh = batch_lfr_embeddings(r, emb, centers, h, side, lo=centers - 0.3, hi=0.7)
+        reused = batch_lfr_embeddings(
+            r, emb, centers, h, side, lo=centers - 0.3, hi=0.7, tables=tables
+        )
+        np.testing.assert_array_equal(fresh[0], reused[0])
+        np.testing.assert_array_equal(fresh[1], reused[1])
+
+
+def test_tables_must_match_the_data():
+    r = np.linspace(-1, 1, 100)
+    emb = np.ones((100, 1))
+    with pytest.raises(ValueError, match="tables"):
+        batch_lfr_embeddings(r, emb, [0.0], 0.5, Side.LEFT, tables=LocalLinearTables(r[:50], emb[:50]))
+
+
+def _dense_weights(r_values, center, h, spec):
+    """compute_weights as it was before the engine, on dense (1, n) window
+    arrays (48 us per call at n = 500): the timing yardstick."""
+    r = np.asarray(r_values, dtype=float)
+    if r.ndim != 1 or r.size == 0:
+        raise ValueError("r_values must be a nonempty 1-d array")
+    h = float(h)
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError("bandwidth must be positive and finite")
+    center = float(center)
+    d = r[None, :] - np.array([center])[:, None]
+    if spec.side is Side.LEFT:
+        keep = d < 0.0
+    elif spec.side is Side.RIGHT:
+        keep = d >= 0.0
+    else:
+        keep = np.ones(d.shape, dtype=bool)
+    n_norm = keep.sum(axis=1)
+    k = np.where(keep, kernel_eval(KernelSpec(spec.kind), d / h), 0.0) / h
+    kd = k * d
+    mu = np.stack([k.sum(axis=1), kd.sum(axis=1), (kd * d).sum(axis=1)])
+    mu /= np.maximum(n_norm, 1)
+    sigma2 = mu[0] * mu[2] - mu[1] * mu[1]
+    valid = sigma2 > 1e-14
+    safe = np.where(valid, sigma2, 1.0)
+    weights = k * (mu[2][:, None] - mu[1][:, None] * d) / safe[:, None]
+    mu0, mu1, mu2 = (float(v) for v in mu[:, 0])
+    if not valid[0]:
+        raise DegenerateWindow("degenerate")
+    return WeightProfile(
+        bandwidth=h, side=spec.side, center=center, mu0=mu0, mu1=mu1, mu2=mu2,
+        sigma2=float(sigma2[0]), weights=weights[0], n_norm=int(n_norm[0]),
+        slope_weights=k[0] * (mu0 * d[0] - mu1) / float(sigma2[0]),
+    )
+
+
+def test_compute_weights_stays_cheap():
+    # at most 150 us per call at n = 500 on a host where the dense weights
+    # took 48 us: timed against that yardstick on the host running the test,
+    # as the median ratio over rounds that alternate which runs first, so
+    # that a burst of load on a shared host slows both sides of a round
+    r = np.sort(np.random.default_rng(13).uniform(-1, 1, 500))
+    spec = KernelSpec(KernelKind.TRIANGULAR, Side.LEFT)
+
+    def per_call(fn, calls=100):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        return (time.perf_counter() - start) / calls
+
+    engine = lambda: per_call(lambda: compute_weights(r, 0.0, 0.4, spec))  # noqa: E731
+    yardstick = lambda: per_call(lambda: _dense_weights(r, 0.0, 0.4, spec))  # noqa: E731
+    ratios = []
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(15):
+            if i % 2:
+                e, y = engine(), yardstick()
+            else:
+                y, e = yardstick(), engine()
+            ratios.append(e / y)
+    finally:
+        gc.enable()
+    ratio = float(np.median(ratios))
+    assert ratio <= 150 / 48, f"compute_weights takes {ratio:.2f} x the yardstick"
+
+
+def test_large_n_search_memory():
+    # the dense windows peaked at 384 MB here
+    n = 100_000
+    rng = np.random.default_rng(14)
+    r = rng.uniform(-1, 1, n)
+    y = np.sin(2 * r) + (r >= 0) + rng.normal(0, 0.3, n)
+    sample = RddSample(r, Euclidean(1).points(y[:, None]), 0.0)
+    tracemalloc.start()
+    try:
+        search = select_bandwidth(sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(search.b_star)
+    assert peak < 64 * 2**20
