@@ -244,7 +244,8 @@ def discrepancy_loss(
 
 def _solver_fit(sample, p, h, side, window, cfg: BandwidthConfig):
     profile = compute_weights(
-        sample.r, p, h, KernelSpec(cfg.kernel, side), window=window
+        sample.r, p, h, KernelSpec(cfg.kernel, side), window=window,
+        tables=sample.weight_tables,
     )
     return weighted_frechet_mean(sample.ys, profile.weights)
 

@@ -422,6 +422,8 @@ def compute_weights(
     h: float,
     spec: KernelSpec = KernelSpec(KernelKind.TRIANGULAR, Side.TWO_SIDED),
     window: tuple[float, float] | None = None,
+    *,
+    tables: LocalLinearTables | None = None,
 ) -> WeightProfile:
     """Local-linear weights for an LFR fit at ``center`` with bandwidth ``h``.
 
@@ -431,9 +433,10 @@ def compute_weights(
 
     ``r_values`` need not be sorted; the weights come back in its order.
     ``n_norm``, the moments, sigma^2 and the degeneracy test come from
-    :class:`LocalLinearTables` built on ``r_values`` for this one call (an
-    O(n) set-up), the per-observation weights from the kernel on the
-    window's points.
+    ``tables``, :class:`LocalLinearTables` built from ``r_values``
+    (``RddSample.weight_tables`` holds them for a sample), the
+    per-observation weights from the kernel on the window's points.  Without
+    them the call builds its own, an O(n) set-up.
 
     Raises ``ValueError`` unless ``h`` is positive and finite, and
     :class:`DegenerateWindow` when sigma^2 falls at or below the degeneracy
@@ -449,7 +452,10 @@ def compute_weights(
     center = float(center)
 
     lo, hi = (None, None) if window is None else window
-    tables = LocalLinearTables(r)
+    if tables is None:
+        tables = LocalLinearTables(r)
+    elif tables.n != r.size:
+        raise ValueError("tables must be built from r_values")
     win = tables.windows(center, h, spec, lo, hi)
     mu0, mu1, mu2 = win.mu[:, 0].tolist()
     sigma2 = float(win.sigma2[0])
@@ -735,7 +741,10 @@ def lfr_estimate(
     :class:`DegenerateWindow` tagged with the side.
     """
     try:
-        profile = compute_weights(sample.r, r, h, KernelSpec(kernel, side), window=window)
+        profile = compute_weights(
+            sample.r, r, h, KernelSpec(kernel, side), window=window,
+            tables=sample.weight_tables,
+        )
     except DegenerateWindow as err:
         raise DegenerateWindow(f"{side.value} side: {err}") from None
     return weighted_frechet_mean(sample.ys, profile.weights, return_info=return_info)

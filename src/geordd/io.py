@@ -4,7 +4,15 @@ Supported sample formats:
 
 - CSV with header ``r[,t][,z],y0,...,y{D-1}``: one observation per row, the
   payload flattened row-major.  The number of payload columns determines the
-  space shape (square matrices for Laplacian/SPD payloads).
+  space shape (square matrices for Laplacian/SPD payloads).  Fields are split
+  at commas with ``"`` quoting; blank lines are skipped and ``#`` is not a
+  comment.  Each field is one number as NumPy's C reader (``np.loadtxt``)
+  reads it: whitespace around it is ignored, and it takes signs, exponents,
+  ``nan``, ``inf`` and ``infinity`` in any case, with values beyond the
+  float range read as infinite.  Digit-group underscores (``1_0``) and
+  non-ASCII digits are refused, although Python's ``float`` accepts them.
+  Errors name the record's line (its record number, should a quoted field
+  span lines) and, for ``r``, ``t`` and ``z``, its column.
 - JSON lines: one record per line, ``{"r": ..., "t": ..., "z": ...,
   "y": {"space": ..., "variant": ..., "shape": [...], "data": [...]}}``.
 
@@ -15,7 +23,8 @@ square-root transformed at load; all other spaces ingest payloads directly.
 from __future__ import annotations
 
 import csv
-import io as _io
+import functools
+import itertools
 import json
 from pathlib import Path
 
@@ -118,22 +127,27 @@ def _number(value, row: int, column: str) -> float:
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
-        name = "running" if column == "r" else column
-        raise ParseError(f"bad {name} value {value!r}", row=row, column=column) from None
+        raise _bad_value(value, row, column) from None
 
 
-def _build_sample(lines, r, t, z, payload, to_points, cutoff) -> RddSample:
+def _bad_value(value, row: int, column: str) -> ParseError:
+    name = "running" if column == "r" else column
+    return ParseError(f"bad {name} value {value!r}", row=row, column=column)
+
+
+def _build_sample(line_of, r, t, z, payload, to_points, cutoff) -> RddSample:
     """Check the parsed columns and build the sample, validating the payload
-    stack with ``to_points``; errors name the record's line in ``lines``."""
+    stack with ``to_points``; errors name ``line_of(i)``, the line of record
+    ``i``."""
     for name, col in (("t", t), ("z", z)):
         bad = [] if col is None else np.flatnonzero((col != 0.0) & (col != 1.0))
         if len(bad):
-            value, row = float(col[bad[0]]), lines[bad[0]]
+            value, row = float(col[bad[0]]), line_of(bad[0])
             raise ParseError(f"{name} must be 0 or 1, got {value!r}", row=row, column=name)
     try:
         ys = to_points(payload)
     except InvariantViolation as err:
-        raise InvariantViolation(f"row {lines[err.index]}: {err}") from None
+        raise InvariantViolation(f"row {line_of(err.index)}: {err}") from None
     return RddSample(r=r, ys=ys, cutoff=cutoff, t=t, z=z)
 
 
@@ -150,54 +164,79 @@ def _split_header(header: list[str]):
     return has_t, has_z, n_meta
 
 
-def _csv_records(rows: list[list[str]], n_meta: int):
-    """Line numbers of the nonblank records after the header, and the
-    records as one (n, width) float array."""
-    lengths = np.fromiter(map(len, rows), int, len(rows))[1:]
-    lines = (np.flatnonzero(lengths) + 2).tolist()
-    body = list(filter(None, rows[1:]))
+def _read_numbers(lines) -> np.ndarray:
+    """The records in ``lines`` (a text file or a list of lines) as one 2-d
+    float array: the only parser of CSV values."""
+    return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+
+
+def _parses(fields: list[str]) -> bool:
+    """Whether :func:`_read_numbers` accepts ``fields`` as one record."""
+    quoted = ",".join('"' + f.replace('"', '""') + '"' for f in fields)
     try:
-        if np.all(lengths[lengths > 0] == len(rows[0])):
-            return lines, np.array(body, dtype=float).reshape(len(body), len(rows[0]))
+        _read_numbers([quoted])
     except ValueError:
-        pass
-    raise _first_bad_record(rows[0], n_meta, lines, body)
+        return False
+    return True
 
 
-def _first_bad_record(header, n_meta, lines, body) -> ParseError:
-    """The parse error of the first bad record, found field by field."""
+def _csv_records(path):
+    """The nonblank records after the header, each with its line number.
+    The file is read again this way only to locate an error."""
+    with open(path, encoding="utf-8") as fh:
+        for line, row in enumerate(csv.reader(fh), 1):
+            if line > 1 and row:
+                yield line, row
+
+
+def _record_line(path, index: int) -> int:
+    return next(itertools.islice(_csv_records(path), index, None))[0]
+
+
+def _first_bad_record(path, header, n_meta) -> ParseError:
+    """The parse error of the first record that the reader refuses, found
+    record by record and then field by field."""
     meta = [c.strip().lower() for c in header[:n_meta]]
-    for line, row in zip(lines, body):
+    for line, row in _csv_records(path):
         if len(row) != len(header):
             return ParseError(f"expected {len(header)} fields, got {len(row)}", row=line)
-        try:
+        if not _parses(row):
             for column, text in zip(meta, row):
-                _number(text, line, column)
-            np.array(row[n_meta:], dtype=float)
-        except ParseError as err:
-            return err
-        except ValueError:
+                if not _parses([text]):
+                    return _bad_value(text, line, column)
             return ParseError("bad payload value", row=line)
     raise AssertionError("no bad record found")  # pragma: no cover
 
 
 def ingest_csv(path, space_spec: str | Space, cutoff: float, **space_opts) -> RddSample:
     """Load an RDD sample from CSV; see the module docstring for the format."""
-    rows = list(csv.reader(_io.StringIO(Path(path).read_text(encoding="utf-8"))))
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    has_t, has_z, n_meta = _split_header(rows[0])
-    if isinstance(space_spec, Space):
-        space = space_spec
-    else:
-        space = space_from_spec(space_spec, len(rows[0]) - n_meta, **space_opts)
-    lines, values = _csv_records(rows, n_meta)
-    del rows  # the text fields; validation allocates stack-sized temporaries
+    with open(path, encoding="utf-8") as fh:
+        # readline, not iteration, so that fh.tell() stays available
+        header = next(csv.reader(iter(fh.readline, "")), None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        has_t, has_z, n_meta = _split_header(header)
+        if isinstance(space_spec, Space):
+            space = space_spec
+        else:
+            space = space_from_spec(space_spec, len(header) - n_meta, **space_opts)
+        start = fh.tell()
+        values = np.empty((0, len(header)))
+        # only when a record follows: np.loadtxt warns about an empty body
+        if any(line != "\n" for line in iter(fh.readline, "")):
+            fh.seek(start)
+            try:
+                values = _read_numbers(fh)
+            except ValueError:
+                values = None
+    if values is None or values.shape[1] != len(header):
+        raise _first_bad_record(path, header, n_meta)
     payload = values[:, n_meta:].reshape(len(values), *space.shape)
     t, z = (values[:, 1] if has_t else None), (values[:, 1 + has_t] if has_z else None)
     sphere = isinstance(space, CompositionalSphere)
     to_points = space.points_from_shares if sphere else space.points
-    return _build_sample(lines, values[:, 0], t, z, payload, to_points, cutoff)
+    line_of = functools.partial(_record_line, path)
+    return _build_sample(line_of, values[:, 0], t, z, payload, to_points, cutoff)
 
 
 def ingest_jsonl(path, space: Space, cutoff: float) -> RddSample:
@@ -231,7 +270,7 @@ def ingest_jsonl(path, space: Space, cutoff: float) -> RddSample:
 
     t, z = (np.array(t) if has_t else None), (np.array(z) if has_z else None)
     payload = np.array(ys).reshape(len(ys), *space.shape)
-    return _build_sample(lines, np.array(r), t, z, payload, space.points, cutoff)
+    return _build_sample(lines.__getitem__, np.array(r), t, z, payload, space.points, cutoff)
 
 
 def ingest(path, space_spec: str | Space, cutoff: float, **space_opts) -> RddSample:
@@ -268,8 +307,11 @@ def write_sample_csv(sample: RddSample, path) -> None:
     payload = np.stack([y.data.ravel() for y in sample.ys])
     if isinstance(sample.space, CompositionalSphere):
         payload = payload**2  # the shares
+    header = ",".join(["r"] + meta + [f"y{j}" for j in range(payload.shape[1])])
+    # no repr of a float needs CSV quoting; lines end as csv.writer ends them
+    records = (
+        ",".join([repr(r), *map(str, tz), *map(repr, y)])
+        for r, *tz, y in zip(*columns, payload.tolist())
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r"] + meta + [f"y{j}" for j in range(payload.shape[1])])
-        for r, *tz, y in zip(*columns, payload.tolist()):
-            writer.writerow([repr(r)] + [str(v) for v in tz] + [repr(v) for v in y])
+        fh.write("\r\n".join([header, *records, ""]))

@@ -172,7 +172,10 @@ def estimate_compliance(
     t = sample.t.astype(float)
     line, profiles = [], []
     for h, side in ((h0, Side.LEFT), (h1, Side.RIGHT)):
-        p = compute_weights(sample.r, sample.cutoff, h, KernelSpec(kernel, side))
+        p = compute_weights(
+            sample.r, sample.cutoff, h, KernelSpec(kernel, side),
+            tables=sample.weight_tables,
+        )
         line += [float(p.weights @ t) / p.n_norm, float(p.slope_weights @ t) / p.n_norm]
         profiles.append(p)
     m0, b0, m1, b1 = line

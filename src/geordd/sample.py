@@ -103,6 +103,12 @@ class RddSample:
         return space.embed_many(self.ys)
 
     @cached_property
+    def weight_tables(self) -> LocalLinearTables:
+        """Block sums of ``r`` alone, built once and shared by every
+        single-center weight profile on this sample."""
+        return LocalLinearTables(self.r)
+
+    @cached_property
     def lfr_tables(self) -> LocalLinearTables:
         """Block sums of ``r`` and :attr:`embeddings`, built once and shared
         by every batched local-linear fit on this sample."""

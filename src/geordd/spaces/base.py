@@ -160,6 +160,8 @@ class Space(ABC):
         )
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return type(self) is type(other) and self._key() == other._key()
 
     def __hash__(self):

@@ -1,12 +1,15 @@
 """End-to-end tests for the command-line interface and ingestion."""
 
+import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geordd import (
+    CompositionalSphere,
     Euclidean,
     NetworkLaplacian,
     RddSample,
@@ -142,6 +145,132 @@ class TestIngest:
         path = _write(tmp_path / "s.jsonl", "\n".join(lines) + "\n")
         sample = ingest(path, space, cutoff=0.0)
         assert sample.n == 10
+
+
+def _csv_float_oracle(path):
+    """Reference reader: the nonblank csv records after the header, each
+    field converted by ``float``."""
+    with open(path, encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return np.array([[float(v) for v in row] for row in rows if row])
+
+
+def _random_csv(rng, path, n, width):
+    """A CSV with t and z whose records mix the forms a writer or a hand edit
+    produces: padded and quoted fields, -0.0, blank lines, and CRLF and LF
+    line ends."""
+    def field(x):
+        text = repr(float(x))
+        return [text, f" {text} ", f"\t{text}", f'"{text}"', f'" {text}"'][rng.integers(5)]
+
+    r = rng.uniform(-1, 1, n)
+    r[rng.integers(n, size=3)] = -0.0
+    t = (rng.random(n) < 0.5).astype(int)
+    lines = [",".join(["r", "t", "z"] + [f"y{j}" for j in range(width)])]
+    for i in range(n):
+        payload = rng.normal(size=width)
+        payload[rng.random(width) < 0.1] = -0.0
+        meta = [str(t[i]), str(int(r[i] >= 0))]
+        lines.append(",".join([field(r[i])] + meta + [field(v) for v in payload]))
+        if rng.random() < 0.1:
+            lines.append("")
+    text = "".join(line + ("\r\n" if rng.random() < 0.5 else "\n") for line in lines)
+    path.write_bytes(text.encode())
+    return path
+
+
+class TestCsvReader:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_csv_and_float_bit_for_bit(self, tmp_path, seed):
+        path = _random_csv(np.random.default_rng(seed), tmp_path / "s.csv", 40, 3)
+        sample = ingest_csv(path, "euclid", cutoff=0.0)
+        expected = _csv_float_oracle(path)
+        expected = expected[np.argsort(expected[:, 0], kind="stable")]
+        payload = np.stack([y.data.ravel() for y in sample.ys])
+        got = np.column_stack([sample.r, sample.t, sample.z, payload]).astype(float)
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "record, message, column",
+        [
+            ("0.5,1,1.0", "expected 4 fields, got 3", None),
+            ("oops,1,1.0,2.0", "bad running value 'oops'", "r"),
+            ("0.5,x,1.0,2.0", "bad t value 'x'", "t"),
+            ("0.5,1,1.0,2.0x", "bad payload value", None),
+            ("0.5,1,1.0,2.0,", "expected 4 fields, got 5", None),
+            ("0.5,1,1_0,2.0", "bad payload value", None),
+            ("1_0,1,1.0,2.0", "bad running value '1_0'", "r"),
+            ("   ", "expected 4 fields, got 1", None),
+        ],
+    )
+    def test_bad_record_is_located(self, tmp_path, record, message, column):
+        # the bad record is the third, on line 5 after a blank line
+        text = f"r,t,y0,y1\r\n-0.5,0,1.0,2.0\r\n\r\n0.25,1,1.0,2.0\r\n{record}\r\n0.75,1,1,1\r\n"
+        path = _write(tmp_path / "s.csv", text)
+        with pytest.raises(ParseError) as info:
+            ingest_csv(path, "euclid", cutoff=0.0)
+        assert (info.value.row, info.value.column) == (5, column)
+        assert str(info.value).startswith(message + " (row 5")
+
+    def test_records_spanning_lines_keep_their_record_numbers(self, tmp_path):
+        path = _write(tmp_path / "s.csv", 'r,y0\n-0.5,"1.0\n"\n0.5,oops\n')
+        with pytest.raises(ParseError, match="row 3") as info:
+            ingest_csv(path, "euclid", cutoff=0.0)
+        assert info.value.row == 3
+
+    @pytest.mark.parametrize("text", ["r,y0\n", "r,y0", "r,y0\r\n\r\n\n"])
+    def test_header_only_file_is_an_empty_sample_without_warning(self, tmp_path, text):
+        path = _write(tmp_path / "s.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match="nonempty"):
+                ingest_csv(path, "euclid", cutoff=0.0)
+
+    def test_empty_file_is_a_parse_error(self, tmp_path):
+        path = _write(tmp_path / "s.csv", "")
+        with pytest.raises(ParseError, match="empty file"):
+            ingest_csv(path, "euclid", cutoff=0.0)
+
+
+def _csv_writer_rendering(sample, path):
+    """The sample written through ``csv.writer``, one ``repr`` per value."""
+    meta = [name for name in ("t", "z") if getattr(sample, name) is not None]
+    payload = np.stack([y.data.ravel() for y in sample.ys])
+    if isinstance(sample.space, CompositionalSphere):
+        payload = payload**2
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["r"] + meta + [f"y{j}" for j in range(payload.shape[1])])
+        columns = [sample.r.tolist()] + [getattr(sample, name).tolist() for name in meta]
+        for r, *tz, y in zip(*columns, payload.tolist()):
+            writer.writerow([repr(r)] + [str(v) for v in tz] + [repr(v) for v in y])
+
+
+class TestWriteSampleCsv:
+    def test_bytes_match_csv_writer_with_t_and_z(self, tmp_path):
+        rng = np.random.default_rng(8)
+        r = rng.uniform(-1, 1, 30)
+        r[:2] = (-0.0, 1e-300)
+        z = (r >= 0).astype(int)
+        t = np.where(z == 1, 1, (rng.random(30) < 0.3).astype(int))
+        y = rng.normal(size=(30, 2)) * np.logspace(-20, 20, 30)[:, None]
+        y[0] = (1.7976931348623157e308, 5e-324)
+        sample = RddSample(r=r, ys=Euclidean(2).points(y), cutoff=0.0, t=t, z=z)
+        write_sample_csv(sample, tmp_path / "new.csv")
+        _csv_writer_rendering(sample, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_bytes_match_csv_writer_for_shares(self, tmp_path):
+        from conftest import rand_sphere
+
+        rng = np.random.default_rng(9)
+        space = CompositionalSphere(5)
+        ys = tuple(rand_sphere(space, rng) for _ in range(25))
+        sample = RddSample(r=rng.uniform(-1, 1, 25), ys=ys, cutoff=0.0)
+        write_sample_csv(sample, tmp_path / "new.csv")
+        _csv_writer_rendering(sample, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def _setting_one_csv(tmp_path, n=1000, sigma=0.0, seed=3):

@@ -14,12 +14,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geordd import Euclidean, KernelKind, KernelSpec, RddSample, Side, compute_weights
+from geordd import (
+    CompositionalSphere,
+    Euclidean,
+    KernelKind,
+    KernelSpec,
+    NetworkDgp,
+    NoncomplianceSide,
+    RddSample,
+    Side,
+    compute_weights,
+    estimate_geodesic_riemannian_fuzzy,
+    estimate_sharp,
+)
 from geordd.bandwidth import select_bandwidth
+from geordd.io import ingest, write_sample_csv
 from geordd.errors import DegenerateWindow
 from geordd.frechet import LocalLinearTables, WeightProfile, batch_lfr_embeddings, kernel_eval
 
-from conftest import wls_line_oracle
+from conftest import rand_sphere, wls_line_oracle
 
 KINDS = [KernelKind.TRIANGULAR, KernelKind.UNIFORM]
 SIDES = [Side.LEFT, Side.RIGHT, Side.TWO_SIDED]
@@ -238,3 +251,68 @@ def test_large_n_search_memory():
         tracemalloc.stop()
     assert np.isfinite(search.b_star)
     assert peak < 64 * 2**20
+
+
+def test_large_n_ingest_memory(tmp_path):
+    # the csv-module reader, with its list of 2 million strings, peaked at
+    # 208 MB here
+    sample, _ = NetworkDgp(n=20_000, seed=21).sample()
+    path = tmp_path / "graphs.csv"
+    write_sample_csv(sample, path)
+    del sample
+    gc.collect()
+    tracemalloc.start()
+    try:
+        back = ingest(path, "laplacian", 0.0, max_weight=3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.n == 20_000
+    assert peak < 150 * 2**20
+
+
+class TestSharedWeightTables:
+    @pytest.mark.parametrize("side", SIDES)
+    def test_weights_with_tables_are_bit_identical(self, side):
+        r = np.random.default_rng(15).uniform(-1, 1, 300)  # unsorted
+        spec = KernelSpec(KernelKind.TRIANGULAR, side)
+        tables = LocalLinearTables(r)
+        for center, h, window in [(0.0, 0.3, None), (0.2, 0.5, (-0.1, 0.6))]:
+            fresh = compute_weights(r, center, h, spec, window)
+            shared = compute_weights(r, center, h, spec, window, tables=tables)
+            for name in ("mu0", "mu1", "mu2", "sigma2", "n_norm"):
+                assert getattr(fresh, name) == getattr(shared, name)
+            for name in ("weights", "slope_weights"):
+                np.testing.assert_array_equal(
+                    getattr(fresh, name).view(np.int64), getattr(shared, name).view(np.int64)
+                )
+
+    def test_tables_of_another_variable_are_refused(self):
+        r = np.linspace(-1, 1, 50)
+        with pytest.raises(ValueError, match="r_values"):
+            compute_weights(r, 0.0, 0.5, tables=LocalLinearTables(r[:40]))
+
+    def test_estimators_build_the_sample_tables_once(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        n = 300
+        r = rng.uniform(-1, 1, n)
+        z = (r >= 0).astype(int)
+        t = np.where(z == 1, (rng.random(n) < 0.9).astype(int), 0)
+        space = CompositionalSphere(3)
+        ys = tuple(rand_sphere(space, rng) for _ in range(n))
+        sample = RddSample(r=r, ys=ys, cutoff=0.0, t=t, z=z)
+        built = []
+        init = LocalLinearTables.__init__
+
+        def spy(self, r, psi=None):
+            built.append(np.size(r))
+            init(self, r, psi)
+
+        monkeypatch.setattr(LocalLinearTables, "__init__", spy)
+        estimate_sharp(sample, 0.5, 0.5)
+        estimate_geodesic_riemannian_fuzzy(
+            sample, None, NoncomplianceSide.NEVER_TAKERS, 0.5, 0.5
+        )
+        assert sample.weight_tables.psi is None
+        # the sample's tables once, plus one set for the never-taker stratum
+        assert built == [n, int(((t == 0) & (z == 1)).sum())]

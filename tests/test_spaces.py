@@ -1,5 +1,7 @@
 """Unit tests for the metric spaces: worked examples and error paths."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.linalg import logm
@@ -482,6 +484,13 @@ class TestSerialization:
         assert d["space"] == space.tag
         back = object_from_json(d, space)
         assert space.distance(p, back) < 1e-12
+
+    def test_equality_is_identity_first_then_key(self, space_case, monkeypatch):
+        name, space, _ = space_case
+        twin = copy.deepcopy(space)
+        assert space == twin and hash(space) == hash(twin)
+        monkeypatch.setattr(type(space), "_key", lambda self: pytest.fail("key built"))
+        assert space == space
 
     def test_descriptor_capabilities(self):
         assert Euclidean(2).descriptor().embedding_available
