@@ -149,38 +149,39 @@ class WeightProfile:
 
 @dataclass(frozen=True)
 class FrechetSolveConfig:
-    """Knobs for the iterative (sphere) solver; embeddable spaces ignore them.
+    """Stopping rule for the iterative (sphere) solver; embeddable spaces
+    ignore it.
 
-    The sphere solver runs Riemannian Newton until the relative gradient norm
-    is at most ``grad_tol``, within ``max_iter`` iterations.  ``multistart``
-    (extra starts at the heaviest points) and ``step_shrink`` (the
-    backtracking factor) apply only to its gradient-descent fallback, which
-    also honours ``max_iter`` and ``grad_tol`` per start.
+    Each run of the sphere solver stops once its relative gradient norm
+    |grad| / sum|w| is at most ``grad_tol``, or when no step lowers the
+    objective, and gives up after ``max_iter`` iterations.
     """
 
     max_iter: int = 200
     grad_tol: float = 1e-10
-    step_shrink: float = 0.5
-    multistart: int = 5
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise ValueError("step_shrink must be in (0, 1)")
 
 
 @dataclass
 class SolveInfo:
     """Diagnostics from one weighted Frechet mean solve.
 
-    ``method`` is ``"embedding"``, ``"sphere_newton"`` or, for the sphere
-    solver's fallback, ``"sphere_descent"``.  ``iterations`` counts gradient
-    evaluations over every path the solve ran.  ``grad_norm`` is the sphere
+    ``method`` is ``"embedding"``, ``"sphere_newton"`` when every step of a
+    sphere solve was a full Newton step, or ``"sphere_descent"`` when any
+    step was shortened, clamped or taken along the gradient.  ``iterations``
+    counts a sphere solve's iterations over both of its starts.
+    ``projected`` says whether the result was projected onto the feasible
+    set; on the sphere, whether the search of the last step, or of the final
+    stall, clamped a candidate to the orthant.  ``grad_norm`` is the sphere
     solver's final Riemannian gradient norm over sum|w| (NaN for embedding
-    solves, which are exact).
+    solves, which are exact).  ``multistart_spread`` is always 0.0: the
+    solver has one path and keeps the field for readers of earlier
+    diagnostics.
     """
 
     method: str
@@ -513,9 +514,9 @@ def weighted_frechet_mean(
     Weights may be signed (local-linear weights are).  In embeddable spaces
     the minimizer is exact: the inverse-embedded weighted average of the
     embedded objects, metrically projected onto the feasible image set.  On
-    the sphere a Riemannian Newton iteration is used, with a multistart
-    gradient descent as its fallback; either result is certified against
-    every sample point.
+    the sphere one safeguarded Riemannian Newton iteration is used, whose
+    result is certified against every sample point; ``cfg`` sets its
+    stopping rule.
     """
     cfg = cfg or DEFAULT_SOLVE_CONFIG
     space = _common_space(objects)
@@ -558,18 +559,24 @@ def _embedding_mean(space: HilbertSpace, objects, w):
 def _sphere_mean(space: CompositionalSphere, objects, w, cfg: FrechetSolveConfig):
     """Weighted Frechet mean on the sphere orthant.
 
-    Riemannian Newton on the weighted squared arc length, with its
-    closed-form gradient and Hessian (Buss & Fillmore 2001, ACM TOG 20(2);
-    Absil, Mahony & Sepulchre 2008, ch. 6), starting from the projected
-    extrinsic mean ``w @ pts``.  It stops once |grad| / sum|w| is at most
-    ``cfg.grad_tol``, within ``cfg.max_iter`` iterations.  Signed
-    local-linear weights can make the objective nonconvex, so the solve falls
-    back to a multistart Riemannian gradient descent with backtracking, the
-    only path that ``cfg.multistart`` and ``cfg.step_shrink`` apply to, when
-    the Hessian is not positive definite on the tangent space, a step
-    reaches pi/2 or leaves the orthant, Newton does not converge, or its
-    point's objective is above the best sample point's by more than 1e-8.
-    Either path's result is certified against every sample point.
+    Safeguarded Riemannian Newton on the weighted squared arc length, with
+    its closed-form gradient and Hessian (Buss & Fillmore 2001, ACM TOG
+    20(2); Absil, Mahony & Sepulchre 2008, ch. 6).  A run stops once
+    |grad| / sum|w| is at most ``cfg.grad_tol``, or after ``cfg.max_iter``
+    iterations.  Each iteration takes the Newton direction when the Hessian
+    is positive definite on the tangent space, else the gradient.  A full
+    Newton step shorter than pi/2 that stays in the orthant is taken unless
+    it raises the objective beyond rounding.  Any other step, at most pi/4
+    long, halves along the geodesic, clamped to the orthant, until the
+    objective falls.  Where neither direction lowers it, the point is
+    stationary on the orthant and the run has converged: signed local-linear
+    weights can put the minimiser on the orthant's boundary.
+
+    The first run starts at the projected extrinsic mean ``w @ pts``.  If it
+    ends above the best sample point's objective + 1e-8, a second run starts
+    at that point and the lower result is kept, so the result is certified
+    against every sample point.  Only an unconverged result above that floor
+    raises :class:`SolverDiverged`.
     """
     pts = np.stack([o.data for o in objects])
     w_scale = float(np.abs(w).sum()) or 1.0
@@ -586,85 +593,94 @@ def _sphere_mean(space: CompositionalSphere, objects, w, cfg: FrechetSolveConfig
         g = (w * scale) @ u / w_scale
         return g - float(g @ z) * z, theta, u, norms
 
-    obj_at_pts = _objective_at_points(pts, w)
-    f_floor = float(obj_at_pts.min())
+    def search(z, f, xi, step):
+        """The first point along the geodesic from z towards xi, at lengths
+        min(step, pi/4) halved down to 1e-16, whose objective is below f, as
+        ``(point, objective, clamped)``; the point is None when there is
+        none, and ``clamped`` then says whether any candidate was clamped."""
+        unit = xi / np.linalg.norm(xi)
+        step, clamped = min(step, 0.25 * np.pi), False
+        while step > 1e-16:
+            cand = np.cos(step) * z + np.sin(step) * unit
+            outside = bool(np.any(cand < 0.0))
+            cand = space.project_to_orthant(cand) if outside else cand / np.linalg.norm(cand)
+            f_cand = objective(cand)
+            if f_cand < f:
+                return cand, f_cand, outside
+            clamped = clamped or outside
+            step *= 0.5
+        return None, f, clamped
 
-    extrinsic = np.clip(w @ pts, 0.0, None)
-    norm = float(np.linalg.norm(extrinsic))
-    start = extrinsic / norm if norm > 1e-12 else None
-    z, newton_iters, gnorm = None, 0, float("nan")
-    if start is not None:
-        z, newton_iters, gnorm = _sphere_newton(start, w, w_scale, direction, cfg)
-    f = float("inf") if z is None else objective(z)
-    if f <= f_floor + 1e-8:
-        info = SolveInfo(
-            method="sphere_newton", objective=f, iterations=newton_iters, grad_norm=gnorm
-        )
-        return space.point(space.project_to_orthant(z)), info
-
-    # start set: best sample point, heaviest |weight| points, extrinsic mean
-    starts = [int(np.argmin(obj_at_pts))]
-    starts.extend(np.argsort(-np.abs(w))[: cfg.multistart].tolist())
-    candidates = [pts[i] for i in dict.fromkeys(starts)]
-    if start is not None:
-        candidates.append(start)
-
-    solutions = []
-    total_iters = newton_iters
-    converged_any = False
-    for z0 in candidates:
-        z = z0 / np.linalg.norm(z0)
-        f = objective(z)
-        converged = False
-        for it in range(cfg.max_iter):
-            g = direction(z)[0]
+    def run(z):
+        """One run from the unit orthant point z, as ``(z, SolveInfo)``."""
+        f, newton, clamped, converged = objective(z), True, False, True
+        for it in range(1, cfg.max_iter + 1):
+            g, theta, u, norms = direction(z)
             gnorm = float(np.linalg.norm(g))
             if gnorm <= cfg.grad_tol:
-                converged = True
                 break
-            step = 1.0
-            improved = False
-            while step > 1e-16:
-                cand = np.cos(step * gnorm) * z + np.sin(step * gnorm) * g / gnorm
-                cand = cand / np.linalg.norm(cand)
-                f_cand = objective(cand)
-                if f_cand <= f - 1e-4 * step * gnorm * gnorm * w_scale:
-                    z, f = cand, f_cand
-                    improved = True
-                    break
-                step *= cfg.step_shrink
-            if not improved:
-                converged = True
-                break
-        total_iters += it + 1
-        converged_any = converged_any or converged
-        solutions.append((f, z))
+            # half the Riemannian Hessian over sum|w|, on the tangent space at z:
+            # sum_i w_i [v_i v_i^T + theta_i cot(theta_i) (P - v_i v_i^T)] with
+            # v_i = u_i / |u_i| and P = I - z z^T; theta cot(theta) -> 1 at 0
+            moving = norms > 0.0
+            tcot = np.divide(theta, np.tan(theta), out=np.ones_like(theta), where=moving)
+            rank1 = np.divide(
+                w * (1.0 - tcot), norms * norms, out=np.zeros_like(theta), where=moving
+            )
+            basis = np.linalg.svd(z[None])[2][1:]  # orthonormal rows spanning z's complement
+            ub = u @ basis.T
+            hess = ((w @ tcot) * np.eye(basis.shape[0]) + (ub.T * rank1) @ ub) / w_scale
+            lam, vec = np.linalg.eigh(hess)
+            cand, clamped = None, False
+            if lam[0] > 0.0:
+                xi = basis.T @ (vec @ ((vec.T @ (basis @ g)) / lam))
+                length = float(np.linalg.norm(xi))
+                full = np.cos(length) * z + (np.sin(length) / length) * xi
+                if length < 0.5 * np.pi and not np.any(full < 0.0):
+                    full = full / np.linalg.norm(full)
+                    f_full = objective(full)
+                    # rounding must not cost Newton its quadratic convergence
+                    if f_full <= f + 1e-12 * (abs(f) + w_scale):
+                        z, f = full, f_full
+                        continue
+                cand, f_cand, clamped = search(z, f, xi, length)
+            newton = False
+            if cand is None:
+                cand, f_cand, clamped_g = search(z, f, g, np.inf)
+                clamped = clamped or clamped_g
+            if cand is None:
+                break  # stationary on the orthant
+            z, f = cand, f_cand
+        else:
+            converged, gnorm = False, float(np.linalg.norm(direction(z)[0]))
+        info = SolveInfo(
+            method="sphere_newton" if newton else "sphere_descent",
+            objective=f,
+            iterations=it,
+            converged=converged,
+            projected=clamped,
+            grad_norm=gnorm,
+        )
+        return z, info
 
-    solutions.sort(key=lambda t: t[0])
-    best_f, best_z = solutions[0]
-    near = [z for f, z in solutions if f <= best_f + 1e-8 * (1.0 + abs(best_f))]
-    spread = 0.0
-    for i in range(len(near)):
-        for j in range(i + 1, len(near)):
-            spread = max(spread, float(np.arccos(np.clip(near[i] @ near[j], -1, 1))))
+    obj_at_pts = _objective_at_points(pts, w)
+    best = int(np.argmin(obj_at_pts))
+    f_floor = float(obj_at_pts[best])
 
-    projected = bool(np.any(best_z < 0.0))
-    if projected:
-        best_z = space.project_to_orthant(best_z)
-        best_f = objective(best_z)
-    if not converged_any and best_f > f_floor + 1e-8:
+    runs = []
+    extrinsic = np.clip(w @ pts, 0.0, None)
+    norm = float(np.linalg.norm(extrinsic))
+    if norm > 1e-12:
+        runs.append(run(extrinsic / norm))
+    if not runs or runs[0][1].objective > f_floor + 1e-8:
+        runs.append(run(pts[best]))
+    z, info = min(runs, key=lambda zi: zi[1].objective)
+    if not info.converged and info.objective > f_floor + 1e-8:
         raise SolverDiverged("sphere Frechet solver failed to converge")
-
-    info = SolveInfo(
-        method="sphere_descent",
-        objective=best_f,
-        iterations=total_iters,
-        converged=converged_any,
-        projected=projected,
-        multistart_spread=spread,
-        grad_norm=float(np.linalg.norm(direction(best_z)[0])),
-    )
-    return space.point(space.project_to_orthant(best_z)), info
+    info.iterations = sum(i.iterations for _, i in runs)
+    if any(i.method == "sphere_descent" for _, i in runs):
+        info.method = "sphere_descent"
+    return space.point(space.project_to_orthant(z)), info
 
 
 def _objective_at_points(pts, w):
@@ -679,43 +695,6 @@ def _objective_at_points(pts, w):
         block *= block
         out[i : i + rows] = block @ w
     return out
-
-
-def _sphere_newton(z, w, w_scale, direction, cfg: FrechetSolveConfig):
-    """Riemannian Newton for the weighted squared arc length from the unit
-    orthant point ``z``.
-
-    Returns ``(z, iterations, |grad| / sum|w|)``, with ``z = None`` when the
-    Hessian is not positive definite on the tangent space at an iterate, a
-    step reaches pi/2 or leaves the orthant, or the gradient test is not met
-    within ``cfg.max_iter`` iterations.
-    """
-    for it in range(cfg.max_iter):
-        g, theta, u, norms = direction(z)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= cfg.grad_tol:
-            return z, it + 1, gnorm
-        # half the Riemannian Hessian over sum|w|, on the tangent space at z:
-        # sum_i w_i [v_i v_i^T + theta_i cot(theta_i) (P - v_i v_i^T)] with
-        # v_i = u_i / |u_i| and P = I - z z^T; theta cot(theta) -> 1 at 0
-        moving = norms > 0.0
-        tcot = np.divide(theta, np.tan(theta), out=np.ones_like(theta), where=moving)
-        rank1 = np.divide(w * (1.0 - tcot), norms * norms, out=np.zeros_like(theta), where=moving)
-        basis = np.linalg.svd(z[None])[2][1:]  # orthonormal rows spanning z's complement
-        ub = u @ basis.T
-        hess = ((w @ tcot) * np.eye(basis.shape[0]) + (ub.T * rank1) @ ub) / w_scale
-        lam, vec = np.linalg.eigh(hess)
-        if not lam[0] > 0.0:
-            return None, it + 1, gnorm
-        xi = basis.T @ (vec @ ((vec.T @ (basis @ g)) / lam))
-        length = float(np.linalg.norm(xi))
-        if length >= 0.5 * np.pi:
-            return None, it + 1, gnorm
-        z = np.cos(length) * z + (np.sin(length) / length) * xi
-        if np.any(z < 0.0):
-            return None, it + 1, gnorm
-        z = z / np.linalg.norm(z)
-    return None, cfg.max_iter, gnorm
 
 
 # ---------------------------------------------------------------------------

@@ -202,12 +202,35 @@ class TestWeightedFrechetMean:
         assert sp.distance(out, oracle) < 1e-6
         assert t_star == pytest.approx(0.5, abs=1e-6)
 
-    def test_sphere_certified_against_candidates(self):
-        sp = CompositionalSphere(4)
-        rng = np.random.default_rng(5)
-        pts = [rand_sphere(sp, rng) for _ in range(12)]
-        w = rng.normal(1.0, 0.4, 12)  # mostly positive, some mass variation
+    @staticmethod
+    def _extrapolating_sample(dim):
+        """Signed local-linear weights at r = 0 from r in [-1, -0.3], on
+        points whose first two coordinates run along a quarter circle towards
+        its end: the fit extrapolates past the orthant's face."""
+        sp = CompositionalSphere(dim)
+        rng = np.random.default_rng(0)
+        r = np.sort(rng.uniform(-1.0, -0.3, 60))
+        phi = -0.2 - r + 0.02 * rng.normal(size=60)
+        x = np.column_stack([np.cos(phi), np.sin(phi), rng.uniform(0.2, 0.4, (60, dim - 2))])
+        pts = list(sp.points(x / np.linalg.norm(x, axis=1, keepdims=True)))
+        w = compute_weights(r, 0.0, 2.0, KernelSpec(TRI, Side.LEFT)).weights
+        return sp, pts, w
+
+    @pytest.mark.parametrize(
+        "signed_dim", [None, 3, 5], ids=["positive-dim4", "signed-dim3", "signed-dim5"]
+    )
+    def test_sphere_certified_against_candidates(self, signed_dim):
+        if signed_dim is None:
+            sp = CompositionalSphere(4)
+            rng = np.random.default_rng(5)
+            pts = [rand_sphere(sp, rng) for _ in range(12)]
+            w = rng.normal(1.0, 0.4, 12)  # mostly positive, some mass variation
+        else:
+            sp, pts, w = self._extrapolating_sample(signed_dim)
         out, info = weighted_frechet_mean(pts, w, return_info=True)
+        if signed_dim is not None:
+            assert info.method == "sphere_descent"
+            assert info.converged
         f_best = sum(wi * sp.distance(out, p) ** 2 for wi, p in zip(w, pts))
         for p in pts:
             f_p = sum(wi * sp.distance(p, q) ** 2 for wi, q in zip(w, pts))
@@ -288,17 +311,27 @@ class TestSphereQuarterArcOracle:
         assert info.method == "sphere_newton"
         assert abs(shift) <= 1e-10
 
-    def test_fallback_when_newton_leaves_the_orthant(self):
-        # the local-linear fit extrapolates to phi = -0.2 at the cutoff, off
-        # the arc: Newton's step leaves the orthant, the descent takes over
-        # and the minimiser on the arc is its end phi = 0
-        r = np.linspace(-1.0, -0.3, 60)
-        phi = -0.2 - r
+    @pytest.mark.parametrize(
+        "r, intercept, slope",
+        [
+            (np.linspace(-1.0, -0.3, 60), -0.2, -1.0),
+            (np.linspace(-1.0, -0.8, 40), -2.0, -3.0),
+        ],
+        ids=["step-leaves-orthant", "far-extrapolation"],
+    )
+    def test_fallback_when_newton_leaves_the_orthant(self, r, intercept, slope):
+        # the local-linear fit extrapolates to phi = intercept at the cutoff,
+        # off the arc: Newton's step leaves the orthant, the step is clamped
+        # and the minimiser on the arc is its end phi = 0, where the solve
+        # stops as stationary on the orthant
+        phi = intercept + slope * r
         w = compute_weights(r, 0.0, 2.0, KernelSpec(TRI, Side.LEFT)).weights
         shift, info = self._solve(phi, w)
         assert info.method == "sphere_descent"
         assert info.projected
         assert abs(shift) <= 1e-10
+        assert info.converged
+        assert info.iterations <= 20
 
 
 class TestBatchLfrEmbeddings:
