@@ -143,8 +143,9 @@ def evaluation_region(
     return pts[keep]
 
 
-def _window_bounds(pts: np.ndarray, c: float, b: float, r_lo: float, r_hi: float):
-    """Cutoff-respecting clamp bounds of the half-width-2b windows at ``pts``.
+def _window_bounds(pts: np.ndarray, c: float, b, r_lo: float, r_hi: float):
+    """Cutoff-respecting clamp bounds of the half-width-2b windows at ``pts``
+    (elementwise in ``b``, which may hold one bandwidth per row).
 
     Left window:  [max(r - 2b, r_lo), r] below the cutoff, [max(r - 2b, c), r]
     at or above it; right window mirrors with the roles of c and r_hi swapped.
@@ -156,27 +157,89 @@ def _window_bounds(pts: np.ndarray, c: float, b: float, r_lo: float, r_hi: float
     return left_lo, left_hi, right_lo, right_hi
 
 
-def _piecewise_integral(pts: np.ndarray, sq: np.ndarray, valid: np.ndarray, c: float):
-    """Trapezoid integral of ``sq`` over the two pieces of the evaluation
-    region, skipping invalid points and rescaling by the covered span."""
-    total = 0.0
-    n_skipped = 0
-    any_valid = False
+def _piecewise_integrals(pts: np.ndarray, sq: np.ndarray, valid: np.ndarray, c: float):
+    """Trapezoid integrals of each row of ``sq`` (G, m) over the two pieces
+    of the evaluation region, skipping invalid points and rescaling by the
+    covered span, as ``(totals, n_skipped, any_valid)``, each (G,)."""
+    total = np.zeros(sq.shape[0])
+    any_valid = np.zeros(sq.shape[0], dtype=bool)
     for piece in (pts < c, pts >= c):
-        p = pts[piece]
-        v = valid[piece]
+        p, v, y = pts[piece], valid[:, piece], sq[:, piece]
         if p.size == 0:
             continue
-        n_skipped += int((~v).sum())
-        good = p[v]
-        if good.size < 2:
-            continue
-        any_valid = True
-        raw = float(np.trapezoid(sq[piece][v], good))
-        full_span = p[-1] - p[0]
-        covered = good[-1] - good[0]
-        total += raw * (full_span / covered) if covered > 0 else 0.0
-    return total, n_skipped, any_valid
+        # the trapezoid from each valid point back to the valid point before
+        # it: on a row without skips, exactly np.trapezoid's terms
+        upto = np.maximum.accumulate(np.where(v, np.arange(p.size), -1), axis=1)
+        prev = np.maximum(upto[:, :-1], 0)
+        pair = v[:, 1:] & (upto[:, :-1] >= 0)
+        y_prev = np.take_along_axis(y, prev, axis=1)
+        raw = np.where(pair, (p[1:] - p[prev]) * (y_prev + y[:, 1:]) / 2.0, 0.0).sum(1)
+        covered = p[upto[:, -1]] - p[v.argmax(1)]
+        good = v.sum(1) >= 2
+        any_valid |= good
+        ok = good & (covered > 0)
+        total += np.where(ok, raw * ((p[-1] - p[0]) / np.where(ok, covered, 1.0)), 0.0)
+    return total, (~valid).sum(1), any_valid
+
+
+def _grid_losses(
+    sample: RddSample, c: float, grid: np.ndarray, pts: np.ndarray, cfg: BandwidthConfig
+):
+    """L(b) and the number of skipped evaluation points for each candidate
+    of ``grid``, as two (G,) arrays.
+
+    For an embeddable space every (candidate, evaluation point) window is
+    fitted at once: one :func:`batch_lfr_embeddings` call per side over the
+    G x m grid, one feasibility projection per side and one norm pass.
+    Otherwise each window is solved on its own.  Raises
+    :class:`AllWindowsDegenerate` for the first candidate left with no
+    valid window.
+    """
+    r = sample.r
+    r_lo, r_hi = float(r[0]), float(r[-1])
+    b = grid[:, None]
+    shape = (grid.size, pts.size)
+    left_lo, left_hi, right_lo, right_hi = (
+        np.broadcast_to(v, shape) for v in _window_bounds(pts, c, b, r_lo, r_hi)
+    )
+
+    space = sample.space
+    sq = np.zeros(shape)
+    if isinstance(space, HilbertSpace):
+        centers = np.broadcast_to(pts, shape).ravel()
+        h = np.broadcast_to(2 * b, shape).ravel()
+        fits_l, ok_l = batch_lfr_embeddings(
+            r, sample.embeddings, centers, h, Side.LEFT, kernel=cfg.kernel,
+            lo=left_lo.ravel(), hi=left_hi.ravel(), tables=sample.lfr_tables,
+        )
+        fits_r, ok_r = batch_lfr_embeddings(
+            r, sample.embeddings, centers, h, Side.RIGHT, kernel=cfg.kernel,
+            lo=right_lo.ravel(), hi=right_hi.ravel(), tables=sample.lfr_tables,
+        )
+        keep = ok_l & ok_r
+        gap = space.project_embedding(fits_l[keep])
+        gap -= space.project_embedding(fits_r[keep])
+        valid = keep.reshape(shape)
+        sq[valid] = space.hilbert_sq_norms(gap)
+    else:
+        valid = np.zeros(shape, dtype=bool)
+        for (g, j), p in np.ndenumerate(np.broadcast_to(pts, shape)):
+            h = 2 * float(grid[g])
+            try:
+                fit_l = _solver_fit(sample, p, h, Side.LEFT, (left_lo[g, j], left_hi[g, j]), cfg)
+                fit_r = _solver_fit(sample, p, h, Side.RIGHT, (right_lo[g, j], right_hi[g, j]), cfg)
+            except (DegenerateWindow, SolverDiverged):
+                continue
+            valid[g, j] = True
+            sq[g, j] = space.distance(fit_l, fit_r) ** 2
+
+    losses, skipped, any_valid = _piecewise_integrals(pts, sq, valid, c)
+    if not any_valid.all():
+        b_bad = float(grid[np.argmin(any_valid)])
+        raise AllWindowsDegenerate(
+            f"every evaluation window is degenerate at bandwidth {b_bad!r}"
+        )
+    return losses, skipped
 
 
 def discrepancy_loss(
@@ -191,7 +254,9 @@ def discrepancy_loss(
 
     Evaluation points where either one-sided window is degenerate are skipped
     and the integral rescaled by the covered span; raises
-    :class:`AllWindowsDegenerate` when nothing remains.
+    :class:`AllWindowsDegenerate` when nothing remains.  This is the
+    one-candidate case of the search in :func:`select_bandwidth`, on the same
+    code path.
 
     Returns ``(loss, n_skipped)``.
     """
@@ -199,47 +264,8 @@ def discrepancy_loss(
     pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
     if pts.size == 0:
         raise AllWindowsDegenerate("the evaluation region is empty")
-    b = float(b)
-    c = float(c)
-    r = sample.r
-    r_lo, r_hi = float(r[0]), float(r[-1])
-    left_lo, left_hi, right_lo, right_hi = _window_bounds(pts, c, b, r_lo, r_hi)
-
-    space = sample.space
-    sq = np.zeros(pts.size)
-    if isinstance(space, HilbertSpace):
-        fits_l, ok_l = batch_lfr_embeddings(
-            r, sample.embeddings, pts, 2 * b, Side.LEFT,
-            kernel=cfg.kernel, lo=left_lo, hi=left_hi, tables=sample.lfr_tables,
-        )
-        fits_r, ok_r = batch_lfr_embeddings(
-            r, sample.embeddings, pts, 2 * b, Side.RIGHT,
-            kernel=cfg.kernel, lo=right_lo, hi=right_hi, tables=sample.lfr_tables,
-        )
-        valid = ok_l & ok_r
-        gap = space.project_embedding(fits_l[valid]) - space.project_embedding(fits_r[valid])
-        sq[valid] = space.hilbert_sq_norms(gap)
-    else:
-        valid = np.zeros(pts.size, dtype=bool)
-        for j, p in enumerate(pts):
-            try:
-                fit_l = _solver_fit(
-                    sample, p, 2 * b, Side.LEFT, (left_lo[j], left_hi[j]), cfg
-                )
-                fit_r = _solver_fit(
-                    sample, p, 2 * b, Side.RIGHT, (right_lo[j], right_hi[j]), cfg
-                )
-            except (DegenerateWindow, SolverDiverged):
-                continue
-            valid[j] = True
-            sq[j] = space.distance(fit_l, fit_r) ** 2
-
-    total, n_skipped, any_valid = _piecewise_integral(pts, sq, valid, c)
-    if not any_valid:
-        raise AllWindowsDegenerate(
-            f"every evaluation window is degenerate at bandwidth {b!r}"
-        )
-    return total, n_skipped
+    losses, skipped = _grid_losses(sample, float(c), np.array([float(b)]), pts, cfg)
+    return float(losses[0]), int(skipped[0])
 
 
 def _solver_fit(sample, p, h, side, window, cfg: BandwidthConfig):
@@ -260,6 +286,13 @@ def select_bandwidth(
 
     Candidates are log-spaced over [b_min, b_max]; the selected bandwidth
     minimizes L(b), with near-ties broken toward the smaller candidate.
+
+    On an embeddable space the candidates are not fitted one by one: the
+    G x m (candidate, evaluation point) windows go to one
+    :func:`batch_lfr_embeddings` call per side, which the engine runs in
+    passes over consecutive candidates under a fixed cell budget (one pass
+    per side for a default search up to n of about 2,000).  Each loss equals
+    :func:`discrepancy_loss` at that candidate, with the same skipped points.
     """
     cfg = cfg or DEFAULT_BANDWIDTH_CONFIG
     if grid_size is not None:
@@ -271,10 +304,7 @@ def select_bandwidth(
     if pts.size == 0:
         raise AllWindowsDegenerate("the evaluation region is empty")
 
-    losses = np.empty(cfg.grid_size)
-    skipped = np.zeros(cfg.grid_size, dtype=int)
-    for i, b in enumerate(grid):
-        losses[i], skipped[i] = discrepancy_loss(sample, c, b, pts, cfg)
+    losses, skipped = _grid_losses(sample, c, grid, pts, cfg)
 
     best = float(losses.min())
     ties = losses <= best + _TIE_TOL * (1.0 + best)

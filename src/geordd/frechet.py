@@ -63,6 +63,11 @@ __all__ = [
 #: windows with sigma^2 at or below this are degenerate (unit-scaled R)
 SIGMA2_FLOOR = 1e-14
 
+#: the most (center, slot) cells one engine pass may hold: batched fits at
+#: more centers run in several passes over consecutive centers, each under
+#: this budget (as the sphere certification works in 2**16-entry row blocks)
+_CELL_BUDGET = 1 << 18
+
 #: whether the kernel vanishes at the values just below and at a support's
 #: lower bound, and just below and at its upper bound
 _SUPPORT_PATTERN = np.array([[True], [False], [False], [True]])
@@ -264,8 +269,9 @@ class LocalLinearTables:
     def _support(self, c, h, tri):
         """Support bounds [lo, hi) of the kernel at each center, by
         kernel_eval's own test: |d / h| < 1 for the triangular kernel (0 at
-        |d| = h), <= 1 for the uniform one.  ``searchsorted`` guesses them;
-        a center whose guess rounding put off is recounted."""
+        |d| = h), <= 1 for the uniform one, with ``h`` per center.
+        ``searchsorted`` guesses them; a center whose guess rounding put off
+        is recounted."""
         r = self.r
 
         def vanishes(x):  # the kernel is 0 at x = d / h and beyond
@@ -279,20 +285,37 @@ class LocalLinearTables:
         bad = (vanishes(x) != _SUPPORT_PATTERN).any(0)
         if bad.any():
             for j in np.flatnonzero(bad):
-                x = (r - c[j]) / h
+                x = (r - c[j]) / h[j]
                 lo[j] = np.count_nonzero(vanishes(-x))
                 hi[j] = r.size - np.count_nonzero(vanishes(x))
         return lo, hi
 
+    def _cells_per_center(self, side: Side) -> int:
+        """The most slots one center's window takes in :meth:`windows`: for
+        each linear piece of the kernel, the points of its two partial blocks
+        and its whole blocks."""
+        pieces = 2 if side is Side.TWO_SIDED else 1
+        return pieces * (2 * self._offsets.size + self._anchors.size)
+
     def windows(self, centers, h, spec: KernelSpec, lo=None, hi=None) -> "_Windows":
-        """The local-linear windows at ``centers``, with their fits when the
-        tables hold outcome rows (see :class:`_Windows`); ``lo``/``hi``
+        """The local-linear windows at the m ``centers``, with their fits when
+        the tables hold outcome rows (see :class:`_Windows`).
+
+        ``h`` is one bandwidth or one per center (broadcastable to (m,)), so
+        one call can hold the windows of several bandwidths; every entry must
+        be positive and finite (``ValueError`` otherwise).  ``lo``/``hi``
         optionally clamp each window to R in [lo, hi] (inclusive,
-        broadcastable to (m,))."""
+        broadcastable to (m,)).  A call costs about 90 NumPy calls whatever
+        m, plus work and memory of O(m sqrt(n)): callers with many centers
+        should make few calls, each under a bounded number of cells.  A
+        window's moments, ``valid`` flag and bounds do not depend on the
+        other centers of the call, and its fits only to rounding.
+        """
         r, n, offsets = self.r, self.r.size, self._offsets
         block = offsets.size
         c = np.asarray(centers, dtype=float).reshape(-1)
         m = c.size
+        h = _bandwidths(h, m)
         tri = spec.kind is KernelKind.TRIANGULAR
 
         # side and clamp: n_norm counts them, support or not; d < 0 below i_c
@@ -334,36 +357,41 @@ class LocalLinearTables:
         slot = starts + offsets
         idx = slot.reshape(m, -1)
         live = (slot < ends).reshape(m, -1)
-        d = r[np.minimum(idx, n - 1)] - c[:, None]
+        d = r.take(idx, mode="clip") - c[:, None]
         point_tilt = np.repeat(np.tile(tilts, 2), block) if tilts.size > 1 else tilts[0]
 
-        # the whole blocks, in (m, K, most whole blocks in a piece) slots: on
-        # a block h^2 k = alpha + tilt x with x = r - a_b, where alpha, h^2 k
-        # at the anchor, is taken from the kernel's zero so that k keeps its
-        # digits near the support's edge; both are 0 in dead slots
+        # the whole blocks, in (m, K, most whole blocks in a piece or 1, for
+        # the running sums below) slots: on a block h^2 k = alpha + tilt x
+        # with x = r - a_b, where alpha, h^2 k at the anchor, is taken from
+        # the kernel's zero so that k keeps its digits near the support's
+        # edge; both are 0 in dead slots
         count = fb1 - fb0
-        slots = np.arange(count.max(initial=0))
+        slots = np.arange(np.maximum.reduce(count, None, initial=1))
         blk = np.minimum(fb0[..., None] + slots, self._anchors.size - 1)
         alive = slots < count[..., None]
         tilt = alive * tilts[:, None]
         s = self._anchors[blk] - c[:, None, None]
-        alpha = alive * (h + tilt * s)
-        A0, A1, A2 = alpha * self._moments[:3, blk] + tilt * self._moments[1:, blk]
+        alpha = alive * (h[:, None, None] + tilt * s)
+        moments = self._moments.take(blk, axis=1)
+        whole = alpha * moments[:3] + tilt * moments[1:]
 
         # terms of sum h^2 k d^j: h^2 k, h^2 k d and h^2 k d^2 at each point,
-        # and per block its sums A_t of h^2 k x^t shifted to d = x + s
-        terms = np.empty((3, m, idx.shape[1] + s[0].size))
-        pts, whole = terms[:, :, : idx.shape[1]], terms[:, :, idx.shape[1] :].reshape(3, *s.shape)
-        np.multiply(live, h + point_tilt * d, out=pts[0])
+        # and per block its sums A_t of h^2 k x^t, shifted in place to d = x + s
+        pts = np.empty((3, m, idx.shape[1]))
+        np.multiply(live, h[:, None] + point_tilt * d, out=pts[0])
         np.multiply(pts[0], d, out=pts[1])
         np.multiply(pts[1], d, out=pts[2])
-        whole[0] = A0
+        A0, A1, A2 = whole
         sA0 = s * A0
-        np.add(A1, sA0, out=whole[1])
-        sA0 += A1 + A1
-        sA0 *= s
-        np.add(A2, sA0, out=whole[2])
-        S = terms.sum(2)
+        shift = sA0 + (A1 + A1)
+        shift *= s
+        A2 += shift
+        A1 += sA0
+        # the blocks are added one after another, not pairwise, so that a
+        # window's sums do not depend on the padding, that is on the other
+        # centers of the call
+        S = np.add.reduce(pts, 2)
+        S += np.add.reduce(np.add.accumulate(whole, -1)[..., -1], -1)
         S /= h * h
 
         mu = S / np.maximum(n_norm, 1)
@@ -393,6 +421,17 @@ class LocalLinearTables:
             fits += coef.reshape(m, -1) @ self._psi_moments
             fits /= np.where(valid, (h * h) * sigma2 * n_norm, np.nan)[:, None]
         return _Windows(n_norm, mu, sigma2, valid, i0, i1, tilts, fits)
+
+
+def _bandwidths(h, m: int) -> np.ndarray:
+    """``h`` broadcast to (m,) bandwidths, each checked positive and finite."""
+    out = np.empty(m)
+    out[...] = h
+    lo, hi = np.minimum.reduce(out, initial=np.inf), np.maximum.reduce(out, initial=0.0)
+    if not (lo > 0.0 and hi < np.inf):  # a NaN fails both
+        bad = out[~((out > 0.0) & (out < np.inf))][0]
+        raise ValueError(f"bandwidth must be positive and finite, got {float(bad)!r}")
+    return out
 
 
 class _Windows(NamedTuple):
@@ -448,8 +487,6 @@ def compute_weights(
     if r.ndim != 1 or r.size == 0:
         raise EmptyInput("r_values must be a nonempty 1-d array")
     h = float(h)
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"bandwidth must be positive and finite, got {h!r}")
     center = float(center)
 
     lo, hi = (None, None) if window is None else window
@@ -733,7 +770,7 @@ def batch_lfr_embeddings(
     r_obs: np.ndarray,
     emb: np.ndarray,
     centers: np.ndarray,
-    h: float,
+    h,
     side: Side,
     *,
     kernel: KernelKind = KernelKind.TRIANGULAR,
@@ -749,6 +786,9 @@ def batch_lfr_embeddings(
         outcomes, row for row.
     centers : (m,) evaluation points; ``lo``/``hi`` optional per-center clamp
         bounds restricting the window (inclusive, broadcastable to (m,)).
+    h : one bandwidth, or one per center (broadcastable to (m,)), so that
+        one call fits every (bandwidth, center) pair of a search; each must
+        be positive and finite (``ValueError`` otherwise).
     tables : :class:`LocalLinearTables` built from ``r_obs`` and ``emb``
         (``RddSample.lfr_tables`` holds them for a sample).  Without them the
         call builds its own, an O(n D) set-up that a bandwidth search should
@@ -760,12 +800,29 @@ def batch_lfr_embeddings(
     valid : (m,) boolean mask of non-degenerate windows.
 
     After the set-up a call costs O(m sqrt(n) D): whole blocks through their
-    sums, the partial blocks point by point.  Fits are raw weighted averages;
-    callers project them onto the feasible image set per space.
+    sums, the partial blocks point by point.  The centers go to
+    :meth:`LocalLinearTables.windows` in runs of consecutive centers, as
+    long as keeps each run's slot arrays under ``_CELL_BUDGET`` cells (runs
+    of 2,730 one-sided centers at n = 1,000 and of 616 at n = 20,000), so a
+    call pays the engine's fixed cost of about 90 NumPy calls once per run,
+    and its memory stays bounded at any m and n.  Fits are raw weighted
+    averages; callers project them onto the feasible image set per space.
     """
     if tables is None:
         tables = LocalLinearTables(r_obs, emb)
     elif tables.n != np.size(r_obs) or tables.psi is None:
         raise ValueError("tables must be built from r_obs and emb")
-    win = tables.windows(centers, h, KernelSpec(kernel, side), lo, hi)
-    return win.fits, win.valid
+    spec = KernelSpec(kernel, side)
+    c = np.asarray(centers, dtype=float).reshape(-1)
+    m = c.size
+    h = _bandwidths(h, m)
+    lo, hi = (None if v is None else np.broadcast_to(v, (m,)) for v in (lo, hi))
+    run = max(1, _CELL_BUDGET // tables._cells_per_center(side))
+    wins = [
+        tables.windows(
+            c[i : i + run], h[i : i + run], spec,
+            *(None if v is None else v[i : i + run] for v in (lo, hi)),
+        )
+        for i in range(0, max(m, 1), run)
+    ]
+    return np.concatenate([w.fits for w in wins]), np.concatenate([w.valid for w in wins])

@@ -170,11 +170,19 @@ def _read_numbers(lines) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
 
 
-def _parses(fields: list[str]) -> bool:
-    """Whether :func:`_read_numbers` accepts ``fields`` as one record."""
-    quoted = ",".join('"' + f.replace('"', '""') + '"' for f in fields)
+def _quoted(fields: list[str]) -> str:
+    """``fields`` as one record of quoted fields, which :func:`_read_numbers`
+    reads as the values they hold."""
+    if '"' in "".join(fields):
+        fields = [f.replace('"', '""') for f in fields]
+    return '"' + '","'.join(fields) + '"'
+
+
+def _parses(records: list[str]) -> bool:
+    """Whether :func:`_read_numbers` accepts every one of ``records``, each
+    a line of :func:`_quoted` fields."""
     try:
-        _read_numbers([quoted])
+        _read_numbers(records)
     except ValueError:
         return False
     return True
@@ -194,18 +202,37 @@ def _record_line(path, index: int) -> int:
 
 
 def _first_bad_record(path, header, n_meta) -> ParseError:
-    """The parse error of the first record that the reader refuses, found
-    record by record and then field by field."""
-    meta = [c.strip().lower() for c in header[:n_meta]]
+    """The parse error of the first record that the reader refuses.
+
+    One pass finds the first record with the wrong number of fields.  The
+    records before it are then bisected: each step reads the first half of
+    the range that holds the first refused record, if there is one, so
+    about log2(n) reads of n records in all.  The refused record's fields
+    are then read one by one.
+    """
+    lines, records, miscount = [], [], None
     for line, row in _csv_records(path):
         if len(row) != len(header):
-            return ParseError(f"expected {len(header)} fields, got {len(row)}", row=line)
-        if not _parses(row):
-            for column, text in zip(meta, row):
-                if not _parses([text]):
-                    return _bad_value(text, line, column)
-            return ParseError("bad payload value", row=line)
-    raise AssertionError("no bad record found")  # pragma: no cover
+            miscount = ParseError(f"expected {len(header)} fields, got {len(row)}", row=line)
+            break
+        lines.append(line)
+        records.append(_quoted(row))
+    lo, hi = 0, len(records)
+    while hi - lo > 1:  # the reader accepts records[:lo]
+        mid = (lo + hi) // 2
+        if _parses(records[lo:mid]):
+            lo = mid
+        else:
+            hi = mid
+    if hi == 0 or _parses(records[lo:hi]):
+        if miscount is None:  # pragma: no cover
+            raise AssertionError("no bad record found")
+        return miscount
+    meta = [c.strip().lower() for c in header[:n_meta]]
+    for column, text in zip(meta, next(csv.reader([records[lo]]))):
+        if not _parses([_quoted([text])]):
+            return _bad_value(text, lines[lo], column)
+    return ParseError("bad payload value", row=lines[lo])
 
 
 def ingest_csv(path, space_spec: str | Space, cutoff: float, **space_opts) -> RddSample:

@@ -5,6 +5,7 @@ import pytest
 
 from geordd import (
     Euclidean,
+    NetworkDgp,
     RddSample,
     ScalarDgp,
     compute_bounds,
@@ -13,7 +14,9 @@ from geordd import (
     generate_scalar,
     select_bandwidth,
 )
+from geordd.bandwidth import _TIE_TOL
 from geordd.errors import InsufficientData, InvertedBounds
+from geordd.frechet import LocalLinearTables
 
 
 def _bounds_oracle(r, c, k=20):
@@ -225,3 +228,75 @@ class TestSelectBandwidth:
         search = select_bandwidth(sample, cfg=cfg)
         assert search.b_min <= search.b_star <= search.b_max
         assert np.all(np.isfinite(search.losses))
+
+
+def _network_sample(n):
+    return NetworkDgp(n=n, seed=5).sample()[0]
+
+
+def _tied_scalar_sample(setting, n, decimals):
+    sample = generate_scalar(ScalarDgp(setting=setting, n=n, seed=9))
+    return RddSample(r=np.round(sample.r, decimals), ys=sample.ys, cutoff=0.0)
+
+
+def _lattice_sample():
+    # running values on the evaluation grid, so that at b_min (the lattice
+    # step) the left window at each grid point right of the cutoff holds
+    # one value with weight: those points are skipped, most others are not
+    rng = np.random.default_rng(3)
+    lattice = np.linspace(-1, 1, 100)
+    r = np.concatenate([lattice, np.repeat([-1 / 99, 1 / 99], 20), rng.uniform(-1, 0, 150)])
+    y = np.sin(2 * r) + (r >= 0) + rng.normal(0, 0.3, r.size)
+    return RddSample(r=r, ys=Euclidean(1).points(y[:, None]), cutoff=0.0)
+
+
+def _count_windows(monkeypatch):
+    calls = []
+    windows = LocalLinearTables.windows
+
+    def spy(self, *args, **kwargs):
+        calls.append(np.size(args[0]))
+        return windows(self, *args, **kwargs)
+
+    monkeypatch.setattr(LocalLinearTables, "windows", spy)
+    return calls
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize(
+        "make, chunked",
+        [
+            (lambda: _network_sample(100), False),
+            (lambda: _network_sample(1000), False),
+            (lambda: _network_sample(20_000), True),
+            (lambda: _tied_scalar_sample("II", 500, 2), False),
+            (lambda: _tied_scalar_sample("IV", 2000, 2), False),
+            (_lattice_sample, False),
+        ],
+        ids=[
+            "network-100", "network-1000", "network-20000",
+            "scalar-500-ties", "scalar-2000-ties", "scalar-lattice",
+        ],
+    )
+    def test_search_equals_a_loop_of_discrepancy_loss(self, make, chunked, monkeypatch):
+        sample = make()
+        calls = _count_windows(monkeypatch)
+        search = select_bandwidth(sample)
+        # every (candidate, point) window once per side; at large n in
+        # several chunks of consecutive candidates
+        assert sum(calls) == 2 * search.grid.size * search.eval_points.size
+        assert (len(calls) > 2) == chunked
+        rows = [discrepancy_loss(sample, sample.cutoff, b, search.eval_points) for b in search.grid]
+        losses = np.array([loss for loss, _ in rows])
+        np.testing.assert_array_equal(search.skipped, [skipped for _, skipped in rows])
+        np.testing.assert_allclose(search.losses, losses, rtol=1e-12, atol=0)
+        ties = losses <= losses.min() + _TIE_TOL * (1.0 + losses.min())
+        assert search.b_star == search.grid[np.flatnonzero(ties)[0]]
+
+    def test_network_search_makes_one_engine_pass_per_side(self, monkeypatch):
+        calls = _count_windows(monkeypatch)
+        for n in (100, 300, 1000):
+            sample = _network_sample(n)
+            del calls[:]
+            search = select_bandwidth(sample, grid_size=20)
+            assert calls == [20 * search.eval_points.size] * 2

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from geordd import (
     Wasserstein1D,
     generate_scalar,
 )
+from geordd import io
 from geordd.cli import main
 from geordd.errors import InvariantViolation, ParseError
 from geordd.io import ingest, ingest_csv, write_sample_csv
@@ -212,6 +214,35 @@ class TestCsvReader:
             ingest_csv(path, "euclid", cutoff=0.0)
         assert (info.value.row, info.value.column) == (5, column)
         assert str(info.value).startswith(message + " (row 5")
+
+    @pytest.mark.parametrize(
+        "record, message, column",
+        [
+            ("0.5,1,oops,2.0", "bad payload value", None),
+            ("x,1,1.0,2.0", "bad running value 'x'", "r"),
+            ("0.5,1,1.0", "expected 4 fields, got 3", None),
+        ],
+    )
+    def test_bad_last_record_is_found_in_few_reads(self, tmp_path, monkeypatch, record, message, column):
+        # records before the first miscounted one are bisected, not read one
+        # by one: at most about 2 log2(n) reads plus one per field
+        n = 20_000
+        r = np.random.default_rng(5).uniform(-1, 1, n - 1).tolist()
+        body = "".join(f"{v!r},{int(v >= 0)},1.0,2.0\n" for v in r)
+        path = _write(tmp_path / "s.csv", f"r,t,y0,y1\n{body}{record}\n")
+        reads = []
+        read_numbers = io._read_numbers
+
+        def spy(lines):
+            reads.append(1)
+            return read_numbers(lines)
+
+        monkeypatch.setattr(io, "_read_numbers", spy)
+        with pytest.raises(ParseError) as info:
+            ingest_csv(path, "euclid", cutoff=0.0)
+        assert (info.value.row, info.value.column) == (n + 1, column)
+        assert str(info.value).startswith(message + f" (row {n + 1}")
+        assert len(reads) <= 2 * math.log2(n) + 4
 
     def test_records_spanning_lines_keep_their_record_numbers(self, tmp_path):
         path = _write(tmp_path / "s.csv", 'r,y0\n-0.5,"1.0\n"\n0.5,oops\n')

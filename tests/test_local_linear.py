@@ -10,6 +10,7 @@ single-valued windows, unsorted input, and both kernels on all three sides.
 import gc
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,50 @@ class TestEdgeInputs:
             np.testing.assert_allclose(shuffled[0], ordered[0], rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("side", SIDES, ids=lambda s: s.value)
+def test_per_center_bandwidths_match_scalar_calls(side, kind):
+    # one call over (bandwidth, center) pairs gives each window exactly what
+    # a call at its bandwidth alone gives, whatever else shares the call:
+    # dyadic ties sit on the bounds, as in test_ties_on_every_bound
+    rng = np.random.default_rng(17)
+    grid = np.arange(-16, 17) / 16.0
+    r = np.concatenate([np.repeat(grid, 3), rng.uniform(-1, 1, 450)])
+    tables = LocalLinearTables(r, rng.normal(size=(r.size, 3)))
+    spec = KernelSpec(kind, side)
+    centers = np.arange(-12, 13, 2) / 16.0
+    lo = centers - 0.1875
+    hs = np.array([0.25, 0.125, 0.0625, 0.5, 1.0, 0.03])
+    m = centers.size
+    joint = tables.windows(np.tile(centers, hs.size), np.repeat(hs, m), spec, np.tile(lo, hs.size), 0.6875)
+    for g, h in enumerate(hs):
+        alone = tables.windows(centers, h, spec, lo, 0.6875)
+        part = slice(g * m, (g + 1) * m)
+        for name in ("n_norm", "valid", "i0", "i1"):
+            np.testing.assert_array_equal(getattr(joint, name)[part], getattr(alone, name))
+        np.testing.assert_array_equal(joint.mu[:, part], alone.mu)
+        np.testing.assert_allclose(joint.fits[part], alone.fits, rtol=1e-12, atol=0)
+        assert alone.valid.any()
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.2, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("in_array", [False, True], ids=["scalar", "in_array"])
+def test_bad_bandwidths_are_refused(bad, in_array):
+    r = np.linspace(-1, 1, 200)
+    emb = np.ones((200, 2))
+    tables = LocalLinearTables(r, emb)
+    centers = np.array([-0.5, 0.0, 0.5])
+    h = np.array([0.3, bad, 0.3]) if in_array else bad
+    message = "bandwidth must be positive and finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            tables.windows(centers, h, KernelSpec(KernelKind.TRIANGULAR, Side.LEFT))
+        for table in (tables, None):
+            with pytest.raises(ValueError, match=message):
+                batch_lfr_embeddings(r, emb, centers, h, Side.RIGHT, tables=table)
+
+
 def test_tables_are_reused_without_change():
     rng = np.random.default_rng(12)
     r = rng.uniform(-1, 1, 2000)
@@ -251,6 +296,22 @@ def test_large_n_search_memory():
         tracemalloc.stop()
     assert np.isfinite(search.b_star)
     assert peak < 64 * 2**20
+
+
+def test_large_n_network_search_memory():
+    # the search fits all its candidates together, in engine passes that
+    # each stay under a fixed cell budget; in one pass it peaked at 48 MB
+    sample, _ = NetworkDgp(n=20_000, seed=21).sample()
+    sample.lfr_tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        search = select_bandwidth(sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(search.b_star)
+    assert peak < 32 * 2**20
 
 
 def test_large_n_ingest_memory(tmp_path):
