@@ -61,6 +61,7 @@ from .spaces import (
     GeodesicEffect,
     MetricObject,
     NetworkLaplacian,
+    PointStack,
     Space,
     SpaceDescriptor,
     SpdSpace,
@@ -77,6 +78,7 @@ __all__ = [
     "Space",
     "SpaceDescriptor",
     "MetricObject",
+    "PointStack",
     "GeodesicEffect",
     "quotient_distance",
     "Euclidean",

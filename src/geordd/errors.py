@@ -37,6 +37,12 @@ class MixedSpaces(GeorddError):
     code = "mixed_spaces"
 
 
+class NotAPoint(GeorddError, TypeError):
+    """A value given where points were expected (also a ``TypeError``)."""
+
+    code = "not_a_point"
+
+
 class AntipodalPoints(GeorddError):
     code = "antipodal_points"
 

@@ -36,13 +36,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import (
-    DegenerateWindow,
-    EmptyInput,
-    MixedSpaces,
-    SolverDiverged,
-)
-from .spaces import CompositionalSphere, HilbertSpace, MetricObject, Space
+from .errors import DegenerateWindow, EmptyInput, SolverDiverged
+from .spaces import CompositionalSphere, HilbertSpace, MetricObject, PointStack
 from .spaces.sphere import _arc_angles
 
 __all__ = [
@@ -529,16 +524,6 @@ def compute_weights(
 # ---------------------------------------------------------------------------
 
 
-def _common_space(objects: Sequence[MetricObject]) -> Space:
-    if len(objects) == 0:
-        raise EmptyInput("need at least one object")
-    space = objects[0].space
-    for o in objects[1:]:
-        if o.space != space:
-            raise MixedSpaces("objects live in different spaces")
-    return space
-
-
 def weighted_frechet_mean(
     objects: Sequence[MetricObject],
     weights,
@@ -548,38 +533,41 @@ def weighted_frechet_mean(
 ):
     """Minimize the weighted Frechet objective over the space.
 
-    Weights may be signed (local-linear weights are).  In embeddable spaces
-    the minimizer is exact: the inverse-embedded weighted average of the
-    embedded objects, metrically projected onto the feasible image set.  On
-    the sphere one safeguarded Riemannian Newton iteration is used, whose
-    result is certified against every sample point; ``cfg`` sets its
-    stopping rule.
+    ``objects`` is a :class:`PointStack` (such as ``RddSample.ys``), taken
+    as it is, or a sequence of points of one space, checked and stacked once
+    (:meth:`PointStack.of`); there must be at least one.  Weights may be
+    signed (local-linear weights are).  In embeddable spaces the minimizer is
+    exact: the inverse-embedded weighted average of the embedded points,
+    metrically projected onto the feasible image set.  On the sphere one
+    safeguarded Riemannian Newton iteration is used, whose result is
+    certified against every sample point; ``cfg`` sets its stopping rule.
     """
     cfg = cfg or DEFAULT_SOLVE_CONFIG
-    space = _common_space(objects)
+    stack = PointStack.of(objects)
+    space = stack.space
     w = np.asarray(weights, dtype=float)
-    if w.shape != (len(objects),):
+    if w.shape != (len(stack),):
         raise ValueError("weights must match the number of objects")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
 
     if isinstance(space, HilbertSpace):
-        result, info = _embedding_mean(space, objects, w)
+        result, info = _embedding_mean(space, stack, w)
     elif isinstance(space, CompositionalSphere):
-        result, info = _sphere_mean(space, objects, w, cfg)
+        result, info = _sphere_mean(space, stack, w, cfg)
     else:  # pragma: no cover - all shipped spaces are covered above
         raise NotImplementedError(f"no Frechet mean solver for {type(space).__name__}")
     return (result, info) if return_info else result
 
 
-def _embedding_mean(space: HilbertSpace, objects, w):
+def _embedding_mean(space: HilbertSpace, stack: PointStack, w):
     total = float(w.sum())
     if total <= 0.0:
         raise SolverDiverged(
             f"total weight {total!r} is not positive; the quadratic objective "
             "has no minimizer"
         )
-    emb = space.embed_many(objects)
+    emb = space.embed_many(stack)
     mean = (w @ emb) / total
     proj = space.project_embedding(mean)
     moved = float(np.abs(proj - mean).max())
@@ -593,7 +581,7 @@ def _embedding_mean(space: HilbertSpace, objects, w):
     return out, info
 
 
-def _sphere_mean(space: CompositionalSphere, objects, w, cfg: FrechetSolveConfig):
+def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig):
     """Weighted Frechet mean on the sphere orthant.
 
     Safeguarded Riemannian Newton on the weighted squared arc length, with
@@ -615,7 +603,7 @@ def _sphere_mean(space: CompositionalSphere, objects, w, cfg: FrechetSolveConfig
     against every sample point.  Only an unconverged result above that floor
     raises :class:`SolverDiverged`.
     """
-    pts = np.stack([o.data for o in objects])
+    pts = np.ascontiguousarray(stack.data)
     w_scale = float(np.abs(w).sum()) or 1.0
 
     def objective(z: np.ndarray) -> float:

@@ -135,9 +135,9 @@ def _bad_value(value, row: int, column: str) -> ParseError:
     return ParseError(f"bad {name} value {value!r}", row=row, column=column)
 
 
-def _build_sample(line_of, r, t, z, payload, to_points, cutoff) -> RddSample:
+def _build_sample(line_of, r, t, z, payload, to_stack, cutoff) -> RddSample:
     """Check the parsed columns and build the sample, validating the payload
-    stack with ``to_points``; errors name ``line_of(i)``, the line of record
+    stack with ``to_stack``; errors name ``line_of(i)``, the line of record
     ``i``."""
     for name, col in (("t", t), ("z", z)):
         bad = [] if col is None else np.flatnonzero((col != 0.0) & (col != 1.0))
@@ -145,7 +145,7 @@ def _build_sample(line_of, r, t, z, payload, to_points, cutoff) -> RddSample:
             value, row = float(col[bad[0]]), line_of(bad[0])
             raise ParseError(f"{name} must be 0 or 1, got {value!r}", row=row, column=name)
     try:
-        ys = to_points(payload)
+        ys = to_stack(payload)
     except InvariantViolation as err:
         raise InvariantViolation(f"row {line_of(err.index)}: {err}") from None
     return RddSample(r=r, ys=ys, cutoff=cutoff, t=t, z=z)
@@ -261,9 +261,9 @@ def ingest_csv(path, space_spec: str | Space, cutoff: float, **space_opts) -> Rd
     payload = values[:, n_meta:].reshape(len(values), *space.shape)
     t, z = (values[:, 1] if has_t else None), (values[:, 1 + has_t] if has_z else None)
     sphere = isinstance(space, CompositionalSphere)
-    to_points = space.points_from_shares if sphere else space.points
+    to_stack = space.points_from_shares if sphere else space.stack
     line_of = functools.partial(_record_line, path)
-    return _build_sample(line_of, values[:, 0], t, z, payload, to_points, cutoff)
+    return _build_sample(line_of, values[:, 0], t, z, payload, to_stack, cutoff)
 
 
 def ingest_jsonl(path, space: Space, cutoff: float) -> RddSample:
@@ -297,7 +297,7 @@ def ingest_jsonl(path, space: Space, cutoff: float) -> RddSample:
 
     t, z = (np.array(t) if has_t else None), (np.array(z) if has_z else None)
     payload = np.array(ys).reshape(len(ys), *space.shape)
-    return _build_sample(lines.__getitem__, np.array(r), t, z, payload, space.points, cutoff)
+    return _build_sample(lines.__getitem__, np.array(r), t, z, payload, space.stack, cutoff)
 
 
 def ingest(path, space_spec: str | Space, cutoff: float, **space_opts) -> RddSample:
@@ -331,7 +331,7 @@ def write_sample_csv(sample: RddSample, path) -> None:
     """
     meta = [name for name in ("t", "z") if getattr(sample, name) is not None]
     columns = [sample.r.tolist()] + [getattr(sample, name).tolist() for name in meta]
-    payload = np.stack([y.data.ravel() for y in sample.ys])
+    payload = sample.ys.data.reshape(sample.n, -1)
     if isinstance(sample.space, CompositionalSphere):
         payload = payload**2  # the shares
     header = ",".join(["r"] + meta + [f"y{j}" for j in range(payload.shape[1])])

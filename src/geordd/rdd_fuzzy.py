@@ -204,8 +204,7 @@ class _EmbeddingChart:
 
     def fit(self, weights: np.ndarray, idx: np.ndarray | None = None):
         """Coordinates of the fit, and the fitted object."""
-        ys = self.ys if idx is None else [self.ys[i] for i in idx]
-        mu = weighted_frechet_mean(ys, weights)
+        mu = weighted_frechet_mean(self.ys if idx is None else self.ys[idx], weights)
         return self.space.embed(mu), mu
 
     def norm(self, u: np.ndarray) -> float:

@@ -6,14 +6,9 @@ from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
 
-from .errors import (
-    EmbeddingUnavailable,
-    InvariantViolation,
-    MixedSpaces,
-    NonFinitePayload,
-)
+from .errors import EmbeddingUnavailable, InvariantViolation, NonFinitePayload
 from .frechet import LocalLinearTables
-from .spaces import HilbertSpace, MetricObject, Space
+from .spaces import HilbertSpace, PointStack, Space
 
 __all__ = ["RddSample", "MIN_SIDE_OBS"]
 
@@ -26,15 +21,18 @@ MIN_SIDE_OBS = 20
 class RddSample:
     """Records (R_i, Y_i) with optional treatment T_i and assignment Z_i.
 
+    The outcomes ``ys`` are held as one :class:`PointStack`.  The constructor
+    takes a stack (``space.stack(payloads)``) as it is, or any sequence of
+    points of one space, checked and stacked once (:meth:`PointStack.of`).
     Records are stored sorted by the running variable, so two samples with
     the same records in any order are bit-identical; an observation exactly
-    at the cutoff belongs to the treated (right) side.  Data-adaptive
-    bandwidth selection additionally requires :data:`MIN_SIDE_OBS`
-    observations on each side.
+    at the cutoff belongs to the treated (right) side.  The running values
+    and the cutoff must be finite.  Data-adaptive bandwidth selection
+    additionally requires :data:`MIN_SIDE_OBS` observations on each side.
     """
 
     r: np.ndarray
-    ys: tuple[MetricObject, ...]
+    ys: PointStack
     cutoff: float
     t: np.ndarray | None = None
     z: np.ndarray | None = None
@@ -45,16 +43,16 @@ class RddSample:
             raise InvariantViolation("running variable must be a nonempty vector")
         if not np.all(np.isfinite(r)):
             raise NonFinitePayload("running variable contains NaN or infinite values")
-        if len(self.ys) != r.size:
+        c = float(self.cutoff)
+        if not np.isfinite(c):
+            raise NonFinitePayload(f"cutoff must be finite, got {c!r}")
+        ys = PointStack.of(self.ys)
+        if len(ys) != r.size:
             raise InvariantViolation("outcomes and running values must align")
-        space = self.ys[0].space
-        for y in self.ys:
-            if y.space != space:
-                raise MixedSpaces("all outcomes must share one space")
 
         order = np.argsort(r, kind="stable")
         object.__setattr__(self, "r", r[order])
-        object.__setattr__(self, "ys", tuple(self.ys[i] for i in order))
+        object.__setattr__(self, "ys", ys[order])
         self.r.setflags(write=False)
 
         for name in ("t", "z"):
@@ -69,7 +67,6 @@ class RddSample:
             object.__setattr__(self, name, arr[order].astype(int))
             getattr(self, name).setflags(write=False)
 
-        c = float(self.cutoff)
         object.__setattr__(self, "cutoff", c)
         if self.z is not None and np.any(self.z != (self.r >= c).astype(int)):
             raise InvariantViolation(
@@ -82,7 +79,7 @@ class RddSample:
 
     @property
     def space(self) -> Space:
-        return self.ys[0].space
+        return self.ys.space
 
     @property
     def n_left(self) -> int:
@@ -94,13 +91,16 @@ class RddSample:
 
     @cached_property
     def embeddings(self) -> np.ndarray:
-        """Stacked embedded outcomes, (n, D); requires an embeddable space."""
+        """Embedded outcomes, a read-only (n, D) array; requires an
+        embeddable space."""
         space = self.space
         if not isinstance(space, HilbertSpace):
             raise EmbeddingUnavailable(
                 f"{type(space).__name__} has no isometric embedding"
             )
-        return space.embed_many(self.ys)
+        emb = space.embed_many(self.ys)
+        emb.setflags(write=False)
+        return emb
 
     @cached_property
     def weight_tables(self) -> LocalLinearTables:

@@ -106,7 +106,7 @@ class ScalarDgp:
         r = rng.uniform(-1.0, 1.0, self.n)
         eps = rng.normal(0.0, self.sigma, self.n)
         y = np.where(r < 0.0, m_minus(r), m_plus(r, self.tau)) + eps
-        return RddSample(r=r, ys=self.space.points(y[:, None]), cutoff=self.cutoff)
+        return RddSample(r=r, ys=self.space.stack(y[:, None]), cutoff=self.cutoff)
 
     def true_effect(self) -> GeodesicEffect:
         m_minus, m_plus = scalar_regression_functions(self.setting)
@@ -177,7 +177,7 @@ class NetworkDgp:
         base = np.cos(np.pi * r / 2.0) + self.jump * (r >= 0.0)
         w = np.zeros((self.n, m, m))
         w[:, iu[0], iu[1]] = np.where(present, base[:, None] + noise, 0.0)
-        ys = self.space.points(laplacian_from_weights(w + np.swapaxes(w, 1, 2)))
+        ys = self.space.stack(laplacian_from_weights(w + np.swapaxes(w, 1, 2)))
         sample = RddSample(r=r, ys=ys, cutoff=self.cutoff)
         return sample, self.true_effect()
 

@@ -4,6 +4,7 @@ from .base import (
     GeodesicEffect,
     HilbertSpace,
     MetricObject,
+    PointStack,
     Space,
     SpaceDescriptor,
     quotient_distance,
@@ -18,6 +19,7 @@ __all__ = [
     "Space",
     "HilbertSpace",
     "MetricObject",
+    "PointStack",
     "SpaceDescriptor",
     "GeodesicEffect",
     "quotient_distance",

@@ -2,13 +2,17 @@
 
 A :class:`Space` bundles a metric, its geodesics, a geodesic transport map,
 and (where available) an isometric Hilbert embedding and Log/Exp charts.
-Points are immutable :class:`MetricObject` values; an estimated treatment
-effect is a :class:`GeodesicEffect`, an ordered pair of endpoints compared
-through the quotient metric :func:`quotient_distance`.
+A single point is an immutable :class:`MetricObject`; many points of one
+space are a :class:`PointStack`, one read-only ``(k, *shape)`` payload array
+that wraps a row as a :class:`MetricObject` only when it is indexed.  An
+estimated treatment effect is a :class:`GeodesicEffect`, an ordered pair of
+endpoints compared through the quotient metric :func:`quotient_distance`.
 
-Payloads are validated a whole ``(k, *shape)`` stack at a time, by
-:meth:`Space.points` through each space's ``_validate``; :meth:`Space.point`
-is its one-row case.
+Payloads are validated a whole stack at a time, by :meth:`Space.stack`
+through each space's ``_validate``; :meth:`Space.points` returns its rows as
+a tuple and :meth:`Space.point` is its one-row case.  Code that takes many
+points accepts a stack or any sequence of :class:`MetricObject` values
+through :meth:`PointStack.of`, which checks and stacks a sequence once.
 
 Flat spaces derive from :class:`HilbertSpace`, which writes the embedding,
 its inverse, the feasibility rule, geodesics and transport once.  A new flat
@@ -29,17 +33,20 @@ concurrently.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from ..errors import (
     EmbeddingUnavailable,
+    EmptyInput,
     InvariantViolation,
     InverseInfeasible,
     LogExpUnavailable,
+    MixedSpaces,
     NonFinitePayload,
+    NotAPoint,
     ShapeMismatch,
     SpaceMismatch,
 )
@@ -48,6 +55,7 @@ __all__ = [
     "Space",
     "HilbertSpace",
     "MetricObject",
+    "PointStack",
     "SpaceDescriptor",
     "GeodesicEffect",
     "quotient_distance",
@@ -121,6 +129,62 @@ class MetricObject:
         return f"MetricObject({self.space!r}, shape={self.data.shape})"
 
 
+@dataclass(frozen=True, eq=False)
+class PointStack(Sequence):
+    """Points of one space held as one read-only ``(k, *shape)`` payload array.
+
+    Instances are produced by ``space.stack(payloads)``, which validates the
+    whole stack at once, or by :meth:`of`.  An integer index wraps that row
+    as a :class:`MetricObject`; a slice or an index array gives the
+    :class:`PointStack` of those rows, without validating them again.
+    """
+
+    space: "Space"
+    data: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.data.setflags(write=False)
+
+    @classmethod
+    def of(cls, objects, space: "Space | None" = None) -> "PointStack":
+        """``objects`` as one nonempty stack: a :class:`PointStack` as it is,
+        or a sequence of :class:`MetricObject` values of one space, checked
+        once and stacked.  With ``space``, the points must belong to it.
+
+        Raises :class:`NotAPoint`, :class:`EmptyInput`, :class:`MixedSpaces`
+        or :class:`SpaceMismatch`.
+        """
+        if not isinstance(objects, PointStack):
+            if not isinstance(objects, Iterable):
+                raise NotAPoint(f"expected a sequence of points, got {type(objects).__name__}")
+            objs = list(objects)
+            bad = [type(o).__name__ for o in objs if not isinstance(o, MetricObject)]
+            if bad:
+                raise NotAPoint(f"expected a sequence of points, got a {bad[0]} in it")
+            if not objs:
+                raise EmptyInput("need at least one point")
+            first = objs[0].space
+            if not all(o.space is first or o.space == first for o in objs):
+                raise MixedSpaces("points live in different spaces")
+            objects = cls(first, np.stack([o.data for o in objs]))
+        if len(objects) == 0:
+            raise EmptyInput("need at least one point")
+        if space is not None and objects.space != space:
+            raise SpaceMismatch(f"points belong to {objects.space!r}, expected {space!r}")
+        return objects
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return MetricObject(self.space, self.data[index])
+        return PointStack(self.space, self.data[index])
+
+    def __iter__(self):
+        return (MetricObject(self.space, row) for row in self.data)
+
+
 class Space(ABC):
     """A uniquely geodesic metric space.
 
@@ -178,12 +242,16 @@ class Space(ABC):
 
     def point(self, data) -> MetricObject:
         """Validate ``data`` against the space invariants and wrap it."""
-        return self.points(np.asarray(data, dtype=float)[None])[0]
+        return self.stack(np.asarray(data, dtype=float)[None])[0]
 
     def points(self, stack) -> tuple[MetricObject, ...]:
-        """Validate a ``(k, *shape)`` stack of payloads at once and wrap its
-        rows; a bad row is refused as :meth:`point` refuses it."""
-        arr = np.ascontiguousarray(stack, dtype=float)
+        """The rows of :meth:`stack` as a tuple of points."""
+        return tuple(self.stack(stack))
+
+    def stack(self, payloads) -> PointStack:
+        """Validate a ``(k, *shape)`` stack of payloads at once; a bad row is
+        refused as :meth:`point` refuses it."""
+        arr = np.ascontiguousarray(payloads, dtype=float)
         if arr.shape[1:] != self.shape:
             raise ShapeMismatch(f"expected payload of shape {self.shape}, got {arr.shape[1:]}")
         if not np.isfinite(arr).all():
@@ -191,9 +259,7 @@ class Space(ABC):
             self._validate(arr[: np.argmin(finite)])  # a bad row before it fails first
             refuse_rows((~finite, "payload contains NaN or infinite entries"),
                         error=NonFinitePayload)
-        out = self._validate(arr)
-        out.setflags(write=False)
-        return tuple(MetricObject(self, row) for row in out)
+        return PointStack(self, self._validate(arr))
 
     @abstractmethod
     def _validate(self, stack: np.ndarray) -> np.ndarray:
@@ -202,7 +268,7 @@ class Space(ABC):
 
     def _check_member(self, a: MetricObject, name: str = "argument"):
         if not isinstance(a, MetricObject):
-            raise TypeError(f"{name} must be a MetricObject, got {type(a).__name__}")
+            raise NotAPoint(f"{name} must be a MetricObject, got {type(a).__name__}")
         if a.space != self:
             raise SpaceMismatch(f"{name} belongs to {a.space!r}, expected {self!r}")
 
@@ -299,7 +365,7 @@ class HilbertSpace(Space):
         return stack.copy()
 
     def _embed(self, stack: np.ndarray) -> np.ndarray:
-        """Map a (k, *shape) stack the caller owns to (k, D) rows (may be a view)."""
+        """Map a (k, *shape) stack to (k, D) rows (may be a view of it)."""
         return stack.reshape(len(stack), -1)
 
     def _inverse(self, v: np.ndarray) -> np.ndarray:
@@ -317,15 +383,16 @@ class HilbertSpace(Space):
         return rows.copy()
 
     def embed(self, a: MetricObject) -> np.ndarray:
-        self._check_member(a)
-        return self._embed(np.stack([a.data]))[0]
+        return self.embed_many([a])[0]
 
     def embed_many(self, objs: Sequence[MetricObject]) -> np.ndarray:
+        """The (k, D) embedded rows of a stack or sequence of points, as a new
+        array that the caller owns."""
         if len(objs) == 0:
             return np.empty((0, self.embedding_dim))
-        for o in objs:
-            self._check_member(o)
-        return self._embed(np.stack([o.data for o in objs]))
+        data = PointStack.of(objs, self).data
+        emb = self._embed(data)
+        return emb.copy() if np.may_share_memory(emb, data) else emb
 
     def inverse_embed(self, v, *, project: bool = False) -> MetricObject:
         """The point embedded at ``v``; with ``project``, at its projection.

@@ -17,7 +17,7 @@ from ..errors import (
     InvariantViolation,
     TransportOutOfSpace,
 )
-from .base import MetricObject, Space, refuse_rows
+from .base import MetricObject, PointStack, Space, refuse_rows
 
 __all__ = ["CompositionalSphere"]
 
@@ -97,9 +97,9 @@ class CompositionalSphere(Space):
             raise InvariantViolation("shares must be a vector of length >= 2")
         return cls(y.size).points_from_shares(y[None], floor)[0]
 
-    def points_from_shares(self, shares, floor: float = 1e-12) -> tuple[MetricObject, ...]:
-        """:meth:`from_shares` for each row of a (k, dim) stack of shares,
-        refused row by row as :meth:`points` refuses payloads."""
+    def points_from_shares(self, shares, floor: float = 1e-12) -> PointStack:
+        """:meth:`from_shares` for each row of a (k, dim) stack of shares, as
+        one stack, refused row by row as :meth:`stack` refuses payloads."""
         y = np.ascontiguousarray(shares, dtype=float)
         sums = y.sum(axis=1)
         refuse_rows(
@@ -108,7 +108,7 @@ class CompositionalSphere(Space):
             (np.abs(sums - 1.0) > 1e-8, lambda i: f"shares must sum to one, got {sums[i]!r}"),
         )
         y = np.maximum(y, floor)
-        return self.points(np.sqrt(y / y.sum(axis=1, keepdims=True)))
+        return self.stack(np.sqrt(y / y.sum(axis=1, keepdims=True)))
 
     def to_shares(self, a: MetricObject) -> np.ndarray:
         self._check_member(a)

@@ -420,6 +420,18 @@ class TestCommands:
         report = json.loads((out / "report.json").read_text())
         assert report["ok"] and report["n"] == 100
 
+    @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf"])
+    def test_validate_refuses_non_finite_cutoff(self, tmp_path, capsys, cutoff):
+        path = _setting_one_csv(tmp_path, n=100)
+        out = tmp_path / "val"
+        code = main(
+            ["validate", "--input", str(path), "--space", "euclid",
+             f"--cutoff={cutoff}", "--out", str(out)]
+        )
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "non_finite_payload"
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("spec", ["wass", "laplacian"])
     def test_validate_jsonl_sizes_space_from_first_record(self, tmp_path, spec):
         rng = np.random.default_rng(12)
