@@ -8,7 +8,6 @@ imperfect compliance, and a data-adaptive bandwidth selector.
 """
 
 from .bandwidth import (
-    BandwidthConfig,
     BandwidthSearch,
     compute_bounds,
     discrepancy_loss,
@@ -63,7 +62,6 @@ from .spaces import (
     NetworkLaplacian,
     PointStack,
     Space,
-    SpaceDescriptor,
     SpdSpace,
     Wasserstein1D,
     quotient_distance,
@@ -76,7 +74,6 @@ __all__ = [
     "errors",
     # spaces
     "Space",
-    "SpaceDescriptor",
     "MetricObject",
     "PointStack",
     "GeodesicEffect",
@@ -115,7 +112,6 @@ __all__ = [
     "estimate_riemannian_fuzzy",
     "estimate_geodesic_riemannian_fuzzy",
     # bandwidth selection
-    "BandwidthConfig",
     "BandwidthSearch",
     "compute_bounds",
     "evaluation_region",

@@ -18,7 +18,7 @@ each evaluation point have half-width 2b and never cross the cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,18 +30,16 @@ from .errors import (
     SolverDiverged,
 )
 from .frechet import (
-    KernelKind,
-    KernelSpec,
     Side,
     batch_lfr_embeddings,
-    compute_weights,
-    weighted_frechet_mean,
+    compute_weights,  # noqa: F401 - bench/tracing.py wraps this module's name
+    lfr_estimate,
+    weighted_frechet_mean,  # noqa: F401 - bench/tracing.py wraps this module's name
 )
 from .sample import MIN_SIDE_OBS, RddSample
 from .spaces import HilbertSpace
 
 __all__ = [
-    "BandwidthConfig",
     "BandwidthSearch",
     "compute_bounds",
     "evaluation_region",
@@ -52,22 +50,6 @@ __all__ = [
 #: losses within this window of the minimum count as ties (broken toward
 #: smaller bandwidths, which preserves the discontinuity)
 _TIE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class BandwidthConfig:
-    grid_size: int = 20
-    n_eval: int = 100
-    kernel: KernelKind = KernelKind.TRIANGULAR
-
-    def __post_init__(self):
-        if self.grid_size < 1:
-            raise ValueError("grid_size must be >= 1")
-        if self.n_eval < 2:
-            raise ValueError("n_eval must be >= 2")
-
-
-DEFAULT_BANDWIDTH_CONFIG = BandwidthConfig()
 
 
 @dataclass(frozen=True)
@@ -182,16 +164,15 @@ def _piecewise_integrals(pts: np.ndarray, sq: np.ndarray, valid: np.ndarray, c: 
     return total, (~valid).sum(1), any_valid
 
 
-def _grid_losses(
-    sample: RddSample, c: float, grid: np.ndarray, pts: np.ndarray, cfg: BandwidthConfig
-):
+def _grid_losses(sample: RddSample, c: float, grid: np.ndarray, pts: np.ndarray):
     """L(b) and the number of skipped evaluation points for each candidate
     of ``grid``, as two (G,) arrays.
 
-    For an embeddable space every (candidate, evaluation point) window is
-    fitted at once: one :func:`batch_lfr_embeddings` call per side over the
-    G x m grid, one feasibility projection per side and one norm pass.
-    Otherwise each window is solved on its own.  Raises
+    Every window is a triangular-kernel fit.  For an embeddable space every
+    (candidate, evaluation point) window is fitted at once: one
+    :func:`batch_lfr_embeddings` call per side over the G x m grid, one
+    feasibility projection per side and one norm pass.  Otherwise each
+    window is solved on its own by :func:`lfr_estimate`.  Raises
     :class:`AllWindowsDegenerate` for the first candidate left with no
     valid window.
     """
@@ -209,11 +190,11 @@ def _grid_losses(
         centers = np.broadcast_to(pts, shape).ravel()
         h = np.broadcast_to(2 * b, shape).ravel()
         fits_l, ok_l = batch_lfr_embeddings(
-            r, sample.embeddings, centers, h, Side.LEFT, kernel=cfg.kernel,
+            r, sample.embeddings, centers, h, Side.LEFT,
             lo=left_lo.ravel(), hi=left_hi.ravel(), tables=sample.lfr_tables,
         )
         fits_r, ok_r = batch_lfr_embeddings(
-            r, sample.embeddings, centers, h, Side.RIGHT, kernel=cfg.kernel,
+            r, sample.embeddings, centers, h, Side.RIGHT,
             lo=right_lo.ravel(), hi=right_hi.ravel(), tables=sample.lfr_tables,
         )
         keep = ok_l & ok_r
@@ -226,8 +207,8 @@ def _grid_losses(
         for (g, j), p in np.ndenumerate(np.broadcast_to(pts, shape)):
             h = 2 * float(grid[g])
             try:
-                fit_l = _solver_fit(sample, p, h, Side.LEFT, (left_lo[g, j], left_hi[g, j]), cfg)
-                fit_r = _solver_fit(sample, p, h, Side.RIGHT, (right_lo[g, j], right_hi[g, j]), cfg)
+                fit_l = lfr_estimate(sample, p, h, Side.LEFT, window=(left_lo[g, j], left_hi[g, j]))
+                fit_r = lfr_estimate(sample, p, h, Side.RIGHT, window=(right_lo[g, j], right_hi[g, j]))
             except (DegenerateWindow, SolverDiverged):
                 continue
             valid[g, j] = True
@@ -242,13 +223,7 @@ def _grid_losses(
     return losses, skipped
 
 
-def discrepancy_loss(
-    sample: RddSample,
-    c: float,
-    b: float,
-    eval_points,
-    cfg: BandwidthConfig | None = None,
-) -> tuple[float, int]:
+def discrepancy_loss(sample: RddSample, c: float, b: float, eval_points) -> tuple[float, int]:
     """Integrated squared discrepancy L(b) between left- and right-windowed
     fits over ``eval_points``.
 
@@ -260,32 +235,20 @@ def discrepancy_loss(
 
     Returns ``(loss, n_skipped)``.
     """
-    cfg = cfg or DEFAULT_BANDWIDTH_CONFIG
     pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
     if pts.size == 0:
         raise AllWindowsDegenerate("the evaluation region is empty")
-    losses, skipped = _grid_losses(sample, float(c), np.array([float(b)]), pts, cfg)
+    losses, skipped = _grid_losses(sample, float(c), np.array([float(b)]), pts)
     return float(losses[0]), int(skipped[0])
 
 
-def _solver_fit(sample, p, h, side, window, cfg: BandwidthConfig):
-    profile = compute_weights(
-        sample.r, p, h, KernelSpec(cfg.kernel, side), window=window,
-        tables=sample.weight_tables,
-    )
-    return weighted_frechet_mean(sample.ys, profile.weights)
+def select_bandwidth(sample: RddSample, grid_size: int = 20) -> BandwidthSearch:
+    """Run the full data-adaptive bandwidth search at the sample's cutoff.
 
-
-def select_bandwidth(
-    sample: RddSample,
-    c: float | None = None,
-    grid_size: int | None = None,
-    cfg: BandwidthConfig | None = None,
-) -> BandwidthSearch:
-    """Run the full data-adaptive bandwidth search.
-
-    Candidates are log-spaced over [b_min, b_max]; the selected bandwidth
-    minimizes L(b), with near-ties broken toward the smaller candidate.
+    ``grid_size`` candidates are log-spaced over [b_min, b_max], and the
+    losses are integrated over the 100-point :func:`evaluation_region`; the
+    selected bandwidth minimizes L(b), with near-ties broken toward the
+    smaller candidate.  Raises ``ValueError`` when ``grid_size`` < 1.
 
     On an embeddable space the candidates are not fitted one by one: the
     G x m (candidate, evaluation point) windows go to one
@@ -294,17 +257,16 @@ def select_bandwidth(
     per side for a default search up to n of about 2,000).  Each loss equals
     :func:`discrepancy_loss` at that candidate, with the same skipped points.
     """
-    cfg = cfg or DEFAULT_BANDWIDTH_CONFIG
-    if grid_size is not None:
-        cfg = replace(cfg, grid_size=grid_size)
-    c = sample.cutoff if c is None else float(c)
+    if grid_size < 1:
+        raise ValueError("grid_size must be >= 1")
+    c = sample.cutoff
     b_min, b_max = compute_bounds(sample.r, c)
-    grid = np.geomspace(b_min, b_max, cfg.grid_size)
-    pts = evaluation_region(sample.r, c, b_min, cfg.n_eval)
+    grid = np.geomspace(b_min, b_max, grid_size)
+    pts = evaluation_region(sample.r, c, b_min)
     if pts.size == 0:
         raise AllWindowsDegenerate("the evaluation region is empty")
 
-    losses, skipped = _grid_losses(sample, c, grid, pts, cfg)
+    losses, skipped = _grid_losses(sample, c, grid, pts)
 
     best = float(losses.min())
     ties = losses <= best + _TIE_TOL * (1.0 + best)

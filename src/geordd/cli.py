@@ -165,6 +165,12 @@ def _parse_interval(text) -> tuple[float, float] | None:
         raise ParseError(f"bad interval {text!r}; expected 'lo,hi'") from None
 
 
+def _bins(opts: dict) -> int:
+    if opts["bins"] < 1:
+        raise ParseError(f"bad bins {opts['bins']!r}; need at least 1")
+    return opts["bins"]
+
+
 def _load_sample(opts: dict) -> RddSample:
     return ingest(
         opts["input"],
@@ -251,11 +257,12 @@ def _plot_data(sample: RddSample, h0: float, h1: float, bins: int, out: Path):
 
 
 def _cmd_sharp(opts: dict, out: Path) -> int:
+    bins = _bins(opts)
     sample = _load_sample(opts)
     sample.validate_sharp()
     h0, h1, search = _resolve_bandwidths(sample, opts, out)
     est = estimate_sharp(sample, h0, h1)
-    return _write_estimate("sharp", sample, est, h0, h1, search, opts["bins"], out)
+    return _write_estimate("sharp", sample, est, h0, h1, search, bins, out)
 
 
 def _write_estimate(command, sample, est, h0, h1, search, bins, out: Path) -> int:
@@ -273,6 +280,7 @@ def _write_estimate(command, sample, est, h0, h1, search, bins, out: Path) -> in
 
 
 def _cmd_fuzzy(opts: dict, out: Path) -> int:
+    bins = _bins(opts)
     sample = _load_sample(opts)
     variant = _FUZZY_VARIANTS[opts["fuzzy_variant"]]
     h0, h1, search = _resolve_bandwidths(sample, opts, out)
@@ -295,7 +303,7 @@ def _cmd_fuzzy(opts: dict, out: Path) -> int:
             est = estimate_geodesic_fuzzy(sample, h0, h1, nc)
         else:
             est = estimate_geodesic_riemannian_fuzzy(sample, reference, nc, h0, h1)
-    return _write_estimate("fuzzy", sample, est, h0, h1, search, opts["bins"], out)
+    return _write_estimate("fuzzy", sample, est, h0, h1, search, bins, out)
 
 
 def _cmd_bandwidth(opts: dict, out: Path) -> int:

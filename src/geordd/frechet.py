@@ -135,17 +135,6 @@ class WeightProfile:
         self.weights.setflags(write=False)
         self.slope_weights.setflags(write=False)
 
-    def to_json(self) -> dict:
-        return {
-            "bandwidth": self.bandwidth,
-            "side": self.side.value,
-            "center": self.center,
-            "moments": [self.mu0, self.mu1, self.mu2],
-            "sigma2": self.sigma2,
-            "n_norm": self.n_norm,
-            "weights": self.weights.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class FrechetSolveConfig:

@@ -18,15 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bandwidth import BandwidthConfig, compute_bounds, select_bandwidth
-from .errors import (
-    AllWindowsDegenerate,
-    DegenerateWindow,
-    ExcessiveFailures,
-    InsufficientData,
-    InvertedBounds,
-    SolverDiverged,
-)
+from .bandwidth import compute_bounds, select_bandwidth
+from .errors import REFUSAL_ERRORS, AllWindowsDegenerate, ExcessiveFailures, InvertedBounds
 from .rdd_sharp import estimate_sharp
 from .sample import RddSample
 from .spaces import (
@@ -52,6 +45,9 @@ __all__ = [
 RNG_ALGORITHM = "numpy-pcg64-seedsequence"
 
 _SETTINGS = ("I", "II", "III", "IV")
+
+#: a campaign fails when more than this share of its replications is refused
+_MAX_FAIL_SHARE = 0.05
 
 
 def scalar_regression_functions(setting: str):
@@ -270,7 +266,7 @@ def _campaign_config_hash(payload: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _one_rep(dgp, rng, bandwidth, bw_cfg):
+def _one_rep(dgp, rng, bandwidth):
     """One replication: returns (setting, bandwidth_used, bias, fallback_flag)."""
     if isinstance(dgp, NetworkDgp):
         sample, truth = dgp.sample(rng)
@@ -283,7 +279,7 @@ def _one_rep(dgp, rng, bandwidth, bw_cfg):
     fallback = False
     if bandwidth == "auto":
         try:
-            b = select_bandwidth(sample, cfg=bw_cfg).b_star
+            b = select_bandwidth(sample).b_star
         except (InvertedBounds, AllWindowsDegenerate) as err:
             # The candidate range can be infeasible in small samples (the
             # 20th-closest rule may exceed half the support); fall back to
@@ -307,16 +303,15 @@ def run_campaign(
     reps: int,
     seed: int = 0,
     bandwidth: str | float = "auto",
-    bw_cfg: BandwidthConfig | None = None,
-    max_fail_share: float = 0.05,
 ) -> CampaignResult:
     """Monte Carlo campaign over ``sizes`` x ``reps`` replications.
 
     Per-replication seeds are spawned deterministically from the campaign
     seed, so a campaign is reproducible byte-for-byte.  Replications whose
-    estimate is refused are recorded with ``fail_flag=1`` and excluded from
-    summaries; the campaign raises :class:`ExcessiveFailures` when more than
-    ``max_fail_share`` of them fail.
+    estimate is refused (any of ``errors.REFUSAL_ERRORS``) are recorded with
+    ``fail_flag=1`` and excluded from summaries; the campaign raises
+    :class:`ExcessiveFailures` when more than 5 % (``_MAX_FAIL_SHARE``) of
+    them fail.
     """
     if reps < 10:
         raise ValueError("reps must be >= 10")
@@ -331,15 +326,9 @@ def run_campaign(
         for rep in range(reps):
             rng = np.random.default_rng(children[i * reps + rep])
             try:
-                setting, b, bias, fallback = _one_rep(sized, rng, bandwidth, bw_cfg)
+                setting, b, bias, fallback = _one_rep(sized, rng, bandwidth)
                 failed = 0
-            except (
-                DegenerateWindow,
-                InsufficientData,
-                InvertedBounds,
-                AllWindowsDegenerate,
-                SolverDiverged,
-            ):
+            except REFUSAL_ERRORS:
                 setting, b, bias = getattr(dgp, "setting", "network"), np.nan, np.nan
                 fallback, failed = False, 1
             n_fail += failed
@@ -350,10 +339,9 @@ def run_campaign(
             )
 
     total = len(sizes) * reps
-    if n_fail > max_fail_share * total:
+    if n_fail > _MAX_FAIL_SHARE * total:
         raise ExcessiveFailures(
-            f"{n_fail} of {total} replications failed "
-            f"(limit {max_fail_share:.0%})"
+            f"{n_fail} of {total} replications failed (limit {_MAX_FAIL_SHARE:.0%})"
         )
 
     config = {

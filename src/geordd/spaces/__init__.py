@@ -6,7 +6,6 @@ from .base import (
     MetricObject,
     PointStack,
     Space,
-    SpaceDescriptor,
     quotient_distance,
 )
 from .euclidean import Euclidean, FunctionalL2
@@ -20,7 +19,6 @@ __all__ = [
     "HilbertSpace",
     "MetricObject",
     "PointStack",
-    "SpaceDescriptor",
     "GeodesicEffect",
     "quotient_distance",
     "Euclidean",

@@ -56,7 +56,6 @@ __all__ = [
     "HilbertSpace",
     "MetricObject",
     "PointStack",
-    "SpaceDescriptor",
     "GeodesicEffect",
     "quotient_distance",
 ]
@@ -77,27 +76,6 @@ def refuse_rows(*checks, error=InvariantViolation):
         raise err
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
-    """Static metadata describing a space: tag, variant, shape, capabilities.
-
-    ``beta1`` and ``beta2`` are the curvature exponents governing the bias and
-    stochastic convergence rates; all shipped spaces use the quadratic value 2.
-    """
-
-    tag: str
-    variant: str | None
-    shape: tuple[int, ...]
-    beta1: float = 2.0
-    beta2: float = 2.0
-    embedding_available: bool = False
-    logexp_available: bool = False
-
-    def __post_init__(self):
-        if not (self.beta1 > 1.0 and self.beta2 > 1.0):
-            raise ValueError("curvature exponents must exceed 1")
-
-
 @dataclass(frozen=True, eq=False)
 class MetricObject:
     """A point in a geodesic metric space.
@@ -111,11 +89,6 @@ class MetricObject:
 
     def __post_init__(self):
         self.data.setflags(write=False)
-
-    @property
-    def payload(self) -> np.ndarray:
-        """Flat copy of the payload (row-major for matrix spaces)."""
-        return self.data.ravel().copy()
 
     def to_json(self) -> dict:
         return {
@@ -213,15 +186,6 @@ class Space(ABC):
     @property
     def logexp_available(self) -> bool:
         return False
-
-    def descriptor(self) -> SpaceDescriptor:
-        return SpaceDescriptor(
-            tag=self.tag,
-            variant=self.variant,
-            shape=self.shape,
-            embedding_available=self.embedding_available,
-            logexp_available=self.logexp_available,
-        )
 
     def __eq__(self, other):
         if self is other:
@@ -463,9 +427,6 @@ class GeodesicEffect:
     @property
     def space(self) -> Space:
         return self.start.space
-
-    def evaluate(self, t: float) -> MetricObject:
-        return self.space.geodesic(self.start, self.end, t)
 
     def to_json(self) -> dict:
         return {

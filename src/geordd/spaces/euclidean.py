@@ -60,8 +60,8 @@ class FunctionalL2(HilbertSpace):
         if n_grid < 2:
             raise ValueError("n_grid must be >= 2")
         lo, hi = float(domain[0]), float(domain[1])
-        if not hi > lo:
-            raise ValueError("domain must be a nondegenerate interval")
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError("domain must be a finite, nondegenerate interval")
         self._n = int(n_grid)
         self._domain = (lo, hi)
         self.grid = np.linspace(lo, hi, self._n)

@@ -59,7 +59,7 @@ class NetworkLaplacian(HilbertSpace):
             raise ValueError("n_nodes must be >= 2")
         self._m = int(n_nodes)
         self._wmax = None if max_weight is None else float(max_weight)
-        if self._wmax is not None and self._wmax <= 0:
+        if self._wmax is not None and not self._wmax > 0:
             raise ValueError("max_weight must be positive")
 
     @property

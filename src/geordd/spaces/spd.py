@@ -23,6 +23,9 @@ __all__ = ["SpdSpace", "SPD_VARIANTS"]
 
 SPD_VARIANTS = ("frobenius", "power", "log_euclidean", "log_cholesky")
 
+#: positive-definiteness floor for validation and projection
+_EPS_PD = 1e-10
+
 
 def _sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + np.swapaxes(mat, -1, -2))
@@ -44,29 +47,21 @@ class SpdSpace(HilbertSpace):
     variant : one of ``frobenius``, ``power``, ``log_euclidean``,
         ``log_cholesky``.
     power : exponent for the power metric (ignored otherwise).
-    eps_pd : positive-definiteness floor for validation and projection.
     """
 
     tag = "spd"
 
-    def __init__(
-        self,
-        size: int,
-        variant: str = "frobenius",
-        power: float = 0.5,
-        eps_pd: float = 1e-10,
-    ):
+    def __init__(self, size: int, variant: str = "frobenius", power: float = 0.5):
         if size < 1:
             raise ValueError("size must be >= 1")
         variant = variant.lower().replace("-", "_")
         if variant not in SPD_VARIANTS:
             raise ValueError(f"unknown SPD variant {variant!r}; choose from {SPD_VARIANTS}")
-        if variant == "power" and power <= 0:
-            raise ValueError("power exponent must be positive")
+        if variant == "power" and not 0 < power < np.inf:
+            raise ValueError("power exponent must be positive and finite")
         self._m = int(size)
         self._variant = variant
         self._power = float(power)
-        self._eps = float(eps_pd)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -82,10 +77,10 @@ class SpdSpace(HilbertSpace):
 
     @property
     def eps_pd(self) -> float:
-        return self._eps
+        return _EPS_PD
 
     def _key(self):
-        return (self._m, self._variant, self._power, self._eps)
+        return (self._m, self._variant, self._power)
 
     # -- validation ---------------------------------------------------------------
 
@@ -96,9 +91,9 @@ class SpdSpace(HilbertSpace):
         refuse_rows(
             (np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2)) > 1e-10 * scale,
              "matrix must be symmetric"),
-            (lam_min < self._eps - 1e-12 * scale,
+            (lam_min < _EPS_PD - 1e-12 * scale,
              lambda i: f"smallest eigenvalue {float(lam_min[i])!r} is below the floor "
-             f"{self._eps!r}"),
+             f"{_EPS_PD!r}"),
         )
         return sym
 
@@ -140,6 +135,6 @@ class SpdSpace(HilbertSpace):
         sym = _sym(mat)
         if self._variant in ("frobenius", "power"):
             # smallest admissible eigenvalue in the embedding domain
-            floor = self._eps if self._variant == "frobenius" else self._eps**self._power
+            floor = _EPS_PD if self._variant == "frobenius" else _EPS_PD**self._power
             sym = _sym_apply(sym, lambda lam: np.maximum(lam, floor))
         return sym.reshape(rows.shape)

@@ -28,6 +28,9 @@ _ANTIPODAL_TOL = 1e-8
 #: exponential images with a coordinate below -_ORTHANT_TOL leave the orthant
 _ORTHANT_TOL = 1e-9
 
+#: zero shares are raised to this before the square-root map
+_SHARE_FLOOR = 1e-12
+
 
 def _row_norms(stack: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of a (k, dim) stack, each summed as
@@ -85,19 +88,19 @@ class CompositionalSphere(Space):
         return out / _row_norms(out)[:, None]
 
     @classmethod
-    def from_shares(cls, shares, floor: float = 1e-12) -> MetricObject:
+    def from_shares(cls, shares) -> MetricObject:
         """Build a point from raw compositional shares (a simplex vector).
 
-        Zero shares are floored at ``floor`` and the composition renormalized
+        Zero shares are floored at 1e-12 and the composition renormalized
         before taking square roots, so boundary compositions stay inside the
         open orthant where the geometry is well behaved.
         """
         y = np.asarray(shares, dtype=float)
         if y.ndim != 1 or y.size < 2:
             raise InvariantViolation("shares must be a vector of length >= 2")
-        return cls(y.size).points_from_shares(y[None], floor)[0]
+        return cls(y.size).points_from_shares(y[None])[0]
 
-    def points_from_shares(self, shares, floor: float = 1e-12) -> PointStack:
+    def points_from_shares(self, shares) -> PointStack:
         """:meth:`from_shares` for each row of a (k, dim) stack of shares, as
         one stack, refused row by row as :meth:`stack` refuses payloads."""
         y = np.ascontiguousarray(shares, dtype=float)
@@ -107,7 +110,7 @@ class CompositionalSphere(Space):
              "shares must be finite and nonnegative"),
             (np.abs(sums - 1.0) > 1e-8, lambda i: f"shares must sum to one, got {sums[i]!r}"),
         )
-        y = np.maximum(y, floor)
+        y = np.maximum(y, _SHARE_FLOOR)
         return self.stack(np.sqrt(y / y.sum(axis=1, keepdims=True)))
 
     def to_shares(self, a: MetricObject) -> np.ndarray:

@@ -11,7 +11,6 @@ to a compact support interval.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .base import HilbertSpace, MetricObject, refuse_rows
 
@@ -75,6 +74,8 @@ class Wasserstein1D(HilbertSpace):
     def _project(self, rows):
         """Weighted isotonic projection (pool-adjacent-violators) of the rows
         that leave the nondecreasing cone, then clamping into the support."""
+        from scipy.optimize import isotonic_regression  # slow to import; only used here
+
         out = rows.copy()
         for i in np.flatnonzero(~np.all(np.diff(rows, axis=1) >= 0.0, axis=1)):
             out[i] = isotonic_regression(rows[i], weights=self._hilbert_weights).x

@@ -186,6 +186,11 @@ class TestSelectBandwidth:
         assert len(rows) == 7
         assert all(len(row) == 2 for row in rows)
 
+    def test_empty_grid_is_refused(self):
+        sample = generate_scalar(ScalarDgp(setting="I", n=200, seed=31))
+        with pytest.raises(ValueError, match="grid_size must be >= 1"):
+            select_bandwidth(sample, grid_size=0)
+
     def test_wasserstein_outcomes(self):
         # distributional outcomes exercise the isotonic projection inside the
         # discrepancy loss; a location-shift jump should be recovered at b*
@@ -209,8 +214,8 @@ class TestSelectBandwidth:
 
     def test_sphere_solver_path(self):
         # non-embeddable outcomes use the iterative solver inside the loss;
-        # keep the grids small to bound the runtime
-        from geordd import BandwidthConfig, CompositionalSphere
+        # keep the candidate grid small to bound the runtime
+        from geordd import CompositionalSphere
 
         from conftest import rand_sphere
 
@@ -224,8 +229,7 @@ class TestSelectBandwidth:
             for ri in r
         )
         sample = RddSample(r=r, ys=ys, cutoff=0.0)
-        cfg = BandwidthConfig(grid_size=4, n_eval=15)
-        search = select_bandwidth(sample, cfg=cfg)
+        search = select_bandwidth(sample, grid_size=4)
         assert search.b_min <= search.b_star <= search.b_max
         assert np.all(np.isfinite(search.losses))
 

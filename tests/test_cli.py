@@ -12,9 +12,11 @@ import pytest
 from geordd import (
     CompositionalSphere,
     Euclidean,
+    FunctionalL2,
     NetworkLaplacian,
     RddSample,
     ScalarDgp,
+    SpdSpace,
     Wasserstein1D,
     generate_scalar,
 )
@@ -23,7 +25,7 @@ from geordd.cli import main
 from geordd.errors import InvariantViolation, ParseError
 from geordd.io import ingest, ingest_csv, write_sample_csv
 
-from conftest import rand_laplacian, rand_quantile
+from conftest import rand_function, rand_laplacian, rand_quantile, rand_spd
 
 
 def _write(path: Path, text: str) -> Path:
@@ -408,6 +410,52 @@ class TestCommands:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["search"]["b_min"] < report["search"]["b_star"] <= report["search"]["b_max"]
+
+    def test_bandwidth_command_refuses_empty_grid(self, tmp_path, capsys):
+        path = _setting_one_csv(tmp_path, n=200)
+        code = main(
+            ["bandwidth", "--input", str(path), "--space", "euclid", "--cutoff", "0",
+             "--grid-size", "0", "--out", str(tmp_path / "bw")]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "ValueError" and "grid_size" in err["message"]
+
+    @pytest.mark.parametrize("bins", [0, -1])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_sharp_refuses_fewer_than_one_bin(self, tmp_path, capsys, bins, source):
+        path = _setting_one_csv(tmp_path, n=200)
+        out = tmp_path / "o"
+        args = ["sharp", "--input", str(path), "--space", "euclid", "--cutoff", "0",
+                "--bw", "0.5", "--out", str(out)]
+        if source == "flag":
+            args += [f"--bins={bins}"]
+        else:
+            args += ["--config", str(_write(tmp_path / "cfg.json", json.dumps({"bins": bins})))]
+        assert main(args) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "parse_error"
+        assert not (out / "bins.csv").exists()
+
+    @pytest.mark.parametrize(
+        "space, sampler, spec, flags",
+        [
+            (NetworkLaplacian(3, 5.0), rand_laplacian, "laplacian", ["--wmax", "nan"]),
+            (SpdSpace(2, "power"), rand_spd, "spd:power", ["--power", "nan"]),
+            (FunctionalL2(6), rand_function, "l2", ["--domain", "0,inf"]),
+        ],
+        ids=["wmax-nan", "power-nan", "domain-inf"],
+    )
+    def test_non_finite_space_parameter_exits_one(
+        self, tmp_path, capsys, space, sampler, spec, flags
+    ):
+        rng = np.random.default_rng(14)
+        r = rng.uniform(-1, 1, 60)
+        path = tmp_path / "s.csv"
+        write_sample_csv(RddSample(r, [sampler(space, rng) for _ in r], 0.0), path)
+        code = main(["sharp", "--input", str(path), "--space", spec, "--cutoff", "0",
+                     "--bw", "0.5", *flags, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["type"] == "ValueError"
 
     def test_validate_command(self, tmp_path):
         path = _setting_one_csv(tmp_path, n=100)

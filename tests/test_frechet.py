@@ -133,13 +133,6 @@ class TestComputeWeights:
         with pytest.raises(ValueError, match="positive and finite"):
             compute_weights(np.linspace(-1, 1, 50), 0.0, h)
 
-    def test_json_serializable(self):
-        import json
-
-        r = np.linspace(-1, 1, 50)
-        profile = compute_weights(r, 0.0, 0.5, KernelSpec(TRI, Side.LEFT))
-        json.dumps(profile.to_json())
-
 
 class TestWeightedFrechetMean:
     def test_euclidean_average(self):

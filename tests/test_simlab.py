@@ -10,6 +10,8 @@ from geordd import (
     generate_scalar,
     run_campaign,
 )
+from geordd import simlab
+from geordd.errors import ExcessiveFailures, InsufficientData
 from geordd.simlab import fit_rate, scalar_regression_functions
 
 
@@ -133,3 +135,26 @@ class TestRunCampaign:
         )
         assert res.metadata["rng"] == "numpy-pcg64-seedsequence"
         assert "config_hash" in res.metadata
+
+    def test_mostly_failing_campaign_raises(self):
+        # at n = 40 most draws have fewer than 20 observations on one side
+        with pytest.raises(ExcessiveFailures, match=r"limit 5%"):
+            run_campaign(ScalarDgp(n=40), sizes=[40], reps=10, seed=0)
+
+    @pytest.mark.parametrize("n_refused", [1, 2])
+    def test_failure_limit_is_five_percent(self, monkeypatch, n_refused):
+        one_rep = simlab._one_rep
+        calls = iter(range(20))
+
+        def refuse_first(dgp, rng, bandwidth):
+            if next(calls) < n_refused:
+                raise InsufficientData("refused")
+            return one_rep(dgp, rng, bandwidth)
+
+        monkeypatch.setattr(simlab, "_one_rep", refuse_first)
+        kw = dict(sizes=[100], reps=20, seed=3, bandwidth=0.4)
+        if n_refused == 1:  # 1 of 20 is within the limit
+            assert run_campaign(ScalarDgp(seed=0), **kw).metadata["n_failures"] == 1
+        else:
+            with pytest.raises(ExcessiveFailures, match=r"2 of 20 .*limit 5%"):
+                run_campaign(ScalarDgp(seed=0), **kw)

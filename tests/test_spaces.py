@@ -1,11 +1,16 @@
 """Unit tests for the metric spaces: worked examples and error paths."""
 
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import logm
 
+import geordd
 from geordd import (
     CompositionalSphere,
     Euclidean,
@@ -474,6 +479,23 @@ class TestValidation:
         with pytest.raises(InvariantViolation):
             Wasserstein1D(3, support=(0.0, 1.0)).point([0.0, 0.5, 2.0])
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: NetworkLaplacian(3, max_weight=float("nan")),
+            lambda: SpdSpace(2, "power", power=float("nan")),
+            lambda: SpdSpace(2, "power", power=float("inf")),
+            lambda: FunctionalL2(24, (0.0, float("inf"))),
+            lambda: FunctionalL2(24, (float("-inf"), 0.0)),
+            lambda: FunctionalL2(24, (0.0, float("nan"))),
+        ],
+        ids=["wmax-nan", "power-nan", "power-inf", "domain-inf", "domain-neg-inf",
+             "domain-nan"],
+    )
+    def test_non_finite_parameters_are_refused(self, make):
+        with pytest.raises(ValueError):
+            make()
+
 
 class TestSerialization:
     def test_json_roundtrip(self, space_case):
@@ -493,14 +515,14 @@ class TestSerialization:
         assert space == space
 
     def test_descriptor_capabilities(self):
-        assert Euclidean(2).descriptor().embedding_available
-        assert Euclidean(2).descriptor().logexp_available
-        assert not CompositionalSphere(3).descriptor().embedding_available
-        assert CompositionalSphere(3).descriptor().logexp_available
-        assert SpdSpace(2, "log_cholesky").descriptor().embedding_available
-        assert not SpdSpace(2, "log_cholesky").descriptor().logexp_available
-        desc = FunctionalL2(24).descriptor()
-        assert desc.beta1 == 2.0 and desc.beta2 == 2.0
+        assert Euclidean(2).embedding_available
+        assert Euclidean(2).logexp_available
+        assert not CompositionalSphere(3).embedding_available
+        assert CompositionalSphere(3).logexp_available
+        assert SpdSpace(2, "log_cholesky").embedding_available
+        assert not SpdSpace(2, "log_cholesky").logexp_available
+        assert FunctionalL2(24).embedding_available
+        assert not FunctionalL2(24).logexp_available
 
     def test_effect_length_is_endpoint_distance(self):
         rng = np.random.default_rng(8)
@@ -509,3 +531,14 @@ class TestSerialization:
             effect = GeodesicEffect(start, end, omega)
             assert effect.length == space.distance(start, end), name
             assert effect.to_json()["length"] == effect.length
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is slow to import and only the Wasserstein projection
+    # needs it, so it is imported there
+    env = {**os.environ, "PYTHONPATH": str(Path(geordd.__file__).parents[1])}
+    code = "import sys, geordd; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
