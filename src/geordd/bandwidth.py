@@ -51,6 +51,10 @@ __all__ = [
 #: smaller bandwidths, which preserves the discontinuity)
 _TIE_TOL = 1e-12
 
+#: points of the even grid over the support from which the evaluation
+#: region drops its exclusion zones
+_N_EVAL = 100
+
 
 @dataclass(frozen=True)
 class BandwidthSearch:
@@ -109,14 +113,13 @@ def compute_bounds(r_values, c: float) -> tuple[float, float]:
     return b_min, b_max
 
 
-def evaluation_region(
-    r_values, c: float, b_min: float, n_eval: int = 100
-) -> np.ndarray:
-    """Evaluation points: an even grid over the support, minus the exclusion
-    zones [c - b_min, c + b_min] and the two boundary strips of width b_min."""
+def evaluation_region(r_values, c: float, b_min: float) -> np.ndarray:
+    """Evaluation points: the ``_N_EVAL``-point even grid over the support,
+    minus the exclusion zones [c - b_min, c + b_min] and the two boundary
+    strips of width b_min."""
     r = np.asarray(r_values, dtype=float)
     r_lo, r_hi = float(r.min()), float(r.max())
-    pts = np.linspace(r_lo, r_hi, int(n_eval))
+    pts = np.linspace(r_lo, r_hi, _N_EVAL)
     keep = (
         (np.abs(pts - c) > b_min)
         & (pts > r_lo + b_min)
@@ -246,9 +249,10 @@ def select_bandwidth(sample: RddSample, grid_size: int = 20) -> BandwidthSearch:
     """Run the full data-adaptive bandwidth search at the sample's cutoff.
 
     ``grid_size`` candidates are log-spaced over [b_min, b_max], and the
-    losses are integrated over the 100-point :func:`evaluation_region`; the
-    selected bandwidth minimizes L(b), with near-ties broken toward the
-    smaller candidate.  Raises ``ValueError`` when ``grid_size`` < 1.
+    losses are integrated over :func:`evaluation_region`, the points of the
+    ``_N_EVAL`` = 100-point grid outside its exclusion zones; the selected
+    bandwidth minimizes L(b), with near-ties broken toward the smaller
+    candidate.  Raises ``ValueError`` when ``grid_size`` < 1.
 
     On an embeddable space the candidates are not fitted one by one: the
     G x m (candidate, evaluation point) windows go to one

@@ -9,10 +9,11 @@ of squared distances, with signed local-linear weights
 
 where mu_k are the kernel moments of (R - r) and sigma^2 = mu0*mu2 - mu1^2.
 For scalar outcomes the minimizer is exactly the local linear intercept; for
-outcomes in a space with an isometric Hilbert embedding, it is the
-inverse-embedded weighted average of the embedded outcomes, metrically
-projected onto the feasible set.  Only positively curved spaces without an
-embedding (the compositional sphere) need an iterative solver.
+outcomes in a space with an isometric Hilbert embedding, it is computed as
+the inverse-embedded weighted average of the embedded outcomes, projected
+onto the feasible set by the space's feasibility rule.  Only positively
+curved spaces without an embedding (the compositional sphere) need an
+iterative solver.
 
 Every local-linear fit takes its window moments from one engine,
 :class:`LocalLinearTables`, at any number of centers: single-point fits
@@ -525,11 +526,13 @@ def weighted_frechet_mean(
     ``objects`` is a :class:`PointStack` (such as ``RddSample.ys``), taken
     as it is, or a sequence of points of one space, checked and stacked once
     (:meth:`PointStack.of`); there must be at least one.  Weights may be
-    signed (local-linear weights are).  In embeddable spaces the minimizer is
-    exact: the inverse-embedded weighted average of the embedded points,
-    metrically projected onto the feasible image set.  On the sphere one
-    safeguarded Riemannian Newton iteration is used, whose result is
-    certified against every sample point; ``cfg`` sets its stopping rule.
+    signed (local-linear weights are).  In embeddable spaces the result is
+    the inverse-embedded weighted average of the embedded points, projected
+    onto the feasible image set: the exact minimizer wherever that
+    projection is metric, which ``NetworkLaplacian``'s clamp-and-reset rule
+    is not.  On the sphere one safeguarded Riemannian Newton iteration is
+    used, whose result is certified against every sample point; ``cfg``
+    sets its stopping rule.
     """
     cfg = cfg or DEFAULT_SOLVE_CONFIG
     stack = PointStack.of(objects)

@@ -139,6 +139,13 @@ class NetworkDgp:
             raise ValueError("n must be >= 40")
         if self.n_nodes < 2 or self.n_nodes % 2:
             raise ValueError("n_nodes must be a positive even number")
+        for name in ("p_within", "p_between"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be a probability in [0, 1]")
+        # cos(pi R / 2) vanishes at R = 1, so a negative jump would draw
+        # negative edge weights there
+        if not 0.0 <= self.jump < math.inf:
+            raise ValueError("jump must be finite and >= 0")
 
     @property
     def cutoff(self) -> float:
@@ -147,7 +154,7 @@ class NetworkDgp:
     @property
     def space(self) -> NetworkLaplacian:
         # weights are bounded by cos <= 1 plus the jump plus unit noise
-        return NetworkLaplacian(self.n_nodes, max_weight=2.0 + max(self.jump, 0.0))
+        return NetworkLaplacian(self.n_nodes, max_weight=2.0 + self.jump)
 
     def edge_probabilities(self) -> np.ndarray:
         m = self.n_nodes

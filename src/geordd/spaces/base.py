@@ -21,9 +21,12 @@ space supplies ``shape`` and, where the defaults do not hold:
 - ``_validate``, when payloads carry invariants (default: none);
 - ``_embed`` and ``_inverse``, when the embedding is not the flattened
   payload (default: flatten, and reshape back);
-- ``_project``, the metric projection of each row of a ``(k, D)`` stack onto
-  the image set, when that set is not the whole Hilbert space (default: the
-  identity); ``project_embedding`` applies it to one vector or to a stack;
+- ``_project``, the feasibility projection of each row of a ``(k, D)``
+  stack onto the image set, when that set is not the whole Hilbert space
+  (default: the identity); ``project_embedding`` applies it to one vector or
+  to a stack.  It is the metric projection except in ``NetworkLaplacian``,
+  whose clamp-and-reset rule lands in the image set but not at its nearest
+  point;
 - ``_hilbert_weights``, when the inner product is not the dot product.
 
 All operations are pure functions of immutable values and are safe to call
@@ -337,8 +340,8 @@ class HilbertSpace(Space):
         return v.reshape(self.shape)
 
     def project_embedding(self, v: np.ndarray) -> np.ndarray:
-        """Metric projection onto the image set of a (D,) vector, or of each
-        row of a (k, D) stack; returns a new array of the same shape."""
+        """Feasibility projection onto the image set of a (D,) vector, or of
+        each row of a (k, D) stack; returns a new array of the same shape."""
         v = np.asarray(v, dtype=float)
         return self._project(v.reshape(-1, self.embedding_dim)).reshape(v.shape)
 

@@ -3,8 +3,10 @@
 Undirected weighted graphs on a fixed node set are represented by their
 Laplacians L = D - W.  The set of such Laplacians with edge weights in
 [0, max_weight] is convex and closed, so the Frobenius metric gives a flat
-geometry: the embedding is the identity (flattened matrix) and geodesics are
-straight lines.
+geometry in which geodesics are straight lines.  The embedding is the
+half-vectorised chart z = (sqrt(2) L_ij for i < j in ``np.triu_indices``
+order, then L_ii): m(m+1)/2 coordinates under the plain dot product, with
+|z| = |L|_F, instead of the m^2 entries of the flattened matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from .base import HilbertSpace, MetricObject, refuse_rows
 from .spd import _sym
 
 __all__ = ["NetworkLaplacian", "laplacian_from_weights"]
+
+_SQRT2 = np.sqrt(2.0)
 
 
 def _diag(v: np.ndarray) -> np.ndarray:
@@ -61,6 +65,16 @@ class NetworkLaplacian(HilbertSpace):
         self._wmax = None if max_weight is None else float(max_weight)
         if self._wmax is not None and not self._wmax > 0:
             raise ValueError("max_weight must be positive")
+        m = self._m
+        self._iu = np.triu_indices(m, k=1)
+        self._n_edges = self._iu[0].size
+        # flat payload entry of each chart coordinate: the edges, then the diagonal
+        self._entries = np.concatenate([self._iu[0] * m + self._iu[1], np.arange(m) * (m + 1)])
+        # edge coordinates incident to each node, in increasing neighbour order
+        edge = np.zeros((m, m), dtype=np.intp)
+        edge[self._iu] = np.arange(self._n_edges)
+        edge += edge.T
+        self._incident = edge[~np.eye(m, dtype=bool)].reshape(m, m - 1)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -73,6 +87,10 @@ class NetworkLaplacian(HilbertSpace):
     @property
     def max_weight(self) -> float | None:
         return self._wmax
+
+    @property
+    def embedding_dim(self) -> int:
+        return self._m * (self._m + 1) // 2
 
     def _key(self):
         return (self._m, self._wmax)
@@ -95,12 +113,30 @@ class NetworkLaplacian(HilbertSpace):
         # canonicalize: exact symmetry and exact zero row sums
         return _laplacian(_off_diagonal(_sym(stack)))
 
+    def _embed(self, stack):
+        out = stack.reshape(len(stack), -1)[:, self._entries]
+        out[:, : self._n_edges] *= _SQRT2
+        return out
+
+    def _inverse(self, v):
+        off = np.zeros(self.shape)
+        off[self._iu] = v[: self._n_edges] / _SQRT2
+        return _diag(v[self._n_edges :]) + off + off.T
+
     def _project(self, rows):
-        """Symmetrize, clamp off-diagonal entries into the admissible weight
-        range, and reset the diagonal from the row sums."""
-        lo = -self._wmax if self._wmax is not None else -np.inf
-        off = np.clip(_off_diagonal(_sym(rows.reshape(-1, self._m, self._m))), lo, 0.0)
-        return _laplacian(off).reshape(rows.shape)
+        """Clamp the edge weights into [0, max_weight] and reset the diagonal
+        from the row sums; unclamped edge coordinates are returned unchanged.
+
+        This is a feasibility rule, not the Frobenius metric projection: an
+        edge weight also enters two diagonal entries, so clamping it alone
+        does not find the nearest admissible Laplacian.
+        """
+        e = self._n_edges
+        out = rows.copy()
+        lo = -_SQRT2 * self._wmax if self._wmax is not None else -np.inf
+        off = np.clip(out[:, :e], lo, 0.0, out=out[:, :e])
+        out[:, e:] = off[:, self._incident].sum(axis=-1) / -_SQRT2
+        return out
 
     def weights_of(self, a: MetricObject) -> np.ndarray:
         """Edge-weight matrix recovered from the Laplacian."""

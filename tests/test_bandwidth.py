@@ -81,7 +81,7 @@ class TestEvaluationRegion:
         r = rng.uniform(-1, 1, 500)
         c = 0.1
         b_min = 0.17
-        pts = evaluation_region(r, c, b_min, n_eval=100)
+        pts = evaluation_region(r, c, b_min)
         r_lo, r_hi = r.min(), r.max()
         assert np.all(np.abs(pts - c) > b_min)
         assert np.all(pts > r_lo + b_min)

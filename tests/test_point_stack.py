@@ -196,7 +196,7 @@ def test_estimates_leave_the_embeddings_unchanged():
     estimate_sharp(sample, search.b_star, search.b_star)
     assert sample.embeddings is emb and not emb.flags.writeable
     np.testing.assert_array_equal(emb, before)
-    np.testing.assert_array_equal(emb, sample.ys.data.reshape(sample.n, -1))
+    np.testing.assert_array_equal(emb, sample.space.embed_many(sample.ys))
 
 
 def test_no_per_observation_objects_in_ingest_search_or_estimate(tmp_path, monkeypatch):

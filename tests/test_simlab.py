@@ -81,6 +81,24 @@ class TestNetworkDgp:
             assert off.max() <= 0.0
             assert np.diag(arr).min() >= 0.0
 
+    @pytest.mark.parametrize("jump", [-2.0, -1e-9, float("nan"), float("inf")])
+    def test_negative_or_non_finite_jump_refused(self, jump):
+        # near R = 1 the base weight cos(pi R / 2) vanishes, so any negative
+        # jump would draw negative edge weights there
+        with pytest.raises(ValueError, match="jump"):
+            NetworkDgp(n=200, jump=jump)
+
+    @pytest.mark.parametrize("field", ["p_within", "p_between"])
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_edge_probability_outside_unit_interval_refused(self, field, p):
+        with pytest.raises(ValueError, match=field):
+            NetworkDgp(n=200, **{field: p})
+
+    def test_boundary_probabilities_accepted(self):
+        dgp = NetworkDgp(n=100, p_within=1.0, p_between=0.0)
+        sample, truth = generate_network(dgp)
+        assert sample.n == 100 and truth.length > 0.0
+
     def test_seed_reproducibility(self):
         s1, _ = generate_network(NetworkDgp(n=80, seed=9))
         s2, _ = generate_network(NetworkDgp(n=80, seed=9))

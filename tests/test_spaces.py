@@ -16,6 +16,7 @@ from geordd import (
     Euclidean,
     FunctionalL2,
     GeodesicEffect,
+    NetworkDgp,
     NetworkLaplacian,
     SpdSpace,
     Wasserstein1D,
@@ -32,10 +33,11 @@ from geordd.errors import (
     ShapeMismatch,
     SpaceMismatch,
 )
+from geordd.frechet import Side, batch_lfr_embeddings
 from geordd.io import object_from_json
 from geordd.spaces.network import laplacian_from_weights
 
-from conftest import EMBEDDABLE_CASES, SPACE_CASES, rand_sphere
+from conftest import EMBEDDABLE_CASES, SPACE_CASES, rand_laplacian, rand_sphere, wls_line_oracle
 
 
 class TestDistance:
@@ -366,6 +368,103 @@ class TestStackContract:
         for row, p in zip(stack, proj):
             assert space.project_embedding(row).tobytes() == p.tobytes()
         assert space.project_embedding(stack[:0]).shape == (0, space.embedding_dim)
+
+
+def _half_vec(stack):
+    """The Laplacian chart written out: sqrt(2) L_ij for i < j in
+    ``np.triu_indices`` order, then the diagonal, for each matrix of a stack."""
+    m = stack.shape[-1]
+    iu = np.triu_indices(m, k=1)
+    return np.concatenate(
+        [np.sqrt(2.0) * stack[:, iu[0], iu[1]], np.diagonal(stack, axis1=1, axis2=2)], axis=1
+    )
+
+
+def _clamp_and_reset(stack, wmax):
+    """The flattened-matrix feasibility rule the chart must reproduce:
+    symmetrise, clamp the off-diagonal entries into [-wmax, 0] and reset the
+    diagonal from the row sums."""
+    diag = np.arange(stack.shape[1])
+    off = 0.5 * (stack + np.swapaxes(stack, 1, 2))
+    off[:, diag, diag] = 0.0
+    out = np.clip(off, -np.inf if wmax is None else -wmax, 0.0)
+    out[:, diag, diag] = -out.sum(axis=2)
+    return out
+
+
+def _laplacian_stack(space, rng, k):
+    return np.stack([rand_laplacian(space, rng).data for _ in range(k)])
+
+
+class TestLaplacianChart:
+    @pytest.mark.parametrize("m", [2, 3, 10])
+    def test_embedding_dim_is_half_vectorised(self, m):
+        space = NetworkLaplacian(m)
+        assert space.embedding_dim == m * (m + 1) // 2
+        rng = np.random.default_rng(m)
+        assert space.embed_many(space.stack(_laplacian_stack(space, rng, 3))).shape == (
+            3, m * (m + 1) // 2
+        )
+
+    @pytest.mark.parametrize("wmax", [None, 2.0])
+    def test_chart_distances_are_frobenius_distances(self, wmax):
+        space = NetworkLaplacian(7, max_weight=wmax)
+        rng = np.random.default_rng(31)
+        a, b = (space.stack(_laplacian_stack(space, rng, 40)) for _ in range(2))
+        ea, eb = space.embed_many(a), space.embed_many(b)
+        np.testing.assert_array_equal(ea, _half_vec(a.data))
+        frob = np.linalg.norm(a.data - b.data, axis=(1, 2))
+        np.testing.assert_allclose(np.linalg.norm(ea - eb, axis=1), frob, rtol=1e-12)
+        norms = np.linalg.norm(a.data, axis=(1, 2))
+        np.testing.assert_allclose(np.sqrt(space.hilbert_sq_norms(ea)), norms, rtol=1e-12)
+        for i in range(0, 40, 7):
+            assert space.distance(a[i], b[i]) == pytest.approx(frob[i], rel=1e-12)
+
+    @pytest.mark.parametrize("wmax", [None, 2.0])
+    def test_projection_is_the_clamp_and_reset_rule(self, wmax):
+        space = NetworkLaplacian(6, max_weight=wmax)
+        rng = np.random.default_rng(32)
+        noise = rng.normal(scale=1.5, size=(60, 6, 6))
+        stack = _laplacian_stack(space, rng, 60) + noise + np.swapaxes(noise, 1, 2)
+        z = _half_vec(stack)
+        proj = space.project_embedding(z)
+        want = _half_vec(_clamp_and_reset(stack, wmax))
+        np.testing.assert_allclose(proj, want, rtol=1e-14, atol=1e-14)
+        # the rule had work to do on both bounds
+        edges = z[:, :15]  # the 6 * 5 / 2 edge coordinates
+        lo = -np.inf if wmax is None else -np.sqrt(2) * wmax
+        assert (edges > 0).any() and (wmax is None or (edges < lo).any())
+        # edge coordinates already in range come back bit for bit
+        inside = (edges <= 0) & (edges >= lo)
+        np.testing.assert_array_equal(proj[:, :15][inside], edges[inside])
+        np.testing.assert_array_equal(space.project_embedding(proj), proj)
+        # every projected row is the chart of an admissible Laplacian
+        back = space.stack(np.stack([space._inverse(row) for row in proj]))
+        np.testing.assert_allclose(space.embed_many(back), proj, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+    def test_batched_fit_maps_back_to_the_wls_fit(self, side):
+        sample, _ = NetworkDgp(n=300, seed=33).sample()
+        space, r, n = sample.space, sample.r, sample.n
+        centers = np.array([-0.6, -0.3, 0.0, 0.2, 0.5])
+        h = 0.45
+        fits, valid = batch_lfr_embeddings(
+            r, sample.embeddings, centers, h, side, tables=sample.lfr_tables
+        )
+        assert valid.sum() >= 3
+        y = sample.ys.data.reshape(n, -1)
+        for c, fit, ok in zip(centers, fits, valid):
+            if not ok:
+                continue
+            keep = r < c if side is Side.LEFT else r >= c
+            oracle = wls_line_oracle(r, y, c, h, keep)[0].reshape(space.shape)
+            np.testing.assert_allclose(space._inverse(fit), oracle, rtol=1e-10, atol=1e-10)
+
+    def test_network_sample_is_fitted_in_55_columns(self):
+        sample, _ = NetworkDgp(n=100, seed=34).sample()
+        assert sample.space.n_nodes == 10
+        assert sample.embeddings.shape == (100, 55)
+        assert sample.lfr_tables.psi.shape[1] == 55
 
 
 def _sphere_pairs(dim, rng):
