@@ -96,9 +96,9 @@ print("=" * 72)
 
 eu = Euclidean(1)
 omega = eu.point([0.0])
-effect_a = GeodesicEffect.between(eu.point([0.0]), eu.point([1.0]), omega)
-effect_b = GeodesicEffect.between(eu.point([5.0]), eu.point([6.0]), omega)
-effect_c = GeodesicEffect.between(eu.point([0.0]), eu.point([3.0]), omega)
+effect_a = GeodesicEffect(eu.point([0.0]), eu.point([1.0]), omega)
+effect_b = GeodesicEffect(eu.point([5.0]), eu.point([6.0]), omega)
+effect_c = GeodesicEffect(eu.point([0.0]), eu.point([3.0]), omega)
 print("two effects with the same displacement are equivalent:")
 print(f"  d_G(0->1, 5->6) = {quotient_distance(effect_a, effect_b):.2e}")
 print("different displacements are separated:")

@@ -16,12 +16,9 @@ from .bandwidth import (
 )
 from .frechet import (
     FrechetSolveConfig,
-    KernelKind,
-    KernelSpec,
     Side,
     WeightProfile,
     compute_weights,
-    kernel_eval,
     lfr_estimate,
     weighted_frechet_mean,
 )
@@ -85,12 +82,9 @@ __all__ = [
     "SpdSpace",
     "Wasserstein1D",
     # local Frechet regression
-    "KernelKind",
-    "KernelSpec",
     "Side",
     "WeightProfile",
     "FrechetSolveConfig",
-    "kernel_eval",
     "compute_weights",
     "weighted_frechet_mean",
     "lfr_estimate",

@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--power", type=float, help="spd power exponent")
         p.add_argument("--out", help="output directory")
         p.add_argument("--config", help="JSON config file (flags win)")
-        p.add_argument("--seed", type=int)
 
     p_sharp = sub.add_parser("sharp", help="sharp-design estimate at the cutoff")
     add_io(p_sharp)
@@ -103,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo campaigns on synthetic designs")
     add_io(p_sim, need_input=False)
     p_sim.add_argument("--dgp", choices=_DGPS)
+    p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--reps", type=int)
     p_sim.add_argument("--sizes", help="comma-separated sample sizes")
     p_sim.add_argument("--bw", help="'auto' or a fixed bandwidth")

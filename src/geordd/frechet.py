@@ -7,7 +7,11 @@ of squared distances, with signed local-linear weights
 
     s(r; R, h) = K_h(R - r) * (mu2 - mu1 * (R - r)) / sigma^2,
 
-where mu_k are the kernel moments of (R - r) and sigma^2 = mu0*mu2 - mu1^2.
+where K is the triangular kernel (1 - |x|)_+ restricted to one side of the
+center, mu_k are the kernel moments of (R - r) and sigma^2 = mu0*mu2 - mu1^2.
+The triangular kernel is the only one: at a boundary point it is the optimal
+kernel for local linear fits (Cheng, Fan & Marron 1997, Ann. Statist. 25(4)),
+and the bandwidth search tunes its bandwidths for it.
 For scalar outcomes the minimizer is exactly the local linear intercept; for
 outcomes in a space with an isometric Hilbert embedding, it is computed as
 the inverse-embedded weighted average of the embedded outcomes, projected
@@ -42,13 +46,10 @@ from .spaces import CompositionalSphere, HilbertSpace, MetricObject, PointStack
 from .spaces.sphere import _arc_angles
 
 __all__ = [
-    "KernelKind",
     "Side",
-    "KernelSpec",
     "WeightProfile",
     "FrechetSolveConfig",
     "SolveInfo",
-    "kernel_eval",
     "LocalLinearTables",
     "compute_weights",
     "weighted_frechet_mean",
@@ -69,43 +70,14 @@ _CELL_BUDGET = 1 << 18
 _SUPPORT_PATTERN = np.array([[True], [False], [False], [True]])
 
 
-class KernelKind(enum.Enum):
-    TRIANGULAR = "triangular"
-    UNIFORM = "uniform"
-
-
 class Side(enum.Enum):
+    """The kernel's side of the center: the left side keeps R < center only
+    and the right side R >= center only, so a point exactly at the center
+    belongs to the right side."""
+
     LEFT = "left"
     RIGHT = "right"
     TWO_SIDED = "two_sided"
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """A base kernel supported on [-1, 1] plus a side mask.
-
-    The left mask keeps x < 0 only and the right mask keeps x >= 0 only, so a
-    point exactly at the evaluation center contributes to the right side.
-    """
-
-    kind: KernelKind = KernelKind.TRIANGULAR
-    side: Side = Side.TWO_SIDED
-
-
-def kernel_eval(spec: KernelSpec, x) -> np.ndarray | float:
-    """Evaluate the side-masked base kernel; zero outside [-1, 1]."""
-    x = np.asarray(x, dtype=float)
-    if spec.kind is KernelKind.TRIANGULAR:
-        k = np.clip(1.0 - np.abs(x), 0.0, None)
-    elif spec.kind is KernelKind.UNIFORM:
-        k = np.where(np.abs(x) <= 1.0, 1.0, 0.0)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown kernel kind {spec.kind!r}")
-    if spec.side is Side.LEFT:
-        k = np.where(x < 0.0, k, 0.0)
-    elif spec.side is Side.RIGHT:
-        k = np.where(x >= 0.0, k, 0.0)
-    return k if k.ndim else float(k)
 
 
 @dataclass(frozen=True)
@@ -251,28 +223,24 @@ class LocalLinearTables:
     def n(self) -> int:
         return self.r.size
 
-    def _support(self, c, h, tri):
-        """Support bounds [lo, hi) of the kernel at each center, by
-        kernel_eval's own test: |d / h| < 1 for the triangular kernel (0 at
-        |d| = h), <= 1 for the uniform one, with ``h`` per center.
-        ``searchsorted`` guesses them; a center whose guess rounding put off
-        is recounted."""
+    def _support(self, c, h):
+        """Support bounds [lo, hi) of the kernel at each center: the points
+        with |d / h| < 1 (the kernel is 0 at |d| = h), with ``h`` per
+        center.  ``searchsorted`` guesses them; a center whose guess rounding
+        put off is recounted."""
         r = self.r
-
-        def vanishes(x):  # the kernel is 0 at x = d / h and beyond
-            return x >= 1.0 if tri else x > 1.0
-
-        lo = r.searchsorted(c - h, "right" if tri else "left")
-        hi = r.searchsorted(c + h, "left" if tri else "right")
-        # the kernel must vanish just outside each bound and not just inside
+        lo = r.searchsorted(c - h, "right")
+        hi = r.searchsorted(c + h, "left")
+        # the kernel must vanish (x = d / h >= 1) just outside each bound and
+        # not just inside
         x = (self._fenced[np.concatenate([lo - 1, lo, hi - 1, hi])].reshape(4, -1) - c) / h
         x[:2] *= -1.0
-        bad = (vanishes(x) != _SUPPORT_PATTERN).any(0)
+        bad = ((x >= 1.0) != _SUPPORT_PATTERN).any(0)
         if bad.any():
             for j in np.flatnonzero(bad):
                 x = (r - c[j]) / h[j]
-                lo[j] = np.count_nonzero(vanishes(-x))
-                hi[j] = r.size - np.count_nonzero(vanishes(x))
+                lo[j] = np.count_nonzero(-x >= 1.0)
+                hi[j] = r.size - np.count_nonzero(x >= 1.0)
         return lo, hi
 
     def _cells_per_center(self, side: Side) -> int:
@@ -282,9 +250,9 @@ class LocalLinearTables:
         pieces = 2 if side is Side.TWO_SIDED else 1
         return pieces * (2 * self._offsets.size + self._anchors.size)
 
-    def windows(self, centers, h, spec: KernelSpec, lo=None, hi=None) -> "_Windows":
-        """The local-linear windows at the m ``centers``, with their fits when
-        the tables hold outcome rows (see :class:`_Windows`).
+    def windows(self, centers, h, side: Side, lo=None, hi=None) -> "_Windows":
+        """The local-linear windows at the m ``centers`` on ``side``, with
+        their fits when the tables hold outcome rows (see :class:`_Windows`).
 
         ``h`` is one bandwidth or one per center (broadcastable to (m,)), so
         one call can hold the windows of several bandwidths; every entry must
@@ -301,34 +269,31 @@ class LocalLinearTables:
         c = np.asarray(centers, dtype=float).reshape(-1)
         m = c.size
         h = _bandwidths(h, m)
-        tri = spec.kind is KernelKind.TRIANGULAR
 
         # side and clamp: n_norm counts them, support or not; d < 0 below i_c
         i_c = r.searchsorted(c, "left")
         a = 0 if lo is None else r.searchsorted(lo, "left")
         b = n if hi is None else r.searchsorted(hi, "right")
-        if spec.side is Side.LEFT:
+        if side is Side.LEFT:
             b = np.minimum(b, i_c)
-        elif spec.side is Side.RIGHT:
+        elif side is Side.RIGHT:
             a = np.maximum(a, i_c)
         n_norm = np.maximum(b - a, np.zeros(m, dtype=np.intp))
-        s_lo, s_hi = self._support(c, h, tri)
+        s_lo, s_hi = self._support(c, h)
         a = np.maximum(a, s_lo)
         b = np.maximum(np.minimum(b, s_hi), a)
 
         # the kernel's linear pieces [i0, i1), one per side of the center,
         # where h^2 k = h + tilt d: tilt is +1 left of the center, -1 right
-        # of it and 0 for the uniform kernel
-        if spec.side is Side.TWO_SIDED:
+        # of it
+        if side is Side.TWO_SIDED:
             mid = np.minimum(np.maximum(i_c, a), b)
             i0 = np.concatenate([a, mid]).reshape(2, m).T
             i1 = np.concatenate([mid, b]).reshape(2, m).T
             tilts = np.array([1.0, -1.0])
         else:
             i0, i1 = a[:, None], b[:, None]
-            tilts = np.array([1.0 if spec.side is Side.LEFT else -1.0])
-        if not tri:
-            tilts[:] = 0.0
+            tilts = np.array([1.0 if side is Side.LEFT else -1.0])
 
         # the blocks [fb0, fb1) lie wholly inside a piece; the points of its
         # head and tail partial blocks are summed one by one, in (m, 2 K block)
@@ -445,12 +410,13 @@ def compute_weights(
     r_values,
     center: float,
     h: float,
-    spec: KernelSpec = KernelSpec(KernelKind.TRIANGULAR, Side.TWO_SIDED),
+    side: Side = Side.TWO_SIDED,
     window: tuple[float, float] | None = None,
     *,
     tables: LocalLinearTables | None = None,
 ) -> WeightProfile:
-    """Local-linear weights for an LFR fit at ``center`` with bandwidth ``h``.
+    """Local-linear weights for an LFR fit at ``center`` with bandwidth ``h``
+    and the triangular kernel on ``side``.
 
     ``window`` optionally clamps the fit to observations with R in
     [window[0], window[1]] on top of the kernel support, as needed by
@@ -479,12 +445,12 @@ def compute_weights(
         tables = LocalLinearTables(r)
     elif tables.n != r.size:
         raise ValueError("tables must be built from r_values")
-    win = tables.windows(center, h, spec, lo, hi)
+    win = tables.windows(center, h, side, lo, hi)
     mu0, mu1, mu2 = win.mu[:, 0].tolist()
     sigma2 = float(win.sigma2[0])
     if not win.valid[0]:
         raise DegenerateWindow(
-            f"window at {center!r} (h={h!r}, side={spec.side.value}) is degenerate: "
+            f"window at {center!r} (h={h!r}, side={side.value}) is degenerate: "
             f"sigma^2 = {sigma2!r}"
         )
     # h^2 k = h + tilt d on the engine's pieces, back in the caller's order
@@ -497,7 +463,7 @@ def compute_weights(
     d = r - center
     return WeightProfile(
         bandwidth=h,
-        side=spec.side,
+        side=side,
         center=center,
         mu0=mu0,
         mu1=mu1,
@@ -725,7 +691,6 @@ def lfr_estimate(
     h: float,
     side: Side,
     *,
-    kernel: KernelKind = KernelKind.TRIANGULAR,
     window: tuple[float, float] | None = None,
     return_info: bool = False,
 ):
@@ -738,8 +703,7 @@ def lfr_estimate(
     """
     try:
         profile = compute_weights(
-            sample.r, r, h, KernelSpec(kernel, side), window=window,
-            tables=sample.weight_tables,
+            sample.r, r, h, side, window=window, tables=sample.weight_tables
         )
     except DegenerateWindow as err:
         raise DegenerateWindow(f"{side.value} side: {err}") from None
@@ -753,7 +717,6 @@ def batch_lfr_embeddings(
     h,
     side: Side,
     *,
-    kernel: KernelKind = KernelKind.TRIANGULAR,
     lo=None,
     hi=None,
     tables: LocalLinearTables | None = None,
@@ -792,7 +755,6 @@ def batch_lfr_embeddings(
         tables = LocalLinearTables(r_obs, emb)
     elif tables.n != np.size(r_obs) or tables.psi is None:
         raise ValueError("tables must be built from r_obs and emb")
-    spec = KernelSpec(kernel, side)
     c = np.asarray(centers, dtype=float).reshape(-1)
     m = c.size
     h = _bandwidths(h, m)
@@ -800,7 +762,7 @@ def batch_lfr_embeddings(
     run = max(1, _CELL_BUDGET // tables._cells_per_center(side))
     wins = [
         tables.windows(
-            c[i : i + run], h[i : i + run], spec,
+            c[i : i + run], h[i : i + run], side,
             *(None if v is None else v[i : i + run] for v in (lo, hi)),
         )
         for i in range(0, max(m, 1), run)

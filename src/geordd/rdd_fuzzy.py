@@ -31,14 +31,7 @@ from .errors import (
     MissingTreatment,
     WeakCompliance,
 )
-from .frechet import (
-    KernelKind,
-    KernelSpec,
-    Side,
-    WeightProfile,
-    compute_weights,
-    weighted_frechet_mean,
-)
+from .frechet import Side, WeightProfile, compute_weights, weighted_frechet_mean
 from .rdd_sharp import sample_frechet_mean
 from .sample import RddSample
 from .spaces import CompositionalSphere, GeodesicEffect, HilbertSpace, MetricObject
@@ -160,22 +153,13 @@ def _require_columns(sample: RddSample, assignment: bool = False):
         )
 
 
-def estimate_compliance(
-    sample: RddSample,
-    h0: float,
-    h1: float,
-    *,
-    kernel: KernelKind = KernelKind.TRIANGULAR,
-) -> ComplianceFit:
+def estimate_compliance(sample: RddSample, h0: float, h1: float) -> ComplianceFit:
     """Local linear intercepts of T on R at the cutoff, one per side."""
     _require_columns(sample)
     t = sample.t.astype(float)
     line, profiles = [], []
     for h, side in ((h0, Side.LEFT), (h1, Side.RIGHT)):
-        p = compute_weights(
-            sample.r, sample.cutoff, h, KernelSpec(kernel, side),
-            tables=sample.weight_tables,
-        )
+        p = compute_weights(sample.r, sample.cutoff, h, side, tables=sample.weight_tables)
         line += [float(p.weights @ t) / p.n_norm, float(p.slope_weights @ t) / p.n_norm]
         profiles.append(p)
     m0, b0, m1, b1 = line
@@ -277,12 +261,11 @@ def _estimate(
     variant: FuzzyVariant,
     h0: float,
     h1: float,
-    kernel: KernelKind,
     noncompliance_side: NoncomplianceSide | None = None,
 ) -> FuzzyEstimate:
     """Ratio of the one-sided jumps in ``chart``; with a noncompliance side,
     also the complier endpoints and the geodesic between them."""
-    fit = estimate_compliance(sample, h0, h1, kernel=kernel)
+    fit = estimate_compliance(sample, h0, h1)
     m0 = float(np.clip(fit.m0, 0.0, 1.0))
     m1 = float(np.clip(fit.m1, 0.0, 1.0))
     den = m1 - m0
@@ -303,9 +286,7 @@ def _estimate(
         h, side = (h0, Side.LEFT) if always else (h1, Side.RIGHT)
         if idx.size:
             try:
-                profile = compute_weights(
-                    sample.r[idx], sample.cutoff, h, KernelSpec(kernel, side)
-                )
+                profile = compute_weights(sample.r[idx], sample.cutoff, h, side)
             except DegenerateWindow as err:
                 raise EmptyStratum(
                     f"the {stratum} stratum is degenerate near the cutoff: {err}"
@@ -321,7 +302,7 @@ def _estimate(
             targets = [(nu0, mu0), (nu1, mu1)]
         endpoints = tuple(mu if mu is not None else chart.back(q) for q, mu in targets)
         omega = chart.omega if chart.omega is not None else sample_frechet_mean(sample)
-        effect = GeodesicEffect.between(*endpoints, omega)
+        effect = GeodesicEffect(*endpoints, omega)
 
     return FuzzyEstimate(
         variant=variant,
@@ -337,13 +318,7 @@ def _estimate(
     )
 
 
-def estimate_fuzzy_late(
-    sample: RddSample,
-    h0: float,
-    h1: float,
-    *,
-    kernel: KernelKind = KernelKind.TRIANGULAR,
-) -> FuzzyEstimate:
+def estimate_fuzzy_late(sample: RddSample, h0: float, h1: float) -> FuzzyEstimate:
     """Compliers' average effect via the Hilbert embedding.
 
     The estimate is the difference of the embedded one-sided LFR limits
@@ -353,7 +328,7 @@ def estimate_fuzzy_late(
     """
     _require_columns(sample)
     chart = _EmbeddingChart(sample, "tangent-space variant")
-    return _estimate(sample, chart, FuzzyVariant.EMBEDDING, h0, h1, kernel)
+    return _estimate(sample, chart, FuzzyVariant.EMBEDDING, h0, h1)
 
 
 def estimate_geodesic_fuzzy(
@@ -361,8 +336,6 @@ def estimate_geodesic_fuzzy(
     h0: float,
     h1: float,
     noncompliance_side: NoncomplianceSide,
-    *,
-    kernel: KernelKind = KernelKind.TRIANGULAR,
 ) -> FuzzyEstimate:
     """Compliers' effect as a geodesic, under one-sided noncompliance.
 
@@ -376,7 +349,7 @@ def estimate_geodesic_fuzzy(
     _require_columns(sample, assignment=True)
     chart = _EmbeddingChart(sample, "geodesic tangent-space variant")
     return _estimate(
-        sample, chart, FuzzyVariant.GEODESIC_ONE_SIDED, h0, h1, kernel, noncompliance_side
+        sample, chart, FuzzyVariant.GEODESIC_ONE_SIDED, h0, h1, noncompliance_side
     )
 
 
@@ -385,8 +358,6 @@ def estimate_riemannian_fuzzy(
     reference: MetricObject | None,
     h0: float,
     h1: float,
-    *,
-    kernel: KernelKind = KernelKind.TRIANGULAR,
 ) -> FuzzyEstimate:
     """Compliers' average effect in the tangent space at ``reference``.
 
@@ -397,7 +368,7 @@ def estimate_riemannian_fuzzy(
     """
     _require_columns(sample)
     chart = _TangentChart(sample, reference, "embedding variant")
-    return _estimate(sample, chart, FuzzyVariant.RIEMANNIAN_TANGENT, h0, h1, kernel)
+    return _estimate(sample, chart, FuzzyVariant.RIEMANNIAN_TANGENT, h0, h1)
 
 
 def estimate_geodesic_riemannian_fuzzy(
@@ -406,8 +377,6 @@ def estimate_geodesic_riemannian_fuzzy(
     noncompliance_side: NoncomplianceSide,
     h0: float,
     h1: float,
-    *,
-    kernel: KernelKind = KernelKind.TRIANGULAR,
 ) -> FuzzyEstimate:
     """Compliers' effect as a geodesic between Exp-mapped tangent endpoints.
 
@@ -420,5 +389,5 @@ def estimate_geodesic_riemannian_fuzzy(
     _require_columns(sample, assignment=True)
     chart = _TangentChart(sample, reference, "geodesic embedding variant")
     return _estimate(
-        sample, chart, FuzzyVariant.GEODESIC_RIEMANNIAN, h0, h1, kernel, noncompliance_side
+        sample, chart, FuzzyVariant.GEODESIC_RIEMANNIAN, h0, h1, noncompliance_side
     )

@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .frechet import (
-    KernelKind,
     Side,
     compute_weights,  # noqa: F401 - bench/tracing.py wraps this module's name
     lfr_estimate,
@@ -75,7 +74,6 @@ def estimate_sharp(
     h0: float,
     h1: float,
     *,
-    kernel: KernelKind = KernelKind.TRIANGULAR,
     reference: MetricObject | None = None,
 ) -> SharpEstimate:
     """Sharp geodesic RDD estimate with bandwidths ``h0`` (left) and ``h1``
@@ -86,10 +84,10 @@ def estimate_sharp(
     defaults to the unweighted Frechet mean of all outcomes.
     """
     c = sample.cutoff
-    start, info0 = lfr_estimate(sample, c, h0, Side.LEFT, kernel=kernel, return_info=True)
-    end, info1 = lfr_estimate(sample, c, h1, Side.RIGHT, kernel=kernel, return_info=True)
+    start, info0 = lfr_estimate(sample, c, h0, Side.LEFT, return_info=True)
+    end, info1 = lfr_estimate(sample, c, h1, Side.RIGHT, return_info=True)
     omega = reference if reference is not None else sample_frechet_mean(sample)
-    effect = GeodesicEffect.between(start, end, omega)
+    effect = GeodesicEffect(start, end, omega)
     return SharpEstimate(
         effect=effect,
         h0=float(h0),

@@ -109,7 +109,7 @@ class ScalarDgp:
         space = self.space
         start = space.point([float(m_minus(0.0))])
         end = space.point([float(m_plus(0.0, self.tau))])
-        return GeodesicEffect.between(start, end, start)
+        return GeodesicEffect(start, end, start)
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ class NetworkDgp:
         # average expected weight over R ~ Unif(-1, 1)
         mean_w = 2.0 / math.pi + 0.5 * self.jump + 0.5
         omega = space.point(self._expected_laplacian(mean_w))
-        return GeodesicEffect.between(start, end, omega)
+        return GeodesicEffect(start, end, omega)
 
 
 def generate_scalar(dgp: ScalarDgp) -> RddSample:

@@ -183,10 +183,6 @@ class Space(ABC):
         """Shape of a single payload array."""
 
     @property
-    def embedding_available(self) -> bool:
-        return False
-
-    @property
     def logexp_available(self) -> bool:
         return False
 
@@ -298,10 +294,6 @@ class HilbertSpace(Space):
     projection back onto the image set.  The module docstring lists what a
     subclass supplies.
     """
-
-    @property
-    def embedding_available(self) -> bool:
-        return True
 
     @property
     def embedding_dim(self) -> int:
@@ -420,12 +412,6 @@ class GeodesicEffect:
         space._check_member(self.end, "end point")
         space._check_member(self.reference, "reference point")
         object.__setattr__(self, "length", space.distance(self.start, self.end))
-
-    @classmethod
-    def between(
-        cls, start: MetricObject, end: MetricObject, reference: MetricObject
-    ) -> "GeodesicEffect":
-        return cls(start=start, end=end, reference=reference)
 
     @property
     def space(self) -> Space:

@@ -98,7 +98,7 @@ class NetworkLaplacian(HilbertSpace):
     def _validate(self, stack):
         tol = 1e-10 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
         off = _off_diagonal(stack)
-        weight = (-off).max(axis=(1, 2))
+        weight = -off.min(axis=(1, 2))
         wmax = np.inf if self._wmax is None else self._wmax + tol
         refuse_rows(
             (np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2)) > tol,
@@ -111,7 +111,7 @@ class NetworkLaplacian(HilbertSpace):
              lambda i: f"edge weights must not exceed {self._wmax}, got {weight[i]!r}"),
         )
         # canonicalize: exact symmetry and exact zero row sums
-        return _laplacian(_off_diagonal(_sym(stack)))
+        return _laplacian(_sym(off))
 
     def _embed(self, stack):
         out = stack.reshape(len(stack), -1)[:, self._entries]

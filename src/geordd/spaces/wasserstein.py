@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import HilbertSpace, MetricObject, refuse_rows
+from .base import HilbertSpace, refuse_rows
 
 __all__ = ["Wasserstein1D"]
 
@@ -82,7 +82,3 @@ class Wasserstein1D(HilbertSpace):
         if self._support is not None:
             out = np.clip(out, *self._support)
         return out
-
-    def quantiles(self, a: MetricObject) -> np.ndarray:
-        self._check_member(a)
-        return a.data.copy()

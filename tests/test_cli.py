@@ -436,6 +436,16 @@ class TestCommands:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "parse_error"
         assert not (out / "bins.csv").exists()
 
+    def test_seed_is_refused_outside_simulate(self, tmp_path, capsys):
+        path = _setting_one_csv(tmp_path, n=200)
+        out = tmp_path / "o"
+        code = main(["sharp", "--input", str(path), "--space", "euclid", "--cutoff", "0",
+                     "--bw", "0.5", "--seed", "1", "--out", str(out)])
+        assert code == 1
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(last)["error"] == "parse_error"
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize(
         "space, sampler, spec, flags",
         [
@@ -596,7 +606,7 @@ class TestCommands:
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "parse_error"
 
-    @pytest.mark.parametrize("entries", [{"bins": "x"}, {"bins": 2.5}, {"seed": [1]}],
+    @pytest.mark.parametrize("entries", [{"bins": "x"}, {"bins": 2.5}, {"bins": [1]}],
                              ids=["text", "fraction", "list"])
     def test_config_file_values_get_the_flag_type(self, tmp_path, capsys, entries):
         path = _setting_one_csv(tmp_path)

@@ -1,4 +1,4 @@
-"""Tests for kernels, local-linear weights and weighted Frechet means."""
+"""Tests for the kernel, local-linear weights and weighted Frechet means."""
 
 import numpy as np
 import pytest
@@ -6,71 +6,74 @@ import pytest
 from geordd import (
     CompositionalSphere,
     Euclidean,
-    KernelKind,
-    KernelSpec,
     NetworkLaplacian,
     RddSample,
     Side,
     SpdSpace,
     compute_weights,
-    kernel_eval,
     lfr_estimate,
     weighted_frechet_mean,
 )
 from geordd.errors import DegenerateWindow, EmptyInput, SolverDiverged
 from geordd.frechet import batch_lfr_embeddings
+from geordd.spaces import HilbertSpace
 
 from conftest import (
     golden_section,
     rand_laplacian,
     rand_spd,
     rand_sphere,
+    triangular,
     wls_intercept_oracle,
     wls_line_oracle,
 )
 
-TRI = KernelKind.TRIANGULAR
-UNI = KernelKind.UNIFORM
+
+def applied_kernel(r, center, h, side):
+    """The kernel K((R - center) / h) that ``compute_weights`` applies at
+    each observation, read back from its profile: with weights w and slope
+    weights s, mu0 w + mu1 s = K / h."""
+    p = compute_weights(r, center, h, side)
+    return h * (p.mu0 * p.weights + p.mu1 * p.slope_weights)
 
 
 class TestKernelEval:
     def test_triangular_peak(self):
-        assert kernel_eval(KernelSpec(TRI, Side.TWO_SIDED), 0.0) == 1.0
+        xs = np.linspace(-1, 1, 41)
+        k = applied_kernel(xs, 0.0, 1.0, Side.TWO_SIDED)
+        assert k[20] == pytest.approx(1.0, abs=1e-12)
+        assert np.argmax(k) == 20
 
     def test_left_kernel_vanishes_right(self):
-        assert kernel_eval(KernelSpec(TRI, Side.LEFT), 0.5) == 0.0
-        assert kernel_eval(KernelSpec(TRI, Side.LEFT), 0.0) == 0.0
-
-    def test_uniform_inside_support(self):
-        assert kernel_eval(KernelSpec(UNI, Side.TWO_SIDED), 0.99) == 1.0
-        assert kernel_eval(KernelSpec(UNI, Side.TWO_SIDED), -1.0) == 1.0
+        xs = np.array([-0.6, -0.3, 0.0, 0.5])
+        k = applied_kernel(xs, 0.0, 1.0, Side.LEFT)
+        assert k[2] == 0.0 and k[3] == 0.0
 
     def test_zero_outside_support(self):
-        for kind in (TRI, UNI):
-            spec = KernelSpec(kind, Side.TWO_SIDED)
-            assert kernel_eval(spec, 1.0 + 1e-9) == 0.0
-            assert kernel_eval(spec, -1.0 - 1e-9) == 0.0
+        xs = np.array([-1.0 - 1e-9, -1.0, -0.5, 0.0, 0.5, 1.0, 1.0 + 1e-9])
+        k = applied_kernel(xs, 0.0, 1.0, Side.TWO_SIDED)
+        assert np.all(k[[0, 1, 5, 6]] == 0.0)
 
     def test_nonnegative_bounded_on_grid(self):
         xs = np.linspace(-2, 2, 401)
-        for kind in (TRI, UNI):
-            vals = kernel_eval(KernelSpec(kind, Side.TWO_SIDED), xs)
-            assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
+        k = applied_kernel(xs, 0.0, 1.0, Side.TWO_SIDED)
+        assert np.all(k >= 0.0) and np.all(k <= 1.0 + 1e-12)
+        np.testing.assert_allclose(k, triangular(xs), rtol=0, atol=1e-12)
 
     def test_side_masks(self):
-        xs = np.array([-0.5, 0.0, 0.5])
-        left = kernel_eval(KernelSpec(TRI, Side.LEFT), xs)
-        right = kernel_eval(KernelSpec(TRI, Side.RIGHT), xs)
-        assert left[0] > 0 and left[1] == 0 and left[2] == 0
-        assert right[0] == 0 and right[1] == 1.0 and right[2] > 0
+        xs = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
+        left = applied_kernel(xs, 0.0, 1.0, Side.LEFT)
+        right = applied_kernel(xs, 0.0, 1.0, Side.RIGHT)
+        assert left[0] > 0 and left[2] == 0 and left[4] == 0
+        assert right[0] == 0 and right[2] == pytest.approx(1.0, abs=1e-12) and right[4] > 0
 
 
 class TestComputeWeights:
     def test_hand_computed_moments(self):
-        # uniform left kernel, h=1: K = 1 for the three points below c
+        # triangular left kernel, h=1: K = 1 - |d| at the three points below c
         r = np.array([-0.2, -0.4, -0.6])
-        profile = compute_weights(r, 0.0, 1.0, KernelSpec(UNI, Side.LEFT))
-        k = np.ones(3)  # K_{0,1}(d) = 1 on the window
+        profile = compute_weights(r, 0.0, 1.0, Side.LEFT)
+        k = 1.0 - np.abs(r)  # K_{0,1}(d) on the window
         d = r
         mu0 = k.sum() / 3
         mu1 = (k * d).sum() / 3
@@ -84,31 +87,31 @@ class TestComputeWeights:
     def test_sigma2_identity(self):
         rng = np.random.default_rng(0)
         r = rng.uniform(-1, 1, 200)
-        profile = compute_weights(r, 0.0, 0.5, KernelSpec(TRI, Side.LEFT))
+        profile = compute_weights(r, 0.0, 0.5, Side.LEFT)
         assert profile.sigma2 == pytest.approx(
             profile.mu0 * profile.mu2 - profile.mu1**2, abs=1e-12
         )
 
-    @pytest.mark.parametrize("ties", [2, 100_000])
-    @pytest.mark.parametrize("kind", [UNI, TRI], ids=["uniform", "triangular"])
+    # the ids name the kernel between the scale and the ties
+    @pytest.mark.parametrize("ties", [2, 100_000], ids=lambda t: f"triangular-{t}")
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
-    def test_single_distinct_point_degenerate(self, scale, kind, ties):
+    def test_single_distinct_point_degenerate(self, scale, ties):
         # sigma^2 of a single distinct value is rounding noise under the
         # floor at any scale of R, also with points off the kernel support
         r = np.concatenate([np.full(ties, -0.5), [-3.0, -2.0, 0.5]]) * scale
         with pytest.raises(DegenerateWindow):
-            compute_weights(r, 0.0, 1.0 * scale, KernelSpec(kind, Side.LEFT))
+            compute_weights(r, 0.0, 1.0 * scale, Side.LEFT)
 
     def test_empty_window_degenerate(self):
         r = np.array([-5.0, -4.0, 3.0, 4.0])
         with pytest.raises(DegenerateWindow):
-            compute_weights(r, 0.0, 1.0, KernelSpec(TRI, Side.LEFT))
+            compute_weights(r, 0.0, 1.0, Side.LEFT)
 
     def test_weights_vanish_outside_bandwidth(self):
         rng = np.random.default_rng(1)
         r = rng.uniform(-1, 1, 300)
         h = 0.3
-        profile = compute_weights(r, 0.0, h, KernelSpec(TRI, Side.LEFT))
+        profile = compute_weights(r, 0.0, h, Side.LEFT)
         outside = np.abs(r) > h
         assert np.all(profile.weights[outside] == 0.0)
 
@@ -117,7 +120,7 @@ class TestComputeWeights:
         for _ in range(20):
             r = rng.uniform(-1, 1, 150)
             h = rng.uniform(0.1, 0.8)
-            profile = compute_weights(r, 0.0, h, KernelSpec(TRI, Side.RIGHT))
+            profile = compute_weights(r, 0.0, h, Side.RIGHT)
             val = (profile.weights * r).sum() / profile.n_norm
             assert abs(val) < 1e-8
 
@@ -125,7 +128,7 @@ class TestComputeWeights:
         rng = np.random.default_rng(3)
         for side in (Side.LEFT, Side.RIGHT, Side.TWO_SIDED):
             r = rng.uniform(-1, 1, 100)
-            profile = compute_weights(r, 0.1, 0.4, KernelSpec(TRI, side))
+            profile = compute_weights(r, 0.1, 0.4, side)
             assert profile.weights.sum() / profile.n_norm == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1.0])
@@ -206,7 +209,7 @@ class TestWeightedFrechetMean:
         phi = -0.2 - r + 0.02 * rng.normal(size=60)
         x = np.column_stack([np.cos(phi), np.sin(phi), rng.uniform(0.2, 0.4, (60, dim - 2))])
         pts = list(sp.points(x / np.linalg.norm(x, axis=1, keepdims=True)))
-        w = compute_weights(r, 0.0, 2.0, KernelSpec(TRI, Side.LEFT)).weights
+        w = compute_weights(r, 0.0, 2.0, Side.LEFT).weights
         return sp, pts, w
 
     @pytest.mark.parametrize(
@@ -237,7 +240,7 @@ class TestWeightedFrechetMean:
         mean = np.exp(np.outer(r, [0.4, -0.3, 0.0]))
         g = rng.gamma(10.0 * mean / mean.sum(axis=1, keepdims=True))
         ys = CompositionalSphere(3).points_from_shares(g / g.sum(axis=1, keepdims=True))
-        w = compute_weights(r, 0.0, 0.45, KernelSpec(TRI, Side.LEFT)).weights
+        w = compute_weights(r, 0.0, 0.45, Side.LEFT).weights
         assert w.min() < 0.0
         _, info = weighted_frechet_mean(ys, w, return_info=True)
         assert info.method == "sphere_newton"
@@ -256,7 +259,7 @@ class TestWeightedFrechetMean:
 
     def test_embeddable_optimality(self, space_case):
         name, space, sampler = space_case
-        if not space.embedding_available:
+        if not isinstance(space, HilbertSpace):
             pytest.skip("solver covered separately")
         rng = np.random.default_rng(6)
         pts = [sampler(space, rng) for _ in range(8)]
@@ -298,7 +301,7 @@ class TestSphereQuarterArcOracle:
         rng = np.random.default_rng(22)
         r = rng.uniform(-1.0, 1.0, 300)
         phi = 0.7 + 0.3 * r + 0.05 * rng.normal(size=300)
-        w = compute_weights(r, 0.0, 0.6, KernelSpec(TRI, Side.LEFT)).weights
+        w = compute_weights(r, 0.0, 0.6, Side.LEFT).weights
         assert w.min() < 0.0
         shift, info = self._solve(phi, w)
         assert info.method == "sphere_newton"
@@ -318,7 +321,7 @@ class TestSphereQuarterArcOracle:
         # and the minimiser on the arc is its end phi = 0, where the solve
         # stops as stationary on the orthant
         phi = intercept + slope * r
-        w = compute_weights(r, 0.0, 2.0, KernelSpec(TRI, Side.LEFT)).weights
+        w = compute_weights(r, 0.0, 2.0, Side.LEFT).weights
         shift, info = self._solve(phi, w)
         assert info.method == "sphere_descent"
         assert info.projected
@@ -329,9 +332,10 @@ class TestSphereQuarterArcOracle:
 
 class TestBatchLfrEmbeddings:
     @pytest.mark.parametrize("clamp", [False, True], ids=["free", "clamped"])
-    @pytest.mark.parametrize("kind", [TRI, UNI], ids=["triangular", "uniform"])
-    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT, Side.TWO_SIDED])
-    def test_matches_wls_oracle(self, side, kind, clamp):
+    @pytest.mark.parametrize(
+        "side", [Side.LEFT, Side.RIGHT, Side.TWO_SIDED], ids=lambda s: f"{s}-triangular"
+    )
+    def test_matches_wls_oracle(self, side, clamp):
         rng = np.random.default_rng(13)
         r = np.sort(rng.uniform(-1, 1, 400))
         emb = rng.normal(size=(400, 3))
@@ -342,13 +346,13 @@ class TestBatchLfrEmbeddings:
         hi = 0.7 if clamp else None
         seen = set()
         for h in (0.3, 0.02, 1e-4):
-            fits, valid = batch_lfr_embeddings(r, emb, centers, h, side, kernel=kind, lo=lo, hi=hi)
+            fits, valid = batch_lfr_embeddings(r, emb, centers, h, side, lo=lo, hi=hi)
             lo_j = np.broadcast_to(-np.inf if lo is None else lo, centers.shape)
             hi_j = np.inf if hi is None else hi
             for j, c in enumerate(centers):
                 window = (lo_j[j], hi_j)
                 try:
-                    compute_weights(r, c, h, KernelSpec(kind, side), window=window)
+                    compute_weights(r, c, h, side, window=window)
                 except DegenerateWindow:
                     assert not valid[j]
                     assert np.all(np.isnan(fits[j]))
@@ -356,7 +360,7 @@ class TestBatchLfrEmbeddings:
                 assert valid[j]
                 keep = (r >= window[0]) & (r <= window[1])
                 keep &= {Side.LEFT: r < c, Side.RIGHT: r >= c}.get(side, True)
-                oracle = wls_line_oracle(r, emb, c, h, keep, kind.value)[0]
+                oracle = wls_line_oracle(r, emb, c, h, keep)[0]
                 np.testing.assert_allclose(fits[j], oracle, rtol=1e-10, atol=1e-10)
             seen.update(valid.tolist())
         assert seen == {True, False}
@@ -408,7 +412,7 @@ class TestLfrEstimate:
     def test_affine_exactness_embeddable(self, space_case):
         # outcomes affine in the embedding are reproduced exactly at any r
         name, space, sampler = space_case
-        if not space.embedding_available:
+        if not isinstance(space, HilbertSpace):
             pytest.skip("needs an embedding")
         rng = np.random.default_rng(11)
         p1, p2 = sampler(space, rng), sampler(space, rng)

@@ -6,7 +6,6 @@ import pytest
 from geordd import (
     CompositionalSphere,
     Euclidean,
-    KernelKind,
     NoncomplianceSide,
     RddSample,
     Side,
@@ -112,14 +111,13 @@ class TestEstimateCompliance:
         assert fit.m1 == pytest.approx(1.0, abs=1e-12)
         assert fit.denominator == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("kernel", [KernelKind.TRIANGULAR, KernelKind.UNIFORM])
-    def test_intercepts_and_slopes_match_wls_oracle(self, kernel):
+    def test_intercepts_and_slopes_match_wls_oracle(self):
         rng = np.random.default_rng(5)
         sample = _euclid_fuzzy(rng)
-        fit = estimate_compliance(sample, 0.3, 0.5, kernel=kernel)
+        fit = estimate_compliance(sample, 0.3, 0.5)
         r, t = sample.r, sample.t.astype(float)
-        left = wls_line_oracle(r, t, 0.0, 0.3, r < 0.0, kernel.value)
-        right = wls_line_oracle(r, t, 0.0, 0.5, r >= 0.0, kernel.value)
+        left = wls_line_oracle(r, t, 0.0, 0.3, r < 0.0)
+        right = wls_line_oracle(r, t, 0.0, 0.5, r >= 0.0)
         np.testing.assert_allclose(
             [fit.m0, fit.slope0, fit.m1, fit.slope1], [*left, *right], rtol=0, atol=1e-10
         )

@@ -4,7 +4,7 @@ Every batched fit is checked against the explicit weighted least squares
 solve (``wls_line_oracle``), and its ``valid`` flag against what
 ``compute_weights`` accepts at the same window, on inputs chosen to hit the
 engine's seams: tied running values on every window bound, extreme scales,
-single-valued windows, unsorted input, and both kernels on all three sides.
+single-valued windows, unsorted input, and all three sides.
 """
 
 import gc
@@ -18,8 +18,6 @@ import pytest
 from geordd import (
     CompositionalSphere,
     Euclidean,
-    KernelKind,
-    KernelSpec,
     NetworkDgp,
     NoncomplianceSide,
     RddSample,
@@ -31,25 +29,29 @@ from geordd import (
 from geordd.bandwidth import select_bandwidth
 from geordd.io import ingest, write_sample_csv
 from geordd.errors import DegenerateWindow
-from geordd.frechet import LocalLinearTables, WeightProfile, batch_lfr_embeddings, kernel_eval
+from geordd.frechet import LocalLinearTables, WeightProfile, batch_lfr_embeddings
 
-from conftest import rand_sphere, wls_line_oracle
+from conftest import rand_sphere, triangular, wls_line_oracle
 
-KINDS = [KernelKind.TRIANGULAR, KernelKind.UNIFORM]
 SIDES = [Side.LEFT, Side.RIGHT, Side.TWO_SIDED]
 
 
-def check_against_oracle(r, emb, centers, h, side, kind, lo=None, hi=None):
+def side_id(side: Side) -> str:
+    """A case id names the side and the kernel of its fits."""
+    return f"{side.value}-triangular"
+
+
+def check_against_oracle(r, emb, centers, h, side, lo=None, hi=None):
     """Batched fits equal the WLS oracle to 1e-10 wherever compute_weights
     accepts the window, and are flagged invalid (NaN rows) elsewhere.
     Returns the valid mask."""
-    fits, valid = batch_lfr_embeddings(r, emb, centers, h, side, kernel=kind, lo=lo, hi=hi)
+    fits, valid = batch_lfr_embeddings(r, emb, centers, h, side, lo=lo, hi=hi)
     lo_j = np.broadcast_to(-np.inf if lo is None else lo, centers.shape)
     hi_j = np.broadcast_to(np.inf if hi is None else hi, centers.shape)
     for j, c in enumerate(centers):
         window = (lo_j[j], hi_j[j])
         try:
-            profile = compute_weights(r, c, h, KernelSpec(kind, side), window=window)
+            profile = compute_weights(r, c, h, side, window=window)
         except DegenerateWindow:
             assert not valid[j], (j, c)
             assert np.all(np.isnan(fits[j]))
@@ -58,7 +60,7 @@ def check_against_oracle(r, emb, centers, h, side, kind, lo=None, hi=None):
         keep = (r >= window[0]) & (r <= window[1])
         keep &= {Side.LEFT: r < c, Side.RIGHT: r >= c}.get(side, True)
         assert profile.n_norm == keep.sum()
-        oracle = wls_line_oracle(r, emb, c, h, keep, kind.value)[0]
+        oracle = wls_line_oracle(r, emb, c, h, keep)[0]
         np.testing.assert_allclose(fits[j], oracle, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(
             profile.weights @ emb / profile.n_norm, oracle, rtol=1e-10, atol=1e-10
@@ -66,10 +68,9 @@ def check_against_oracle(r, emb, centers, h, side, kind, lo=None, hi=None):
     return valid
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
-@pytest.mark.parametrize("side", SIDES, ids=lambda s: s.value)
+@pytest.mark.parametrize("side", SIDES, ids=side_id)
 class TestEdgeInputs:
-    def test_ties_on_every_bound(self, side, kind):
+    def test_ties_on_every_bound(self, side):
         # dyadic values: lo, hi, the centers and center +- h are all exact
         # running values, each tied three times
         rng = np.random.default_rng(7)
@@ -79,14 +80,14 @@ class TestEdgeInputs:
         centers = np.arange(-12, 13, 2) / 16.0
         for h in (0.25, 0.125):
             valid = check_against_oracle(
-                r, emb, centers, h, side, kind, lo=centers - 0.1875, hi=0.6875
+                r, emb, centers, h, side, lo=centers - 0.1875, hi=0.6875
             )
             assert valid.any()
-            check_against_oracle(r, emb, centers, h, side, kind)
+            check_against_oracle(r, emb, centers, h, side)
 
-    def test_ties_where_rounding_moves_the_support(self, side, kind):
+    def test_ties_where_rounding_moves_the_support(self, side):
         # c + h and c - h round, so values tied at fl(c + h) and fl(c - h)
-        # sit where searchsorted and the kernel's own test |d / h| <= 1 can
+        # sit where searchsorted and the kernel's own test |d / h| < 1 can
         # disagree: the engine must follow the kernel
         rng = np.random.default_rng(8)
         centers = np.array([0.1, 0.3, -0.7, 0.55])
@@ -95,15 +96,15 @@ class TestEdgeInputs:
         edges = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
         r = np.concatenate([np.repeat(edges, 2), centers, rng.uniform(-1, 1, 200)])
         emb = rng.normal(size=(r.size, 3))
-        check_against_oracle(r, emb, centers, h, side, kind)
-        check_against_oracle(r, emb, centers, h, side, kind, lo=centers - h, hi=centers + h)
+        check_against_oracle(r, emb, centers, h, side)
+        check_against_oracle(r, emb, centers, h, side, lo=centers - h, hi=centers + h)
 
     @pytest.mark.parametrize(
         "transform",
         [lambda r: r * 1e-6, lambda r: r * 1e6, lambda r: r + 1e3],
         ids=["times_1e-6", "times_1e6", "plus_1e3"],
     )
-    def test_extreme_scales(self, side, kind, transform):
+    def test_extreme_scales(self, side, transform):
         rng = np.random.default_rng(9)
         base = rng.uniform(-1, 1, 500)
         emb = rng.normal(size=(500, 2))
@@ -112,12 +113,12 @@ class TestEdgeInputs:
         scale = transform(np.array(1.0)) - transform(np.array(0.0))
         for h in (0.3, 0.05):
             check_against_oracle(
-                r, emb, transform(centers), h * scale, side, kind,
+                r, emb, transform(centers), h * scale, side,
                 lo=transform(centers - 0.4), hi=transform(np.array(0.8)),
             )
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
-    def test_single_distinct_value_is_degenerate(self, side, kind, scale):
+    def test_single_distinct_value_is_degenerate(self, side, scale):
         # windows whose only points carrying kernel weight share one value,
         # with other points just off the support, at the clamp or in dead
         # tails of blocks
@@ -125,31 +126,28 @@ class TestEdgeInputs:
         r = np.concatenate([np.full(400, -0.5), np.full(300, 0.5), [-3.0, -2.0, 2.0, 3.0]]) * scale
         emb = rng.normal(size=(r.size, 2))
         centers = np.array([-0.5, 0.5, -0.25, 0.25, 0.0]) * scale
-        valid = check_against_oracle(r, emb, centers, 0.4 * scale, side, kind)
+        valid = check_against_oracle(r, emb, centers, 0.4 * scale, side)
         assert not valid.any()
-        both = check_against_oracle(r, emb, centers, 1.2 * scale, side, kind)
+        both = check_against_oracle(r, emb, centers, 1.2 * scale, side)
         assert both[centers == 0.0].all() == (side is Side.TWO_SIDED)
 
-    def test_unsorted_input(self, side, kind):
+    def test_unsorted_input(self, side):
         rng = np.random.default_rng(11)
         r = np.round(rng.uniform(-1, 1, 600), 2)  # ties, in random order
         emb = rng.normal(size=(600, 4))
         centers = np.linspace(-1.1, 1.1, 23)
         lo = centers - 0.3
         for h in (0.4, 0.03, 0.004):
-            check_against_oracle(r, emb, centers, h, side, kind, lo=lo, hi=0.9)
+            check_against_oracle(r, emb, centers, h, side, lo=lo, hi=0.9)
             order = np.argsort(r, kind="stable")
-            shuffled = batch_lfr_embeddings(r, emb, centers, h, side, kernel=kind, lo=lo, hi=0.9)
-            ordered = batch_lfr_embeddings(
-                r[order], emb[order], centers, h, side, kernel=kind, lo=lo, hi=0.9
-            )
+            shuffled = batch_lfr_embeddings(r, emb, centers, h, side, lo=lo, hi=0.9)
+            ordered = batch_lfr_embeddings(r[order], emb[order], centers, h, side, lo=lo, hi=0.9)
             np.testing.assert_array_equal(shuffled[1], ordered[1])
             np.testing.assert_allclose(shuffled[0], ordered[0], rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
-@pytest.mark.parametrize("side", SIDES, ids=lambda s: s.value)
-def test_per_center_bandwidths_match_scalar_calls(side, kind):
+@pytest.mark.parametrize("side", SIDES, ids=side_id)
+def test_per_center_bandwidths_match_scalar_calls(side):
     # one call over (bandwidth, center) pairs gives each window exactly what
     # a call at its bandwidth alone gives, whatever else shares the call:
     # dyadic ties sit on the bounds, as in test_ties_on_every_bound
@@ -157,14 +155,13 @@ def test_per_center_bandwidths_match_scalar_calls(side, kind):
     grid = np.arange(-16, 17) / 16.0
     r = np.concatenate([np.repeat(grid, 3), rng.uniform(-1, 1, 450)])
     tables = LocalLinearTables(r, rng.normal(size=(r.size, 3)))
-    spec = KernelSpec(kind, side)
     centers = np.arange(-12, 13, 2) / 16.0
     lo = centers - 0.1875
     hs = np.array([0.25, 0.125, 0.0625, 0.5, 1.0, 0.03])
     m = centers.size
-    joint = tables.windows(np.tile(centers, hs.size), np.repeat(hs, m), spec, np.tile(lo, hs.size), 0.6875)
+    joint = tables.windows(np.tile(centers, hs.size), np.repeat(hs, m), side, np.tile(lo, hs.size), 0.6875)
     for g, h in enumerate(hs):
-        alone = tables.windows(centers, h, spec, lo, 0.6875)
+        alone = tables.windows(centers, h, side, lo, 0.6875)
         part = slice(g * m, (g + 1) * m)
         for name in ("n_norm", "valid", "i0", "i1"):
             np.testing.assert_array_equal(getattr(joint, name)[part], getattr(alone, name))
@@ -185,7 +182,7 @@ def test_bad_bandwidths_are_refused(bad, in_array):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
-            tables.windows(centers, h, KernelSpec(KernelKind.TRIANGULAR, Side.LEFT))
+            tables.windows(centers, h, Side.LEFT)
         for table in (tables, None):
             with pytest.raises(ValueError, match=message):
                 batch_lfr_embeddings(r, emb, centers, h, Side.RIGHT, tables=table)
@@ -213,7 +210,7 @@ def test_tables_must_match_the_data():
         batch_lfr_embeddings(r, emb, [0.0], 0.5, Side.LEFT, tables=LocalLinearTables(r[:50], emb[:50]))
 
 
-def _dense_weights(r_values, center, h, spec):
+def _dense_weights(r_values, center, h, side):
     """compute_weights as it was before the engine, on dense (1, n) window
     arrays (48 us per call at n = 500): the timing yardstick."""
     r = np.asarray(r_values, dtype=float)
@@ -224,14 +221,14 @@ def _dense_weights(r_values, center, h, spec):
         raise ValueError("bandwidth must be positive and finite")
     center = float(center)
     d = r[None, :] - np.array([center])[:, None]
-    if spec.side is Side.LEFT:
+    if side is Side.LEFT:
         keep = d < 0.0
-    elif spec.side is Side.RIGHT:
+    elif side is Side.RIGHT:
         keep = d >= 0.0
     else:
         keep = np.ones(d.shape, dtype=bool)
     n_norm = keep.sum(axis=1)
-    k = np.where(keep, kernel_eval(KernelSpec(spec.kind), d / h), 0.0) / h
+    k = np.where(keep, triangular(d / h), 0.0) / h
     kd = k * d
     mu = np.stack([k.sum(axis=1), kd.sum(axis=1), (kd * d).sum(axis=1)])
     mu /= np.maximum(n_norm, 1)
@@ -243,7 +240,7 @@ def _dense_weights(r_values, center, h, spec):
     if not valid[0]:
         raise DegenerateWindow("degenerate")
     return WeightProfile(
-        bandwidth=h, side=spec.side, center=center, mu0=mu0, mu1=mu1, mu2=mu2,
+        bandwidth=h, side=side, center=center, mu0=mu0, mu1=mu1, mu2=mu2,
         sigma2=float(sigma2[0]), weights=weights[0], n_norm=int(n_norm[0]),
         slope_weights=k[0] * (mu0 * d[0] - mu1) / float(sigma2[0]),
     )
@@ -255,7 +252,6 @@ def test_compute_weights_stays_cheap():
     # as the median ratio over rounds that alternate which runs first, so
     # that a burst of load on a shared host slows both sides of a round
     r = np.sort(np.random.default_rng(13).uniform(-1, 1, 500))
-    spec = KernelSpec(KernelKind.TRIANGULAR, Side.LEFT)
 
     def per_call(fn, calls=100):
         start = time.perf_counter()
@@ -263,8 +259,8 @@ def test_compute_weights_stays_cheap():
             fn()
         return (time.perf_counter() - start) / calls
 
-    engine = lambda: per_call(lambda: compute_weights(r, 0.0, 0.4, spec))  # noqa: E731
-    yardstick = lambda: per_call(lambda: _dense_weights(r, 0.0, 0.4, spec))  # noqa: E731
+    engine = lambda: per_call(lambda: compute_weights(r, 0.0, 0.4, Side.LEFT))  # noqa: E731
+    yardstick = lambda: per_call(lambda: _dense_weights(r, 0.0, 0.4, Side.LEFT))  # noqa: E731
     ratios = []
     gc.collect()
     gc.disable()
@@ -336,11 +332,10 @@ class TestSharedWeightTables:
     @pytest.mark.parametrize("side", SIDES)
     def test_weights_with_tables_are_bit_identical(self, side):
         r = np.random.default_rng(15).uniform(-1, 1, 300)  # unsorted
-        spec = KernelSpec(KernelKind.TRIANGULAR, side)
         tables = LocalLinearTables(r)
         for center, h, window in [(0.0, 0.3, None), (0.2, 0.5, (-0.1, 0.6))]:
-            fresh = compute_weights(r, center, h, spec, window)
-            shared = compute_weights(r, center, h, spec, window, tables=tables)
+            fresh = compute_weights(r, center, h, side, window)
+            shared = compute_weights(r, center, h, side, window, tables=tables)
             for name in ("mu0", "mu1", "mu2", "sigma2", "n_norm"):
                 assert getattr(fresh, name) == getattr(shared, name)
             for name in ("weights", "slope_weights"):

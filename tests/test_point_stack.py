@@ -14,7 +14,6 @@ import pytest
 from geordd import (
     Euclidean,
     FunctionalL2,
-    KernelSpec,
     MetricObject,
     NetworkDgp,
     PointStack,
@@ -60,7 +59,7 @@ class TestStackMatchesTuple:
         assert isinstance(objs, tuple)
         r = np.random.default_rng(4).uniform(-1.0, 1.0, 60)
         for center, side in ((0.1, Side.LEFT), (0.1, Side.RIGHT), (-0.9, Side.TWO_SIDED)):
-            w = compute_weights(r, center, 0.6, KernelSpec(side=side)).weights
+            w = compute_weights(r, center, 0.6, side).weights
             assert (w < 0).any() and (w > 0).any()  # signed local-linear weights
             assert _solve(stack, w) == _solve(objs, w) == _solve(list(objs), w)
 

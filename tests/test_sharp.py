@@ -6,8 +6,6 @@ import pytest
 from geordd import (
     Euclidean,
     GeodesicEffect,
-    KernelSpec,
-    KernelKind,
     NoncomplianceSide,
     RddSample,
     ScalarDgp,
@@ -89,22 +87,11 @@ class TestEstimateSharp:
         b = estimate_sharp(shuffled, 0.5, 0.5)
         assert a.magnitude == b.magnitude  # bit-identical
 
-    def test_uniform_kernel_matches_oracle(self):
-        from geordd import KernelKind
-
-        rng = np.random.default_rng(9)
-        sample = _scalar_sample(rng, n=250)
-        est = estimate_sharp(sample, 0.5, 0.6, kernel=KernelKind.UNIFORM)
-        y = np.array([p.data[0] for p in sample.ys])
-        left = wls_intercept_oracle(sample.r, y, 0.0, 0.5, "left", kernel="uniform")
-        right = wls_intercept_oracle(sample.r, y, 0.0, 0.6, "right", kernel="uniform")
-        assert est.magnitude == pytest.approx(abs(right - left), abs=1e-10)
-
     def test_boundary_point_goes_right(self):
         rng = np.random.default_rng(5)
         r = np.concatenate([rng.uniform(-1, -0.01, 60), [0.0], rng.uniform(0.01, 1, 60)])
-        profile_left = compute_weights(r, 0.0, 0.8, KernelSpec(KernelKind.TRIANGULAR, Side.LEFT))
-        profile_right = compute_weights(r, 0.0, 0.8, KernelSpec(KernelKind.TRIANGULAR, Side.RIGHT))
+        profile_left = compute_weights(r, 0.0, 0.8, Side.LEFT)
+        profile_right = compute_weights(r, 0.0, 0.8, Side.RIGHT)
         at_cutoff = r == 0.0
         assert profile_left.weights[at_cutoff] == 0.0
         assert profile_right.weights[at_cutoff] != 0.0
@@ -169,7 +156,7 @@ class TestEffectDistance:
         rng = np.random.default_rng(8)
         s1 = _scalar_sample(rng, sigma=0.0)
         est = estimate_sharp(s1, 0.5, 0.5)
-        truth = GeodesicEffect.between(eu.point([0.0]), eu.point([1.0]), eu.point([9.0]))
+        truth = GeodesicEffect(eu.point([0.0]), eu.point([1.0]), eu.point([9.0]))
         d1 = effect_distance(est, SharpLike(truth))
         d2 = effect_distance(est, SharpLike(truth), reference=eu.point([-3.0]))
         assert d1 == pytest.approx(d2, abs=1e-12)  # flat space: reference-free

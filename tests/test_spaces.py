@@ -35,6 +35,7 @@ from geordd.errors import (
 )
 from geordd.frechet import Side, batch_lfr_embeddings
 from geordd.io import object_from_json
+from geordd.spaces import HilbertSpace
 from geordd.spaces.network import laplacian_from_weights
 
 from conftest import EMBEDDABLE_CASES, SPACE_CASES, rand_laplacian, rand_sphere, wls_line_oracle
@@ -145,7 +146,7 @@ class TestTransport:
 
 class TestQuotientDistance:
     def _effect(self, space, a, b, omega):
-        return GeodesicEffect.between(a, b, omega)
+        return GeodesicEffect(a, b, omega)
 
     def test_identical_effects(self, space_case):
         name, space, sampler = space_case
@@ -157,15 +158,15 @@ class TestQuotientDistance:
     def test_equal_displacement(self):
         eu = Euclidean(1)
         omega = eu.point([7.0])
-        e1 = GeodesicEffect.between(eu.point([0.0]), eu.point([1.0]), omega)
-        e2 = GeodesicEffect.between(eu.point([5.0]), eu.point([6.0]), omega)
+        e1 = GeodesicEffect(eu.point([0.0]), eu.point([1.0]), omega)
+        e2 = GeodesicEffect(eu.point([5.0]), eu.point([6.0]), omega)
         assert quotient_distance(e1, e2) == pytest.approx(0.0, abs=1e-12)
 
     def test_displacement_difference(self):
         eu = Euclidean(1)
         omega = eu.point([-2.0])
-        e1 = GeodesicEffect.between(eu.point([0.0]), eu.point([1.0]), omega)
-        e2 = GeodesicEffect.between(eu.point([0.0]), eu.point([3.0]), omega)
+        e1 = GeodesicEffect(eu.point([0.0]), eu.point([1.0]), omega)
+        e2 = GeodesicEffect(eu.point([0.0]), eu.point([3.0]), omega)
         assert quotient_distance(e1, e2) == pytest.approx(2.0, abs=1e-12)
 
     def test_network_shift_equivalence(self):
@@ -181,8 +182,8 @@ class TestQuotientDistance:
         l1s = space.point(laplacian_from_weights((w1 + shift) + (w1 + shift).T))
         l2s = space.point(laplacian_from_weights((w2 + shift) + (w2 + shift).T))
         omega = space.point(laplacian_from_weights(shift + shift.T))
-        e1 = GeodesicEffect.between(l1, l2, omega)
-        e2 = GeodesicEffect.between(l1s, l2s, omega)
+        e1 = GeodesicEffect(l1, l2, omega)
+        e2 = GeodesicEffect(l1s, l2s, omega)
         assert quotient_distance(e1, e2) < 1e-10
 
 
@@ -224,7 +225,7 @@ class TestEmbedding:
 
     def test_roundtrip_random(self, space_case):
         name, space, sampler = space_case
-        if not space.embedding_available:
+        if not isinstance(space, HilbertSpace):
             pytest.skip("no embedding")
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -352,7 +353,7 @@ class TestStackContract:
     def test_projecting_a_stack_projects_each_row(self, case):
         name, space, sampler = case
         rng = np.random.default_rng(23)
-        if not space.embedding_available:
+        if not isinstance(space, HilbertSpace):
             with pytest.raises(EmbeddingUnavailable):
                 space.project_embedding(np.zeros((2, space.shape[0])))
             return
@@ -614,13 +615,13 @@ class TestSerialization:
         assert space == space
 
     def test_descriptor_capabilities(self):
-        assert Euclidean(2).embedding_available
+        assert isinstance(Euclidean(2), HilbertSpace)
         assert Euclidean(2).logexp_available
-        assert not CompositionalSphere(3).embedding_available
+        assert not isinstance(CompositionalSphere(3), HilbertSpace)
         assert CompositionalSphere(3).logexp_available
-        assert SpdSpace(2, "log_cholesky").embedding_available
+        assert isinstance(SpdSpace(2, "log_cholesky"), HilbertSpace)
         assert not SpdSpace(2, "log_cholesky").logexp_available
-        assert FunctionalL2(24).embedding_available
+        assert isinstance(FunctionalL2(24), HilbertSpace)
         assert not FunctionalL2(24).logexp_available
 
     def test_effect_length_is_endpoint_distance(self):
