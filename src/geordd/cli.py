@@ -5,8 +5,8 @@ Every command writes a ``report.json`` into the output directory plus
 command-specific artifacts (bandwidth-search CSV, plot-data tables,
 campaign CSVs).  Exit codes: 0 success, 2 when estimation was refused on
 the data (weak compliance, degenerate windows, ...), 1 for I/O, parse, or
-configuration failures.  Failures emit a machine-readable JSON record on
-stderr.
+configuration failures.  A failure, a bad command line or config file
+included, emits one machine-readable JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import REFUSAL_ERRORS, GeorddError, ParseError
 from .frechet import Side, batch_lfr_embeddings
 from .io import ingest, object_from_json
 from .rdd_fuzzy import (
-    FuzzyVariant,
     NoncomplianceSide,
     estimate_fuzzy_late,
     estimate_geodesic_fuzzy,
@@ -39,12 +38,7 @@ from .spaces import HilbertSpace
 
 __all__ = ["main", "build_parser"]
 
-_FUZZY_VARIANTS = {
-    "late": FuzzyVariant.EMBEDDING,
-    "geodesic": FuzzyVariant.GEODESIC_ONE_SIDED,
-    "tangent": FuzzyVariant.RIEMANNIAN_TANGENT,
-    "geodesic-tangent": FuzzyVariant.GEODESIC_RIEMANNIAN,
-}
+_FUZZY_VARIANTS = ("geodesic", "geodesic-tangent", "late", "tangent")
 
 _SIDES = {
     "always": NoncomplianceSide.ALWAYS_TAKERS,
@@ -54,8 +48,41 @@ _SIDES = {
 _DGPS = ("setting-I", "setting-II", "setting-III", "setting-IV", "network")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that refuses a bad command line with a :class:`ParseError`
+    and matches option names only in full (``--bin`` is not ``--bins``)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
+def _interval(text: str) -> tuple[float, float]:
+    lo, _, hi = text.partition(",")
+    try:
+        return float(lo), float(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad interval {text!r}; expected 'lo,hi'") from None
+
+
+def _count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}; need at least 1")
+    return count
+
+
+def _sizes(text: str) -> list[int]:
+    sizes = [int(s) for s in text.split(",") if s.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"no sample size in {text!r}")
+    return sizes
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geordd",
         description="Regression discontinuity estimation for metric-space outcomes",
     )
@@ -71,43 +98,45 @@ def build_parser() -> argparse.ArgumentParser:
                 help="euclid | l2 | simplex | laplacian | spd:<variant> | wass",
             )
             p.add_argument("--cutoff", type=float, required=True)
-            p.add_argument("--support", help="lo,hi for wass payloads")
+            p.add_argument("--support", type=_interval, help="lo,hi for wass payloads")
             p.add_argument("--wmax", type=float, help="laplacian weight cap")
-            p.add_argument("--domain", help="lo,hi grid domain for l2")
-            p.add_argument("--power", type=float, help="spd power exponent")
-        p.add_argument("--out", help="output directory")
+            p.add_argument("--domain", type=_interval, help="lo,hi grid domain for l2")
+            p.add_argument("--power", type=float, default=0.5, help="spd power exponent")
+        p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--config", help="JSON config file (flags win)")
 
     p_sharp = sub.add_parser("sharp", help="sharp-design estimate at the cutoff")
     add_io(p_sharp)
-    p_sharp.add_argument("--bw", help="'auto' or 'h0,h1'")
-    p_sharp.add_argument("--bins", type=int, help="bin count for plot data")
+    p_sharp.add_argument("--bw", default="auto", help="'auto' or 'h0,h1'")
+    p_sharp.add_argument("--bins", type=_count, default=40, help="bin count for plot data")
 
     p_fuzzy = sub.add_parser("fuzzy", help="fuzzy-design estimates (needs t column)")
     add_io(p_fuzzy)
-    p_fuzzy.add_argument("--bw", help="'auto' or 'h0,h1'")
-    p_fuzzy.add_argument("--fuzzy-variant", choices=sorted(_FUZZY_VARIANTS))
-    p_fuzzy.add_argument("--side", choices=sorted(_SIDES))
+    p_fuzzy.add_argument("--bw", default="auto", help="'auto' or 'h0,h1'")
+    p_fuzzy.add_argument("--fuzzy-variant", choices=_FUZZY_VARIANTS, default="late")
+    p_fuzzy.add_argument("--side", choices=sorted(_SIDES), help="geodesic variants only")
     p_fuzzy.add_argument(
         "--ref",
-        help="JSON file with the tangent-space reference point (default: "
-        "sample Frechet mean, flagged as data-dependent)",
+        help="tangent variants only: JSON file with the tangent-space reference "
+        "point (default: sample Frechet mean, flagged as data-dependent)",
     )
-    p_fuzzy.add_argument("--bins", type=int)
+    p_fuzzy.add_argument("--bins", type=_count, default=40)
 
     p_bw = sub.add_parser("bandwidth", help="run the data-adaptive bandwidth search")
     add_io(p_bw)
-    p_bw.add_argument("--grid-size", type=int)
+    p_bw.add_argument("--grid-size", type=int, default=20)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo campaigns on synthetic designs")
     add_io(p_sim, need_input=False)
-    p_sim.add_argument("--dgp", choices=_DGPS)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--reps", type=int)
-    p_sim.add_argument("--sizes", help="comma-separated sample sizes")
-    p_sim.add_argument("--bw", help="'auto' or a fixed bandwidth")
-    p_sim.add_argument("--tau", type=float)
-    p_sim.add_argument("--noise", type=float)
+    p_sim.add_argument("--dgp", choices=_DGPS, default="network")
+    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--reps", type=int, default=100)
+    p_sim.add_argument(
+        "--sizes", type=_sizes, default="100,200,500,1000", help="comma-separated sample sizes"
+    )
+    p_sim.add_argument("--bw", default="auto", help="'auto' or a fixed bandwidth")
+    p_sim.add_argument("--tau", type=float, default=1.0)
+    p_sim.add_argument("--noise", type=float, default=0.5)
 
     p_val = sub.add_parser("validate", help="parse a sample and check invariants")
     add_io(p_val)
@@ -115,80 +144,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: option values when neither a flag nor the config file sets them (every
-#: flag defaults to None, so that a config-file entry is not overridden)
-_DEFAULTS = dict(
-    out=".", bw="auto", fuzzy_variant="late", dgp="network", seed=0, bins=40, reps=100,
-    sizes="100,200,500,1000", grid_size=20, tau=1.0, noise=0.5, power=0.5,
-)
+def _config_flags(argv: list[str]) -> list[str]:
+    """The entries of the ``--config`` file named in ``argv``, as flags.
 
-
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Effective options: flags beat config-file entries beat defaults.
-
-    argparse converts and checks flags only; a config-file entry for an
-    option of the command gets the same ``type`` and ``choices`` here, so a
-    bad value is a :class:`ParseError` rather than a failure further in.
+    A key is an option name without its leading dashes (``_`` for ``-``
+    allowed), so ``{"grid_size": 5}`` becomes ``--grid-size=5``.  The path
+    is found apart from the command's parser, which would refuse a command
+    line whose required options are in the file.
     """
-    cfg = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ParseError(f"{args.config}: config must be a JSON object")
-    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for action in commands.choices[args.command]._actions:
-        key = action.dest
-        if key not in cfg:
-            continue
-        if action.type is not None:
-            try:
-                # as argparse converts the text of a flag
-                cfg[key] = action.type(str(cfg[key]))
-            except ValueError:
-                raise ParseError(f"{args.config}: bad {key} {cfg[key]!r}") from None
-        if action.choices is not None and cfg[key] not in action.choices:
-            raise ParseError(f"bad {key} {cfg[key]!r}; choose from {sorted(action.choices)}")
-    flags = {key: value for key, value in vars(args).items() if value is not None}
-    return {**_DEFAULTS, **cfg, **flags}
+    finder = _Parser(add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    with open(path, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict) or "config" in cfg:
+        raise ParseError(f"{path}: config must be a JSON object without a config entry")
+    return [f"--{key.replace('_', '-')}={value}" for key, value in cfg.items()]
 
 
-def _parse_interval(text) -> tuple[float, float] | None:
-    if text is None:
-        return None
-    if isinstance(text, (list, tuple)):
-        return float(text[0]), float(text[1])
-    lo, _, hi = str(text).partition(",")
-    try:
-        return float(lo), float(hi)
-    except ValueError:
-        raise ParseError(f"bad interval {text!r}; expected 'lo,hi'") from None
-
-
-def _bins(opts: dict) -> int:
-    if opts["bins"] < 1:
-        raise ParseError(f"bad bins {opts['bins']!r}; need at least 1")
-    return opts["bins"]
-
-
-def _load_sample(opts: dict) -> RddSample:
-    return ingest(
-        opts["input"],
-        opts["space"],
-        opts["cutoff"],
-        support=_parse_interval(opts.get("support")),
-        max_weight=opts.get("wmax"),
-        domain=_parse_interval(opts.get("domain")),
-        power=opts["power"],
-    )
+def _load_sample(args: argparse.Namespace) -> RddSample:
+    return ingest(args.input, args.space, args.cutoff, support=args.support,
+                  max_weight=args.wmax, domain=args.domain, power=args.power)
 
 
 def _resolve_bandwidths(
-    sample: RddSample, opts: dict, out: Path
+    sample: RddSample, bw: str, out: Path
 ) -> tuple[float, float, BandwidthSearch | None]:
-    bw = str(opts["bw"])
     if bw == "auto":
-        search = select_bandwidth(sample, grid_size=opts["grid_size"])
+        search = select_bandwidth(sample)
         _write_bandwidth_csv(search, out / "bandwidth_search.csv")
         return search.b_star, search.b_star, search
     h0, _, h1 = bw.partition(",")
@@ -256,13 +241,12 @@ def _plot_data(sample: RddSample, h0: float, h1: float, bins: int, out: Path):
             )
 
 
-def _cmd_sharp(opts: dict, out: Path) -> int:
-    bins = _bins(opts)
-    sample = _load_sample(opts)
+def _cmd_sharp(args: argparse.Namespace, out: Path) -> int:
+    sample = _load_sample(args)
     sample.validate_sharp()
-    h0, h1, search = _resolve_bandwidths(sample, opts, out)
+    h0, h1, search = _resolve_bandwidths(sample, args.bw, out)
     est = estimate_sharp(sample, h0, h1)
-    return _write_estimate("sharp", sample, est, h0, h1, search, bins, out)
+    return _write_estimate("sharp", sample, est, h0, h1, search, args.bins, out)
 
 
 def _write_estimate(command, sample, est, h0, h1, search, bins, out: Path) -> int:
@@ -279,36 +263,37 @@ def _write_estimate(command, sample, est, h0, h1, search, bins, out: Path) -> in
     return 0
 
 
-def _cmd_fuzzy(opts: dict, out: Path) -> int:
-    bins = _bins(opts)
-    sample = _load_sample(opts)
-    variant = _FUZZY_VARIANTS[opts["fuzzy_variant"]]
-    h0, h1, search = _resolve_bandwidths(sample, opts, out)
+def _cmd_fuzzy(args: argparse.Namespace, out: Path) -> int:
+    variant = args.fuzzy_variant
+    # --side picks the stratum of the geodesic variants and --ref the chart
+    # of the tangent ones; any other variant would ignore them
+    if "geodesic" in variant and args.side is None:
+        raise ParseError(f"--fuzzy-variant {variant} needs --side {{always|never}}")
+    if "geodesic" not in variant and args.side is not None:
+        raise ParseError(f"--side goes with the geodesic fuzzy variants only, not {variant!r}")
+    if args.ref is not None and "tangent" not in variant:
+        raise ParseError(f"--ref goes with the tangent fuzzy variants only, not {variant!r}")
+    sample = _load_sample(args)
+    h0, h1, search = _resolve_bandwidths(sample, args.bw, out)
     reference = None
-    if opts.get("ref"):
-        with open(opts["ref"], encoding="utf-8") as fh:
+    if args.ref is not None:
+        with open(args.ref, encoding="utf-8") as fh:
             reference = object_from_json(json.load(fh), sample.space)
-    if variant is FuzzyVariant.EMBEDDING:
+    side = _SIDES.get(args.side)
+    if variant == "late":
         est = estimate_fuzzy_late(sample, h0, h1)
-    elif variant is FuzzyVariant.RIEMANNIAN_TANGENT:
+    elif variant == "tangent":
         est = estimate_riemannian_fuzzy(sample, reference, h0, h1)
+    elif variant == "geodesic":
+        est = estimate_geodesic_fuzzy(sample, h0, h1, side)
     else:
-        side = opts.get("side")
-        if side is None:
-            raise ParseError(
-                "geodesic fuzzy variants need --side {always|never}"
-            )
-        nc = _SIDES[side]
-        if variant is FuzzyVariant.GEODESIC_ONE_SIDED:
-            est = estimate_geodesic_fuzzy(sample, h0, h1, nc)
-        else:
-            est = estimate_geodesic_riemannian_fuzzy(sample, reference, nc, h0, h1)
-    return _write_estimate("fuzzy", sample, est, h0, h1, search, bins, out)
+        est = estimate_geodesic_riemannian_fuzzy(sample, reference, side, h0, h1)
+    return _write_estimate("fuzzy", sample, est, h0, h1, search, args.bins, out)
 
 
-def _cmd_bandwidth(opts: dict, out: Path) -> int:
-    sample = _load_sample(opts)
-    search = select_bandwidth(sample, grid_size=opts["grid_size"])
+def _cmd_bandwidth(args: argparse.Namespace, out: Path) -> int:
+    sample = _load_sample(args)
+    search = select_bandwidth(sample, grid_size=args.grid_size)
     _write_bandwidth_csv(search, out / "bandwidth_search.csv")
     _write_json(
         {
@@ -322,22 +307,21 @@ def _cmd_bandwidth(opts: dict, out: Path) -> int:
     return 0
 
 
-def _cmd_simulate(opts: dict, out: Path) -> int:
-    sizes = [int(s) for s in str(opts["sizes"]).split(",") if s.strip()]
-    bw = opts["bw"]
-    bandwidth = bw if bw == "auto" else float(bw)
-    if opts["dgp"] == "network":
-        dgp = NetworkDgp(n=max(sizes), seed=opts["seed"])
+def _cmd_simulate(args: argparse.Namespace, out: Path) -> int:
+    sizes = args.sizes
+    bandwidth = args.bw if args.bw == "auto" else float(args.bw)
+    if args.dgp == "network":
+        dgp = NetworkDgp(n=max(sizes), seed=args.seed)
     else:
         dgp = ScalarDgp(
-            setting=opts["dgp"].split("-", 1)[1],
-            tau=opts["tau"],
-            sigma=opts["noise"],
+            setting=args.dgp.split("-", 1)[1],
+            tau=args.tau,
+            sigma=args.noise,
             n=max(sizes),
-            seed=opts["seed"],
+            seed=args.seed,
         )
     result = run_campaign(
-        dgp, sizes=sizes, reps=opts["reps"], seed=opts["seed"], bandwidth=bandwidth
+        dgp, sizes=sizes, reps=args.reps, seed=args.seed, bandwidth=bandwidth
     )
     (out / "campaign.csv").write_text(result.to_csv(), encoding="utf-8")
     _write_json(result.metadata, out / "metadata.json")
@@ -346,7 +330,7 @@ def _cmd_simulate(opts: dict, out: Path) -> int:
     _write_json(
         {
             "command": "simulate",
-            "dgp": opts["dgp"],
+            "dgp": args.dgp,
             "mean_bias": result.bias_by_size(),
             "slope": None if result.rate_fit is None else result.rate_fit.slope,
             "n_failures": result.metadata["n_failures"],
@@ -356,8 +340,8 @@ def _cmd_simulate(opts: dict, out: Path) -> int:
     return 0
 
 
-def _cmd_validate(opts: dict, out: Path) -> int:
-    sample = _load_sample(opts)
+def _cmd_validate(args: argparse.Namespace, out: Path) -> int:
+    sample = _load_sample(args)
     _write_json(
         {
             "command": "validate",
@@ -395,21 +379,15 @@ def _emit_error(err: Exception, stream) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # --help/--version exit 0; remap argparse misuse (its exit code 2)
-        # onto the configuration-failure code
-        if exc.code in (0, None):
-            return 0
-        _emit_error(ParseError("invalid command line; see --help"), sys.stderr)
-        return 1
-    try:
-        opts = _merge_config(args, parser)
-        out = Path(opts["out"])
+        # the top-level parser has no option that takes a value, so the
+        # command word comes first; config entries go between it and the
+        # command line's own flags, which therefore win
+        args = build_parser().parse_args(argv[:1] + _config_flags(argv) + argv[1:])
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](opts, out)
+        return _COMMANDS[args.command](args, out)
     except REFUSAL_ERRORS as err:
         _emit_error(err, sys.stderr)
         return 2

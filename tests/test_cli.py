@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from geordd import (
     generate_scalar,
 )
 from geordd import io
-from geordd.cli import main
+from geordd.cli import build_parser, main
 from geordd.errors import InvariantViolation, ParseError
 from geordd.io import ingest, ingest_csv, write_sample_csv
 
@@ -313,6 +315,26 @@ def _setting_one_csv(tmp_path, n=1000, sigma=0.0, seed=3):
     return path
 
 
+def _one_sided_fuzzy_csv(tmp_path, n=200):
+    """Scalar outcomes with always-takers below the cutoff only."""
+    rng = np.random.default_rng(8)
+    r = rng.uniform(-1, 1, n)
+    z = (r >= 0).astype(int)
+    t = np.where(z == 1, 1, (rng.random(n) < 0.3).astype(int))
+    path = tmp_path / "f.csv"
+    write_sample_csv(RddSample(r, Euclidean(1).points((r + t)[:, None]), 0.0, t, z), path)
+    return path
+
+
+def _one_parse_error(capsys) -> dict:
+    """The stderr of a refused command line: one JSON record and nothing else."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    record = json.loads(err)
+    assert record["error"] == "parse_error"
+    return record
+
+
 class TestCommands:
     def test_sharp_fixed_bandwidth_recovers_unit_jump(self, tmp_path):
         path = _setting_one_csv(tmp_path)
@@ -442,8 +464,7 @@ class TestCommands:
         code = main(["sharp", "--input", str(path), "--space", "euclid", "--cutoff", "0",
                      "--bw", "0.5", "--seed", "1", "--out", str(out)])
         assert code == 1
-        last = capsys.readouterr().err.strip().splitlines()[-1]
-        assert json.loads(last)["error"] == "parse_error"
+        assert json.loads(capsys.readouterr().err)["error"] == "parse_error"
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize(
@@ -616,6 +637,89 @@ class TestCommands:
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "parse_error"
 
+    @pytest.mark.parametrize("entries", [{"seed": 1}, {"grid_size": 5}, {"bin": 10}],
+                             ids=["other-command", "config-only", "abbreviation"])
+    def test_config_file_refuses_keys_that_are_not_options(self, tmp_path, capsys, entries):
+        # seed belongs to simulate, grid-size to bandwidth, and --bin is not
+        # read as --bins
+        path = _setting_one_csv(tmp_path, n=200)
+        cfg = _write(tmp_path / "cfg.json", json.dumps(entries))
+        out = tmp_path / "o"
+        code = main(["sharp", "--input", str(path), "--space", "euclid", "--cutoff", "0",
+                     "--bw", "0.5", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert f"--{next(iter(entries)).replace('_', '-')}=" in _one_parse_error(capsys)["message"]
+        assert not out.exists()
+
+    def test_abbreviated_flag_is_refused(self, tmp_path, capsys):
+        path = _setting_one_csv(tmp_path, n=200)
+        code = main(["sharp", "--input", str(path), "--space", "euclid", "--cutoff", "0",
+                     "--bw", "0.5", "--bin", "10", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "--bin 10" in _one_parse_error(capsys)["message"]
+
+    @pytest.mark.parametrize("entries", [[0.5], {"config": "other.json"}, {"support": [0, 1]}],
+                             ids=["not-an-object", "nested-config", "list-value"])
+    def test_config_file_refuses_other_shapes(self, tmp_path, capsys, entries):
+        path = _setting_one_csv(tmp_path, n=200)
+        cfg = _write(tmp_path / "cfg.json", json.dumps(entries))
+        code = main(["sharp", "--input", str(path), "--space", "euclid", "--cutoff", "0",
+                     "--bw", "0.5", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        _one_parse_error(capsys)
+
+    @pytest.mark.parametrize("key", ["fuzzy-variant", "fuzzy_variant"])
+    def test_config_keys_take_either_spelling(self, tmp_path, key):
+        path = _one_sided_fuzzy_csv(tmp_path)
+        cfg = _write(tmp_path / "cfg.json", json.dumps({key: "tangent", "cutoff": -0.0}))
+        out = tmp_path / "o"
+        code = main(["fuzzy", "--input", str(path), "--space", "euclid", "--bw", "0.5",
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["estimate"]["variant"] == "riemannian_tangent"
+
+    @pytest.mark.parametrize(
+        "variant, flags",
+        [
+            ("late", ["--side", "always"]),
+            ("tangent", ["--side", "never"]),
+            ("geodesic", []),
+            ("geodesic-tangent", []),
+            ("late", ["--ref", "ref.json"]),
+            ("geodesic", ["--side", "always", "--ref", "ref.json"]),
+        ],
+    )
+    def test_fuzzy_refuses_options_its_variant_ignores(self, tmp_path, capsys, variant, flags):
+        path = _one_sided_fuzzy_csv(tmp_path)
+        _write(tmp_path / "ref.json", json.dumps(Euclidean(1).point([0.0]).to_json()))
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        out = tmp_path / "o"
+        code = main(["fuzzy", "--input", str(path), "--space", "euclid", "--cutoff", "0",
+                     "--bw", "0.5", "--fuzzy-variant", variant, *flags, "--out", str(out)])
+        assert code == 1
+        message = _one_parse_error(capsys)["message"]
+        assert ("--ref" if "--ref" in flags else "--side") in message
+        assert not (out / "report.json").exists()
+
+    def test_fuzzy_geodesic_tangent_takes_side_and_ref(self, tmp_path):
+        path = _one_sided_fuzzy_csv(tmp_path)
+        ref = _write(tmp_path / "ref.json", json.dumps(Euclidean(1).point([0.0]).to_json()))
+        out = tmp_path / "o"
+        code = main(["fuzzy", "--input", str(path), "--space", "euclid", "--cutoff", "0",
+                     "--bw", "0.5", "--fuzzy-variant", "geodesic-tangent", "--side", "always",
+                     "--ref", str(ref), "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["estimate"]["variant"] == "geodesic_riemannian"
+
+    @pytest.mark.parametrize("sizes", [",", "", " , "])
+    def test_simulate_refuses_empty_sizes(self, tmp_path, capsys, sizes):
+        code = main(["simulate", "--dgp", "setting-I", "--reps", "10", f"--sizes={sizes}",
+                     "--out", str(tmp_path / "sim")])
+        assert code == 1
+        assert "--sizes" in _one_parse_error(capsys)["message"]
+
     def test_config_file_flags_win(self, tmp_path):
         path = _setting_one_csv(tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -629,3 +733,20 @@ class TestCommands:
         report = json.loads((out / "report.json").read_text())
         # the flag bandwidth (0.3) wins over the config value (0.9)
         assert report["estimate"]["bandwidths"]["h0"] == 0.3
+
+
+def _readme_command_lines() -> list[str]:
+    """The ``geordd`` command lines of README's CLI block, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command-line interface", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    joined = block.replace("\\\n", " ")
+    return [line.strip() for line in joined.splitlines() if line.strip().startswith("geordd ")]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    commands = {shlex.split(line)[1] for line in lines}
+    assert commands == {"sharp", "fuzzy", "bandwidth", "simulate", "validate"}
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
