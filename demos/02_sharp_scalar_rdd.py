@@ -5,29 +5,31 @@
 # Scalar outcomes are the sanity anchor: the geodesic estimator must reduce
 # exactly to two one-sided local linear fits, and the effect length to the
 # absolute jump.  We verify that, then recover the unit treatment effect on
-# a noisy design with the data-adaptive bandwidth.
+# a noisy design with the data-adaptive bandwidth.  A design's sample() returns
+# the draw together with the true effect it was drawn around.
 # -----------------------------------------------------------------------------
 
 import numpy as np
 
-from geordd import ScalarDgp, estimate_sharp, generate_scalar, select_bandwidth
+from geordd import ScalarDgp, estimate_sharp, quotient_distance, select_bandwidth
 
 print("=" * 72)
 print("1. Noiseless linear design: the estimator is exact")
 print("=" * 72)
 
-sample = generate_scalar(ScalarDgp(setting="I", sigma=0.0, n=500, seed=1))
+sample, truth = ScalarDgp(setting="I", sigma=0.0, n=500, seed=1).sample()
 est = estimate_sharp(sample, h0=0.3, h1=0.3)
 print(f"left limit  {est.start.data[0]:+.12f}")
 print(f"right limit {est.end.data[0]:+.12f}")
-print(f"magnitude   {est.magnitude:.12f}  (true jump = 1)")
+print(f"magnitude   {est.magnitude:.12f}  (true jump = {truth.length:g})")
+print(f"distance to the true effect {quotient_distance(est.effect, truth):.2e}")
 
 print()
 print("=" * 72)
 print("2. Noisy design with automatic bandwidth selection")
 print("=" * 72)
 
-sample = generate_scalar(ScalarDgp(setting="I", sigma=0.5, n=1000, seed=7))
+sample, _ = ScalarDgp(setting="I", sigma=0.5, n=1000, seed=7).sample()
 search = select_bandwidth(sample)
 print(f"candidate range: [{search.b_min:.4f}, {search.b_max:.4f}]")
 print(f"selected b* = {search.b_star:.4f}")
@@ -42,7 +44,7 @@ print("=" * 72)
 
 mags = []
 for rep in range(50):
-    s = generate_scalar(ScalarDgp(setting="I", n=1000, seed=100 + rep))
+    s, _ = ScalarDgp(setting="I", n=1000, seed=100 + rep).sample()
     b = select_bandwidth(s).b_star
     mags.append(estimate_sharp(s, b, b).magnitude)
 print(f"mean estimate over 50 replications: {np.mean(mags):.4f}")

@@ -11,13 +11,13 @@
 
 import numpy as np
 
-from geordd import ScalarDgp, estimate_sharp, generate_scalar, select_bandwidth
+from geordd import ScalarDgp, estimate_sharp, select_bandwidth
 
 print("=" * 72)
 print("1. The loss profile on an oscillatory design (setting IV)")
 print("=" * 72)
 
-sample = generate_scalar(ScalarDgp(setting="IV", n=1000, seed=3))
+sample, _ = ScalarDgp(setting="IV", n=1000, seed=3).sample()
 search = select_bandwidth(sample)
 print(f"bounds: b_min = {search.b_min:.4f}, b_max = {search.b_max:.4f}")
 print(f"{'b':>10s}  {'L(b)':>12s}")
@@ -33,10 +33,10 @@ print("=" * 72)
 
 bias_star, bias_max = [], []
 for rep in range(30):
-    s = generate_scalar(ScalarDgp(setting="IV", n=1000, seed=400 + rep))
+    s, truth = ScalarDgp(setting="IV", n=1000, seed=400 + rep).sample()
     sr = select_bandwidth(s)
-    bias_star.append(abs(estimate_sharp(s, sr.b_star, sr.b_star).magnitude - 1.0))
-    bias_max.append(abs(estimate_sharp(s, sr.b_max, sr.b_max).magnitude - 1.0))
+    bias_star.append(abs(estimate_sharp(s, sr.b_star, sr.b_star).magnitude - truth.length))
+    bias_max.append(abs(estimate_sharp(s, sr.b_max, sr.b_max).magnitude - truth.length))
 print(f"mean |bias| at b*:    {np.mean(bias_star):.4f}")
 print(f"mean |bias| at b_max: {np.mean(bias_max):.4f}")
 print(f"oversmoothing inflates the bias by {np.mean(bias_max) / np.mean(bias_star):.1f}x")
@@ -46,7 +46,7 @@ print("=" * 72)
 print("3. Tie-breaking: exactly linear data selects the smallest candidate")
 print("=" * 72)
 
-linear = generate_scalar(ScalarDgp(setting="I", sigma=0.0, n=500, seed=9))
+linear, _ = ScalarDgp(setting="I", sigma=0.0, n=500, seed=9).sample()
 sr = select_bandwidth(linear)
 print(f"all losses ~ 0 (max = {sr.losses.max():.2e});"
       f" ties break toward small b: b* = {sr.b_star:.4f} = b_min")

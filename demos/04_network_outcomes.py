@@ -11,7 +11,6 @@
 from geordd import (
     NetworkDgp,
     estimate_sharp,
-    generate_network,
     quotient_distance,
     run_campaign,
     select_bandwidth,
@@ -22,7 +21,7 @@ print("1. One draw: estimate vs closed-form truth")
 print("=" * 72)
 
 dgp = NetworkDgp(n=500, seed=11)
-sample, truth = generate_network(dgp)
+sample, truth = dgp.sample()  # the draw and its closed-form truth
 print(f"true effect length (Frobenius): {truth.length:.4f}")
 search = select_bandwidth(sample)
 est = estimate_sharp(sample, search.b_star, search.b_star, reference=truth.reference)

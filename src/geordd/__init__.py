@@ -36,7 +36,6 @@ from .rdd_fuzzy import (
 )
 from .rdd_sharp import (
     SharpEstimate,
-    effect_distance,
     estimate_sharp,
     sample_frechet_mean,
 )
@@ -46,8 +45,6 @@ from .simlab import (
     NetworkDgp,
     RateFit,
     ScalarDgp,
-    generate_network,
-    generate_scalar,
     run_campaign,
 )
 from .spaces import (
@@ -92,7 +89,6 @@ __all__ = [
     "RddSample",
     "SharpEstimate",
     "estimate_sharp",
-    "effect_distance",
     "sample_frechet_mean",
     # fuzzy designs
     "DELTA_COMPLY",
@@ -116,7 +112,5 @@ __all__ = [
     "NetworkDgp",
     "RateFit",
     "CampaignResult",
-    "generate_scalar",
-    "generate_network",
     "run_campaign",
 ]

@@ -81,6 +81,18 @@ def _sizes(text: str) -> list[int]:
     return sizes
 
 
+def _bandwidth_pair(text: str) -> str | tuple[float, float]:
+    """'auto', or the bandwidths (h0, h1) of the two sides from 'h0,h1' or 'h'."""
+    if text == "auto":
+        return text
+    h0, _, h1 = text.partition(",")
+    return float(h0), float(h1 or h0)
+
+
+def _bandwidth(text: str) -> str | float:
+    return text if text == "auto" else float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="geordd",
@@ -107,12 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sharp = sub.add_parser("sharp", help="sharp-design estimate at the cutoff")
     add_io(p_sharp)
-    p_sharp.add_argument("--bw", default="auto", help="'auto' or 'h0,h1'")
+    p_sharp.add_argument("--bw", type=_bandwidth_pair, default="auto", help="'auto' or 'h0,h1'")
     p_sharp.add_argument("--bins", type=_count, default=40, help="bin count for plot data")
 
     p_fuzzy = sub.add_parser("fuzzy", help="fuzzy-design estimates (needs t column)")
     add_io(p_fuzzy)
-    p_fuzzy.add_argument("--bw", default="auto", help="'auto' or 'h0,h1'")
+    p_fuzzy.add_argument("--bw", type=_bandwidth_pair, default="auto", help="'auto' or 'h0,h1'")
     p_fuzzy.add_argument("--fuzzy-variant", choices=_FUZZY_VARIANTS, default="late")
     p_fuzzy.add_argument("--side", choices=sorted(_SIDES), help="geodesic variants only")
     p_fuzzy.add_argument(
@@ -134,9 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--sizes", type=_sizes, default="100,200,500,1000", help="comma-separated sample sizes"
     )
-    p_sim.add_argument("--bw", default="auto", help="'auto' or a fixed bandwidth")
-    p_sim.add_argument("--tau", type=float, default=1.0)
-    p_sim.add_argument("--noise", type=float, default=0.5)
+    p_sim.add_argument("--bw", type=_bandwidth, default="auto", help="'auto' or a fixed bandwidth")
+    # left unset, these keep ScalarDgp's defaults
+    p_sim.add_argument("--tau", type=float, help="jump at the cutoff, scalar designs only")
+    p_sim.add_argument("--noise", type=float, help="noise sd, scalar designs only")
 
     p_val = sub.add_parser("validate", help="parse a sample and check invariants")
     add_io(p_val)
@@ -170,19 +183,13 @@ def _load_sample(args: argparse.Namespace) -> RddSample:
 
 
 def _resolve_bandwidths(
-    sample: RddSample, bw: str, out: Path
+    sample: RddSample, bw: str | tuple[float, float], out: Path
 ) -> tuple[float, float, BandwidthSearch | None]:
     if bw == "auto":
         search = select_bandwidth(sample)
         _write_bandwidth_csv(search, out / "bandwidth_search.csv")
         return search.b_star, search.b_star, search
-    h0, _, h1 = bw.partition(",")
-    try:
-        h0 = float(h0)
-        h1 = float(h1) if h1 else h0
-    except ValueError:
-        raise ParseError(f"bad bandwidth spec {bw!r}; expected 'auto' or 'h0,h1'") from None
-    return h0, h1, None
+    return *bw, None
 
 
 def _write_bandwidth_csv(search: BandwidthSearch, path: Path):
@@ -309,19 +316,21 @@ def _cmd_bandwidth(args: argparse.Namespace, out: Path) -> int:
 
 def _cmd_simulate(args: argparse.Namespace, out: Path) -> int:
     sizes = args.sizes
-    bandwidth = args.bw if args.bw == "auto" else float(args.bw)
+    given = {k: v for k, v in (("tau", args.tau), ("sigma", args.noise)) if v is not None}
     if args.dgp == "network":
+        # the network design has no jump or noise scale to set
+        if given:
+            raise ParseError("--tau and --noise go with the scalar designs only, not 'network'")
         dgp = NetworkDgp(n=max(sizes), seed=args.seed)
     else:
         dgp = ScalarDgp(
             setting=args.dgp.split("-", 1)[1],
-            tau=args.tau,
-            sigma=args.noise,
             n=max(sizes),
             seed=args.seed,
+            **given,
         )
     result = run_campaign(
-        dgp, sizes=sizes, reps=args.reps, seed=args.seed, bandwidth=bandwidth
+        dgp, sizes=sizes, reps=args.reps, seed=args.seed, bandwidth=args.bw
     )
     (out / "campaign.csv").write_text(result.to_csv(), encoding="utf-8")
     _write_json(result.metadata, out / "metadata.json")

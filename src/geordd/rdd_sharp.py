@@ -19,9 +19,9 @@ from .frechet import (
     weighted_frechet_mean,
 )
 from .sample import RddSample
-from .spaces import GeodesicEffect, MetricObject, quotient_distance
+from .spaces import GeodesicEffect, MetricObject
 
-__all__ = ["SharpEstimate", "estimate_sharp", "effect_distance", "sample_frechet_mean"]
+__all__ = ["SharpEstimate", "estimate_sharp", "sample_frechet_mean"]
 
 
 @dataclass(frozen=True)
@@ -96,14 +96,3 @@ def estimate_sharp(
         n1=sample.n_right,
         diagnostics={"left": asdict(info0), "right": asdict(info1)},
     )
-
-
-def effect_distance(
-    e1: SharpEstimate, e2: SharpEstimate, reference: MetricObject | None = None
-) -> float:
-    """Quotient distance between two estimated effects.
-
-    The reference point defaults to the first estimate's; pass the
-    truth-side reference explicitly when comparing against a known target.
-    """
-    return quotient_distance(e1.effect, e2.effect, reference)

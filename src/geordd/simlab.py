@@ -3,10 +3,14 @@
 Two families of synthetic designs are provided: scalar outcomes with four
 regression shapes of increasing oscillation (settings I-IV), and
 network-valued outcomes drawn from a weighted stochastic block model whose
-edge-weight law jumps at the cutoff.  Campaigns run the full pipeline
-(data-adaptive bandwidth, sharp estimation, quotient-metric bias against the
-known truth) over replications and sample sizes, and fit the log-log rate of
-the mean bias.
+edge-weight law jumps at the cutoff.  Both follow one protocol: a frozen
+dataclass with ``n`` and ``seed`` fields, a ``setting`` string naming the
+design, and ``sample(rng=None)`` returning ``(RddSample, GeodesicEffect)``,
+a draw and the population effect it estimates.  :func:`run_campaign` runs
+any design that follows it through the full pipeline (data-adaptive
+bandwidth, sharp estimation, quotient-metric bias against the known truth)
+over replications and sample sizes, and fits the log-log rate of the mean
+bias.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,8 +41,6 @@ __all__ = [
     "RateFit",
     "CampaignResult",
     "scalar_regression_functions",
-    "generate_scalar",
-    "generate_network",
     "run_campaign",
 ]
 
@@ -96,13 +99,16 @@ class ScalarDgp:
     def space(self) -> Euclidean:
         return Euclidean(1)
 
-    def sample(self, rng: np.random.Generator | None = None) -> RddSample:
+    def sample(
+        self, rng: np.random.Generator | None = None
+    ) -> tuple[RddSample, GeodesicEffect]:
         rng = rng if rng is not None else np.random.default_rng(self.seed)
         m_minus, m_plus = scalar_regression_functions(self.setting)
         r = rng.uniform(-1.0, 1.0, self.n)
         eps = rng.normal(0.0, self.sigma, self.n)
         y = np.where(r < 0.0, m_minus(r), m_plus(r, self.tau)) + eps
-        return RddSample(r=r, ys=self.space.stack(y[:, None]), cutoff=self.cutoff)
+        sample = RddSample(r=r, ys=self.space.stack(y[:, None]), cutoff=self.cutoff)
+        return sample, self.true_effect()
 
     def true_effect(self) -> GeodesicEffect:
         m_minus, m_plus = scalar_regression_functions(self.setting)
@@ -126,6 +132,9 @@ class NetworkDgp:
     mean under the Frobenius metric is the expected Laplacian, built from
     edge probability times expected weight.
     """
+
+    #: a class constant, so campaign metadata records only the fields below
+    setting: ClassVar[str] = "network"
 
     n: int = 500
     seed: int = 0
@@ -201,14 +210,6 @@ class NetworkDgp:
         return GeodesicEffect(start, end, omega)
 
 
-def generate_scalar(dgp: ScalarDgp) -> RddSample:
-    return dgp.sample()
-
-
-def generate_network(dgp: NetworkDgp) -> tuple[RddSample, GeodesicEffect]:
-    return dgp.sample()
-
-
 # ---------------------------------------------------------------------------
 # campaigns
 # ---------------------------------------------------------------------------
@@ -275,14 +276,7 @@ def _campaign_config_hash(payload: dict) -> str:
 
 def _one_rep(dgp, rng, bandwidth):
     """One replication: returns (setting, bandwidth_used, bias, fallback_flag)."""
-    if isinstance(dgp, NetworkDgp):
-        sample, truth = dgp.sample(rng)
-        setting = "network"
-    else:
-        sample = dgp.sample(rng)
-        truth = dgp.true_effect()
-        setting = dgp.setting
-
+    sample, truth = dgp.sample(rng)
     fallback = False
     if bandwidth == "auto":
         try:
@@ -301,7 +295,7 @@ def _one_rep(dgp, rng, bandwidth):
 
     est = estimate_sharp(sample, b, b, reference=truth.reference)
     bias = quotient_distance(est.effect, truth, truth.reference)
-    return setting, b, bias, fallback
+    return dgp.setting, b, bias, fallback
 
 
 def run_campaign(
@@ -336,7 +330,7 @@ def run_campaign(
                 setting, b, bias, fallback = _one_rep(sized, rng, bandwidth)
                 failed = 0
             except REFUSAL_ERRORS:
-                setting, b, bias = getattr(dgp, "setting", "network"), np.nan, np.nan
+                setting, b, bias = dgp.setting, np.nan, np.nan
                 fallback, failed = False, 1
             n_fail += failed
             n_fallback += fallback

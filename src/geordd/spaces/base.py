@@ -207,10 +207,6 @@ class Space(ABC):
         """Validate ``data`` against the space invariants and wrap it."""
         return self.stack(np.asarray(data, dtype=float)[None])[0]
 
-    def points(self, stack) -> tuple[MetricObject, ...]:
-        """The rows of :meth:`stack` as a tuple of points."""
-        return tuple(self.stack(stack))
-
     def stack(self, payloads) -> PointStack:
         """Validate a ``(k, *shape)`` stack of payloads at once; a bad row is
         refused as :meth:`point` refuses it."""

@@ -25,7 +25,6 @@ from geordd import (
     estimate_riemannian_fuzzy,
     estimate_sharp,
     evaluation_region,
-    generate_scalar,
     quotient_distance,
     select_bandwidth,
 )
@@ -79,7 +78,7 @@ def test_acceptance_2_setting_one_recovery():
     start = time.perf_counter()
     mags = []
     for rep in range(200):
-        sample = generate_scalar(ScalarDgp(setting="I", n=1000, seed=20_000 + rep))
+        sample = ScalarDgp(setting="I", n=1000, seed=20_000 + rep).sample()[0]
         b = select_bandwidth(sample).b_star
         mags.append(estimate_sharp(sample, b, b).magnitude)
     elapsed = time.perf_counter() - start
@@ -119,7 +118,7 @@ def test_acceptance_4_oversmoothing_ordering():
     start = time.perf_counter()
     bias_star, bias_max = [], []
     for rep in range(100):
-        sample = generate_scalar(ScalarDgp(setting="IV", n=1000, seed=40_000 + rep))
+        sample = ScalarDgp(setting="IV", n=1000, seed=40_000 + rep).sample()[0]
         search = select_bandwidth(sample)
         est_star = estimate_sharp(sample, search.b_star, search.b_star)
         est_max = estimate_sharp(sample, search.b_max, search.b_max)
@@ -429,14 +428,12 @@ def test_acceptance_8_bandwidth_algorithm_conformance():
 
     # b* always within bounds
     for seed in range(10):
-        sample = generate_scalar(
-            ScalarDgp(setting=["II", "IV"][seed % 2], n=500, seed=800 + seed)
-        )
+        sample, _ = ScalarDgp(setting=["II", "IV"][seed % 2], n=500, seed=800 + seed).sample()
         search = select_bandwidth(sample)
         assert search.b_min <= search.b_star <= search.b_max
 
     # affine-reparameterization equivariance
-    sample = generate_scalar(ScalarDgp(setting="II", n=700, seed=888))
+    sample = ScalarDgp(setting="II", n=700, seed=888).sample()[0]
     a, d = 2.25, -0.4
     moved = RddSample(r=a * sample.r + d, ys=sample.ys, cutoff=d)
     s1, s2 = select_bandwidth(sample), select_bandwidth(moved)

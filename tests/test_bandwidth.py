@@ -11,7 +11,6 @@ from geordd import (
     compute_bounds,
     discrepancy_loss,
     evaluation_region,
-    generate_scalar,
     select_bandwidth,
 )
 from geordd.bandwidth import _TIE_TOL
@@ -114,7 +113,7 @@ class TestDiscrepancyLoss:
         assert loss <= 1e-25
 
     def test_oscillation_punishes_oversmoothing(self):
-        sample = generate_scalar(ScalarDgp(setting="IV", n=1000, seed=11))
+        sample = ScalarDgp(setting="IV", n=1000, seed=11).sample()[0]
         b_min, b_max = compute_bounds(sample.r, 0.0)
         pts = evaluation_region(sample.r, 0.0, b_min)
         small, _ = discrepancy_loss(sample, 0.0, max(b_min, 0.05), pts)
@@ -146,15 +145,15 @@ class TestSelectBandwidth:
     def test_bstar_within_bounds_randomized(self):
         rng = np.random.default_rng(6)
         for seed in range(8):
-            sample = generate_scalar(
-                ScalarDgp(setting=["I", "II", "III", "IV"][seed % 4], n=400, seed=seed)
-            )
+            sample, _ = ScalarDgp(
+                setting=["I", "II", "III", "IV"][seed % 4], n=400, seed=seed
+            ).sample()
             search = select_bandwidth(sample)
             assert search.b_min <= search.b_star <= search.b_max
             assert np.all(search.losses >= 0.0)
 
     def test_affine_equivariance(self):
-        sample = generate_scalar(ScalarDgp(setting="II", n=600, seed=21))
+        sample = ScalarDgp(setting="II", n=600, seed=21).sample()[0]
         a, d = 3.0, 1.5
         eu = Euclidean(1)
         moved = RddSample(
@@ -174,20 +173,20 @@ class TestSelectBandwidth:
 
         mags = []
         for seed in range(10):
-            sample = generate_scalar(ScalarDgp(setting="I", n=1000, seed=100 + seed))
+            sample = ScalarDgp(setting="I", n=1000, seed=100 + seed).sample()[0]
             b = select_bandwidth(sample).b_star
             mags.append(estimate_sharp(sample, b, b).magnitude)
         assert np.mean(mags) == pytest.approx(1.0, abs=0.1)
 
     def test_search_csv_rows(self):
-        sample = generate_scalar(ScalarDgp(setting="I", n=200, seed=31))
+        sample = ScalarDgp(setting="I", n=200, seed=31).sample()[0]
         search = select_bandwidth(sample, grid_size=7)
         rows = search.to_rows()
         assert len(rows) == 7
         assert all(len(row) == 2 for row in rows)
 
     def test_empty_grid_is_refused(self):
-        sample = generate_scalar(ScalarDgp(setting="I", n=200, seed=31))
+        sample = ScalarDgp(setting="I", n=200, seed=31).sample()[0]
         with pytest.raises(ValueError, match="grid_size must be >= 1"):
             select_bandwidth(sample, grid_size=0)
 
@@ -239,7 +238,7 @@ def _network_sample(n):
 
 
 def _tied_scalar_sample(setting, n, decimals):
-    sample = generate_scalar(ScalarDgp(setting=setting, n=n, seed=9))
+    sample = ScalarDgp(setting=setting, n=n, seed=9).sample()[0]
     return RddSample(r=np.round(sample.r, decimals), ys=sample.ys, cutoff=0.0)
 
 
@@ -251,7 +250,7 @@ def _lattice_sample():
     lattice = np.linspace(-1, 1, 100)
     r = np.concatenate([lattice, np.repeat([-1 / 99, 1 / 99], 20), rng.uniform(-1, 0, 150)])
     y = np.sin(2 * r) + (r >= 0) + rng.normal(0, 0.3, r.size)
-    return RddSample(r=r, ys=Euclidean(1).points(y[:, None]), cutoff=0.0)
+    return RddSample(r=r, ys=Euclidean(1).stack(y[:, None]), cutoff=0.0)
 
 
 def _count_windows(monkeypatch):

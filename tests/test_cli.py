@@ -20,7 +20,6 @@ from geordd import (
     ScalarDgp,
     SpdSpace,
     Wasserstein1D,
-    generate_scalar,
 )
 from geordd import io
 from geordd.cli import build_parser, main
@@ -71,7 +70,7 @@ class TestIngest:
             ingest_csv(path, "euclid", cutoff=0.0)
 
     def test_csv_roundtrip_exact(self, tmp_path):
-        sample = generate_scalar(ScalarDgp(setting="II", n=60, seed=4))
+        sample = ScalarDgp(setting="II", n=60, seed=4).sample()[0]
         path = tmp_path / "roundtrip.csv"
         write_sample_csv(sample, path)
         back = ingest_csv(path, "euclid", cutoff=0.0)
@@ -291,7 +290,7 @@ class TestWriteSampleCsv:
         t = np.where(z == 1, 1, (rng.random(30) < 0.3).astype(int))
         y = rng.normal(size=(30, 2)) * np.logspace(-20, 20, 30)[:, None]
         y[0] = (1.7976931348623157e308, 5e-324)
-        sample = RddSample(r=r, ys=Euclidean(2).points(y), cutoff=0.0, t=t, z=z)
+        sample = RddSample(r=r, ys=Euclidean(2).stack(y), cutoff=0.0, t=t, z=z)
         write_sample_csv(sample, tmp_path / "new.csv")
         _csv_writer_rendering(sample, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -309,7 +308,7 @@ class TestWriteSampleCsv:
 
 
 def _setting_one_csv(tmp_path, n=1000, sigma=0.0, seed=3):
-    sample = generate_scalar(ScalarDgp(setting="I", sigma=sigma, n=n, seed=seed))
+    sample = ScalarDgp(setting="I", sigma=sigma, n=n, seed=seed).sample()[0]
     path = tmp_path / "setting1.csv"
     write_sample_csv(sample, path)
     return path
@@ -322,7 +321,7 @@ def _one_sided_fuzzy_csv(tmp_path, n=200):
     z = (r >= 0).astype(int)
     t = np.where(z == 1, 1, (rng.random(n) < 0.3).astype(int))
     path = tmp_path / "f.csv"
-    write_sample_csv(RddSample(r, Euclidean(1).points((r + t)[:, None]), 0.0, t, z), path)
+    write_sample_csv(RddSample(r, Euclidean(1).stack((r + t)[:, None]), 0.0, t, z), path)
     return path
 
 
@@ -586,7 +585,7 @@ class TestCommands:
         r = rng.uniform(-1, 1, 200)
         t = np.where(r >= 0, 1, (rng.random(200) < 0.3).astype(int))
         path = tmp_path / "f.csv"
-        write_sample_csv(RddSample(r, Euclidean(1).points((r + t)[:, None]), 0.0, t), path)
+        write_sample_csv(RddSample(r, Euclidean(1).stack((r + t)[:, None]), 0.0, t), path)
         ref = _write(tmp_path / "ref.json", json.dumps({"space": "euclidean", "shape": [1]}))
         code = main(["fuzzy", "--input", str(path), "--space", "euclid", "--cutoff", "0",
                      "--bw", "0.5", "--fuzzy-variant", "tangent", "--ref", str(ref),
@@ -719,6 +718,74 @@ class TestCommands:
                      "--out", str(tmp_path / "sim")])
         assert code == 1
         assert "--sizes" in _one_parse_error(capsys)["message"]
+
+    @pytest.mark.parametrize("bw", ["x", "0.3,0.3", "", "auto,0.3"])
+    def test_simulate_bad_bandwidth_is_a_parse_error(self, tmp_path, capsys, bw):
+        code = main(["simulate", "--dgp", "setting-I", "--reps", "10", "--sizes", "100",
+                     f"--bw={bw}", "--out", str(tmp_path / "sim")])
+        assert code == 1
+        assert "--bw" in _one_parse_error(capsys)["message"]
+        assert not (tmp_path / "sim" / "campaign.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sharp", "fuzzy"])
+    @pytest.mark.parametrize("bw", ["x", "0.3,y", "0.3,0.3,0.3", "", ",0.3"])
+    def test_bad_bandwidth_spec_is_a_parse_error(self, tmp_path, capsys, command, bw):
+        path = _one_sided_fuzzy_csv(tmp_path, n=100)
+        code = main([command, "--input", str(path), "--space", "euclid", "--cutoff", "0",
+                     f"--bw={bw}", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "--bw" in _one_parse_error(capsys)["message"]
+
+    def test_bandwidths_are_parsed_by_the_flag_type(self):
+        parser = build_parser()
+        io_flags = ["--input", "s.csv", "--space", "euclid", "--cutoff", "0"]
+        for command in ("sharp", "fuzzy"):
+            assert parser.parse_args([command, *io_flags]).bw == "auto"
+            assert parser.parse_args([command, *io_flags, "--bw", "0.3"]).bw == (0.3, 0.3)
+            assert parser.parse_args([command, *io_flags, "--bw", "0.3,"]).bw == (0.3, 0.3)
+            assert parser.parse_args([command, *io_flags, "--bw", "0.3,0.4"]).bw == (0.3, 0.4)
+        assert parser.parse_args(["simulate"]).bw == "auto"
+        assert parser.parse_args(["simulate", "--bw", "0.3"]).bw == 0.3
+
+    def test_simulate_bandwidth_from_config_is_typed(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "cfg.json", json.dumps({"bw": "0.3,0.3"}))
+        code = main(["simulate", "--dgp", "setting-I", "--reps", "10", "--sizes", "100",
+                     "--config", str(cfg), "--out", str(tmp_path / "sim")])
+        assert code == 1
+        assert "--bw" in _one_parse_error(capsys)["message"]
+
+    @pytest.mark.parametrize(
+        "flags", [["--tau", "5"], ["--noise", "9"], ["--tau", "1.0", "--noise", "0.5"]],
+        ids=["tau", "noise", "both-at-scalar-defaults"],
+    )
+    def test_simulate_network_refuses_scalar_options(self, tmp_path, capsys, flags):
+        out = tmp_path / "sim"
+        code = main(["simulate", "--dgp", "network", "--reps", "10", "--sizes", "100",
+                     *flags, "--out", str(out)])
+        assert code == 1
+        message = _one_parse_error(capsys)["message"]
+        assert "--tau" in message and "network" in message
+        assert not (out / "metadata.json").exists()
+
+    def test_simulate_network_refuses_scalar_options_from_config(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "cfg.json", json.dumps({"tau": 5}))
+        code = main(["simulate", "--dgp", "network", "--reps", "10", "--sizes", "100",
+                     "--config", str(cfg), "--out", str(tmp_path / "sim")])
+        assert code == 1
+        _one_parse_error(capsys)
+
+    @pytest.mark.parametrize(
+        "flags, tau, sigma",
+        [([], 1.0, 0.5), (["--tau", "2"], 2.0, 0.5), (["--tau", "2", "--noise", "0.1"], 2.0, 0.1)],
+        ids=["defaults", "tau", "tau-and-noise"],
+    )
+    def test_simulate_scalar_design_takes_tau_and_noise(self, tmp_path, flags, tau, sigma):
+        out = tmp_path / "sim"
+        code = main(["simulate", "--dgp", "setting-II", "--reps", "10", "--sizes", "100",
+                     "--bw", "0.5", *flags, "--out", str(out)])
+        assert code == 0
+        params = json.loads((out / "metadata.json").read_text())["config"]["dgp_params"]
+        assert (params["tau"], params["sigma"], params["setting"]) == (tau, sigma, "II")
 
     def test_config_file_flags_win(self, tmp_path):
         path = _setting_one_csv(tmp_path)

@@ -208,7 +208,7 @@ class TestWeightedFrechetMean:
         r = np.sort(rng.uniform(-1.0, -0.3, 60))
         phi = -0.2 - r + 0.02 * rng.normal(size=60)
         x = np.column_stack([np.cos(phi), np.sin(phi), rng.uniform(0.2, 0.4, (60, dim - 2))])
-        pts = list(sp.points(x / np.linalg.norm(x, axis=1, keepdims=True)))
+        pts = list(sp.stack(x / np.linalg.norm(x, axis=1, keepdims=True)))
         w = compute_weights(r, 0.0, 2.0, Side.LEFT).weights
         return sp, pts, w
 
@@ -282,7 +282,7 @@ class TestSphereQuarterArcOracle:
     @staticmethod
     def _solve(phi, w):
         sp = CompositionalSphere(2)
-        pts = sp.points(np.column_stack([np.cos(phi), np.sin(phi)]))
+        pts = tuple(sp.stack(np.column_stack([np.cos(phi), np.sin(phi)])))
         out, info = weighted_frechet_mean(pts, w, return_info=True)
         phi0 = float(np.arctan2(out.data[1], out.data[0]))
         shift = golden_section(

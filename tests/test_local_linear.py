@@ -283,7 +283,7 @@ def test_large_n_search_memory():
     rng = np.random.default_rng(14)
     r = rng.uniform(-1, 1, n)
     y = np.sin(2 * r) + (r >= 0) + rng.normal(0, 0.3, n)
-    sample = RddSample(r, Euclidean(1).points(y[:, None]), 0.0)
+    sample = RddSample(r, Euclidean(1).stack(y[:, None]), 0.0)
     tracemalloc.start()
     try:
         search = select_bandwidth(sample)

@@ -55,7 +55,7 @@ def _solve(objects, weights):
 class TestStackMatchesTuple:
     def test_weighted_frechet_mean_bit_for_bit(self, name, space, sampler):
         payloads = _payloads(space, sampler, 60, seed=3)
-        stack, objs = space.stack(payloads), space.points(payloads)
+        stack, objs = space.stack(payloads), tuple(space.stack(payloads))
         assert isinstance(objs, tuple)
         r = np.random.default_rng(4).uniform(-1.0, 1.0, 60)
         for center, side in ((0.1, Side.LEFT), (0.1, Side.RIGHT), (-0.9, Side.TWO_SIDED)):
@@ -69,7 +69,7 @@ class TestStackMatchesTuple:
         r = np.round(rng.uniform(-1.0, 1.0, 50), 1)  # many ties
         t = (rng.random(50) < 0.5).astype(int)
         from_stack = RddSample(r=r, ys=space.stack(payloads), cutoff=0.0, t=t)
-        from_tuple = RddSample(r=r, ys=space.points(payloads), cutoff=0.0, t=t)
+        from_tuple = RddSample(r=r, ys=tuple(space.stack(payloads)), cutoff=0.0, t=t)
         order = np.argsort(r, kind="stable")
         for s in (from_stack, from_tuple):
             assert isinstance(s.ys, PointStack) and s.space == space

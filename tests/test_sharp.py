@@ -11,11 +11,10 @@ from geordd import (
     ScalarDgp,
     Side,
     compute_weights,
-    effect_distance,
     estimate_geodesic_riemannian_fuzzy,
     estimate_riemannian_fuzzy,
     estimate_sharp,
-    generate_scalar,
+    quotient_distance,
 )
 from geordd.rdd_sharp import sample_frechet_mean
 from geordd.errors import DegenerateWindow
@@ -54,7 +53,7 @@ class TestEstimateSharp:
         # short deterministic version of the full acceptance campaign
         mags = []
         for seed in range(30):
-            sample = generate_scalar(ScalarDgp(setting="I", n=1000, seed=seed))
+            sample = ScalarDgp(setting="I", n=1000, seed=seed).sample()[0]
             mags.append(estimate_sharp(sample, 0.3, 0.3).magnitude)
         assert np.mean(mags) == pytest.approx(1.0, abs=0.05)
 
@@ -141,7 +140,7 @@ class TestEffectDistance:
         rng = np.random.default_rng(6)
         sample = _scalar_sample(rng)
         est = estimate_sharp(sample, 0.5, 0.5)
-        assert effect_distance(est, est) == 0.0
+        assert quotient_distance(est.effect, est.effect) == 0.0
 
     def test_euclidean_displacements(self):
         rng = np.random.default_rng(7)
@@ -149,7 +148,7 @@ class TestEffectDistance:
         s2 = _scalar_sample(rng, fn=lambda r: 0 * r, jump=3.0, sigma=0.0)
         e1 = estimate_sharp(s1, 0.5, 0.5)
         e2 = estimate_sharp(s2, 0.5, 0.5)
-        assert effect_distance(e1, e2) == pytest.approx(2.0, abs=1e-9)
+        assert quotient_distance(e1.effect, e2.effect) == pytest.approx(2.0, abs=1e-9)
 
     def test_reference_defaults_to_first(self):
         eu = Euclidean(1)
@@ -157,16 +156,9 @@ class TestEffectDistance:
         s1 = _scalar_sample(rng, sigma=0.0)
         est = estimate_sharp(s1, 0.5, 0.5)
         truth = GeodesicEffect(eu.point([0.0]), eu.point([1.0]), eu.point([9.0]))
-        d1 = effect_distance(est, SharpLike(truth))
-        d2 = effect_distance(est, SharpLike(truth), reference=eu.point([-3.0]))
+        d1 = quotient_distance(est.effect, truth)
+        d2 = quotient_distance(est.effect, truth, reference=eu.point([-3.0]))
         assert d1 == pytest.approx(d2, abs=1e-12)  # flat space: reference-free
-
-
-class SharpLike:
-    """Minimal stand-in exposing the .effect attribute."""
-
-    def __init__(self, effect):
-        self.effect = effect
 
 
 class TestNetworkConsistencyDrift:

@@ -1,13 +1,16 @@
 """Tests for the data-generating processes and campaign harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from geordd import (
+    Euclidean,
+    GeodesicEffect,
     NetworkDgp,
+    RddSample,
     ScalarDgp,
-    generate_network,
-    generate_scalar,
     run_campaign,
 )
 from geordd import simlab
@@ -18,7 +21,7 @@ from geordd.simlab import fit_rate, scalar_regression_functions
 class TestScalarDgp:
     def test_noiseless_setting_one_formula(self):
         dgp = ScalarDgp(setting="I", sigma=0.0, n=200, seed=0)
-        sample = generate_scalar(dgp)
+        sample = dgp.sample()[0]
         y = np.array([p.data[0] for p in sample.ys])
         expected = sample.r + 1.0 * (sample.r >= 0)
         np.testing.assert_allclose(y, expected, atol=1e-15)
@@ -36,8 +39,8 @@ class TestScalarDgp:
         assert truth.length == pytest.approx(tau, abs=1e-15)
 
     def test_seed_reproducibility(self):
-        a = generate_scalar(ScalarDgp(setting="II", n=150, seed=42))
-        b = generate_scalar(ScalarDgp(setting="II", n=150, seed=42))
+        a = ScalarDgp(setting="II", n=150, seed=42).sample()[0]
+        b = ScalarDgp(setting="II", n=150, seed=42).sample()[0]
         np.testing.assert_array_equal(a.r, b.r)
         assert all(
             (x.data == y.data).all() for x, y in zip(a.ys, b.ys)
@@ -71,7 +74,7 @@ class TestNetworkDgp:
     def test_draws_satisfy_invariants(self):
         # space.point() revalidates every Laplacian invariant on each draw
         dgp = NetworkDgp(n=1000, seed=3)
-        sample, _ = generate_network(dgp)
+        sample, _ = dgp.sample()
         assert sample.n == 1000
         for y in sample.ys[::100]:
             arr = y.data
@@ -96,14 +99,85 @@ class TestNetworkDgp:
 
     def test_boundary_probabilities_accepted(self):
         dgp = NetworkDgp(n=100, p_within=1.0, p_between=0.0)
-        sample, truth = generate_network(dgp)
+        sample, truth = dgp.sample()
         assert sample.n == 100 and truth.length > 0.0
 
     def test_seed_reproducibility(self):
-        s1, _ = generate_network(NetworkDgp(n=80, seed=9))
-        s2, _ = generate_network(NetworkDgp(n=80, seed=9))
+        s1, _ = NetworkDgp(n=80, seed=9).sample()
+        s2, _ = NetworkDgp(n=80, seed=9).sample()
         np.testing.assert_array_equal(s1.r, s2.r)
         assert all((x.data == y.data).all() for x, y in zip(s1.ys, s2.ys))
+
+
+DESIGNS = [ScalarDgp(setting="III", n=100, seed=2), NetworkDgp(n=100, seed=2)]
+
+
+@dataclasses.dataclass(frozen=True)
+class StepDesign:
+    """The least a design needs to run a campaign: a unit jump in scalar
+    outcomes, with nothing of ScalarDgp or NetworkDgp."""
+
+    n: int = 200
+    seed: int = 0
+    setting: str = "step"
+
+    def sample(self, rng=None):
+        rng = rng if rng is not None else np.random.default_rng(self.seed)
+        space = Euclidean(1)
+        r = rng.uniform(-1.0, 1.0, self.n)
+        y = (r >= 0.0) + rng.normal(0.0, 0.1, self.n)
+        start = space.point([0.0])
+        truth = GeodesicEffect(start, space.point([1.0]), start)
+        return RddSample(r=r, ys=space.stack(y[:, None]), cutoff=0.0), truth
+
+
+class TestSamplingProtocol:
+    @pytest.mark.parametrize("dgp", DESIGNS, ids=["scalar", "network"])
+    def test_sample_is_the_draw_and_the_true_effect(self, dgp):
+        sample, truth = dgp.sample()
+        assert isinstance(sample, RddSample) and isinstance(truth, GeodesicEffect)
+        assert sample.n == dgp.n and sample.space == dgp.space
+        want = dgp.true_effect()
+        for got, exp in zip((truth.start, truth.end, truth.reference),
+                            (want.start, want.end, want.reference)):
+            assert got.data.tobytes() == exp.data.tobytes()
+
+    @pytest.mark.parametrize("dgp", DESIGNS, ids=["scalar", "network"])
+    def test_no_generator_means_one_seeded_from_seed(self, dgp):
+        a, _ = dgp.sample()
+        b, _ = dgp.sample(np.random.default_rng(dgp.seed))
+        assert a.r.tobytes() == b.r.tobytes()
+        assert a.ys.data.tobytes() == b.ys.data.tobytes()
+
+    def test_setting_names_the_design(self):
+        assert ScalarDgp(setting="IV").setting == "IV"
+        assert NetworkDgp().setting == "network"
+        # a class constant: the campaign records only the fields of the draw
+        assert "setting" not in {f.name for f in dataclasses.fields(NetworkDgp)}
+        assert "setting" not in NetworkDgp().__dict__
+
+    def test_any_design_with_the_protocol_runs_a_campaign(self):
+        res = run_campaign(StepDesign(), sizes=[100, 200], reps=10, seed=4)
+        assert {row["setting"] for row in res.rows} == {"step"}
+        assert res.metadata["n_failures"] == 0
+        assert res.metadata["config"]["dgp"] == "StepDesign"
+        assert res.metadata["config"]["dgp_params"] == {"n": 200, "seed": 0, "setting": "step"}
+        assert all(row["bias"] < 0.2 for row in res.rows)
+
+    @pytest.mark.parametrize("dgp", [StepDesign(), NetworkDgp()], ids=["step", "network"])
+    def test_a_refused_replication_keeps_the_design_setting(self, monkeypatch, dgp):
+        one_rep = simlab._one_rep
+        calls = iter(range(20))
+
+        def refuse_first(dgp, rng, bandwidth):
+            if next(calls) == 0:
+                raise InsufficientData("refused")
+            return one_rep(dgp, rng, bandwidth)
+
+        monkeypatch.setattr(simlab, "_one_rep", refuse_first)
+        res = run_campaign(dgp, sizes=[100], reps=20, seed=3, bandwidth=0.5)
+        assert [row["fail_flag"] for row in res.rows] == [1] + [0] * 19
+        assert {row["setting"] for row in res.rows} == {dgp.setting}
 
 
 class TestRunCampaign:

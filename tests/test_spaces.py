@@ -317,14 +317,14 @@ class TestStackContract:
         # perturb within tolerance so that canonicalization has work to do
         stack = stack * (1.0 + 1e-12 * rng.normal(size=stack.shape))
         for rows in (stack, stack[::2]):  # contiguous and strided
-            pts = space.points(rows)
+            pts = space.stack(rows)
             assert len(pts) == len(rows)
-            for p, x in zip(pts, rows):
-                q = space.point(x)
+            for i in range(len(rows)):
+                p, q = pts[i], space.point(rows[i])
                 assert p.space == space
                 assert p.data.shape == q.data.shape == space.shape
                 assert p.data.tobytes() == q.data.tobytes()
-        assert space.points(np.empty((0,) + space.shape)) == ()
+        assert tuple(space.stack(np.empty((0,) + space.shape))) == ()
 
     @pytest.mark.parametrize("case", SPACE_CASES, ids=[c[0] for c in SPACE_CASES])
     @pytest.mark.parametrize(
@@ -340,14 +340,14 @@ class TestStackContract:
             with pytest.raises(GeorddError):
                 space.point(bad[i])
         want = _refusal(space.point, bad[2])
-        got = _refusal(space.points, bad)
+        got = _refusal(space.stack, bad)
         assert (got.code, str(got), got.index) == (want.code, str(want), 2)
 
     @pytest.mark.parametrize("case", SPACE_CASES, ids=[c[0] for c in SPACE_CASES])
     def test_wrong_shape_stack_is_refused(self, case):
         name, space, sampler = case
         with pytest.raises(ShapeMismatch):
-            space.points(np.zeros((3,) + space.shape + (1,)))
+            space.stack(np.zeros((3,) + space.shape + (1,)))
 
     @pytest.mark.parametrize("case", SPACE_CASES, ids=[c[0] for c in SPACE_CASES])
     def test_projecting_a_stack_projects_each_row(self, case):
