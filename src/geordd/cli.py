@@ -59,28 +59,48 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+def _form(expected: str):
+    """Make an argparse type of a parser that raises ``ValueError``: a value
+    it cannot read is refused as not of the form ``expected``, where
+    argparse would name the parser function."""
+
+    def typed(parse):
+        def read(text: str):
+            try:
+                return parse(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"bad value {text!r}; expected {expected}"
+                ) from None
+
+        return read
+
+    return typed
+
+
+@_form("'lo,hi'")
 def _interval(text: str) -> tuple[float, float]:
     lo, _, hi = text.partition(",")
-    try:
-        return float(lo), float(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad interval {text!r}; expected 'lo,hi'") from None
+    return float(lo), float(hi)
 
 
+@_form("a whole number >= 1")
 def _count(text: str) -> int:
     count = int(text)
     if count < 1:
-        raise argparse.ArgumentTypeError(f"bad count {text!r}; need at least 1")
+        raise ValueError(text)
     return count
 
 
+@_form("whole numbers 'n1,n2,...'")
 def _sizes(text: str) -> list[int]:
     sizes = [int(s) for s in text.split(",") if s.strip()]
     if not sizes:
-        raise argparse.ArgumentTypeError(f"no sample size in {text!r}")
+        raise ValueError(text)
     return sizes
 
 
+@_form("'auto', 'h' or 'h0,h1'")
 def _bandwidth_pair(text: str) -> str | tuple[float, float]:
     """'auto', or the bandwidths (h0, h1) of the two sides from 'h0,h1' or 'h'."""
     if text == "auto":
@@ -89,6 +109,7 @@ def _bandwidth_pair(text: str) -> str | tuple[float, float]:
     return float(h0), float(h1 or h0)
 
 
+@_form("'auto' or 'h'")
 def _bandwidth(text: str) -> str | float:
     return text if text == "auto" else float(text)
 
@@ -187,9 +208,16 @@ def _resolve_bandwidths(
 ) -> tuple[float, float, BandwidthSearch | None]:
     if bw == "auto":
         search = select_bandwidth(sample)
-        _write_bandwidth_csv(search, out / "bandwidth_search.csv")
+        _write_bandwidth_csv(search, _output(out, "bandwidth_search.csv"))
         return search.b_star, search.b_star, search
     return *bw, None
+
+
+def _output(out: Path, name: str) -> Path:
+    """The path of output file ``name``, creating ``out`` at the first write,
+    so that a refused command leaves no directory behind."""
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
 
 
 def _write_bandwidth_csv(search: BandwidthSearch, path: Path):
@@ -216,7 +244,7 @@ def _plot_data(sample: RddSample, h0: float, h1: float, bins: int, out: Path):
     r_lo, r_hi = float(sample.r[0]), float(sample.r[-1])
     below = np.nextafter(c, -np.inf)
 
-    with open(out / "curves.csv", "w", newline="", encoding="utf-8") as fh:
+    with open(_output(out, "curves.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["side", "r"] + [f"emb{j}" for j in range(emb.shape[1])])
         for side, h, grid, lo, hi in (
@@ -232,7 +260,7 @@ def _plot_data(sample: RddSample, h0: float, h1: float, bins: int, out: Path):
 
     edges = np.linspace(r_lo, r_hi, bins + 1)
     which = np.clip(np.digitize(sample.r, edges) - 1, 0, bins - 1)
-    with open(out / "bins.csv", "w", newline="", encoding="utf-8") as fh:
+    with open(_output(out, "bins.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["bin_center", "count"] + [f"emb{j}" for j in range(emb.shape[1])]
@@ -265,7 +293,7 @@ def _write_estimate(command, sample, est, h0, h1, search, bins, out: Path) -> in
     }
     if search is not None:
         report["bandwidth_search"] = search.to_json()
-    _write_json(report, out / "report.json")
+    _write_json(report, _output(out, "report.json"))
     _plot_data(sample, h0, h1, bins, out)
     return 0
 
@@ -301,7 +329,7 @@ def _cmd_fuzzy(args: argparse.Namespace, out: Path) -> int:
 def _cmd_bandwidth(args: argparse.Namespace, out: Path) -> int:
     sample = _load_sample(args)
     search = select_bandwidth(sample, grid_size=args.grid_size)
-    _write_bandwidth_csv(search, out / "bandwidth_search.csv")
+    _write_bandwidth_csv(search, _output(out, "bandwidth_search.csv"))
     _write_json(
         {
             "command": "bandwidth",
@@ -309,7 +337,7 @@ def _cmd_bandwidth(args: argparse.Namespace, out: Path) -> int:
             "n": sample.n,
             "search": search.to_json(),
         },
-        out / "report.json",
+        _output(out, "report.json"),
     )
     return 0
 
@@ -332,10 +360,10 @@ def _cmd_simulate(args: argparse.Namespace, out: Path) -> int:
     result = run_campaign(
         dgp, sizes=sizes, reps=args.reps, seed=args.seed, bandwidth=args.bw
     )
-    (out / "campaign.csv").write_text(result.to_csv(), encoding="utf-8")
-    _write_json(result.metadata, out / "metadata.json")
+    _output(out, "campaign.csv").write_text(result.to_csv(), encoding="utf-8")
+    _write_json(result.metadata, _output(out, "metadata.json"))
     if result.rate_fit is not None:
-        _write_json(result.rate_fit.to_json(), out / "slope.json")
+        _write_json(result.rate_fit.to_json(), _output(out, "slope.json"))
     _write_json(
         {
             "command": "simulate",
@@ -344,7 +372,7 @@ def _cmd_simulate(args: argparse.Namespace, out: Path) -> int:
             "slope": None if result.rate_fit is None else result.rate_fit.slope,
             "n_failures": result.metadata["n_failures"],
         },
-        out / "report.json",
+        _output(out, "report.json"),
     )
     return 0
 
@@ -364,7 +392,7 @@ def _cmd_validate(args: argparse.Namespace, out: Path) -> int:
             "has_t": sample.t is not None,
             "has_z": sample.z is not None,
         },
-        out / "report.json",
+        _output(out, "report.json"),
     )
     return 0
 
@@ -394,9 +422,7 @@ def main(argv=None) -> int:
         # command word comes first; config entries go between it and the
         # command line's own flags, which therefore win
         args = build_parser().parse_args(argv[:1] + _config_flags(argv) + argv[1:])
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](args, out)
+        return _COMMANDS[args.command](args, Path(args.out))
     except REFUSAL_ERRORS as err:
         _emit_error(err, sys.stderr)
         return 2

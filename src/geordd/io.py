@@ -42,6 +42,7 @@ from .spaces import (
     SpdSpace,
     Wasserstein1D,
 )
+from .spaces.base import block_rows
 
 __all__ = [
     "SPACE_NAMES",
@@ -327,18 +328,24 @@ def write_sample_csv(sample: RddSample, path) -> None:
 
     Compositional samples are written back as shares, matching the ingestion
     convention for the simplex space (so the square-root transform is applied
-    exactly once on the way in).
+    exactly once on the way in).  Records are formatted and written a block
+    of rows at a time (:func:`~geordd.spaces.base.block_rows`), so memory
+    beyond the sample is that of one block at any n.
     """
     meta = [name for name in ("t", "z") if getattr(sample, name) is not None]
-    columns = [sample.r.tolist()] + [getattr(sample, name).tolist() for name in meta]
+    columns = [sample.r] + [getattr(sample, name) for name in meta]
     payload = sample.ys.data.reshape(sample.n, -1)
-    if isinstance(sample.space, CompositionalSphere):
-        payload = payload**2  # the shares
+    shares = isinstance(sample.space, CompositionalSphere)
     header = ",".join(["r"] + meta + [f"y{j}" for j in range(payload.shape[1])])
-    # no repr of a float needs CSV quoting; lines end as csv.writer ends them
-    records = (
-        ",".join([repr(r), *map(str, tz), *map(repr, y)])
-        for r, *tz, y in zip(*columns, payload.tolist())
-    )
+    step = block_rows(payload.shape[1])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join([header, *records, ""]))
+        fh.write(header + "\r\n")
+        for start in range(0, sample.n, step):
+            rows = slice(start, start + step)
+            y = payload[rows] ** 2 if shares else payload[rows]  # the shares
+            block = [col[rows].tolist() for col in columns]
+            # no repr of a float needs CSV quoting; lines end as csv.writer ends them
+            fh.writelines(
+                ",".join([repr(r), *map(str, tz), *map(repr, ys)]) + "\r\n"
+                for r, *tz, ys in zip(*block, y.tolist())
+            )

@@ -177,21 +177,31 @@ class NetworkDgp:
     def sample(
         self, rng: np.random.Generator | None = None
     ) -> tuple[RddSample, GeodesicEffect]:
+        """A draw of ``n`` graphs and the population effect.  It holds two
+        (n, m, m) stacks at most: the drawn Laplacians (:meth:`_laplacians`)
+        and their validated copy, then that copy and the sample's sorted one."""
         rng = rng if rng is not None else np.random.default_rng(self.seed)
-        m = self.n_nodes
-        probs = self.edge_probabilities()
         r = rng.uniform(-1.0, 1.0, self.n)
-        iu = np.triu_indices(m, k=1)
-
-        # one adjacency + weight draw per observation
-        present = rng.random((self.n, iu[0].size)) < probs[iu][None, :]
-        noise = rng.random((self.n, iu[0].size))
-        base = np.cos(np.pi * r / 2.0) + self.jump * (r >= 0.0)
-        w = np.zeros((self.n, m, m))
-        w[:, iu[0], iu[1]] = np.where(present, base[:, None] + noise, 0.0)
-        ys = self.space.stack(laplacian_from_weights(w + np.swapaxes(w, 1, 2)))
-        sample = RddSample(r=r, ys=ys, cutoff=self.cutoff)
+        sample = RddSample(r=r, ys=self.space.stack(self._laplacians(r, rng)), cutoff=self.cutoff)
         return sample, self.true_effect()
+
+    def _laplacians(self, r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One graph drawn at each running value, as an (n, m, m) stack of
+        Laplacians filled in place: the negated edge weights, their mirror,
+        then the degree diagonal.  Beside it the draw holds only arrays of
+        one entry per edge and observation."""
+        m = self.n_nodes
+        iu = np.triu_indices(m, k=1)
+        # one adjacency + weight draw per observation
+        present = rng.random((r.size, iu[0].size)) < self.edge_probabilities()[iu][None, :]
+        noise = rng.random((r.size, iu[0].size))
+        base = np.cos(np.pi * r / 2.0) + self.jump * (r >= 0.0)
+        edges = np.where(present, -(base[:, None] + noise), 0.0)
+        lap = np.zeros((r.size, m, m))
+        lap[:, iu[0], iu[1]] = edges
+        lap[:, iu[1], iu[0]] = edges
+        np.einsum("...ii->...i", lap)[...] = -lap.sum(axis=-1)
+        return lap
 
     def _expected_laplacian(self, mean_weight_scale) -> np.ndarray:
         return laplacian_from_weights(self.edge_probabilities() * mean_weight_scale)

@@ -8,11 +8,11 @@ that wraps a row as a :class:`MetricObject` only when it is indexed.  An
 estimated treatment effect is a :class:`GeodesicEffect`, an ordered pair of
 endpoints compared through the quotient metric :func:`quotient_distance`.
 
-Payloads are validated a whole stack at a time, by :meth:`Space.stack`
-through each space's ``_validate``; :meth:`Space.points` returns its rows as
-a tuple and :meth:`Space.point` is its one-row case.  Code that takes many
-points accepts a stack or any sequence of :class:`MetricObject` values
-through :meth:`PointStack.of`, which checks and stacks a sequence once.
+Payloads are validated a block of rows at a time, by :meth:`Space.stack`
+through each space's ``_validate``; :meth:`Space.point` is its one-row case.
+Code that takes many points accepts a stack or any sequence of
+:class:`MetricObject` values through :meth:`PointStack.of`, which checks and
+stacks a sequence once.
 
 Flat spaces derive from :class:`HilbertSpace`, which writes the embedding,
 its inverse, the feasibility rule, geodesics and transport once.  A new flat
@@ -44,6 +44,7 @@ import numpy as np
 from ..errors import (
     EmbeddingUnavailable,
     EmptyInput,
+    GeorddError,
     InvariantViolation,
     InverseInfeasible,
     LogExpUnavailable,
@@ -62,6 +63,17 @@ __all__ = [
     "GeodesicEffect",
     "quotient_distance",
 ]
+
+
+#: payload entries in one row block: stacks are validated, and samples
+#: written, a block of rows at a time, so their temporaries stay this size
+_BLOCK_ENTRIES = 1 << 16
+
+
+def block_rows(row_entries: int) -> int:
+    """Rows in one block of rows of ``row_entries`` payload entries each: at
+    most ``_BLOCK_ENTRIES`` entries in all, and at least one row."""
+    return max(1, _BLOCK_ENTRIES // row_entries)
 
 
 def refuse_rows(*checks, error=InvariantViolation):
@@ -110,7 +122,7 @@ class PointStack(Sequence):
     """Points of one space held as one read-only ``(k, *shape)`` payload array.
 
     Instances are produced by ``space.stack(payloads)``, which validates the
-    whole stack at once, or by :meth:`of`.  An integer index wraps that row
+    stack, or by :meth:`of`.  An integer index wraps that row
     as a :class:`MetricObject`; a slice or an index array gives the
     :class:`PointStack` of those rows, without validating them again.
     """
@@ -208,17 +220,47 @@ class Space(ABC):
         return self.stack(np.asarray(data, dtype=float)[None])[0]
 
     def stack(self, payloads) -> PointStack:
-        """Validate a ``(k, *shape)`` stack of payloads at once; a bad row is
-        refused as :meth:`point` refuses it."""
-        arr = np.ascontiguousarray(payloads, dtype=float)
+        """Validate a ``(k, *shape)`` stack of payloads; a bad row is refused
+        as :meth:`point` refuses it, with its position in ``err.index``.
+
+        This is the trust boundary of every geometry.  Rows are validated a
+        block of :func:`block_rows` rows at a time, each block copied
+        contiguous on its own, into one output array, so that memory beyond
+        the input and the output is that of one block at any k.  The first
+        bad row is refused; an invariant violation in a row before the first
+        non-finite row is refused first.
+        """
+        return self._stack_blocks(payloads, self._checked)
+
+    def _stack_blocks(self, payloads, check) -> PointStack:
+        """The stack of ``check`` applied to each contiguous row block of
+        ``payloads``; the ``index`` of a row that ``check`` refuses counts
+        from the start of ``payloads``."""
+        arr = np.asarray(payloads, dtype=float)
         if arr.shape[1:] != self.shape:
             raise ShapeMismatch(f"expected payload of shape {self.shape}, got {arr.shape[1:]}")
-        if not np.isfinite(arr).all():
-            finite = np.isfinite(arr).reshape(len(arr), -1).all(axis=1)
-            self._validate(arr[: np.argmin(finite)])  # a bad row before it fails first
+        if arr.size <= _BLOCK_ENTRIES:
+            return PointStack(self, check(np.ascontiguousarray(arr)))
+        step = block_rows(arr[0].size)
+        out = np.empty(arr.shape)
+        for start in range(0, len(arr), step):
+            try:
+                out[start : start + step] = check(np.ascontiguousarray(arr[start : start + step]))
+            except GeorddError as err:
+                if err.index is not None:
+                    err.index += start
+                raise
+        return PointStack(self, out)
+
+    def _checked(self, block: np.ndarray) -> np.ndarray:
+        """The canonical copy of a contiguous block of payloads, refused at
+        its first bad row."""
+        if not np.isfinite(block).all():
+            finite = np.isfinite(block).reshape(len(block), -1).all(axis=1)
+            self._validate(block[: np.argmin(finite)])  # a bad row before it fails first
             refuse_rows((~finite, "payload contains NaN or infinite entries"),
                         error=NonFinitePayload)
-        return PointStack(self, self._validate(arr))
+        return self._validate(block)
 
     @abstractmethod
     def _validate(self, stack: np.ndarray) -> np.ndarray:

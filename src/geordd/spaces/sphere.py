@@ -102,8 +102,13 @@ class CompositionalSphere(Space):
 
     def points_from_shares(self, shares) -> PointStack:
         """:meth:`from_shares` for each row of a (k, dim) stack of shares, as
-        one stack, refused row by row as :meth:`stack` refuses payloads."""
-        y = np.ascontiguousarray(shares, dtype=float)
+        one stack, refused row by row as :meth:`stack` refuses payloads and
+        transformed in the same row blocks."""
+        return self._stack_blocks(shares, self._checked_shares)
+
+    def _checked_shares(self, y: np.ndarray) -> np.ndarray:
+        """The payloads of a contiguous block of shares, refused at its first
+        bad row."""
         sums = y.sum(axis=1)
         refuse_rows(
             (~np.all((y >= -1e-12) & (y < np.inf), axis=1),
@@ -111,7 +116,7 @@ class CompositionalSphere(Space):
             (np.abs(sums - 1.0) > 1e-8, lambda i: f"shares must sum to one, got {sums[i]!r}"),
         )
         y = np.maximum(y, _SHARE_FLOOR)
-        return self.stack(np.sqrt(y / y.sum(axis=1, keepdims=True)))
+        return self._checked(np.sqrt(y / y.sum(axis=1, keepdims=True)))
 
     def to_shares(self, a: MetricObject) -> np.ndarray:
         self._check_member(a)

@@ -802,6 +802,48 @@ class TestCommands:
         assert report["estimate"]["bandwidths"]["h0"] == 0.3
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--dgp", "network", "--tau", "5"],
+         ["sharp", "--input", "missing.csv", "--space", "euclid", "--cutoff", "0"],
+         ["fuzzy", "--input", "fuzzy.csv", "--space", "euclid", "--cutoff", "0", "--bw", "0.5",
+          "--side", "always"]],
+        ids=["simulate-network-tau", "sharp-missing-input", "fuzzy-late-side"],
+    )
+    def test_refused_command_leaves_no_output_directory(self, tmp_path, capsys, argv):
+        _one_sided_fuzzy_csv(tmp_path).rename(tmp_path / "fuzzy.csv")
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        out = tmp_path / "d"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] in ("parse_error", "error")
+        assert not out.exists()
+
+    def test_nested_output_directory_is_created_on_success(self, tmp_path):
+        path = _setting_one_csv(tmp_path, n=200)
+        out = tmp_path / "a" / "b" / "c"
+        code = main(["validate", "--input", str(path), "--space", "euclid", "--cutoff", "0",
+                     "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["ok"]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("simulate", "--bw"), ("sharp", "--bw"), ("fuzzy", "--bw"), ("sharp", "--bins"),
+         ("fuzzy", "--bins"), ("simulate", "--sizes")],
+    )
+    def test_type_error_names_the_flag_and_no_private_function(
+        self, tmp_path, capsys, command, flag
+    ):
+        io_flags = [] if command == "simulate" else [
+            "--input", "s.csv", "--space", "euclid", "--cutoff", "0"]
+        code = main([command, *io_flags, flag, "x", "--out", str(tmp_path / "o")])
+        assert code == 1
+        message = _one_parse_error(capsys)["message"]
+        assert f"argument {flag}: bad " in message and "expected" in message
+        assert not re.search(r"(?<![\w-])_[a-z]", message), message
+        assert not (tmp_path / "o").exists()
+
+
 def _readme_command_lines() -> list[str]:
     """The ``geordd`` command lines of README's CLI block, continuations joined."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -36,6 +36,8 @@ from geordd.errors import (
 from geordd.frechet import Side, batch_lfr_embeddings
 from geordd.io import object_from_json
 from geordd.spaces import HilbertSpace
+from geordd.spaces import base as spaces_base
+from geordd.spaces.base import refuse_rows
 from geordd.spaces.network import laplacian_from_weights
 
 from conftest import EMBEDDABLE_CASES, SPACE_CASES, rand_laplacian, rand_sphere, wls_line_oracle
@@ -369,6 +371,83 @@ class TestStackContract:
         for row, p in zip(stack, proj):
             assert space.project_embedding(row).tobytes() == p.tobytes()
         assert space.project_embedding(stack[:0]).shape == (0, space.embedding_dim)
+
+
+def _whole_stack(space, payloads):
+    """The payloads validated as one block, as ``Space.stack`` did before it
+    validated in row blocks: the oracle of the blocked stack, returned as the
+    canonical array."""
+    arr = np.ascontiguousarray(payloads, dtype=float)
+    if not np.isfinite(arr).all():
+        finite = np.isfinite(arr).reshape(len(arr), -1).all(axis=1)
+        space._validate(arr[: np.argmin(finite)])
+        refuse_rows((~finite, "payload contains NaN or infinite entries"),
+                    error=NonFinitePayload)
+    return space._validate(arr)
+
+
+def _blocks_of(monkeypatch, space, rows: int) -> None:
+    """Make ``space`` validate its stacks ``rows`` rows per block."""
+    monkeypatch.setattr(spaces_base, "_BLOCK_ENTRIES", rows * int(np.prod(space.shape)))
+
+
+class TestStackBlocks:
+    """``Space.stack`` validates a block of rows at a time; the blocks are
+    made small here so that a short stack spans several."""
+
+    @pytest.mark.parametrize("case", SPACE_CASES, ids=[c[0] for c in SPACE_CASES])
+    def test_blocked_stack_equals_rows_and_whole_stack(self, case, monkeypatch):
+        name, space, sampler = case
+        rng = np.random.default_rng(31)
+        stack = np.stack([sampler(space, rng).data for _ in range(11)])
+        stack = stack * (1.0 + 1e-12 * rng.normal(size=stack.shape))
+        whole = _whole_stack(space, stack)
+        _blocks_of(monkeypatch, space, 3)  # blocks of 3, 3, 3 and 2 rows
+        wide = np.concatenate([np.zeros_like(stack), stack], axis=1)[:, len(stack[0]):]
+        for rows in (stack, wide):  # contiguous, and rows that are not
+            pts = space.stack(rows)
+            assert pts.data.tobytes() == whole.tobytes()
+            for i in range(len(rows)):
+                assert pts[i].data.tobytes() == space.point(rows[i]).data.tobytes()
+
+    @pytest.mark.parametrize("case", SPACE_CASES, ids=[c[0] for c in SPACE_CASES])
+    @pytest.mark.parametrize(
+        "bad",
+        [{7: "first"}, {7: "nan"}, {4: "late", 7: "nan"}, {4: "nan", 7: "first"},
+         {6: "nan", 7: "first"}, {6: "late", 7: "nan"}, {7: "nan", 8: "first"}],
+        ids=["third-block", "third-block-nan", "invariant-then-nan", "nan-then-invariant",
+             "nan-first-in-block", "invariant-first-in-block", "nan-then-later-invariant"],
+    )
+    def test_refusal_is_the_whole_stacks(self, case, bad, monkeypatch):
+        # rows 6-8 are the third block: a refusal there carries the row's
+        # position in the whole stack, and the first bad row is refused
+        # first, an invariant violation before a non-finite row included
+        name, space, sampler = case
+        rng = np.random.default_rng(32)
+        stack = np.stack([sampler(space, rng).data for _ in range(11)])
+        for i, kind in bad.items():
+            stack[i] = _bad_payload(name, stack[i], kind)
+        want = _refusal(_whole_stack, space, stack)
+        _blocks_of(monkeypatch, space, 3)
+        got = _refusal(space.stack, stack)
+        assert (got.code, str(got), got.index) == (want.code, str(want), want.index)
+        assert got.index == min(bad)
+
+    def test_stack_at_the_block_budget_equals_rows(self):
+        # three full blocks of ten-node Laplacians and part of a fourth
+        space = NetworkDgp().space
+        rows = 3 * spaces_base.block_rows(100) + 5
+        sample, _ = NetworkDgp(n=rows, seed=5).sample()
+        noise = np.random.default_rng(5).normal(size=(rows, 10, 10))
+        payload = sample.ys.data * (1.0 + 1e-12 * noise)
+        pts = space.stack(payload)
+        assert pts.data.tobytes() == _whole_stack(space, payload).tobytes()
+        assert all(pts[i].data.tobytes() == space.point(payload[i]).data.tobytes()
+                   for i in range(rows))
+        bad = payload.copy()
+        bad[rows - 3, 0, 1] += 1.0
+        err = _refusal(space.stack, bad)
+        assert (err.code, err.index) == ("invariant_violation", rows - 3)
 
 
 def _half_vec(stack):
