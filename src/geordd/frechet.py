@@ -26,7 +26,9 @@ batched fits of the bandwidth search (:func:`batch_lfr_embeddings`).  The
 engine sorts the running variable once and keeps block-anchored power sums
 of it and of the embedded outcomes; each window is then assembled exactly
 from whole-block sums and the points of its two partial blocks, with no
-dense window arrays.  One rule marks a window degenerate: sigma^2 <=
+dense window arrays.  The partial blocks of many windows enter their fits
+through one small product per block, so a fit depends on the other centers
+of a call only to rounding.  One rule marks a window degenerate: sigma^2 <=
 ``SIGMA2_FLOOR``.  That includes windows with fewer than two distinct
 running values, whose sigma^2 is rounding noise.
 """
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DegenerateWindow, EmptyInput, SolverDiverged
 from .spaces import CompositionalSphere, HilbertSpace, MetricObject, PointStack
@@ -175,10 +176,12 @@ class LocalLinearTables:
     wholly inside the window contributes its sums shifted to the center by
     binomial expansion in s = a_b - center; its span is at most the
     window's, so the shift loses no digits.  The points of the two partial
-    blocks at the window's edges are summed one by one.  One call at m
-    centers costs O(m sqrt(n) D) (the updating formulas of Fan & Marron
-    1994, JCGS 3:35, and Seifert, Brockmann, Engel & Gasser 1994, JCGS
-    3:192, without binning).
+    blocks at the window's edges enter the moments one by one.  Each partial
+    range lies inside one block, so in the fits the ranges that fall in a
+    block are shifted to their positions in it and multiplied with its
+    outcome rows in one product.  One call at m centers costs O(m sqrt(n) D)
+    (the updating formulas of Fan & Marron 1994, JCGS 3:35, and Seifert,
+    Brockmann, Engel & Gasser 1994, JCGS 3:192, without binning).
     """
 
     def __init__(self, r, psi=None):
@@ -259,10 +262,12 @@ class LocalLinearTables:
         be positive and finite (``ValueError`` otherwise).  ``lo``/``hi``
         optionally clamp each window to R in [lo, hi] (inclusive,
         broadcastable to (m,)).  A call costs about 90 NumPy calls whatever
-        m, plus work and memory of O(m sqrt(n)): callers with many centers
-        should make few calls, each under a bounded number of cells.  A
-        window's moments, ``valid`` flag and bounds do not depend on the
-        other centers of the call, and its fits only to rounding.
+        m, with outcome rows one product per block and linear piece that a
+        partial block touches, and work and memory of O(m sqrt(n)): callers
+        with many centers should make few calls, each under a bounded number
+        of cells.  A window's moments, ``valid`` flag and bounds do not
+        depend on the other centers of the call, and its fits only to
+        rounding.
         """
         r, n, offsets = self.r, self.r.size, self._offsets
         block = offsets.size
@@ -349,28 +354,69 @@ class LocalLinearTables:
         valid = sigma2 > SIGMA2_FLOOR
         fits = None
         if self.psi is not None:
-            # fit = sum h^2 k (mu2 - mu1 d) psi / (h^2 sigma^2 n_norm): a sparse
-            # weight matrix on the partial-block points, and one weight per
-            # block on its sums of x^q psi, where with v = mu2 - mu1 s
-            # h^2 k (mu2 - mu1 d) = alpha v + (tilt v - alpha mu1) x - tilt mu1 x^2
-            mu1, mu2 = mu[1], mu[2]
-            indptr = np.zeros(m + 1, dtype=np.intp)
-            np.cumsum(live.sum(1), out=indptr[1:])
-            w = (pts[0] * (mu2[:, None] - mu1[:, None] * d))[live]
-            fits = sparse.csr_matrix((w, idx[live], indptr), shape=(m, n)) @ self.psi
-            owner, piece, slot = np.nonzero(alive)
-            mu1, mu2 = mu1[owner], mu2[owner]
-            alpha, tilt = alpha[alive], tilt[alive]
-            v = mu2 - mu1 * s[alive]
-            per_block = np.empty((owner.size, 3))
-            np.multiply(alpha, v, out=per_block[:, 0])
-            np.subtract(tilt * v, alpha * mu1, out=per_block[:, 1])
-            np.multiply(tilt, -mu1, out=per_block[:, 2])
-            coef = np.zeros((m, self._psi_moments.shape[0] // 3, 3))
-            coef[owner, blk[owner, piece, slot]] = per_block
-            fits += coef.reshape(m, -1) @ self._psi_moments
+            # fit = sum h^2 k (mu2 - mu1 d) psi / (h^2 sigma^2 n_norm); the
+            # spent terms are let go first, so that the fit reuses their memory
+            del slot, idx, live, moments, whole, A0, A1, A2, sA0, shift
+            fits = self._whole_block_fits(mu, alive, alpha, tilt, s, blk)
+            # h^2 k (mu2 - mu1 d) at each slot, through the spent d into the
+            # spent pts[1:], each range of slots behind a block of zeros
+            d *= -mu[1][:, None]
+            d += mu[2][:, None]
+            w = pts[1:].reshape(m, -1, 2 * block)
+            w[..., :block] = 0.0
+            np.multiply(pts[0].reshape(m, -1, block), d.reshape(m, -1, block), out=w[..., block:])
+            self._add_partial_fits(fits, w, starts[..., 0], ends[..., 0])
             fits /= np.where(valid, (h * h) * sigma2 * n_norm, np.nan)[:, None]
         return _Windows(n_norm, mu, sigma2, valid, i0, i1, tilts, fits)
+
+    def _whole_block_fits(self, mu, alive, alpha, tilt, s, blk):
+        """sum h^2 k (mu2 - mu1 d) psi over the whole blocks of m centers, as
+        (m, D): one weight per block on each of its sums of x^q psi, where
+        with v = mu2 - mu1 s
+
+            h^2 k (mu2 - mu1 d) = alpha v + (tilt v - alpha mu1) x - tilt mu1 x^2.
+        """
+        owner, piece, slot = np.nonzero(alive)
+        mu1, mu2 = mu[1][owner], mu[2][owner]
+        alpha, tilt = alpha[alive], tilt[alive]
+        v = mu2 - mu1 * s[alive]
+        per_block = np.empty((owner.size, 3))
+        np.multiply(alpha, v, out=per_block[:, 0])
+        np.subtract(tilt * v, alpha * mu1, out=per_block[:, 1])
+        np.multiply(tilt, -mu1, out=per_block[:, 2])
+        coef = np.zeros((alive.shape[0], self._anchors.size, 3))
+        coef[owner, blk[owner, piece, slot]] = per_block
+        return coef.reshape(alive.shape[0], -1) @ self._psi_moments
+
+    def _add_partial_fits(self, fits, w, starts, ends):
+        """Add sum_i w_i psi_i over the partial-block points of m centers to
+        their (m, D) ``fits``.
+
+        Row j of center c holds the slots [starts, ends)[c, j] in its second
+        half, behind a block of zeros: the heads and then the tails of the K
+        pieces, with weight 0 in dead slots.  Each such range lies in one
+        block, a tail from the block's start and a head up to its end, and
+        the live ranges of one piece lie in different blocks.  So each live
+        range is shifted to its positions in its block, and per piece and
+        block one product with the block's psi rows adds them to their
+        centers.
+        """
+        rows, width = w.shape[1:]
+        block = width // 2
+        first = starts.reshape(-1)
+        live = np.flatnonzero(ends.reshape(-1) > first)
+        blk = first[live] // block
+        group = live % rows % (rows // 2) * self._anchors.size + blk  # piece, block
+        order = np.argsort(group, kind="stable")
+        live, blk, group = live[order], blk[order], group[order]
+        view = np.lib.stride_tricks.sliding_window_view(w.reshape(-1, width), block, axis=-1)
+        w = view[live, block - first[live] + blk * block]  # (live ranges, block)
+        owner = live // rows
+        bounds = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
+        for lo, hi in zip(bounds, bounds[1:] + [live.size]):
+            b = int(blk[lo])
+            psi = self.psi[b * block : (b + 1) * block]  # the last block may be short
+            fits[owner[lo:hi]] += w[lo:hi, : len(psi)] @ psi
 
 
 def _bandwidths(h, m: int) -> np.ndarray:
@@ -743,7 +789,7 @@ def batch_lfr_embeddings(
     valid : (m,) boolean mask of non-degenerate windows.
 
     After the set-up a call costs O(m sqrt(n) D): whole blocks through their
-    sums, the partial blocks point by point.  The centers go to
+    sums, the partial blocks through one product per block.  The centers go to
     :meth:`LocalLinearTables.windows` in runs of consecutive centers, as
     long as keeps each run's slot arrays under ``_CELL_BUDGET`` cells (runs
     of 2,730 one-sided centers at n = 1,000 and of 616 at n = 20,000), so a

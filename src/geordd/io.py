@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvariantViolation, MixedSpaces, ParseError, ShapeMismatch
+from .errors import InvariantViolation, MixedSpaces, NonFinitePayload, ParseError, ShapeMismatch
 from .sample import RddSample
 from .spaces import (
     CompositionalSphere,
@@ -147,8 +147,8 @@ def _build_sample(line_of, r, t, z, payload, to_stack, cutoff) -> RddSample:
             raise ParseError(f"{name} must be 0 or 1, got {value!r}", row=row, column=name)
     try:
         ys = to_stack(payload)
-    except InvariantViolation as err:
-        raise InvariantViolation(f"row {line_of(err.index)}: {err}") from None
+    except (InvariantViolation, NonFinitePayload) as err:
+        raise type(err)(f"row {line_of(err.index)}: {err}") from None
     return RddSample(r=r, ys=ys, cutoff=cutoff, t=t, z=z)
 
 

@@ -50,9 +50,12 @@ class RddSample:
         if len(ys) != r.size:
             raise InvariantViolation("outcomes and running values must align")
 
-        order = np.argsort(r, kind="stable")
-        object.__setattr__(self, "r", r[order])
-        object.__setattr__(self, "ys", ys[order])
+        # records already sorted keep their read-only stack as it is; r, t
+        # and z are copied either way, so that setflags never lands on a
+        # caller's array
+        order = None if (r[1:] >= r[:-1]).all() else np.argsort(r, kind="stable")
+        object.__setattr__(self, "r", r.copy() if order is None else r[order])
+        object.__setattr__(self, "ys", ys if order is None else ys[order])
         self.r.setflags(write=False)
 
         for name in ("t", "z"):
@@ -64,7 +67,7 @@ class RddSample:
                 raise InvariantViolation(f"{name} column must align with records")
             if not np.all(np.isin(arr, (0.0, 1.0))):
                 raise InvariantViolation(f"{name} column must be 0/1")
-            object.__setattr__(self, name, arr[order].astype(int))
+            object.__setattr__(self, name, (arr if order is None else arr[order]).astype(int))
             getattr(self, name).setflags(write=False)
 
         object.__setattr__(self, "cutoff", c)

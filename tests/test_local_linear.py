@@ -4,7 +4,9 @@ Every batched fit is checked against the explicit weighted least squares
 solve (``wls_line_oracle``), and its ``valid`` flag against what
 ``compute_weights`` accepts at the same window, on inputs chosen to hit the
 engine's seams: tied running values on every window bound, extreme scales,
-single-valued windows, unsorted input, and all three sides.
+single-valued windows, unsorted input, and all three sides.  The per-block
+products of the partial blocks are checked against the one sparse product
+they replaced, kept here as the oracle.
 """
 
 import gc
@@ -14,6 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from geordd import (
     CompositionalSphere,
@@ -168,6 +171,83 @@ def test_per_center_bandwidths_match_scalar_calls(side):
         np.testing.assert_array_equal(joint.mu[:, part], alone.mu)
         np.testing.assert_allclose(joint.fits[part], alone.fits, rtol=1e-12, atol=0)
         assert alone.valid.any()
+
+
+def _sparse_partial_fits(tables, w, starts, ends):
+    """The engine's partial-block fits as they were before the per-block
+    products: one sparse (m, n) matrix of the slot weights times the outcome
+    rows.  Returns them with the sums of the absolute terms, their scale."""
+    m, _, width = w.shape
+    block = width // 2
+    slot = starts[..., None] + np.arange(block)
+    live = (slot < ends[..., None]).reshape(m, -1)
+    indptr = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(live.sum(1), out=indptr[1:])
+    weights = w[..., block:].reshape(m, -1)[live]
+    matrix = sparse.csr_matrix((weights, slot.reshape(m, -1)[live], indptr), shape=(m, tables.n))
+    return matrix @ tables.psi, abs(matrix) @ np.abs(tables.psi)
+
+
+@pytest.fixture
+def partial_fits(monkeypatch):
+    """Every partial-block product the engine adds from now on, as
+    (per-block products, sparse product, scale) of one engine pass."""
+    seen = []
+    add = LocalLinearTables._add_partial_fits
+
+    def spy(self, fits, w, starts, ends):
+        alone = np.zeros_like(fits)
+        add(self, alone, w, starts, ends)
+        seen.append((alone, *_sparse_partial_fits(self, w, starts, ends)))
+        add(self, fits, w, starts, ends)
+
+    monkeypatch.setattr(LocalLinearTables, "_add_partial_fits", spy)
+    return seen
+
+
+def assert_partial_fits_agree(seen):
+    """The per-block products equal the sparse product to 1e-13 of each
+    row's largest sum of absolute terms."""
+    assert seen
+    for per_block, oracle, scale in seen:
+        bound = 1e-13 * scale.max(axis=1, keepdims=True)
+        assert np.all(np.abs(per_block - oracle) <= bound)
+
+
+def test_partial_fits_of_a_network_search_match_the_sparse_product(partial_fits):
+    sample, _ = NetworkDgp(n=20_000, seed=21).sample()
+    block = sample.lfr_tables._offsets.size
+    assert sample.n % block  # the last block is short
+    select_bandwidth(sample)
+    assert len(partial_fits) > 2  # the search runs in several engine passes
+    assert_partial_fits_agree(partial_fits)
+
+
+@pytest.mark.parametrize("side", SIDES, ids=side_id)
+def test_partial_fits_match_the_sparse_product(side, partial_fits):
+    rng = np.random.default_rng(18)
+    r = rng.uniform(-1, 1, 1000)  # blocks of 32, the last one of 8
+    tables = LocalLinearTables(r, rng.normal(size=(1000, 4)))
+    assert tables.n % tables._offsets.size
+    centers = np.linspace(-1.05, 1.05, 43)
+    for h in (0.004, 0.03, 0.2, 1.5):
+        tables.windows(centers, h, side)
+        tables.windows(centers, h, side, centers - 0.5 * h, centers + 0.7 * h)
+    assert_partial_fits_agree(partial_fits)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6], ids=["unit", "offset_1e6"])
+def test_large_n_fits_match_the_oracle(offset):
+    rng = np.random.default_rng(19)
+    r = rng.uniform(-1, 1, 20_000) + offset
+    emb = rng.normal(size=(20_000, 3))
+    centers = np.linspace(-0.95, 0.95, 7) + offset
+    for side in SIDES:
+        for h in (0.003, 0.3):
+            valid = check_against_oracle(
+                r, emb, centers, h, side, lo=centers - 0.25, hi=offset + 0.8
+            )
+            assert valid.any()
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.2, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])

@@ -2,18 +2,20 @@
 
 Each stage is checked byte for byte against the whole-array code it
 replaced, kept here as the oracle, and its tracemalloc peak is bounded on
-one 20,000-graph sample path.
+one 20,000-graph sample path.  A sample built from records already sorted
+keeps their stack, and a refused payload names its line in the file.
 """
 
 import gc
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from geordd import CompositionalSphere, Euclidean, NetworkDgp, RddSample
-from geordd.errors import InvariantViolation
-from geordd.io import ingest, ingest_csv, write_sample_csv
+from geordd.errors import InvariantViolation, NonFinitePayload
+from geordd.io import ingest, ingest_csv, ingest_jsonl, write_sample_csv
 from geordd.spaces import PointStack
 from geordd.spaces import base as spaces_base
 from geordd.spaces.network import laplacian_from_weights
@@ -118,6 +120,54 @@ def test_ingest_names_the_line_of_a_bad_record_in_the_third_block(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(InvariantViolation, match=f"^row {bad + 2}: Laplacian must be symmetric"):
         ingest_csv(path, "laplacian", 0.0, max_weight=3.0)
+
+
+def test_non_finite_payload_names_its_line(tmp_path):
+    path = tmp_path / "scalar.csv"
+    path.write_text("r,y0\n-1.0,0.5\n0.0,nan\n", encoding="utf-8")
+    with pytest.raises(NonFinitePayload, match="^row 3: payload contains NaN") as info:
+        ingest_csv(path, "euclid", 0.0)
+    assert info.value.code == "non_finite_payload"
+
+    space = Euclidean(1)
+    records = [{"r": r, "y": {**space.point([0.5]).to_json(), "data": [y]}}
+               for r, y in ((-1.0, 0.5), (-0.5, 0.25), (0.5, float("inf")))]
+    path = tmp_path / "scalar.jsonl"
+    lines = [json.dumps(records[0]), "", json.dumps(records[1]), json.dumps(records[2])]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(NonFinitePayload, match="^row 4: payload contains NaN") as info:
+        ingest_jsonl(path, space, 0.0)
+    assert info.value.code == "non_finite_payload"
+
+
+def test_sorted_records_keep_their_stack():
+    # copying the stack took 15.6 MB here
+    sample, _ = NetworkDgp(n=20_000, seed=21).sample()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        again = RddSample(sample.r, sample.ys, sample.cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again.ys.data is sample.ys.data
+    assert peak < 1 * MB
+    assert again.r.tobytes() == sample.r.tobytes()
+
+
+def test_records_in_any_order_give_the_same_sample():
+    sample = _scalar_tz_sample(300)
+    r, ys, t, z = (np.array(a) for a in (sample.r, sample.ys.data, sample.t, sample.z))
+    for order in (np.arange(r.size), np.random.default_rng(8).permutation(r.size)):
+        columns = [r[order], t[order], z[order]]
+        again = RddSample(columns[0], Euclidean(2).stack(ys[order]), 0.0, *columns[1:])
+        for name in ("r", "t", "z"):
+            assert getattr(again, name).tobytes() == getattr(sample, name).tobytes()
+        assert again.ys.data.tobytes() == sample.ys.data.tobytes()
+        # the caller's columns are copied, never frozen
+        assert all(col.flags.writeable for col in columns)
+        assert not any(np.shares_memory(getattr(again, name), col)
+                       for name, col in zip(("r", "t", "z"), columns))
 
 
 def _peak_mb(peaks: dict, stage: str, fn, *args, **kwargs):

@@ -721,3 +721,32 @@ def test_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+def test_import_search_and_estimates_leave_scipy_unloaded():
+    # SciPy costs a process 0.2 s and 17 MB to load, and only the Wasserstein
+    # projection uses it: importing geordd and its CLI, a Laplacian search
+    # and estimate, and a sphere fuzzy estimate load none of it
+    env = {**os.environ, "PYTHONPATH": str(Path(geordd.__file__).parents[1])}
+    code = """if True:
+        import sys
+        import numpy as np
+        import geordd, geordd.cli
+        from geordd import (CompositionalSphere, NetworkDgp, RddSample, estimate_sharp,
+                            estimate_riemannian_fuzzy, select_bandwidth)
+        sample, _ = NetworkDgp(n=300, seed=1).sample()
+        b = select_bandwidth(sample).b_star
+        estimate_sharp(sample, b, b)
+        rng = np.random.default_rng(2)
+        r = rng.uniform(-1, 1, 300)
+        z = (r >= 0).astype(int)
+        t = np.where(z == 1, 1, (rng.random(300) < 0.25).astype(int))
+        shares = rng.dirichlet(np.full(3, 10.0), 300)
+        ys = CompositionalSphere(3).points_from_shares(shares)
+        estimate_riemannian_fuzzy(RddSample(r, ys, 0.0, t, z), None, 0.5, 0.5)
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
