@@ -14,6 +14,15 @@ class GeorddError(Exception):
     code = "error"
     index: int | None = None
 
+    def __reduce__(self):
+        # rebuilt from its message and attributes, not through a subclass's
+        # __init__, so every error crosses a process boundary intact
+        return _rebuild, (type(self), self.args), self.__dict__
+
+
+def _rebuild(cls, args):
+    return cls.__new__(cls, *args)
+
 
 # --- data / geometry validation -------------------------------------------
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -308,6 +310,47 @@ def _one_rep(dgp, rng, bandwidth):
     return dgp.setting, b, bias, fallback
 
 
+#: thread-count variables that BLAS libraries read, in the order consulted
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _worker_count(n_jobs: int) -> int:
+    """Worker processes for ``n_jobs`` replications: as many as fit on the
+    usable CPUs at the BLAS thread count each process runs, at most one per
+    job.  The BLAS count is the first of ``_BLAS_THREAD_VARS`` set to a
+    positive integer, else every usable CPU (BLAS's own default), so an
+    unpinned BLAS gets one process.  Processes are forked, so off Linux
+    there is one."""
+    if not sys.platform.startswith("linux"):
+        return 1
+    usable = len(os.sched_getaffinity(0))
+    blas = usable
+    for var in _BLAS_THREAD_VARS:
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas = value
+            break
+    return min(usable // blas, n_jobs)
+
+
+def _rep_row(dgp, rep, seed_seq, bandwidth):
+    """One replication's row and fallback flag; a refusal is a failed row.
+    ``_one_rep`` is looked up when called, so a replacement of it is seen
+    here and in forked workers alike."""
+    try:
+        setting, b, bias, fallback = _one_rep(dgp, np.random.default_rng(seed_seq), bandwidth)
+        failed = 0
+    except REFUSAL_ERRORS:
+        setting, b, bias = dgp.setting, np.nan, np.nan
+        fallback, failed = False, 1
+    row = {"setting": setting, "n": dgp.n, "rep": rep, "bandwidth": b, "bias": bias,
+           "fail_flag": failed}
+    return row, fallback
+
+
 def run_campaign(
     dgp,
     sizes,
@@ -323,31 +366,40 @@ def run_campaign(
     ``fail_flag=1`` and excluded from summaries; the campaign raises
     :class:`ExcessiveFailures` when more than 5 % (``_MAX_FAIL_SHARE``) of
     them fail.
+
+    On Linux the replications run in forked worker processes when more than
+    one fits on the usable CPUs (``os.sched_getaffinity``) at the BLAS
+    thread count each runs: the first of ``OPENBLAS_NUM_THREADS``,
+    ``MKL_NUM_THREADS`` and ``OMP_NUM_THREADS`` set to a positive integer,
+    else every usable CPU.  So with BLAS left at its default, or on one
+    usable CPU (``taskset -c 0``), the campaign runs serially in this
+    process; with ``OPENBLAS_NUM_THREADS=1`` on two CPUs it runs in two
+    workers.  Each replication draws from its own seed, so the rows, the
+    counts and the rate fit are byte-identical either way.  Only the
+    spans and counters that a profiler or tracer records in the workers
+    are not seen in this process.
     """
     if reps < 10:
         raise ValueError("reps must be >= 10")
     sizes = [int(s) for s in sizes]
+    sized = [replace(dgp, n=n) for n in sizes]
     children = np.random.SeedSequence(seed).spawn(len(sizes) * reps)
+    jobs = [(sized[i // reps], i % reps, child, bandwidth) for i, child in enumerate(children)]
 
-    rows = []
-    n_fail = 0
-    n_fallback = 0
-    for i, n in enumerate(sizes):
-        sized = replace(dgp, n=n)
-        for rep in range(reps):
-            rng = np.random.default_rng(children[i * reps + rep])
-            try:
-                setting, b, bias, fallback = _one_rep(sized, rng, bandwidth)
-                failed = 0
-            except REFUSAL_ERRORS:
-                setting, b, bias = dgp.setting, np.nan, np.nan
-                fallback, failed = False, 1
-            n_fail += failed
-            n_fallback += fallback
-            rows.append(
-                {"setting": setting, "n": n, "rep": rep, "bandwidth": b, "bias": bias,
-                 "fail_flag": failed}
-            )
+    workers = _worker_count(len(jobs))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        # forked, not spawned: a worker starts with every module loaded, in
+        # milliseconds, and sees the ``_one_rep`` of this process
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            results = list(pool.map(_rep_row, *zip(*jobs), chunksize=1))
+    else:
+        results = list(map(_rep_row, *zip(*jobs)))
+    rows = [row for row, _ in results]
+    n_fail = sum(row["fail_flag"] for row in rows)
+    n_fallback = sum(fallback for _, fallback in results)
 
     total = len(sizes) * reps
     if n_fail > _MAX_FAIL_SHARE * total:

@@ -1,6 +1,12 @@
 """Tests for the data-generating processes and campaign harness."""
 
 import dataclasses
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +118,13 @@ class TestNetworkDgp:
 DESIGNS = [ScalarDgp(setting="III", n=100, seed=2), NetworkDgp(n=100, seed=2)]
 
 
+def _replication(rng):
+    """A replication's position in its campaign, read from its generator's
+    seed, so that a replacement ``_one_rep`` can pick replications out in
+    any process and in any order."""
+    return rng.bit_generator.seed_seq.spawn_key[-1]
+
+
 @dataclasses.dataclass(frozen=True)
 class StepDesign:
     """The least a design needs to run a campaign: a unit jump in scalar
@@ -167,10 +180,9 @@ class TestSamplingProtocol:
     @pytest.mark.parametrize("dgp", [StepDesign(), NetworkDgp()], ids=["step", "network"])
     def test_a_refused_replication_keeps_the_design_setting(self, monkeypatch, dgp):
         one_rep = simlab._one_rep
-        calls = iter(range(20))
 
         def refuse_first(dgp, rng, bandwidth):
-            if next(calls) == 0:
+            if _replication(rng) == 0:
                 raise InsufficientData("refused")
             return one_rep(dgp, rng, bandwidth)
 
@@ -236,10 +248,9 @@ class TestRunCampaign:
     @pytest.mark.parametrize("n_refused", [1, 2])
     def test_failure_limit_is_five_percent(self, monkeypatch, n_refused):
         one_rep = simlab._one_rep
-        calls = iter(range(20))
 
         def refuse_first(dgp, rng, bandwidth):
-            if next(calls) < n_refused:
+            if _replication(rng) < n_refused:
                 raise InsufficientData("refused")
             return one_rep(dgp, rng, bandwidth)
 
@@ -250,3 +261,109 @@ class TestRunCampaign:
         else:
             with pytest.raises(ExcessiveFailures, match=r"2 of 20 .*limit 5%"):
                 run_campaign(ScalarDgp(seed=0), **kw)
+
+
+def _use_workers(monkeypatch, workers):
+    monkeypatch.setattr(simlab, "_worker_count", lambda n_jobs: workers)
+
+
+class TestParallelCampaign:
+    """Replications in forked workers give the serial campaign, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "dgp, bandwidth",
+        [(NetworkDgp(seed=3), "auto"), (ScalarDgp(setting="II", seed=3), "auto")],
+        ids=["network", "setting-II"],
+    )
+    def test_workers_give_the_serial_campaign(self, monkeypatch, dgp, bandwidth):
+        one_rep = simlab._one_rep
+
+        def refuse_one(dgp, rng, bandwidth):
+            if _replication(rng) == 13:
+                raise InsufficientData("refused")
+            return one_rep(dgp, rng, bandwidth)
+
+        monkeypatch.setattr(simlab, "_one_rep", refuse_one)
+        results = []
+        for workers in (1, 2):
+            _use_workers(monkeypatch, workers)
+            results.append(run_campaign(dgp, sizes=[100, 200], reps=10, seed=3,
+                                        bandwidth=bandwidth))
+            assert multiprocessing.active_children() == []
+        serial, parallel = results
+        assert serial.metadata["n_failures"] == 1
+        assert serial.metadata["n_bandwidth_fallbacks"] >= 1
+        assert parallel.to_csv() == serial.to_csv()
+        assert json.dumps(parallel.metadata) == json.dumps(serial.metadata)
+        assert parallel.rate_fit == serial.rate_fit
+        assert [row["rep"] for row in parallel.rows] == list(range(10)) * 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_error_in_a_replication_propagates(self, monkeypatch, workers):
+        def fail_one(dgp, rng, bandwidth):
+            if _replication(rng) == 4:
+                raise ValueError(f"bug in process {os.getpid()}")
+            return dgp.setting, 0.5, 0.0, False
+
+        monkeypatch.setattr(simlab, "_one_rep", fail_one)
+        _use_workers(monkeypatch, workers)
+        with pytest.raises(ValueError, match="bug in process") as info:
+            run_campaign(ScalarDgp(seed=0), sizes=[100], reps=10, bandwidth=0.4)
+        raised_here = str(info.value) == f"bug in process {os.getpid()}"
+        assert raised_here == (workers == 1)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_worker_outlives_excessive_failures(self, monkeypatch, workers):
+        _use_workers(monkeypatch, workers)
+        with pytest.raises(ExcessiveFailures, match=r"limit 5%"):
+            run_campaign(ScalarDgp(n=40), sizes=[40], reps=10, seed=0)
+        assert multiprocessing.active_children() == []
+
+    # (usable CPUs, BLAS variables set, jobs) -> workers
+    RULE = [
+        (2, {}, 40, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 40, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+             "MKL_NUM_THREADS": "1"}, 40, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2"}, 40, 1),
+        (2, {"OMP_NUM_THREADS": "8"}, 40, 0),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 40, 1),
+        (4, {"MKL_NUM_THREADS": "2"}, 40, 2),
+        (4, {"OMP_NUM_THREADS": "1"}, 3, 3),
+        (4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 40, 4),
+        (4, {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 40, 4),
+        (4, {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "x",
+             "OMP_NUM_THREADS": "2"}, 40, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "-1"}, 40, 1),
+        (8, {}, 40, 1),
+    ]
+
+    @pytest.mark.parametrize("usable, env, n_jobs, want", RULE)
+    def test_worker_rule(self, monkeypatch, usable, env, n_jobs, want):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)),
+                            raising=False)
+        monkeypatch.setattr(sys, "platform", "linux")
+        for var in simlab._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert simlab._worker_count(n_jobs) == want
+
+    def test_no_workers_off_linux(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "darwin")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert simlab._worker_count(40) == 1
+
+
+def test_import_leaves_process_pools_unloaded():
+    # a process pool costs an import 24 ms, and only a parallel campaign
+    # starts one, so it is imported there
+    env = {**os.environ, "PYTHONPATH": str(Path(simlab.__file__).parents[1])}
+    code = ("import sys, geordd, geordd.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
