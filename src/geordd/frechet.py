@@ -30,7 +30,9 @@ dense window arrays.  The partial blocks of many windows enter their fits
 through one small product per block, so a fit depends on the other centers
 of a call only to rounding.  One rule marks a window degenerate: sigma^2 <=
 ``SIGMA2_FLOOR``.  That includes windows with fewer than two distinct
-running values, whose sigma^2 is rounding noise.
+running values, whose sigma^2 is rounding noise.  A single-point fit's
+weights are held on its window's k support points alone, and the solvers
+work on those rows; the sphere certifies against all n points at O(n k).
 """
 
 from __future__ import annotations
@@ -85,13 +87,16 @@ class Side(enum.Enum):
 class WeightProfile:
     """Signed local-linear weights at one evaluation point.
 
-    ``weights`` has one entry per observation (zero off-window); dividing its
-    sum by ``n_norm`` gives exactly one.  ``n_norm`` is the count used to
-    normalize the kernel moments: the number of observations on the kernel's
-    side of the center (restricted to the clamp window when one is given).
-    ``slope_weights`` give the slope of the same fit: for scalar outcomes y,
-    ``(weights @ y, slope_weights @ y) / n_norm`` is the intercept and slope
-    of the kernel-weighted least-squares line in R - center.
+    ``weights`` has one entry per point of the window's support, at the
+    positions ``support`` of the running variable (``slice(lo, hi)`` if it is
+    sorted, else a read-only index array), and zero weight is implied
+    elsewhere; dividing its sum by ``n_norm`` gives exactly one.  ``n_norm``
+    is the count used to normalize the kernel moments: the number of
+    observations on the kernel's side of the center (restricted to the clamp
+    window when one is given).  ``slope_weights`` give the slope of the same
+    fit: for scalar outcomes y, ``(weights @ y[support], slope_weights @
+    y[support]) / n_norm`` is the intercept and slope of the kernel-weighted
+    least-squares line in R - center.
     """
 
     bandwidth: float
@@ -104,10 +109,12 @@ class WeightProfile:
     weights: np.ndarray
     n_norm: int
     slope_weights: np.ndarray
+    support: slice | np.ndarray
 
     def __post_init__(self):
-        self.weights.setflags(write=False)
-        self.slope_weights.setflags(write=False)
+        for arr in (self.weights, self.slope_weights, self.support):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -239,11 +246,10 @@ class LocalLinearTables:
         x = (self._fenced[np.concatenate([lo - 1, lo, hi - 1, hi])].reshape(4, -1) - c) / h
         x[:2] *= -1.0
         bad = ((x >= 1.0) != _SUPPORT_PATTERN).any(0)
-        if bad.any():
-            for j in np.flatnonzero(bad):
-                x = (r - c[j]) / h[j]
-                lo[j] = np.count_nonzero(-x >= 1.0)
-                hi[j] = r.size - np.count_nonzero(x >= 1.0)
+        for j in np.flatnonzero(bad):
+            x = (r - c[j]) / h[j]
+            lo[j] = np.count_nonzero(-x >= 1.0)
+            hi[j] = r.size - np.count_nonzero(x >= 1.0)
         return lo, hi
 
     def _cells_per_center(self, side: Side) -> int:
@@ -313,7 +319,6 @@ class LocalLinearTables:
         idx = slot.reshape(m, -1)
         live = (slot < ends).reshape(m, -1)
         d = r.take(idx, mode="clip") - c[:, None]
-        point_tilt = np.repeat(np.tile(tilts, 2), block) if tilts.size > 1 else tilts[0]
 
         # the whole blocks, in (m, K, most whole blocks in a piece or 1, for
         # the running sums below) slots: on a block h^2 k = alpha + tilt x
@@ -333,7 +338,7 @@ class LocalLinearTables:
         # terms of sum h^2 k d^j: h^2 k, h^2 k d and h^2 k d^2 at each point,
         # and per block its sums A_t of h^2 k x^t, shifted in place to d = x + s
         pts = np.empty((3, m, idx.shape[1]))
-        np.multiply(live, h[:, None] + point_tilt * d, out=pts[0])
+        np.multiply(live, h[:, None] - np.abs(d), out=pts[0])
         np.multiply(pts[0], d, out=pts[1])
         np.multiply(pts[1], d, out=pts[2])
         A0, A1, A2 = whole
@@ -367,7 +372,7 @@ class LocalLinearTables:
             np.multiply(pts[0].reshape(m, -1, block), d.reshape(m, -1, block), out=w[..., block:])
             self._add_partial_fits(fits, w, starts[..., 0], ends[..., 0])
             fits /= np.where(valid, (h * h) * sigma2 * n_norm, np.nan)[:, None]
-        return _Windows(n_norm, mu, sigma2, valid, i0, i1, tilts, fits)
+        return _Windows(n_norm, mu, sigma2, valid, a, b, fits)
 
     def _whole_block_fits(self, mu, alive, alpha, tilt, s, blk):
         """sum h^2 k (mu2 - mu1 d) psi over the whole blocks of m centers, as
@@ -436,19 +441,18 @@ class _Windows(NamedTuple):
     ``n_norm`` (m,) counts the observations on the kernel's side of each
     center inside the clamp, ``mu`` (3, m) holds the normalized kernel
     moments, ``sigma2`` (m,) is mu0 * mu2 - mu1^2, and ``valid`` marks
-    sigma2 > ``SIGMA2_FLOOR``.  ``i0``/``i1`` (m, K) bound each center's K
-    linear pieces of the kernel as sorted indices, on which h^2 k = h + tilt
-    d with ``tilts`` (K,).  ``fits`` (m, D) are the local-linear fits of the
-    tables' outcome rows (NaN rows where not valid), or None without them.
+    sigma2 > ``SIGMA2_FLOOR``.  ``lo``/``hi`` (m,) bound each center's
+    support on its side and in the clamp as sorted indices [lo, hi).  ``fits``
+    (m, D) are the local-linear fits of the tables' outcome rows (NaN rows
+    where not valid), or None without them.
     """
 
     n_norm: np.ndarray
     mu: np.ndarray
     sigma2: np.ndarray
     valid: np.ndarray
-    i0: np.ndarray
-    i1: np.ndarray
-    tilts: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     fits: np.ndarray | None
 
 
@@ -468,28 +472,24 @@ def compute_weights(
     [window[0], window[1]] on top of the kernel support, as needed by
     cutoff-respecting smoothness checks.
 
-    ``r_values`` need not be sorted; the weights come back in its order.
-    ``n_norm``, the moments, sigma^2 and the degeneracy test come from
-    ``tables``, :class:`LocalLinearTables` built from ``r_values``
-    (``RddSample.weight_tables`` holds them for a sample), the
-    per-observation weights from the kernel on the window's points.  Without
-    them the call builds its own, an O(n) set-up.
+    ``r_values`` need not be sorted; ``support`` locates the weights in it.
+    ``n_norm``, the moments, sigma^2, the degeneracy test and the support
+    come from ``tables``, :class:`LocalLinearTables` built from ``r_values``
+    (``RddSample.weight_tables`` holds them for a sample), the weights from
+    the kernel on the support's k points, in O(sqrt(n) + k).  Without them
+    the call builds its own, an O(n) set-up.
 
     Raises ``ValueError`` unless ``h`` is positive and finite, and
     :class:`DegenerateWindow` when sigma^2 falls at or below the degeneracy
     floor (which includes every window with fewer than two distinct running
     values carrying kernel weight).
     """
-    r = np.asarray(r_values, dtype=float)
-    if r.ndim != 1 or r.size == 0:
-        raise EmptyInput("r_values must be a nonempty 1-d array")
     h = float(h)
     center = float(center)
-
     lo, hi = (None, None) if window is None else window
     if tables is None:
-        tables = LocalLinearTables(r)
-    elif tables.n != r.size:
+        tables = LocalLinearTables(r_values)
+    elif tables.n != np.size(r_values):
         raise ValueError("tables must be built from r_values")
     win = tables.windows(center, h, side, lo, hi)
     mu0, mu1, mu2 = win.mu[:, 0].tolist()
@@ -499,14 +499,9 @@ def compute_weights(
             f"window at {center!r} (h={h!r}, side={side.value}) is degenerate: "
             f"sigma^2 = {sigma2!r}"
         )
-    # h^2 k = h + tilt d on the engine's pieces, back in the caller's order
-    k = np.zeros(r.size)
-    for i0, i1, tilt in zip(win.i0[0].tolist(), win.i1[0].tolist(), win.tilts.tolist()):
-        k[i0:i1] = h + tilt * (tables.r[i0:i1] - center)
-    if tables.order is not None:
-        k[tables.order] = k.copy()
-    k /= h * h * sigma2
-    d = r - center
+    start, stop = int(win.lo[0]), int(win.hi[0])
+    d = tables.r[start:stop] - center
+    k = (h - np.abs(d)) / (h * h * sigma2)
     return WeightProfile(
         bandwidth=h,
         side=side,
@@ -518,6 +513,7 @@ def compute_weights(
         weights=k * (mu2 - mu1 * d),
         n_norm=int(win.n_norm[0]),
         slope_weights=k * (mu0 * d - mu1),
+        support=slice(start, stop) if tables.order is None else tables.order[start:stop],
     )
 
 
@@ -537,28 +533,31 @@ def weighted_frechet_mean(
 
     ``objects`` is a :class:`PointStack` (such as ``RddSample.ys``), taken
     as it is, or a sequence of points of one space, checked and stacked once
-    (:meth:`PointStack.of`); there must be at least one.  Weights may be
-    signed (local-linear weights are).  In embeddable spaces the result is
-    the inverse-embedded weighted average of the embedded points, projected
-    onto the feasible image set: the exact minimizer wherever that
-    projection is metric, which ``NetworkLaplacian``'s clamp-and-reset rule
-    is not.  On the sphere one safeguarded Riemannian Newton iteration is
-    used, whose result is certified against every sample point; ``cfg``
-    sets its stopping rule.
+    (:meth:`PointStack.of`); there must be at least one.  ``weights`` has one
+    entry per object, or is a :class:`WeightProfile` of their running values
+    that only its k support objects enter.  Weights may be signed
+    (local-linear weights are).  In embeddable spaces the result is the
+    inverse-embedded weighted average of the embedded points, projected onto
+    the feasible image set: the exact minimizer wherever that projection is
+    metric, which ``NetworkLaplacian``'s clamp-and-reset rule is not.  On the
+    sphere one safeguarded Riemannian Newton iteration is used, whose result
+    is certified against every object; ``cfg`` sets its stopping rule.
     """
     cfg = cfg or DEFAULT_SOLVE_CONFIG
-    stack = PointStack.of(objects)
+    stack = rows = PointStack.of(objects)
     space = stack.space
+    if isinstance(weights, WeightProfile):
+        rows, weights = stack[weights.support], weights.weights
     w = np.asarray(weights, dtype=float)
-    if w.shape != (len(stack),):
+    if w.shape != (len(rows),):
         raise ValueError("weights must match the number of objects")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
 
     if isinstance(space, HilbertSpace):
-        result, info = _embedding_mean(space, stack, w)
+        result, info = _embedding_mean(space, rows, w)
     elif isinstance(space, CompositionalSphere):
-        result, info = _sphere_mean(space, stack, w, cfg)
+        result, info = _sphere_mean(space, rows, w, cfg, stack)
     else:  # pragma: no cover - all shipped spaces are covered above
         raise NotImplementedError(f"no Frechet mean solver for {type(space).__name__}")
     return (result, info) if return_info else result
@@ -576,7 +575,7 @@ def _embedding_mean(space: HilbertSpace, stack: PointStack, w):
     proj = space.project_embedding(mean)
     moved = float(np.abs(proj - mean).max())
     out = space.point(space._inverse(proj))  # proj is feasible: no second projection
-    emb -= proj  # residuals in place: emb is this call's own (n, D) array
+    emb -= proj  # residuals in place: emb is this call's own (k, D) array
     info = SolveInfo(
         method="embedding",
         objective=float((w * space.hilbert_sq_norms(emb)).sum()),
@@ -585,7 +584,7 @@ def _embedding_mean(space: HilbertSpace, stack: PointStack, w):
     return out, info
 
 
-def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig):
+def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig, candidates):
     """Weighted Frechet mean on the sphere orthant.
 
     Safeguarded Riemannian Newton on the weighted squared arc length, with
@@ -602,12 +601,13 @@ def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig):
     weights can put the minimiser on the orthant's boundary.
 
     The first run starts at the projected extrinsic mean ``w @ pts``.  If it
-    ends above the best sample point's objective + 1e-8, a second run starts
-    at that point and the lower result is kept, so the result is certified
-    against every sample point.  Only an unconverged result above that floor
-    raises :class:`SolverDiverged`.
+    ends above the best objective at a point of ``candidates`` + 1e-8, a
+    second run starts there and the lower result is kept, so the result is
+    certified against each candidate, at O(n k) for n of them and k points.
+    Only an unconverged result above that floor raises :class:`SolverDiverged`.
     """
     pts = np.ascontiguousarray(stack.data)
+    cands = pts if candidates is stack else np.ascontiguousarray(candidates.data)
     w_scale = float(np.abs(w).sum()) or 1.0
 
     def objective(z: np.ndarray) -> float:
@@ -692,7 +692,7 @@ def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig):
         )
         return z, info
 
-    obj_at_pts = _objective_at_points(pts, w)
+    obj_at_pts = _objective_at_points(cands, pts, w)
     best = int(np.argmin(obj_at_pts))
     f_floor = float(obj_at_pts[best])
 
@@ -702,7 +702,7 @@ def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig):
     if norm > 1e-12:
         runs.append(run(extrinsic / norm))
     if not runs or runs[0][1].objective > f_floor + 1e-8:
-        runs.append(run(pts[best]))
+        runs.append(run(cands[best]))
     z, info = min(runs, key=lambda zi: zi[1].objective)
     if not info.converged and info.objective > f_floor + 1e-8:
         raise SolverDiverged("sphere Frechet solver failed to converge")
@@ -712,14 +712,15 @@ def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig):
     return space.point(space.project_to_orthant(z)), info
 
 
-def _objective_at_points(pts, w):
-    """The objective sum_j w_j arccos(<p_i, p_j>)^2 at every sample point
-    p_i, for certification: O(n^2) work in blocks of about 2**16 entries."""
-    n = pts.shape[0]
-    rows = max(1, (1 << 16) // n)
+def _objective_at_points(cands, pts, w):
+    """The objective sum_j w_j arccos(<c_i, p_j>)^2 over the k weighted
+    points p_j at each of the n candidates c_i, for certification: O(n k)
+    work in blocks of about 2**16 entries."""
+    n = cands.shape[0]
+    rows = max(1, (1 << 16) // pts.shape[0])
     out = np.empty(n)
     for i in range(0, n, rows):
-        block = np.clip(pts[i : i + rows] @ pts.T, -1.0, 1.0)
+        block = np.clip(cands[i : i + rows] @ pts.T, -1.0, 1.0)
         np.arccos(block, out=block)
         block *= block
         out[i : i + rows] = block @ w
@@ -753,7 +754,7 @@ def lfr_estimate(
         )
     except DegenerateWindow as err:
         raise DegenerateWindow(f"{side.value} side: {err}") from None
-    return weighted_frechet_mean(sample.ys, profile.weights, return_info=return_info)
+    return weighted_frechet_mean(sample.ys, profile, return_info=return_info)
 
 
 def batch_lfr_embeddings(

@@ -16,7 +16,7 @@ without an isometric embedding, such as the compositional sphere.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -156,11 +156,10 @@ def _require_columns(sample: RddSample, assignment: bool = False):
 def estimate_compliance(sample: RddSample, h0: float, h1: float) -> ComplianceFit:
     """Local linear intercepts of T on R at the cutoff, one per side."""
     _require_columns(sample)
-    t = sample.t.astype(float)
     line, profiles = [], []
     for h, side in ((h0, Side.LEFT), (h1, Side.RIGHT)):
         p = compute_weights(sample.r, sample.cutoff, h, side, tables=sample.weight_tables)
-        line += [float(p.weights @ t) / p.n_norm, float(p.slope_weights @ t) / p.n_norm]
+        line += [float(w @ sample.t[p.support]) / p.n_norm for w in (p.weights, p.slope_weights)]
         profiles.append(p)
     m0, b0, m1, b1 = line
     return ComplianceFit(
@@ -186,9 +185,9 @@ class _EmbeddingChart:
         self.ys = sample.ys
         self.warnings: list[str] = []
 
-    def fit(self, weights: np.ndarray, idx: np.ndarray | None = None):
+    def fit(self, profile: WeightProfile):
         """Coordinates of the fit, and the fitted object."""
-        mu = weighted_frechet_mean(self.ys if idx is None else self.ys[idx], weights)
+        mu = weighted_frechet_mean(self.ys, profile)
         return self.space.embed(mu), mu
 
     def norm(self, u: np.ndarray) -> float:
@@ -224,10 +223,9 @@ class _TangentChart:
             self.omega = sample_frechet_mean(sample)
         self.rows = np.stack([space.log_map(self.omega, y) for y in sample.ys])
 
-    def fit(self, weights: np.ndarray, idx: np.ndarray | None = None):
+    def fit(self, profile: WeightProfile):
         """Coordinates of the fit; no object is fitted in this chart."""
-        rows = self.rows if idx is None else self.rows[idx]
-        return (weights @ rows) / weights.sum(), None
+        return (profile.weights @ self.rows[profile.support]) / profile.weights.sum(), None
 
     def norm(self, u: np.ndarray) -> float:
         return float(np.linalg.norm(u))
@@ -273,7 +271,7 @@ def _estimate(
         raise WeakCompliance(
             f"compliance jump {den!r} is within the refusal threshold {DELTA_COMPLY}"
         )
-    (nu0, mu0), (nu1, mu1) = (chart.fit(p.weights) for p in fit.profiles)
+    (nu0, mu0), (nu1, mu1) = (chart.fit(p) for p in fit.profiles)
     tau = (nu1 - nu0) / den
 
     endpoints = effect = None
@@ -291,7 +289,7 @@ def _estimate(
                 raise EmptyStratum(
                     f"the {stratum} stratum is degenerate near the cutoff: {err}"
                 ) from None
-            plus, _ = chart.fit(profile.weights, idx)
+            plus, _ = chart.fit(replace(profile, support=idx[profile.support]))
             targets = [(plus + (nu - plus) / den, None) for nu in (nu0, nu1)]
         elif abs(den - 1.0) > _FULL_COMPLIANCE_TOL:
             raise EmptyStratum(

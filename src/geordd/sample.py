@@ -86,11 +86,11 @@ class RddSample:
 
     @property
     def n_left(self) -> int:
-        return int((self.r < self.cutoff).sum())
+        return int(self.r.searchsorted(self.cutoff, "left"))
 
     @property
     def n_right(self) -> int:
-        return int((self.r >= self.cutoff).sum())
+        return self.n - self.n_left
 
     @cached_property
     def embeddings(self) -> np.ndarray:

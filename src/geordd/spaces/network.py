@@ -114,7 +114,7 @@ class NetworkLaplacian(HilbertSpace):
         return _laplacian(_sym(off))
 
     def _embed(self, stack):
-        out = stack.reshape(len(stack), -1)[:, self._entries]
+        out = np.take(stack.reshape(len(stack), -1), self._entries, axis=1)
         out[:, : self._n_edges] *= _SQRT2
         return out
 

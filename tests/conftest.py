@@ -135,6 +135,14 @@ def wls_line_oracle(r, y, c, h, keep):
     return np.linalg.solve((X * k[:, None]).T @ X, (X * k[:, None]).T @ y)
 
 
+def dense(profile, n, weights=None):
+    """A weight profile's ``weights`` (or another array over its support)
+    scattered into n entries, one per observation, zero off the support."""
+    out = np.zeros(n)
+    out[profile.support] = profile.weights if weights is None else weights
+    return out
+
+
 def golden_section(fn, lo, hi, tol=1e-12):
     """Scalar minimization by golden-section search."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0

@@ -14,11 +14,14 @@ from geordd import (
     lfr_estimate,
     weighted_frechet_mean,
 )
+from geordd import frechet
 from geordd.errors import DegenerateWindow, EmptyInput, SolverDiverged
 from geordd.frechet import batch_lfr_embeddings
 from geordd.spaces import HilbertSpace
 
 from conftest import (
+    SPACE_CASES,
+    dense,
     golden_section,
     rand_laplacian,
     rand_spd,
@@ -34,7 +37,8 @@ def applied_kernel(r, center, h, side):
     each observation, read back from its profile: with weights w and slope
     weights s, mu0 w + mu1 s = K / h."""
     p = compute_weights(r, center, h, side)
-    return h * (p.mu0 * p.weights + p.mu1 * p.slope_weights)
+    n = np.size(r)
+    return h * (p.mu0 * dense(p, n) + p.mu1 * dense(p, n, p.slope_weights))
 
 
 class TestKernelEval:
@@ -80,7 +84,7 @@ class TestComputeWeights:
         mu2 = (k * d * d).sum() / 3
         sigma2 = mu0 * mu2 - mu1**2
         expected = k * (mu2 - mu1 * d) / sigma2
-        np.testing.assert_allclose(profile.weights, expected, atol=1e-12)
+        np.testing.assert_allclose(dense(profile, 3), expected, atol=1e-12)
         assert profile.sigma2 == pytest.approx(sigma2, abs=1e-15)
         assert profile.weights.sum() / profile.n_norm == pytest.approx(1.0, abs=1e-8)
 
@@ -113,7 +117,7 @@ class TestComputeWeights:
         h = 0.3
         profile = compute_weights(r, 0.0, h, Side.LEFT)
         outside = np.abs(r) > h
-        assert np.all(profile.weights[outside] == 0.0)
+        assert np.all(dense(profile, r.size)[outside] == 0.0)
 
     def test_first_moment_annihilation(self):
         rng = np.random.default_rng(2)
@@ -121,7 +125,7 @@ class TestComputeWeights:
             r = rng.uniform(-1, 1, 150)
             h = rng.uniform(0.1, 0.8)
             profile = compute_weights(r, 0.0, h, Side.RIGHT)
-            val = (profile.weights * r).sum() / profile.n_norm
+            val = (dense(profile, r.size) * r).sum() / profile.n_norm
             assert abs(val) < 1e-8
 
     def test_weight_sum_normalization(self):
@@ -209,7 +213,7 @@ class TestWeightedFrechetMean:
         phi = -0.2 - r + 0.02 * rng.normal(size=60)
         x = np.column_stack([np.cos(phi), np.sin(phi), rng.uniform(0.2, 0.4, (60, dim - 2))])
         pts = list(sp.stack(x / np.linalg.norm(x, axis=1, keepdims=True)))
-        w = compute_weights(r, 0.0, 2.0, Side.LEFT).weights
+        w = dense(compute_weights(r, 0.0, 2.0, Side.LEFT), r.size)
         return sp, pts, w
 
     @pytest.mark.parametrize(
@@ -240,7 +244,7 @@ class TestWeightedFrechetMean:
         mean = np.exp(np.outer(r, [0.4, -0.3, 0.0]))
         g = rng.gamma(10.0 * mean / mean.sum(axis=1, keepdims=True))
         ys = CompositionalSphere(3).points_from_shares(g / g.sum(axis=1, keepdims=True))
-        w = compute_weights(r, 0.0, 0.45, Side.LEFT).weights
+        w = dense(compute_weights(r, 0.0, 0.45, Side.LEFT), r.size)
         assert w.min() < 0.0
         _, info = weighted_frechet_mean(ys, w, return_info=True)
         assert info.method == "sphere_newton"
@@ -269,6 +273,48 @@ class TestWeightedFrechetMean:
         for p in pts:
             f_p = sum(wi * space.distance(p, q) ** 2 for wi, q in zip(w, pts))
             assert f_out <= f_p + 1e-8
+
+
+class TestWeightsOnTheSupport:
+    """A profile holds its weights on the window's support only; solving
+    with it is solving with its weights scattered into every observation."""
+
+    @pytest.mark.parametrize("sort", [True, False], ids=["sorted", "unsorted"])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT, Side.TWO_SIDED], ids=lambda s: s.value)
+    @pytest.mark.parametrize("name, space, sampler", SPACE_CASES, ids=[c[0] for c in SPACE_CASES])
+    def test_profile_solves_as_its_dense_weights(self, name, space, sampler, side, sort):
+        rng = np.random.default_rng(41)
+        n = 120
+        r = rng.uniform(-1.0, 1.0, n)
+        if sort:
+            r = np.sort(r)
+        ys = space.stack(np.stack([sampler(space, rng).data for _ in range(n)]))
+        profile = compute_weights(r, 0.1, 0.5, side)
+        assert isinstance(profile.support, slice) == sort
+        assert len(profile.weights) < n
+        out, info = weighted_frechet_mean(ys, profile, return_info=True)
+        want, want_info = weighted_frechet_mean(ys, dense(profile, n), return_info=True)
+        np.testing.assert_allclose(out.data, want.data, rtol=1e-12, atol=1e-12)
+        for field in ("method", "converged", "projected"):
+            assert getattr(info, field) == getattr(want_info, field)
+
+    def test_sphere_fit_certifies_every_point_against_the_support(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        sp = CompositionalSphere(3)
+        r = rng.uniform(-1.0, 1.0, 400)
+        sample = RddSample(r=r, ys=[rand_sphere(sp, rng) for _ in range(400)], cutoff=0.0)
+        seen = []
+        certify = frechet._objective_at_points
+
+        def spy(cands, pts, w):
+            seen.append((cands.shape[0], pts.shape[0]))
+            return certify(cands, pts, w)
+
+        monkeypatch.setattr(frechet, "_objective_at_points", spy)
+        lfr_estimate(sample, 0.0, 0.3, Side.LEFT)
+        k = len(compute_weights(sample.r, 0.0, 0.3, Side.LEFT).weights)
+        assert 0 < k < sample.n
+        assert seen == [(sample.n, k)]
 
 
 class TestSphereQuarterArcOracle:
@@ -301,7 +347,7 @@ class TestSphereQuarterArcOracle:
         rng = np.random.default_rng(22)
         r = rng.uniform(-1.0, 1.0, 300)
         phi = 0.7 + 0.3 * r + 0.05 * rng.normal(size=300)
-        w = compute_weights(r, 0.0, 0.6, Side.LEFT).weights
+        w = dense(compute_weights(r, 0.0, 0.6, Side.LEFT), r.size)
         assert w.min() < 0.0
         shift, info = self._solve(phi, w)
         assert info.method == "sphere_newton"
@@ -321,7 +367,7 @@ class TestSphereQuarterArcOracle:
         # and the minimiser on the arc is its end phi = 0, where the solve
         # stops as stationary on the orthant
         phi = intercept + slope * r
-        w = compute_weights(r, 0.0, 2.0, Side.LEFT).weights
+        w = dense(compute_weights(r, 0.0, 2.0, Side.LEFT), r.size)
         shift, info = self._solve(phi, w)
         assert info.method == "sphere_descent"
         assert info.projected

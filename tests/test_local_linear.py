@@ -34,7 +34,7 @@ from geordd.io import ingest, write_sample_csv
 from geordd.errors import DegenerateWindow
 from geordd.frechet import LocalLinearTables, WeightProfile, batch_lfr_embeddings
 
-from conftest import rand_sphere, triangular, wls_line_oracle
+from conftest import dense, rand_sphere, triangular, wls_line_oracle
 
 SIDES = [Side.LEFT, Side.RIGHT, Side.TWO_SIDED]
 
@@ -66,7 +66,7 @@ def check_against_oracle(r, emb, centers, h, side, lo=None, hi=None):
         oracle = wls_line_oracle(r, emb, c, h, keep)[0]
         np.testing.assert_allclose(fits[j], oracle, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(
-            profile.weights @ emb / profile.n_norm, oracle, rtol=1e-10, atol=1e-10
+            dense(profile, r.size) @ emb / profile.n_norm, oracle, rtol=1e-10, atol=1e-10
         )
     return valid
 
@@ -166,7 +166,7 @@ def test_per_center_bandwidths_match_scalar_calls(side):
     for g, h in enumerate(hs):
         alone = tables.windows(centers, h, side, lo, 0.6875)
         part = slice(g * m, (g + 1) * m)
-        for name in ("n_norm", "valid", "i0", "i1"):
+        for name in ("n_norm", "valid", "lo", "hi"):
             np.testing.assert_array_equal(getattr(joint, name)[part], getattr(alone, name))
         np.testing.assert_array_equal(joint.mu[:, part], alone.mu)
         np.testing.assert_allclose(joint.fits[part], alone.fits, rtol=1e-12, atol=0)
@@ -323,6 +323,7 @@ def _dense_weights(r_values, center, h, side):
         bandwidth=h, side=side, center=center, mu0=mu0, mu1=mu1, mu2=mu2,
         sigma2=float(sigma2[0]), weights=weights[0], n_norm=int(n_norm[0]),
         slope_weights=k[0] * (mu0 * d[0] - mu1) / float(sigma2[0]),
+        support=slice(0, r.size),
     )
 
 
@@ -355,6 +356,25 @@ def test_compute_weights_stays_cheap():
         gc.enable()
     ratio = float(np.median(ratios))
     assert ratio <= 150 / 48, f"compute_weights takes {ratio:.2f} x the yardstick"
+
+
+@pytest.mark.parametrize("sort", [True, False], ids=["sorted", "unsorted"])
+def test_compute_weights_memory_is_the_window(sort):
+    # a window of about 1,000 of 10**6 points: with the sample's tables the
+    # profile holds the window only (n-long weight vectors peaked at 30 MB)
+    r = np.random.default_rng(20).uniform(-1, 1, 1_000_000)
+    if sort:
+        r.sort()
+    tables = LocalLinearTables(r)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        profile = compute_weights(r, 0.1, 0.001, Side.TWO_SIDED, tables=tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 500 < len(profile.weights) < 2_000
+    assert peak < 2**20
 
 
 def test_large_n_search_memory():

@@ -35,7 +35,7 @@ from geordd.errors import (
 )
 from geordd.io import ingest_csv, write_sample_csv
 
-from conftest import SPACE_CASES
+from conftest import SPACE_CASES, dense
 
 
 def _payloads(space, sampler, n, seed):
@@ -59,9 +59,11 @@ class TestStackMatchesTuple:
         assert isinstance(objs, tuple)
         r = np.random.default_rng(4).uniform(-1.0, 1.0, 60)
         for center, side in ((0.1, Side.LEFT), (0.1, Side.RIGHT), (-0.9, Side.TWO_SIDED)):
-            w = compute_weights(r, center, 0.6, side).weights
+            profile = compute_weights(r, center, 0.6, side)
+            w = dense(profile, 60)
             assert (w < 0).any() and (w > 0).any()  # signed local-linear weights
             assert _solve(stack, w) == _solve(objs, w) == _solve(list(objs), w)
+            assert _solve(stack, profile) == _solve(objs, profile) == _solve(list(objs), profile)
 
     def test_sample_bit_for_bit(self, name, space, sampler):
         payloads = _payloads(space, sampler, 50, seed=5)

@@ -19,7 +19,7 @@ from geordd import (
 from geordd.rdd_sharp import sample_frechet_mean
 from geordd.errors import DegenerateWindow
 
-from conftest import wls_intercept_oracle
+from conftest import dense, wls_intercept_oracle
 
 
 def _scalar_sample(rng, n=300, fn=lambda r: np.sin(2 * r), jump=1.0, sigma=0.4):
@@ -64,6 +64,13 @@ class TestEstimateSharp:
         assert est.n0 + est.n1 == sample.n
         assert est.magnitude == pytest.approx(est.effect.length, abs=1e-12)
 
+    @pytest.mark.parametrize("cutoff", [0.5, -1.0, 2.0, 3.0, -3.0])
+    def test_side_counts_with_ties_at_the_cutoff(self, cutoff):
+        r = np.array([0.5, -1.0, 0.5, 2.0, -0.2, 0.5, np.nextafter(0.5, 0.0), 2.0, -1.0])
+        sample = RddSample(r=r, ys=Euclidean(1).stack(np.zeros((r.size, 1))), cutoff=cutoff)
+        assert sample.n_left == int((r < cutoff).sum())
+        assert sample.n_right == int((r >= cutoff).sum())
+
     def test_degenerate_side_identified(self):
         rng = np.random.default_rng(3)
         sample = _scalar_sample(rng)
@@ -92,11 +99,12 @@ class TestEstimateSharp:
         profile_left = compute_weights(r, 0.0, 0.8, Side.LEFT)
         profile_right = compute_weights(r, 0.0, 0.8, Side.RIGHT)
         at_cutoff = r == 0.0
-        assert profile_left.weights[at_cutoff] == 0.0
-        assert profile_right.weights[at_cutoff] != 0.0
+        left, right = dense(profile_left, r.size), dense(profile_right, r.size)
+        assert left[at_cutoff] == 0.0
+        assert right[at_cutoff] != 0.0
         # and no cross-side leakage anywhere
-        assert np.all(profile_left.weights[r >= 0] == 0.0)
-        assert np.all(profile_right.weights[r < 0] == 0.0)
+        assert np.all(left[r >= 0] == 0.0)
+        assert np.all(right[r < 0] == 0.0)
 
 
 class TestDefaultReference:

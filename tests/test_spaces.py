@@ -540,6 +540,12 @@ class TestLaplacianChart:
             oracle = wls_line_oracle(r, y, c, h, keep)[0].reshape(space.shape)
             np.testing.assert_allclose(space._inverse(fit), oracle, rtol=1e-10, atol=1e-10)
 
+    def test_embeddings_are_c_ordered(self):
+        # the engine's block products read contiguous outcome rows
+        sample, _ = NetworkDgp(n=100, seed=35).sample()
+        assert sample.embeddings.flags.c_contiguous
+        assert sample.lfr_tables.psi.flags.c_contiguous
+
     def test_network_sample_is_fitted_in_55_columns(self):
         sample, _ = NetworkDgp(n=100, seed=34).sample()
         assert sample.space.n_nodes == 10
