@@ -22,19 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllWindowsDegenerate,
-    DegenerateWindow,
-    InsufficientData,
-    InvertedBounds,
-    SolverDiverged,
-)
+from .errors import AllWindowsDegenerate, InsufficientData, InvertedBounds, SolverDiverged
 from .frechet import (
     Side,
+    _support_profile,
+    _windows_in_runs,
     batch_lfr_embeddings,
     compute_weights,  # noqa: F401 - bench/tracing.py wraps this module's name
-    lfr_estimate,
-    weighted_frechet_mean,  # noqa: F401 - bench/tracing.py wraps this module's name
+    weighted_frechet_mean,
 )
 from .sample import MIN_SIDE_OBS, RddSample
 from .spaces import HilbertSpace
@@ -47,8 +42,9 @@ __all__ = [
     "select_bandwidth",
 ]
 
-#: losses within this window of the minimum count as ties (broken toward
-#: smaller bandwidths, which preserves the discontinuity)
+#: losses within this share of the minimum, or of the sample's loss unit,
+#: count as ties (broken toward smaller bandwidths, which preserves the
+#: discontinuity)
 _TIE_TOL = 1e-12
 
 #: points of the even grid over the support from which the evaluation
@@ -136,10 +132,8 @@ def _window_bounds(pts: np.ndarray, c: float, b, r_lo: float, r_hi: float):
     at or above it; right window mirrors with the roles of c and r_hi swapped.
     """
     left_lo = np.where(pts < c, np.maximum(pts - 2 * b, r_lo), np.maximum(pts - 2 * b, c))
-    left_hi = pts
-    right_lo = pts
     right_hi = np.where(pts < c, np.minimum(pts + 2 * b, c), np.minimum(pts + 2 * b, r_hi))
-    return left_lo, left_hi, right_lo, right_hi
+    return left_lo, pts, pts, right_hi
 
 
 def _piecewise_integrals(pts: np.ndarray, sq: np.ndarray, valid: np.ndarray, c: float):
@@ -167,57 +161,71 @@ def _piecewise_integrals(pts: np.ndarray, sq: np.ndarray, valid: np.ndarray, c: 
     return total, (~valid).sum(1), any_valid
 
 
+def _loss_unit(sample: RddSample, pts: np.ndarray) -> float:
+    """A loss on the sample's own scale: the span of ``pts`` times the mean
+    squared distance of the outcomes from their mean, in the embedding (on
+    the sphere, chordal).  Losses within ``_TIE_TOL`` of it are rounding."""
+    if isinstance(sample.space, HilbertSpace):
+        dev = sample.embeddings - sample.embeddings.mean(0)
+        return float(pts[-1] - pts[0]) * float(sample.space.hilbert_sq_norms(dev).mean())
+    return float(pts[-1] - pts[0]) * float(np.var(sample.ys.data, axis=0).sum())
+
+
 def _grid_losses(sample: RddSample, c: float, grid: np.ndarray, pts: np.ndarray):
     """L(b) and the number of skipped evaluation points for each candidate
     of ``grid``, as two (G,) arrays.
 
-    Every window is a triangular-kernel fit.  For an embeddable space every
-    (candidate, evaluation point) window is fitted at once: one
-    :func:`batch_lfr_embeddings` call per side over the G x m grid, one
-    feasibility projection per side and one norm pass.  Otherwise each
-    window is solved on its own by :func:`lfr_estimate`.  Raises
-    :class:`AllWindowsDegenerate` for the first candidate left with no
-    valid window.
+    Every window is a triangular-kernel fit, and every (candidate, evaluation
+    point) window of a side comes from one engine pass over the G x m grid,
+    which the engine splits into runs at large n.  For an embeddable space
+    that pass fits the windows too (:func:`batch_lfr_embeddings`, one
+    feasibility projection per side and one norm pass).  On the sphere the
+    pass gives each window's moments, validity and support, and each window
+    valid on both sides is solved by :func:`weighted_frechet_mean`; a window
+    whose solve raises :class:`SolverDiverged` is skipped like a degenerate
+    one.  Raises :class:`AllWindowsDegenerate` for the first candidate left
+    with no valid window.
     """
     r = sample.r
     r_lo, r_hi = float(r[0]), float(r[-1])
     b = grid[:, None]
     shape = (grid.size, pts.size)
-    left_lo, left_hi, right_lo, right_hi = (
-        np.broadcast_to(v, shape) for v in _window_bounds(pts, c, b, r_lo, r_hi)
+    lo_l, hi_l, lo_r, hi_r = (
+        np.broadcast_to(v, shape).ravel() for v in _window_bounds(pts, c, b, r_lo, r_hi)
     )
+    sides = ((Side.LEFT, lo_l, hi_l), (Side.RIGHT, lo_r, hi_r))
+    centers = np.broadcast_to(pts, shape).ravel()
+    h = np.broadcast_to(2 * b, shape).ravel()
 
     space = sample.space
     sq = np.zeros(shape)
     if isinstance(space, HilbertSpace):
-        centers = np.broadcast_to(pts, shape).ravel()
-        h = np.broadcast_to(2 * b, shape).ravel()
-        fits_l, ok_l = batch_lfr_embeddings(
-            r, sample.embeddings, centers, h, Side.LEFT,
-            lo=left_lo.ravel(), hi=left_hi.ravel(), tables=sample.lfr_tables,
-        )
-        fits_r, ok_r = batch_lfr_embeddings(
-            r, sample.embeddings, centers, h, Side.RIGHT,
-            lo=right_lo.ravel(), hi=right_hi.ravel(), tables=sample.lfr_tables,
-        )
+        (fits_l, ok_l), (fits_r, ok_r) = [
+            batch_lfr_embeddings(
+                r, sample.embeddings, centers, h, side, lo=lo, hi=hi, tables=sample.lfr_tables
+            )
+            for side, lo, hi in sides
+        ]
         keep = ok_l & ok_r
         gap = space.project_embedding(fits_l[keep])
         gap -= space.project_embedding(fits_r[keep])
-        valid = keep.reshape(shape)
-        sq[valid] = space.hilbert_sq_norms(gap)
+        sq.flat[keep] = space.hilbert_sq_norms(gap)
     else:
-        valid = np.zeros(shape, dtype=bool)
-        for (g, j), p in np.ndenumerate(np.broadcast_to(pts, shape)):
-            h = 2 * float(grid[g])
+        tables = sample.weight_tables
+        wins = {side: _windows_in_runs(tables, centers, h, side, lo, hi) for side, lo, hi in sides}
+        keep = wins[Side.LEFT].valid & wins[Side.RIGHT].valid
+        for i in np.flatnonzero(keep):
+            profiles = (
+                _support_profile(tables, w, i, centers[i], h[i], s) for s, w in wins.items()
+            )
             try:
-                fit_l = lfr_estimate(sample, p, h, Side.LEFT, window=(left_lo[g, j], left_hi[g, j]))
-                fit_r = lfr_estimate(sample, p, h, Side.RIGHT, window=(right_lo[g, j], right_hi[g, j]))
-            except (DegenerateWindow, SolverDiverged):
+                fit_l, fit_r = [weighted_frechet_mean(sample.ys, p) for p in profiles]
+            except SolverDiverged:
+                keep[i] = False
                 continue
-            valid[g, j] = True
-            sq[g, j] = space.distance(fit_l, fit_r) ** 2
+            sq.flat[i] = space.distance(fit_l, fit_r) ** 2
 
-    losses, skipped, any_valid = _piecewise_integrals(pts, sq, valid, c)
+    losses, skipped, any_valid = _piecewise_integrals(pts, sq, keep.reshape(shape), c)
     if not any_valid.all():
         b_bad = float(grid[np.argmin(any_valid)])
         raise AllWindowsDegenerate(
@@ -230,8 +238,9 @@ def discrepancy_loss(sample: RddSample, c: float, b: float, eval_points) -> tupl
     """Integrated squared discrepancy L(b) between left- and right-windowed
     fits over ``eval_points``.
 
-    Evaluation points where either one-sided window is degenerate are skipped
-    and the integral rescaled by the covered span; raises
+    Evaluation points where either one-sided window is degenerate, or on the
+    sphere where either solve diverged, are skipped and the integral
+    rescaled by the covered span; raises
     :class:`AllWindowsDegenerate` when nothing remains.  This is the
     one-candidate case of the search in :func:`select_bandwidth`, on the same
     code path.
@@ -251,14 +260,17 @@ def select_bandwidth(sample: RddSample, grid_size: int = 20) -> BandwidthSearch:
     ``grid_size`` candidates are log-spaced over [b_min, b_max], and the
     losses are integrated over :func:`evaluation_region`, the points of the
     ``_N_EVAL`` = 100-point grid outside its exclusion zones; the selected
-    bandwidth minimizes L(b), with near-ties broken toward the smaller
-    candidate.  Raises ``ValueError`` when ``grid_size`` < 1.
+    bandwidth minimizes L(b).  Losses within 1e-12 of the minimum, relative
+    to it or to a loss on the sample's own scale (the span of the region
+    times the outcomes' spread), count as ties, broken toward the smaller
+    candidate, so the choice does not move when r or the outcomes are
+    rescaled.  Raises ``ValueError`` when ``grid_size`` < 1.
 
-    On an embeddable space the candidates are not fitted one by one: the
-    G x m (candidate, evaluation point) windows go to one
-    :func:`batch_lfr_embeddings` call per side, which the engine runs in
-    passes over consecutive candidates under a fixed cell budget (one pass
-    per side for a default search up to n of about 2,000).  Each loss equals
+    The candidates are not windowed one by one: on every space the G x m
+    (candidate, evaluation point) windows of a side come from one engine
+    pass, which the engine takes in runs of consecutive candidates under a
+    fixed cell budget (one run per side for a default search up to n of
+    about 2,000).  Each loss equals
     :func:`discrepancy_loss` at that candidate, with the same skipped points.
     """
     if grid_size < 1:
@@ -273,7 +285,7 @@ def select_bandwidth(sample: RddSample, grid_size: int = 20) -> BandwidthSearch:
     losses, skipped = _grid_losses(sample, c, grid, pts)
 
     best = float(losses.min())
-    ties = losses <= best + _TIE_TOL * (1.0 + best)
+    ties = losses <= best * (1.0 + _TIE_TOL) + _TIE_TOL * _loss_unit(sample, pts)
     b_star = float(grid[np.flatnonzero(ties)[0]])
     return BandwidthSearch(
         b_min=b_min,

@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bw = sub.add_parser("bandwidth", help="run the data-adaptive bandwidth search")
     add_io(p_bw)
-    p_bw.add_argument("--grid-size", type=int, default=20)
+    p_bw.add_argument("--grid-size", type=_count, default=20)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo campaigns on synthetic designs")
     add_io(p_sim, need_input=False)

@@ -21,8 +21,9 @@ iterative solver.
 
 Every local-linear fit takes its window moments from one engine,
 :class:`LocalLinearTables`, at any number of centers: single-point fits
-(:func:`compute_weights`, which the compliance first stage also uses) and the
-batched fits of the bandwidth search (:func:`batch_lfr_embeddings`).  The
+(:func:`compute_weights`, which the compliance first stage also uses) and
+every window of a bandwidth search, fitted in batches on embeddable spaces
+(:func:`batch_lfr_embeddings`) and solved one by one on the sphere.  The
 engine sorts the running variable once and keeps block-anchored power sums
 of it and of the embedded outcomes; each window is then assembled exactly
 from whole-block sums and the points of its two partial blocks, with no
@@ -269,11 +270,11 @@ class LocalLinearTables:
         optionally clamp each window to R in [lo, hi] (inclusive,
         broadcastable to (m,)).  A call costs about 90 NumPy calls whatever
         m, with outcome rows one product per block and linear piece that a
-        partial block touches, and work and memory of O(m sqrt(n)): callers
-        with many centers should make few calls, each under a bounded number
-        of cells.  A window's moments, ``valid`` flag and bounds do not
-        depend on the other centers of the call, and its fits only to
-        rounding.
+        partial block touches, and work and memory of O(m sqrt(n)):
+        :func:`_windows_in_runs` takes many centers in few calls, each under
+        a bounded number of cells.  A window's moments, ``valid`` flag,
+        ``n_norm`` and bounds do not depend on the other centers of the call,
+        and its fits only to rounding.
         """
         r, n, offsets = self.r, self.r.size, self._offsets
         block = offsets.size
@@ -456,6 +457,51 @@ class _Windows(NamedTuple):
     fits: np.ndarray | None
 
 
+def _windows_in_runs(tables, centers, h, side: Side, lo=None, hi=None) -> _Windows:
+    """:meth:`LocalLinearTables.windows` at any number of centers, in runs of
+    consecutive centers that keep each run's slot arrays under
+    ``_CELL_BUDGET`` cells (runs of 2,730 one-sided centers at n = 1,000 and
+    of 616 at n = 20,000).  A call pays the engine's fixed cost of about 90
+    NumPy calls once per run, and its memory stays bounded at any m and n.
+    """
+    c = np.asarray(centers, dtype=float).reshape(-1)
+    h, lo, hi = (None if v is None else np.broadcast_to(v, c.shape) for v in (h, lo, hi))
+    run = max(1, _CELL_BUDGET // tables._cells_per_center(side))
+    wins = [
+        tables.windows(
+            c[i : i + run], h[i : i + run], side,
+            *(None if v is None else v[i : i + run] for v in (lo, hi)),
+        )
+        for i in range(0, max(c.size, 1), run)
+    ]
+    # every field but the fits has its centers on the last axis
+    fits = None if tables.psi is None else np.concatenate([w.fits for w in wins])
+    return _Windows(*(np.concatenate(f, axis=-1) for f in zip(*(w[:-1] for w in wins))), fits)
+
+
+def _support_profile(tables, win: _Windows, j: int, center: float, h: float, side: Side):
+    """The weights of the valid window ``j`` of ``win``, at ``center`` with
+    bandwidth ``h``: the kernel on the k points of its support, in O(k)."""
+    mu0, mu1, mu2 = win.mu[:, j].tolist()
+    sigma2 = float(win.sigma2[j])
+    start, stop = int(win.lo[j]), int(win.hi[j])
+    d = tables.r[start:stop] - center
+    k = (h - np.abs(d)) / (h * h * sigma2)
+    return WeightProfile(
+        bandwidth=h,
+        side=side,
+        center=center,
+        mu0=mu0,
+        mu1=mu1,
+        mu2=mu2,
+        sigma2=sigma2,
+        weights=k * (mu2 - mu1 * d),
+        n_norm=int(win.n_norm[j]),
+        slope_weights=k * (mu0 * d - mu1),
+        support=slice(start, stop) if tables.order is None else tables.order[start:stop],
+    )
+
+
 def compute_weights(
     r_values,
     center: float,
@@ -492,29 +538,12 @@ def compute_weights(
     elif tables.n != np.size(r_values):
         raise ValueError("tables must be built from r_values")
     win = tables.windows(center, h, side, lo, hi)
-    mu0, mu1, mu2 = win.mu[:, 0].tolist()
-    sigma2 = float(win.sigma2[0])
     if not win.valid[0]:
         raise DegenerateWindow(
             f"window at {center!r} (h={h!r}, side={side.value}) is degenerate: "
-            f"sigma^2 = {sigma2!r}"
+            f"sigma^2 = {float(win.sigma2[0])!r}"
         )
-    start, stop = int(win.lo[0]), int(win.hi[0])
-    d = tables.r[start:stop] - center
-    k = (h - np.abs(d)) / (h * h * sigma2)
-    return WeightProfile(
-        bandwidth=h,
-        side=side,
-        center=center,
-        mu0=mu0,
-        mu1=mu1,
-        mu2=mu2,
-        sigma2=sigma2,
-        weights=k * (mu2 - mu1 * d),
-        n_norm=int(win.n_norm[0]),
-        slope_weights=k * (mu0 * d - mu1),
-        support=slice(start, stop) if tables.order is None else tables.order[start:stop],
-    )
+    return _support_profile(tables, win, 0, center, h, side)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +767,6 @@ def lfr_estimate(
     h: float,
     side: Side,
     *,
-    window: tuple[float, float] | None = None,
     return_info: bool = False,
 ):
     """One-sided local Frechet regression fit at evaluation point ``r``.
@@ -749,9 +777,7 @@ def lfr_estimate(
     :class:`DegenerateWindow` tagged with the side.
     """
     try:
-        profile = compute_weights(
-            sample.r, r, h, side, window=window, tables=sample.weight_tables
-        )
+        profile = compute_weights(sample.r, r, h, side, tables=sample.weight_tables)
     except DegenerateWindow as err:
         raise DegenerateWindow(f"{side.value} side: {err}") from None
     return weighted_frechet_mean(sample.ys, profile, return_info=return_info)
@@ -790,28 +816,15 @@ def batch_lfr_embeddings(
     valid : (m,) boolean mask of non-degenerate windows.
 
     After the set-up a call costs O(m sqrt(n) D): whole blocks through their
-    sums, the partial blocks through one product per block.  The centers go to
-    :meth:`LocalLinearTables.windows` in runs of consecutive centers, as
-    long as keeps each run's slot arrays under ``_CELL_BUDGET`` cells (runs
-    of 2,730 one-sided centers at n = 1,000 and of 616 at n = 20,000), so a
-    call pays the engine's fixed cost of about 90 NumPy calls once per run,
-    and its memory stays bounded at any m and n.  Fits are raw weighted
-    averages; callers project them onto the feasible image set per space.
+    sums, the partial blocks through one product per block.  The engine takes
+    the centers in runs (:func:`_windows_in_runs`), so the caller need not
+    split them, and memory stays bounded at any m and n.  Fits are raw
+    weighted averages; callers project them onto the feasible image set per
+    space.
     """
     if tables is None:
         tables = LocalLinearTables(r_obs, emb)
     elif tables.n != np.size(r_obs) or tables.psi is None:
         raise ValueError("tables must be built from r_obs and emb")
-    c = np.asarray(centers, dtype=float).reshape(-1)
-    m = c.size
-    h = _bandwidths(h, m)
-    lo, hi = (None if v is None else np.broadcast_to(v, (m,)) for v in (lo, hi))
-    run = max(1, _CELL_BUDGET // tables._cells_per_center(side))
-    wins = [
-        tables.windows(
-            c[i : i + run], h[i : i + run], side,
-            *(None if v is None else v[i : i + run] for v in (lo, hi)),
-        )
-        for i in range(0, max(m, 1), run)
-    ]
-    return np.concatenate([w.fits for w in wins]), np.concatenate([w.valid for w in wins])
+    win = _windows_in_runs(tables, centers, h, side, lo, hi)
+    return win.fits, win.valid

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geordd import (
+    CompositionalSphere,
     Euclidean,
     NetworkDgp,
     RddSample,
@@ -13,9 +14,15 @@ from geordd import (
     evaluation_region,
     select_bandwidth,
 )
-from geordd.bandwidth import _TIE_TOL
-from geordd.errors import InsufficientData, InvertedBounds
-from geordd.frechet import LocalLinearTables
+from geordd.bandwidth import _TIE_TOL, _loss_unit, _piecewise_integrals, _window_bounds
+from geordd.errors import DegenerateWindow, InsufficientData, InvertedBounds, SolverDiverged
+from geordd.frechet import (
+    _CELL_BUDGET,
+    LocalLinearTables,
+    Side,
+    compute_weights,
+    weighted_frechet_mean,
+)
 
 
 def _bounds_oracle(r, c, k=20):
@@ -185,6 +192,20 @@ class TestSelectBandwidth:
         assert len(rows) == 7
         assert all(len(row) == 2 for row in rows)
 
+    @pytest.mark.parametrize("r_scale, y_scale", [(1e-9, 1.0), (1.0, 1e-6)])
+    def test_choice_is_scale_free(self, r_scale, y_scale):
+        # the losses scale by r_scale * y_scale**2, so the chosen candidate,
+        # the argmin here, must not move
+        sample = ScalarDgp(n=400, seed=3).sample()[0]
+        scaled = RddSample(
+            r=sample.r * r_scale, ys=Euclidean(1).stack(sample.ys.data * y_scale), cutoff=0.0
+        )
+        base, moved = select_bandwidth(sample), select_bandwidth(scaled)
+        np.testing.assert_allclose(moved.losses, base.losses * r_scale * y_scale**2, rtol=1e-9)
+        index = np.flatnonzero(base.grid == base.b_star)[0]
+        assert index == np.argmin(base.losses)
+        assert moved.b_star == moved.grid[index]
+
     def test_empty_grid_is_refused(self):
         sample = ScalarDgp(setting="I", n=200, seed=31).sample()[0]
         with pytest.raises(ValueError, match="grid_size must be >= 1"):
@@ -293,7 +314,8 @@ class TestBatchedSearch:
         losses = np.array([loss for loss, _ in rows])
         np.testing.assert_array_equal(search.skipped, [skipped for _, skipped in rows])
         np.testing.assert_allclose(search.losses, losses, rtol=1e-12, atol=0)
-        ties = losses <= losses.min() + _TIE_TOL * (1.0 + losses.min())
+        unit = _loss_unit(sample, search.eval_points)
+        ties = losses <= losses.min() * (1 + _TIE_TOL) + _TIE_TOL * unit
         assert search.b_star == search.grid[np.flatnonzero(ties)[0]]
 
     def test_network_search_makes_one_engine_pass_per_side(self, monkeypatch):
@@ -303,3 +325,74 @@ class TestBatchedSearch:
             del calls[:]
             search = select_bandwidth(sample, grid_size=20)
             assert calls == [20 * search.eval_points.size] * 2
+
+
+def _sphere_sample(dim, r, seed):
+    # compositions whose mean moves smoothly with r and jumps at the cutoff
+    rng = np.random.default_rng(seed)
+    logits = np.zeros((r.size, dim))
+    logits[:, 0] = 0.4 * np.sin(np.pi * r / 2) + 0.5 * (r >= 0)
+    logits[:, 1] = -0.3 * r
+    mean = np.exp(logits) / np.exp(logits).sum(1, keepdims=True)
+    g = rng.gamma(10.0 * mean)
+    ys = CompositionalSphere(dim).points_from_shares(g / g.sum(1, keepdims=True))
+    return RddSample(r=r, ys=ys, cutoff=0.0)
+
+
+def _first_support_point(monkeypatch):
+    # a stand-in for the sphere solve, for tests that count engine calls only
+    monkeypatch.setattr(
+        "geordd.bandwidth.weighted_frechet_mean", lambda ys, profile: ys[profile.support][0]
+    )
+
+
+class TestSphereSearch:
+    @pytest.mark.parametrize("n, split", [(500, False), (5000, True)])
+    def test_sphere_search_makes_one_engine_pass_per_side(self, n, split, monkeypatch):
+        sample = _sphere_sample(3, np.random.default_rng(0).uniform(-1, 1, n), 1)
+        _first_support_point(monkeypatch)
+        calls = _count_windows(monkeypatch)
+        search = select_bandwidth(sample, grid_size=20)
+        # above the cell budget, in runs of consecutive windows
+        run = _CELL_BUDGET // sample.weight_tables._cells_per_center(Side.LEFT)
+        windows = 20 * search.eval_points.size
+        assert calls == [min(run, windows - i) for i in range(0, windows, run)] * 2
+        assert (len(calls) > 2) == split
+
+    @pytest.mark.parametrize(
+        "dim, r, skips",
+        [
+            (3, np.random.default_rng(4).uniform(-1, 1, 120), False),
+            (5, np.random.default_rng(5).uniform(-1, 1, 150), False),
+            (3, _lattice_sample().r, True),
+            (5, _lattice_sample().r, True),
+        ],
+        ids=["dim3", "dim5", "dim3-lattice", "dim5-lattice"],
+    )
+    def test_losses_equal_a_loop_of_single_window_solves(self, dim, r, skips):
+        sample = _sphere_sample(dim, r, 6)
+        search = select_bandwidth(sample, grid_size=4)
+        assert search.skipped.any() == skips
+        pts, c = search.eval_points, sample.cutoff
+        shape = (search.grid.size, pts.size)
+        bounds = _window_bounds(pts, c, search.grid[:, None], sample.r[0], sample.r[-1])
+        lo_l, hi_l, lo_r, hi_r = (np.broadcast_to(v, shape) for v in bounds)
+        sq, valid = np.zeros(shape), np.zeros(shape, dtype=bool)
+
+        def fit(p, h, side, window):
+            tables = sample.weight_tables
+            profile = compute_weights(sample.r, p, h, side, window=window, tables=tables)
+            return weighted_frechet_mean(sample.ys, profile)
+
+        for (g, j), p in np.ndenumerate(np.broadcast_to(pts, shape)):
+            h = 2 * search.grid[g]
+            try:
+                fit_l = fit(p, h, Side.LEFT, (lo_l[g, j], hi_l[g, j]))
+                fit_r = fit(p, h, Side.RIGHT, (lo_r[g, j], hi_r[g, j]))
+            except (DegenerateWindow, SolverDiverged):
+                continue
+            valid[g, j] = True
+            sq[g, j] = sample.space.distance(fit_l, fit_r) ** 2
+        losses, skipped, _ = _piecewise_integrals(pts, sq, valid, c)
+        np.testing.assert_array_equal(search.losses, losses)
+        np.testing.assert_array_equal(search.skipped, skipped)

@@ -434,13 +434,13 @@ class TestCommands:
 
     def test_bandwidth_command_refuses_empty_grid(self, tmp_path, capsys):
         path = _setting_one_csv(tmp_path, n=200)
-        code = main(
-            ["bandwidth", "--input", str(path), "--space", "euclid", "--cutoff", "0",
-             "--grid-size", "0", "--out", str(tmp_path / "bw")]
-        )
-        assert code == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["type"] == "ValueError" and "grid_size" in err["message"]
+        for grid in ("0", "-2"):
+            code = main(
+                ["bandwidth", "--input", str(path), "--space", "euclid", "--cutoff", "0",
+                 "--grid-size", grid, "--out", str(tmp_path / "bw")]
+            )
+            assert code == 1
+            assert "--grid-size" in _one_parse_error(capsys)["message"]
 
     @pytest.mark.parametrize("bins", [0, -1])
     @pytest.mark.parametrize("source", ["flag", "config"])
