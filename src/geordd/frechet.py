@@ -47,6 +47,7 @@ import numpy as np
 
 from .errors import DegenerateWindow, EmptyInput, SolverDiverged
 from .spaces import CompositionalSphere, HilbertSpace, MetricObject, PointStack
+from .spaces.base import block_rows
 from .spaces.sphere import _arc_angles
 
 __all__ = [
@@ -66,7 +67,7 @@ SIGMA2_FLOOR = 1e-14
 
 #: the most (center, slot) cells one engine pass may hold: batched fits at
 #: more centers run in several passes over consecutive centers, each under
-#: this budget (as the sphere certification works in 2**16-entry row blocks)
+#: this budget (as the sphere certification works in ``block_rows`` blocks)
 _CELL_BUDGET = 1 << 18
 
 #: whether the kernel vanishes at the values just below and at a support's
@@ -744,9 +745,9 @@ def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig, 
 def _objective_at_points(cands, pts, w):
     """The objective sum_j w_j arccos(<c_i, p_j>)^2 over the k weighted
     points p_j at each of the n candidates c_i, for certification: O(n k)
-    work in blocks of about 2**16 entries."""
+    work in blocks of :func:`~geordd.spaces.base.block_rows` rows."""
     n = cands.shape[0]
-    rows = max(1, (1 << 16) // pts.shape[0])
+    rows = block_rows(pts.shape[0])
     out = np.empty(n)
     for i in range(0, n, rows):
         block = np.clip(cands[i : i + rows] @ pts.T, -1.0, 1.0)
@@ -774,12 +775,9 @@ def lfr_estimate(
     Equivalent to the weighted Frechet mean under the local-linear weight
     profile at ``r``; in Euclidean space this is the local linear intercept
     fit on the chosen side.  A degenerate window raises
-    :class:`DegenerateWindow` tagged with the side.
+    :class:`DegenerateWindow`, whose message names the side.
     """
-    try:
-        profile = compute_weights(sample.r, r, h, side, tables=sample.weight_tables)
-    except DegenerateWindow as err:
-        raise DegenerateWindow(f"{side.value} side: {err}") from None
+    profile = compute_weights(sample.r, r, h, side, tables=sample.weight_tables)
     return weighted_frechet_mean(sample.ys, profile, return_info=return_info)
 
 

@@ -57,24 +57,19 @@ _MAX_FAIL_SHARE = 0.05
 
 def scalar_regression_functions(setting: str):
     """(m_minus, m_plus) regression functions of the scalar settings."""
-    if setting == "I":
-        return (lambda r: r, lambda r, tau: r + tau)
-    if setting == "II":
-        return (
-            lambda r: r + np.sin(3 * np.pi * r),
-            lambda r, tau: r + np.sin(3 * np.pi * r) + tau,
-        )
-    if setting == "III":
+    if setting == "III":  # the oscillations differ across the cutoff
         return (
             lambda r: r + np.sin(8 * np.pi * r) + np.cos(6 * np.pi * r),
             lambda r, tau: r + np.sin(6 * np.pi * r) + np.cos(8 * np.pi * r) + tau,
         )
-    if setting == "IV":
-        return (
-            lambda r: r + np.sin(6 * np.pi * r),
-            lambda r, tau: r + np.sin(6 * np.pi * r) + tau,
-        )
-    raise ValueError(f"unknown setting {setting!r}; choose from {_SETTINGS}")
+    m_minus = {  # the other settings shift m_minus by tau at the cutoff
+        "I": lambda r: r,
+        "II": lambda r: r + np.sin(3 * np.pi * r),
+        "IV": lambda r: r + np.sin(6 * np.pi * r),
+    }.get(setting)
+    if m_minus is None:
+        raise ValueError(f"unknown setting {setting!r}; choose from {_SETTINGS}")
+    return m_minus, lambda r, tau: m_minus(r) + tau
 
 
 @dataclass(frozen=True)

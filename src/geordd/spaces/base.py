@@ -35,6 +35,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -239,9 +240,7 @@ class Space(ABC):
         arr = np.asarray(payloads, dtype=float)
         if arr.shape[1:] != self.shape:
             raise ShapeMismatch(f"expected payload of shape {self.shape}, got {arr.shape[1:]}")
-        if arr.size <= _BLOCK_ENTRIES:
-            return PointStack(self, check(np.ascontiguousarray(arr)))
-        step = block_rows(arr[0].size)
+        step = block_rows(math.prod(self.shape))
         out = np.empty(arr.shape)
         for start in range(0, len(arr), step):
             try:
@@ -305,11 +304,8 @@ class Space(ABC):
     def project_embedding(self, v: np.ndarray) -> np.ndarray:
         raise EmbeddingUnavailable(f"{type(self).__name__} has no isometric embedding")
 
-    def hilbert_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        raise EmbeddingUnavailable(f"{type(self).__name__} has no isometric embedding")
-
     def hilbert_norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(max(self.hilbert_inner(u, u), 0.0)))
+        raise EmbeddingUnavailable(f"{type(self).__name__} has no isometric embedding")
 
     def hilbert_distance(self, u: np.ndarray, v: np.ndarray) -> float:
         return self.hilbert_norm(np.asarray(u, dtype=float) - np.asarray(v, dtype=float))
@@ -341,20 +337,17 @@ class HilbertSpace(Space):
     # dot product (Frobenius for matrix payloads).
     _hilbert_weights: np.ndarray | None = None
 
-    def hilbert_inner(self, u, v) -> float:
+    def hilbert_norm(self, u) -> float:
         u = np.asarray(u, dtype=float).ravel()
-        v = np.asarray(v, dtype=float).ravel()
-        if u.shape != v.shape or u.size != self.embedding_dim:
+        if u.size != self.embedding_dim:
             raise ShapeMismatch(
                 f"embedding vectors must have {self.embedding_dim} coordinates"
             )
-        if self._hilbert_weights is None:
-            return float(u @ v)
-        return float((u * self._hilbert_weights) @ v)
+        return float(np.sqrt(max(self.hilbert_sq_norms(u[None])[0], 0.0)))
 
     def hilbert_sq_norms(self, rows: np.ndarray) -> np.ndarray:
-        """Squared Hilbert norms of the rows of a (k, D) array, each summed
-        as :meth:`hilbert_inner` sums one pair."""
+        """Squared Hilbert norms of the rows of a (k, D) array; one row is
+        :meth:`hilbert_norm`'s case."""
         left = rows if self._hilbert_weights is None else rows * self._hilbert_weights
         return np.matmul(left[:, None, :], rows[:, :, None]).ravel()
 

@@ -43,8 +43,8 @@ def _laplacian(off: np.ndarray) -> np.ndarray:
 def laplacian_from_weights(w: np.ndarray) -> np.ndarray:
     """Graph Laplacian L = D - W of a symmetric weight matrix, or of each
     matrix in a stack (diagonals ignored)."""
-    off = _off_diagonal(w)
-    return _diag(off.sum(axis=-1)) - off
+    # 0 - W, not -W: an isolated node's degree is then +0.0, as in D - W
+    return _laplacian(0.0 - _off_diagonal(w))
 
 
 class NetworkLaplacian(HilbertSpace):

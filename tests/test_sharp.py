@@ -79,6 +79,13 @@ class TestEstimateSharp:
         with pytest.raises(DegenerateWindow, match="right"):
             estimate_sharp(sample, 0.5, 1e-9)
 
+    def test_refusal_names_its_side_once(self):
+        sample = _scalar_sample(np.random.default_rng(3))
+        for (h0, h1), side in (((1e-9, 0.5), "left"), ((0.5, 1e-9), "right")):
+            with pytest.raises(DegenerateWindow) as info:
+                estimate_sharp(sample, h0, h1)
+            assert str(info.value).count(side) == 1
+
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(4)
         eu = Euclidean(1)

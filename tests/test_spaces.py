@@ -210,6 +210,10 @@ class TestEmbedding:
         sp = CompositionalSphere(3)
         with pytest.raises(EmbeddingUnavailable):
             sp.embed(sp.point([1.0, 0.0, 0.0]))
+        with pytest.raises(EmbeddingUnavailable):
+            sp.hilbert_norm(np.ones(3))
+        with pytest.raises(EmbeddingUnavailable):
+            sp.hilbert_distance(np.ones(3), np.zeros(3))
 
     def test_inverse_infeasible_signals_projection(self):
         w = Wasserstein1D(4)
@@ -350,6 +354,13 @@ class TestStackContract:
         name, space, sampler = case
         with pytest.raises(ShapeMismatch):
             space.stack(np.zeros((3,) + space.shape + (1,)))
+        if not isinstance(space, HilbertSpace):
+            return
+        for size in (space.embedding_dim - 1, space.embedding_dim + 1):
+            with pytest.raises(ShapeMismatch):
+                space.hilbert_norm(np.ones(size))
+            with pytest.raises(ShapeMismatch):
+                space.hilbert_distance(np.ones(size), np.zeros(size))
 
     @pytest.mark.parametrize("case", SPACE_CASES, ids=[c[0] for c in SPACE_CASES])
     def test_projecting_a_stack_projects_each_row(self, case):
@@ -433,6 +444,25 @@ class TestStackBlocks:
         assert (got.code, str(got), got.index) == (want.code, str(want), want.index)
         assert got.index == min(bad)
 
+    @pytest.mark.parametrize("case", SPACE_CASES, ids=[c[0] for c in SPACE_CASES])
+    @pytest.mark.parametrize("blocks", [0, 1, 2], ids=["empty", "one-block", "one-block-and-a-row"])
+    def test_stack_at_the_real_budget_equals_whole_stack(self, case, blocks):
+        # no rows; one full block of at most ``_BLOCK_ENTRIES`` entries
+        # (exactly that many for the sphere's 4); and one row more
+        name, space, sampler = case
+        rng = np.random.default_rng(33)
+        entries = int(np.prod(space.shape))
+        block = spaces_base.block_rows(entries)
+        assert block * entries <= spaces_base._BLOCK_ENTRIES < (block + 1) * entries
+        assert name != "sphere" or block * entries == spaces_base._BLOCK_ENTRIES
+        rows = [0, block, block + 1][blocks]
+        payload = np.resize(np.stack([sampler(space, rng).data for _ in range(7)]),
+                            (rows,) + space.shape)
+        payload = payload * (1.0 + 1e-12 * rng.normal(size=payload.shape))
+        pts = space.stack(payload)
+        assert pts.data.shape == payload.shape
+        assert pts.data.tobytes() == _whole_stack(space, payload).tobytes()
+
     def test_stack_at_the_block_budget_equals_rows(self):
         # three full blocks of ten-node Laplacians and part of a fourth
         space = NetworkDgp().space
@@ -485,6 +515,18 @@ class TestLaplacianChart:
         assert space.embed_many(space.stack(_laplacian_stack(space, rng, 3))).shape == (
             3, m * (m + 1) // 2
         )
+
+    def test_laplacian_from_weights_is_degree_minus_weight(self):
+        rng = np.random.default_rng(34)
+        w = rng.uniform(0.0, 2.0, (50, 6, 6)) * (rng.random((50, 6, 6)) < 0.5)
+        w[::5, 0, :] = w[::5, :, 0] = 0.0  # isolated nodes: degree +0.0
+        w = w + np.swapaxes(w, 1, 2)
+        want = np.empty_like(w)
+        for k, wk in enumerate(w):
+            off = wk - np.diag(np.diag(wk))
+            want[k] = np.diag(off.sum(axis=1)) - off
+        assert laplacian_from_weights(w).tobytes() == want.tobytes()  # sign of zero too
+        assert laplacian_from_weights(w[5]).tobytes() == want[5].tobytes()
 
     @pytest.mark.parametrize("wmax", [None, 2.0])
     def test_chart_distances_are_frobenius_distances(self, wmax):
