@@ -221,7 +221,7 @@ class _TangentChart:
             # tangent-space rate guarantees assume a fixed reference.
             self.warnings.append("data_dependent_reference")
             self.omega = sample_frechet_mean(sample)
-        self.rows = np.stack([space.log_map(self.omega, y) for y in sample.ys])
+        self.rows = space.log_map(self.omega, sample.ys)
 
     def fit(self, profile: WeightProfile):
         """Coordinates of the fit; no object is fitted in this chart."""

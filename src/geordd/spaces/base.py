@@ -29,6 +29,10 @@ space supplies ``shape`` and, where the defaults do not hold:
   point;
 - ``_hilbert_weights``, when the inner product is not the dot product.
 
+A space with Log/Exp charts supplies ``_log``, the Log coordinates at a base
+payload of each row of a payload stack, and ``exp_map``; :meth:`Space.log_map`
+checks its arguments once and maps one point or a whole stack through it.
+
 All operations are pure functions of immutable values and are safe to call
 concurrently.
 """
@@ -308,11 +312,32 @@ class Space(ABC):
         raise EmbeddingUnavailable(f"{type(self).__name__} has no isometric embedding")
 
     def hilbert_distance(self, u: np.ndarray, v: np.ndarray) -> float:
-        return self.hilbert_norm(np.asarray(u, dtype=float) - np.asarray(v, dtype=float))
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        if u.shape != v.shape:
+            raise ShapeMismatch(
+                f"embedding vectors of shapes {u.shape} and {v.shape} cannot be compared"
+            )
+        return self.hilbert_norm(u - v)
 
     # -- Log/Exp charts (optional) ----------------------------------------------------
 
-    def log_map(self, base: MetricObject, a: MetricObject) -> np.ndarray:
+    def log_map(self, base: MetricObject, points) -> np.ndarray:
+        """Log chart at ``base``: the ``(d,)`` tangent vector of one point, or
+        the ``(k, d)`` tangent rows of a stack or sequence of points.
+
+        Raises :class:`LogExpUnavailable` on a space without charts, and what
+        :meth:`PointStack.of` raises for a stack that is not one of this
+        space's points.
+        """
+        self._check_member(base, "base point")
+        if isinstance(points, MetricObject):
+            self._check_member(points, "point")
+            return self._log(base.data, points.data[None])[0]
+        return self._log(base.data, PointStack.of(points, self).data)
+
+    def _log(self, base_row: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The (k, d) Log coordinates at ``base_row`` of each row of a
+        (k, *shape) payload stack."""
         raise LogExpUnavailable(f"{type(self).__name__} has no Log/Exp charts")
 
     def exp_map(self, base: MetricObject, v: np.ndarray) -> MetricObject:

@@ -31,9 +31,8 @@ class Euclidean(HilbertSpace):
         return (self._dim,)
 
     # Log/Exp are plain shifts in a flat space.
-    def log_map(self, base: MetricObject, a: MetricObject) -> np.ndarray:
-        self._check_pair(base, a)
-        return a.data - base.data
+    def _log(self, base_row, rows):
+        return rows - base_row
 
     def exp_map(self, base: MetricObject, v) -> MetricObject:
         self._check_member(base)

@@ -148,12 +148,17 @@ class CompositionalSphere(Space):
 
     # -- Log / Exp charts ------------------------------------------------------------
 
-    def log_map(self, base: MetricObject, a: MetricObject) -> np.ndarray:
-        self._check_pair(base, a)
-        theta, u, norm = self._angle(base, a)
-        if theta < 1e-14:
-            return np.zeros(self._dim)
-        return (theta / norm) * u
+    def _log(self, base_row, rows):
+        """Log of each row at ``base_row``, refusing the first row antipodal
+        to it; a row within 1e-14 rad of the base maps to exactly zero."""
+        theta, u, norms = _arc_angles(base_row, rows)
+        refuse_rows((theta >= np.pi - _ANTIPODAL_TOL,
+                     "points are antipodal; the geodesic is not unique"),
+                    error=AntipodalPoints)
+        near = theta < 1e-14
+        out = (theta / np.where(near, 1.0, norms))[:, None] * u
+        out[near] = 0.0
+        return out
 
     def exp_map(self, base: MetricObject, v) -> MetricObject:
         """Exponential chart at ``base``.

@@ -12,15 +12,19 @@ import numpy as np
 import pytest
 
 from geordd import (
+    CompositionalSphere,
     Euclidean,
     FunctionalL2,
     MetricObject,
     NetworkDgp,
+    NoncomplianceSide,
     PointStack,
     RddSample,
     Side,
     Space,
     compute_weights,
+    estimate_geodesic_riemannian_fuzzy,
+    estimate_riemannian_fuzzy,
     estimate_sharp,
     select_bandwidth,
     weighted_frechet_mean,
@@ -200,13 +204,9 @@ def test_estimates_leave_the_embeddings_unchanged():
     np.testing.assert_array_equal(emb, sample.space.embed_many(sample.ys))
 
 
-def test_no_per_observation_objects_in_ingest_search_or_estimate(tmp_path, monkeypatch):
-    """Reading 10,000 graphs, searching a bandwidth and estimating the effect
-    wrap and check a fixed number of points, whatever the sample size."""
-    sample, _ = NetworkDgp(n=10_000, seed=3).sample()
-    path = tmp_path / "graphs.csv"
-    write_sample_csv(sample, path)
-
+def _count_points(monkeypatch) -> dict:
+    """Counts of :class:`MetricObject` constructions and ``_check_member``
+    calls from here to the end of the test."""
     counts = {"objects": 0, "checks": 0}
     post_init, check = MetricObject.__post_init__, Space._check_member
 
@@ -220,9 +220,50 @@ def test_no_per_observation_objects_in_ingest_search_or_estimate(tmp_path, monke
 
     monkeypatch.setattr(MetricObject, "__post_init__", counted_post_init)
     monkeypatch.setattr(Space, "_check_member", counted_check)
+    return counts
+
+
+def test_no_per_observation_objects_in_ingest_search_or_estimate(tmp_path, monkeypatch):
+    """Reading 10,000 graphs, searching a bandwidth and estimating the effect
+    wrap and check a fixed number of points, whatever the sample size."""
+    sample, _ = NetworkDgp(n=10_000, seed=3).sample()
+    path = tmp_path / "graphs.csv"
+    write_sample_csv(sample, path)
+
+    counts = _count_points(monkeypatch)
     loaded = ingest_csv(path, "laplacian", cutoff=0.0)
     search = select_bandwidth(loaded)
     est = estimate_sharp(loaded, search.b_star, search.b_star)
     assert loaded.n == 10_000 and est.magnitude > 0.0
     assert counts["objects"] <= 16, counts
     assert counts["checks"] <= 16, counts
+
+
+def _fuzzy_sphere_sample(n: int) -> RddSample:
+    """Compositional outcomes with always-takers left of the cutoff, built as
+    one stack of shares."""
+    rng = np.random.default_rng(n)
+    r = rng.uniform(-1.0, 1.0, n)
+    z = (r >= 0).astype(int)
+    t = np.where(z == 1, 1, (rng.random(n) < 0.3).astype(int))
+    shares = rng.dirichlet(np.ones(3), n) * 0.2 + np.array([0.4, 0.35, 0.25]) * 0.8
+    shares[:, 0] += 0.1 * t * shares[:, 2]
+    shares[:, 2] -= 0.1 * t * shares[:, 2]
+    return RddSample(r=r, ys=CompositionalSphere(3).points_from_shares(shares),
+                     cutoff=0.0, t=t, z=z)
+
+
+def test_no_per_observation_objects_in_tangent_estimates(monkeypatch):
+    """Both tangent-chart estimators wrap and check as many points at
+    n = 2,000 as at n = 200: the Log chart maps the sample as one stack."""
+    samples = {n: _fuzzy_sphere_sample(n) for n in (200, 2_000)}
+    counts = {}
+    for n, sample in samples.items():
+        with monkeypatch.context() as patched:
+            count = _count_points(patched)
+            late = estimate_riemannian_fuzzy(sample, None, 0.5, 0.5)
+            geo = estimate_geodesic_riemannian_fuzzy(
+                sample, None, NoncomplianceSide.ALWAYS_TAKERS, 0.5, 0.5)
+        assert late.magnitude > 0.0 and geo.magnitude > 0.0
+        counts[n] = count
+    assert counts[200] == counts[2_000], counts

@@ -18,6 +18,7 @@ from geordd import (
     GeodesicEffect,
     NetworkDgp,
     NetworkLaplacian,
+    PointStack,
     SpdSpace,
     Wasserstein1D,
     quotient_distance,
@@ -25,11 +26,13 @@ from geordd import (
 from geordd.errors import (
     AntipodalPoints,
     EmbeddingUnavailable,
+    EmptyInput,
     GeorddError,
     InvariantViolation,
     InverseInfeasible,
     LogExpUnavailable,
     NonFinitePayload,
+    NotAPoint,
     ShapeMismatch,
     SpaceMismatch,
 )
@@ -361,6 +364,9 @@ class TestStackContract:
                 space.hilbert_norm(np.ones(size))
             with pytest.raises(ShapeMismatch):
                 space.hilbert_distance(np.ones(size), np.zeros(size))
+            # one right-length vector and one wrong-length vector
+            with pytest.raises(ShapeMismatch):
+                space.hilbert_distance(np.zeros(space.embedding_dim), np.zeros(size))
 
     @pytest.mark.parametrize("case", SPACE_CASES, ids=[c[0] for c in SPACE_CASES])
     def test_projecting_a_stack_projects_each_row(self, case):
@@ -660,6 +666,81 @@ class TestLogExp:
         np.testing.assert_array_equal(v, [1.0, -2.0])
         back = eu.exp_map(omega, v)
         assert eu.distance(back, a) == 0.0
+
+    def test_euclidean_stack_rows_equal_single_calls(self):
+        eu = Euclidean(4)
+        rng = np.random.default_rng(4)
+        base = eu.point(rng.normal(size=4))
+        pts = eu.stack(rng.normal(size=(60, 4)) * np.geomspace(1e-8, 1e8, 60)[:, None])
+        rows = eu.log_map(base, pts)
+        single = np.stack([eu.log_map(base, p) for p in pts])
+        assert rows.shape == (60, 4) and rows.tobytes() == single.tobytes()
+        assert eu.log_map(base, list(pts)).tobytes() == single.tobytes()
+
+    @staticmethod
+    def _assert_rows_match_single_calls(sp, base, pts):
+        rows = sp.log_map(base, pts)
+        single = np.stack([sp.log_map(base, p) for p in pts])
+        assert rows.shape == single.shape == (len(pts), sp.shape[0])
+        # the stack's inner products round as BLAS rounds k rows, not one
+        bound = 4 * np.finfo(float).eps * np.linalg.norm(single, axis=1)
+        assert np.all(np.abs(rows - single) <= bound[:, None])
+
+    @pytest.mark.parametrize("dim", [3, 5, 10])
+    def test_sphere_stack_rows_match_single_calls_on_pairs(self, dim):
+        sp, pairs = _sphere_pairs(dim, np.random.default_rng(dim))
+        pts = PointStack.of([b for _, b in pairs])
+        for a, _ in pairs:
+            self._assert_rows_match_single_calls(sp, a, pts)
+
+    @pytest.mark.parametrize("dim", [3, 5, 10])
+    def test_sphere_stack_rows_match_single_calls_near_the_base(self, dim):
+        sp = CompositionalSphere(dim)
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            base = rand_sphere(sp, rng)
+            near = base.data + rng.uniform(-1e-9, 1e-9, (100, dim)) / np.sqrt(dim)
+            far = np.sqrt(rng.dirichlet(np.full(dim, rng.uniform(0.5, 20.0)), 100))
+            pts = sp.stack(np.vstack([near / np.linalg.norm(near, axis=1)[:, None], far]))
+            assert np.abs(pts.data[:100] - base.data).max() < 1e-9
+            self._assert_rows_match_single_calls(sp, base, pts)
+
+    @pytest.mark.parametrize("dim", [3, 5, 10])
+    def test_sphere_base_row_is_exactly_zero_in_a_stack(self, dim):
+        sp = CompositionalSphere(dim)
+        rng = np.random.default_rng(dim)
+        base = rand_sphere(sp, rng)
+        pts = PointStack.of([rand_sphere(sp, rng), sp.point(base.data), rand_sphere(sp, rng), base])
+        rows = sp.log_map(base, pts)
+        assert not np.any(rows[[1, 3]]) and np.all(np.any(rows[[0, 2]], axis=1))
+
+    def test_sphere_antipodal_row_is_refused_by_position(self):
+        sp = CompositionalSphere(3)
+        z = sp.point([1.0, 0.0, 0.0])
+        pts = PointStack(sp, np.stack([[0.0, 1.0, 0.0], -z.data, [0.0, 0.0, 1.0], -z.data]))
+        with pytest.raises(AntipodalPoints) as err:
+            sp.log_map(z, pts)
+        assert err.value.index == 1
+
+    @pytest.mark.parametrize("case", SPACE_CASES, ids=[c[0] for c in SPACE_CASES])
+    def test_stack_refusals(self, case):
+        name, space, sampler = case
+        rng = np.random.default_rng(31)
+        pts = PointStack.of([sampler(space, rng) for _ in range(5)])
+        if not space.logexp_available:
+            with pytest.raises(LogExpUnavailable):
+                space.log_map(pts[0], pts)
+            return
+        assert space.log_map(pts[0], pts).shape == (5, space.shape[0])
+        other = Euclidean(space.shape[0] + 1)
+        with pytest.raises(SpaceMismatch):
+            space.log_map(pts[0], other.stack(np.zeros((2, space.shape[0] + 1))))
+        with pytest.raises(NotAPoint):
+            space.log_map(pts[0], pts.data)
+        with pytest.raises(NotAPoint):
+            space.log_map(pts.data[0], pts)
+        with pytest.raises(EmptyInput):
+            space.log_map(pts[0], [])
 
     def test_unavailable(self):
         spd = SpdSpace(2, "log_euclidean")
