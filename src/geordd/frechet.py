@@ -33,7 +33,10 @@ of a call only to rounding.  One rule marks a window degenerate: sigma^2 <=
 ``SIGMA2_FLOOR``.  That includes windows with fewer than two distinct
 running values, whose sigma^2 is rounding noise.  A single-point fit's
 weights are held on its window's k support points alone, and the solvers
-work on those rows; the sphere certifies against all n points at O(n k).
+work on those rows; the sphere certifies its result against all n points
+with a linear lower bound on the objective at each, O((n + k) d), and
+evaluates the objective, O(k) each, only where the bound leaves a point
+open.
 """
 
 from __future__ import annotations
@@ -571,7 +574,10 @@ def weighted_frechet_mean(
     the feasible image set: the exact minimizer wherever that projection is
     metric, which ``NetworkLaplacian``'s clamp-and-reset rule is not.  On the
     sphere one safeguarded Riemannian Newton iteration is used, whose result
-    is certified against every object; ``cfg`` sets its stopping rule.
+    is certified against every object of ``objects``; ``cfg`` sets its
+    stopping rule.  The certificate bounds the objective at all n objects in
+    O((n + k) d) for k weighted rows and evaluates it, O(k) each, only at
+    those the bound cannot rule out (:func:`_sphere_mean`).
     """
     cfg = cfg or DEFAULT_SOLVE_CONFIG
     stack = rows = PointStack.of(objects)
@@ -633,8 +639,20 @@ def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig, 
     The first run starts at the projected extrinsic mean ``w @ pts``.  If it
     ends above the best objective at a point of ``candidates`` + 1e-8, a
     second run starts there and the lower result is kept, so the result is
-    certified against each candidate, at O(n k) for n of them and k points.
-    Only an unconverged result above that floor raises :class:`SolverDiverged`.
+    certified against each candidate.  Only an unconverged result above that
+    floor raises :class:`SolverDiverged`.
+
+    The certificate bounds before it evaluates.  A linear lower bound on the
+    objective (:func:`_objective_lower_bounds`: chord^2 <= theta^2 <=
+    (pi^2 / 8) chord^2 on the orthant, less a rounding margin) costs
+    O((n + k) d) for all n candidates, and the objective, O(k) each, is
+    evaluated only at the candidates whose bound is at most the first run's
+    objective - 1e-8.  A pruned candidate's objective is above that, so it
+    cannot fire the second run, be its start (the best candidate), or make
+    the :class:`SolverDiverged` test fail: whether the second run fires,
+    where it starts and whether the solve raises are what evaluating all n
+    candidates gives.  Without a first run (a vanishing extrinsic mean) all
+    n are evaluated.
     """
     pts = np.ascontiguousarray(stack.data)
     cands = pts if candidates is stack else np.ascontiguousarray(candidates.data)
@@ -722,17 +740,18 @@ def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig, 
         )
         return z, info
 
-    obj_at_pts = _objective_at_points(cands, pts, w)
-    best = int(np.argmin(obj_at_pts))
-    f_floor = float(obj_at_pts[best])
-
     runs = []
     extrinsic = np.clip(w @ pts, 0.0, None)
     norm = float(np.linalg.norm(extrinsic))
     if norm > 1e-12:
         runs.append(run(extrinsic / norm))
+        # only a candidate whose bound does not clear the first run's
+        # objective by the certificate's gap can be below it by that gap
+        cands = cands[_objective_lower_bounds(cands, pts, w) <= runs[0][1].objective - 1e-8]
+    obj_at_cands = _objective_at_points(cands, pts, w)
+    f_floor = float(obj_at_cands.min(initial=np.inf))
     if not runs or runs[0][1].objective > f_floor + 1e-8:
-        runs.append(run(cands[best]))
+        runs.append(run(cands[int(np.argmin(obj_at_cands))]))
     z, info = min(runs, key=lambda zi: zi[1].objective)
     if not info.converged and info.objective > f_floor + 1e-8:
         raise SolverDiverged("sphere Frechet solver failed to converge")
@@ -755,6 +774,26 @@ def _objective_at_points(cands, pts, w):
         block *= block
         out[i : i + rows] = block @ w
     return out
+
+
+def _objective_lower_bounds(cands, pts, w):
+    """A lower bound on :func:`_objective_at_points` at each of the n
+    candidates, in O((n + k) d).  Orthant points have x = <c, p> >= 0, so
+    theta = arccos x is at most pi/2, where the squared chord 2 - 2 x =
+    4 sin^2(theta / 2) satisfies 2 - 2 x <= theta^2 <= (pi^2 / 8) (2 - 2 x),
+    with equality on the right at theta = pi/2.  Each term w theta^2 is thus
+    at least a (2 - 2 x), with a = w where w > 0 and a = (pi^2 / 8) w
+    elsewhere, and the sum is linear in c:
+
+        LB(c) = 2 sum a - 2 <c, a @ pts> - margin.
+
+    The margin, 1e-15 (k + d + 8) (sum|a| + 1), exceeds the rounding of
+    both sides (sums of at most k + d terms whose sizes total a few
+    sum|a|) and of the certificate's absolute gap 1e-8."""
+    a = np.where(w > 0.0, w, (np.pi**2 / 8.0) * w)
+    k, d = pts.shape
+    margin = 1e-15 * (k + d + 8) * (float(np.abs(a).sum()) + 1.0)
+    return (2.0 * float(a.sum()) - margin) - 2.0 * (cands @ (a @ pts))
 
 
 # ---------------------------------------------------------------------------

@@ -299,22 +299,49 @@ class TestWeightsOnTheSupport:
             assert getattr(info, field) == getattr(want_info, field)
 
     def test_sphere_fit_certifies_every_point_against_the_support(self, monkeypatch):
+        # every one of the n points gets a bound against the k support rows,
+        # and only the points that the bound leaves open are evaluated exactly
         rng = np.random.default_rng(42)
         sp = CompositionalSphere(3)
         r = rng.uniform(-1.0, 1.0, 400)
         sample = RddSample(r=r, ys=[rand_sphere(sp, rng) for _ in range(400)], cutoff=0.0)
-        seen = []
+        bounds, exact = [], []
+        bound, certify = frechet._objective_lower_bounds, frechet._objective_at_points
+
+        def bound_spy(cands, pts, w):
+            bounds.append(((cands.shape[0], pts.shape[0]), bound(cands, pts, w)))
+            return bounds[-1][1]
+
+        def exact_spy(cands, pts, w):
+            exact.append((cands.shape[0], pts.shape[0]))
+            return certify(cands, pts, w)
+
+        monkeypatch.setattr(frechet, "_objective_lower_bounds", bound_spy)
+        monkeypatch.setattr(frechet, "_objective_at_points", exact_spy)
+        _, info = lfr_estimate(sample, 0.0, 0.3, Side.LEFT, return_info=True)
+        k = len(compute_weights(sample.r, 0.0, 0.3, Side.LEFT).weights)
+        assert 0 < k < sample.n
+        [(shape, lb)] = bounds
+        assert shape == (sample.n, k)
+        # one run: its objective is the threshold the bound is held to
+        opened = int(np.count_nonzero(lb <= info.objective - 1e-8))
+        assert exact == [(opened, k)]
+        assert 0 < opened < sample.n
+
+    def test_sample_mean_evaluates_few_points_exactly(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        n = 5000
+        ys = CompositionalSphere(3).points_from_shares(rng.dirichlet([4.0, 3.0, 2.0], n))
+        exact = []
         certify = frechet._objective_at_points
 
         def spy(cands, pts, w):
-            seen.append((cands.shape[0], pts.shape[0]))
+            exact.append(cands.shape[0])
             return certify(cands, pts, w)
 
         monkeypatch.setattr(frechet, "_objective_at_points", spy)
-        lfr_estimate(sample, 0.0, 0.3, Side.LEFT)
-        k = len(compute_weights(sample.r, 0.0, 0.3, Side.LEFT).weights)
-        assert 0 < k < sample.n
-        assert seen == [(sample.n, k)]
+        weighted_frechet_mean(ys, np.ones(n))
+        assert len(exact) == 1 and exact[0] < 0.1 * n
 
 
 class TestSphereQuarterArcOracle:
@@ -374,6 +401,110 @@ class TestSphereQuarterArcOracle:
         assert abs(shift) <= 1e-10
         assert info.converged
         assert info.iterations <= 20
+
+
+def _exhaustive_certificate(monkeypatch):
+    """Make the sphere certificate evaluate every candidate exactly, the
+    exhaustive reference: a bound of -inf leaves each one open."""
+    monkeypatch.setattr(
+        frechet, "_objective_lower_bounds", lambda cands, pts, w: np.full(len(cands), -np.inf)
+    )
+
+
+class TestBoundFirstCertificate:
+    """The sphere certificate bounds the objective at every candidate and
+    evaluates it only where the bound cannot rule a candidate out; its
+    decisions, and so its results, are those of evaluating every one."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 10])
+    def test_bound_never_exceeds_the_objective(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(30):
+            k = int(rng.integers(1, 60))
+            pts = np.sqrt(rng.dirichlet(np.full(dim, 0.5), k))
+            cands = np.sqrt(rng.dirichlet(np.full(dim, 0.5), 40))
+            # rows within 1e-9 of a candidate, and rows and candidates at the
+            # orthant's corners e_0 and e_1, at right angles to each other
+            # (theta = pi/2, where the bound is tight for w < 0)
+            near = cands[: k // 3] + 1e-9 * rng.random((k // 3, dim))
+            pts[: k // 3] = near / np.linalg.norm(near, axis=1, keepdims=True)
+            pts[k // 3 : k // 3 + 2] = np.eye(dim)[: min(2, k - k // 3)]
+            cands = np.concatenate([cands, np.eye(dim)[:2], pts[:3]])
+            w = rng.normal(size=k) * rng.choice([1e-6, 1.0, 1e6])
+            lb = frechet._objective_lower_bounds(cands, pts, w)
+            assert np.all(lb <= frechet._objective_at_points(cands, pts, w))
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 10])
+    def test_bound_is_tight_on_orthogonal_negative_weights(self, dim):
+        # positive weight at the candidate and negative weight at right
+        # angles to it: both sides of theta^2 between chord^2 and
+        # (pi^2 / 8) chord^2 hold with equality, so the bound is the
+        # objective less its rounding margin
+        cand = np.zeros((1, dim))
+        cand[0, 0] = 1.0
+        pts = np.eye(dim)
+        w = np.concatenate([[2.0], -np.linspace(0.5, 1.0, dim - 1)])
+        lb = frechet._objective_lower_bounds(cand, pts, w)[0]
+        f = frechet._objective_at_points(cand, pts, w)[0]
+        assert f - 1e-12 * (np.abs(w).sum() + 1.0) < lb <= f
+
+    def test_same_results_as_the_exhaustive_certificate(self, monkeypatch):
+        # sample means and one-sided windows at the cutoff and off it, in
+        # dims 3 and 5 with n from 60 to 600, some rows on orthant faces
+        rng = np.random.default_rng(24)
+        solves = []
+        for i in range(200):
+            dim, n = (3, 5)[i % 2], int(rng.integers(60, 601))
+            r = rng.uniform(-1.0, 1.0, n)
+            mean = np.exp(np.outer(r, rng.normal(0.0, 0.6, dim)))
+            g = rng.gamma(rng.choice([3.0, 10.0, 50.0]) * mean / mean.sum(1, keepdims=True))
+            if i % 5 == 0:
+                g[rng.random(g.shape) < 0.15] = 0.0
+            g[:, 0] += g.sum(1) == 0.0
+            ys = CompositionalSphere(dim).points_from_shares(g / g.sum(1, keepdims=True))
+            if i % 4 == 0:
+                w = np.ones(n)
+            else:
+                center = 0.0 if i % 4 < 3 else float(rng.uniform(-0.5, 0.5))
+                side = Side.LEFT if i % 3 else Side.RIGHT
+                w = compute_weights(r, center, float(rng.uniform(0.2, 0.8)), side)
+            solves.append((ys, w))
+
+        def results():
+            out = []
+            for ys, w in solves:
+                z, info = weighted_frechet_mean(ys, w, return_info=True)
+                out.append((z.data.tobytes(), info.method, info.iterations, info.objective))
+            return out
+
+        got = results()
+        _exhaustive_certificate(monkeypatch)
+        assert got == results()
+
+    def test_second_run_fires_as_with_the_exhaustive_certificate(self, monkeypatch):
+        # on the quarter arc the objective is sum w (phi - phi_i)^2, concave
+        # here (sum w < 0) with its peak at phi = 0.62, so its minima are
+        # the arc's ends; the extrinsic start at phi = 0.58 lies in the basin
+        # of phi = 0, but phi = pi/2 is lower, and so is the sample point at
+        # phi = 1.48
+        phi = np.array([0.0, 1.48, 0.3])
+        w = np.array([-0.87, -0.27, 0.96])
+        ys = CompositionalSphere(2).stack(np.column_stack([np.cos(phi), np.sin(phi)]))
+        out, info = weighted_frechet_mean(ys, w, return_info=True)
+        assert float(np.arctan2(out.data[1], out.data[0])) == pytest.approx(np.pi / 2, abs=1e-12)
+        with monkeypatch.context() as m:
+            # with every candidate pruned only the first run is left
+            m.setattr(frechet, "_objective_lower_bounds", lambda c, p, w: np.full(len(c), np.inf))
+            first, first_info = weighted_frechet_mean(ys, w, return_info=True)
+        assert float(np.arctan2(first.data[1], first.data[0])) == pytest.approx(0.0, abs=1e-12)
+        assert first_info.objective > info.objective + 0.05
+        assert first_info.iterations < info.iterations
+        _exhaustive_certificate(monkeypatch)
+        want, want_info = weighted_frechet_mean(ys, w, return_info=True)
+        assert out.data.tobytes() == want.data.tobytes()
+        assert (info.method, info.iterations, info.objective) == (
+            want_info.method, want_info.iterations, want_info.objective
+        )
 
 
 class TestBatchLfrEmbeddings:
