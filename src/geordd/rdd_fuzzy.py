@@ -25,6 +25,7 @@ from .errors import (
     EmbeddingUnavailable,
     EmptyStratum,
     ExpOutOfDomain,
+    InvariantViolation,
     InverseInfeasible,
     LogExpUnavailable,
     MissingAssignment,
@@ -34,7 +35,8 @@ from .errors import (
 from .frechet import Side, WeightProfile, compute_weights, weighted_frechet_mean
 from .rdd_sharp import sample_frechet_mean
 from .sample import RddSample
-from .spaces import CompositionalSphere, GeodesicEffect, HilbertSpace, MetricObject
+from .spaces import GeodesicEffect, HilbertSpace, MetricObject
+from .spaces.sphere import _great_circle
 
 __all__ = [
     "DELTA_COMPLY",
@@ -235,22 +237,22 @@ class _TangentChart:
             return self.space.exp_map(self.omega, v)
         except ExpOutOfDomain:
             self.warnings.append("exp_out_of_domain")
-            return _projected_exp(self.space, self.omega, v)
+            return _projected_exp(self.omega, v)
 
 
-def _projected_exp(
-    space: CompositionalSphere, omega: MetricObject, v: np.ndarray
-) -> MetricObject:
-    """Total fallback for Exp arguments outside the chart domain (only the
-    sphere's Exp has a bounded domain)."""
-    v = np.asarray(v, dtype=float)
-    v = v - float(np.dot(v, omega.data)) * omega.data
-    norm = float(np.linalg.norm(v))
-    if norm >= np.pi:
-        v = v * ((np.pi - 1e-9) / norm)
-        norm = np.pi - 1e-9
-    z = np.cos(norm) * omega.data + np.sin(norm) * v / norm
-    return space.point(space.project_to_orthant(z))
+def _projected_exp(omega: MetricObject, v: np.ndarray) -> MetricObject:
+    """Fallback for Exp arguments outside the chart domain (only the sphere's
+    Exp has a bounded domain): the great-circle image clamped onto the orthant,
+    refused below the cut locus only when it clamps to zero."""
+    space = omega.space
+    z, norms = _great_circle(omega.data, np.asarray(v, dtype=float)[None])
+    if norms[0] < np.pi:
+        try:
+            return space.point(space.project_to_orthant(z[0]))
+        except InvariantViolation:  # the image clamps to zero
+            pass
+    raise ExpOutOfDomain(f"tangent vector of norm {float(norms[0])!r} has no image to project: "
+                         "it reaches the cut locus (pi), or its image clamps to zero")
 
 
 def _estimate(
@@ -380,9 +382,10 @@ def estimate_geodesic_riemannian_fuzzy(
 
     The stratum tangent mean is fitted on the noncomplier subsample, the
     complier tangent endpoints follow by the amplified shift, and both are
-    mapped back through the Exp chart.  Arguments that leave the chart's
-    domain (tangent norm at the cut locus, or image outside the feasible
-    region) are projected back with an ``exp_out_of_domain`` warning.
+    mapped back through the Exp chart.  An endpoint whose image leaves the
+    feasible region is clamped onto it with an ``exp_out_of_domain`` warning;
+    one at or beyond the cut locus (norm >= pi), or whose image clamps to
+    zero, is refused with :class:`ExpOutOfDomain`.
     """
     _require_columns(sample, assignment=True)
     chart = _TangentChart(sample, reference, "geodesic embedding variant")

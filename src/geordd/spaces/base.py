@@ -30,8 +30,8 @@ space supplies ``shape`` and, where the defaults do not hold:
 - ``_hilbert_weights``, when the inner product is not the dot product.
 
 A space with Log/Exp charts supplies ``_log``, the Log coordinates at a base
-payload of each row of a payload stack, and ``exp_map``; :meth:`Space.log_map`
-checks its arguments once and maps one point or a whole stack through it.
+payload of each row of a payload stack, and ``_exp``, its inverse on tangent
+rows; :meth:`Space.log_map` and :meth:`Space.exp_map` check once and map.
 
 All operations are pure functions of immutable values and are safe to call
 concurrently.
@@ -340,7 +340,17 @@ class Space(ABC):
         (k, *shape) payload stack."""
         raise LogExpUnavailable(f"{type(self).__name__} has no Log/Exp charts")
 
-    def exp_map(self, base: MetricObject, v: np.ndarray) -> MetricObject:
+    def exp_map(self, base: MetricObject, v) -> MetricObject:
+        """Exp chart at ``base`` of a tangent vector of the payload's shape:
+        checks ``base``, then ``v`` (:class:`ShapeMismatch`), then maps."""
+        self._check_member(base, "base point")
+        v = np.asarray(v, dtype=float)
+        if v.shape != self.shape:
+            raise ShapeMismatch(f"tangent vector must have shape {self.shape}, got {v.shape}")
+        return self.point(self._exp(base.data, v[None])[0])
+
+    def _exp(self, base_row: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The (k, *shape) Exp payloads at ``base_row`` of (k, d) tangent rows."""
         raise LogExpUnavailable(f"{type(self).__name__} has no Log/Exp charts")
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import HilbertSpace, MetricObject
+from .base import HilbertSpace
 
 __all__ = ["Euclidean", "FunctionalL2"]
 
@@ -34,10 +34,8 @@ class Euclidean(HilbertSpace):
     def _log(self, base_row, rows):
         return rows - base_row
 
-    def exp_map(self, base: MetricObject, v) -> MetricObject:
-        self._check_member(base)
-        v = np.asarray(v, dtype=float)
-        return self.point(base.data + v)
+    def _exp(self, base_row, rows):
+        return base_row + rows
 
 
 class FunctionalL2(HilbertSpace):

@@ -4,7 +4,8 @@ Compositions (nonnegative shares summing to one) are stored through the
 square-root map, which turns the simplex into the positive orthant of the
 unit sphere with the arc-length metric d(z1, z2) = arccos(<z1, z2>).  This
 space is positively curved and admits no isometric Hilbert embedding, but it
-has globally defined Log/Exp charts away from antipodal pairs.
+has globally defined Log/Exp charts away from antipodal pairs.  One
+great-circle map gives Exp, geodesics, transport and the projected Exp.
 """
 
 from __future__ import annotations
@@ -54,6 +55,19 @@ def _arc_angles(base: np.ndarray, stack: np.ndarray):
     u = d - (d @ base)[:, None] * base
     norms = _row_norms(u)
     return np.arctan2(norms, stack @ base), u, norms
+
+
+def _great_circle(base: np.ndarray, rows: np.ndarray):
+    """``(z, |v|)`` for the tangent part v at the unit vector ``base`` of each
+    row of a (k, dim) stack (guarding float drift): z = cos|v| base +
+    sin|v| v / |v|, neither refused nor clamped, and ``base`` if |v| < 1e-14."""
+    v = rows - (rows @ base)[:, None] * base
+    norms = _row_norms(v)
+    near = norms < 1e-14
+    z = (np.cos(norms)[:, None] * base
+         + np.sin(norms)[:, None] * v / np.where(near, 1.0, norms)[:, None])
+    z[near] = base
+    return z, norms
 
 
 class CompositionalSphere(Space):
@@ -128,23 +142,11 @@ class CompositionalSphere(Space):
         self._check_pair(a, b)
         return float(_arc_angles(a.data, b.data[None])[0][0])
 
-    def _angle(self, a: MetricObject, b: MetricObject):
-        """``(theta, u, |u|)`` of :func:`_arc_angles` for one pair, refusing
-        antipodal pairs, whose connecting geodesic is not unique."""
-        theta, u, norms = _arc_angles(a.data, b.data[None])
-        theta = float(theta[0])
-        if theta >= np.pi - _ANTIPODAL_TOL:
-            raise AntipodalPoints("points are antipodal; the geodesic is not unique")
-        return theta, u[0], float(norms[0])
-
     def geodesic(self, a, b, t: float) -> MetricObject:
-        self._check_pair(a, b)
-        theta, u, norm = self._angle(a, b)
-        if theta < 1e-14:
-            return self.point(a.data.copy())
-        s = float(t) * theta
-        z = np.cos(s) * a.data + (np.sin(s) / norm) * u
-        return self.point(z / np.linalg.norm(z))
+        """The great-circle image at ``a`` of t Log_a(b); refused as
+        :meth:`log_map` and, for t outside [0, 1], :meth:`point` refuse."""
+        v = self.log_map(a, b) * float(t)
+        return self.point(_great_circle(a.data, v[None])[0][0])
 
     # -- Log / Exp charts ------------------------------------------------------------
 
@@ -160,55 +162,37 @@ class CompositionalSphere(Space):
         out[near] = 0.0
         return out
 
-    def exp_map(self, base: MetricObject, v) -> MetricObject:
-        """Exponential chart at ``base``.
-
-        Raises :class:`ExpOutOfDomain` when the tangent vector reaches the cut
-        locus (norm >= pi) or the image leaves the positive orthant; callers
-        that need a total map should catch it and apply
-        :meth:`project_to_orthant`.
-        """
-        self._check_member(base)
-        v = np.asarray(v, dtype=float)
-        # keep v in the tangent space at base (guards float drift)
-        v = v - float(np.dot(v, base.data)) * base.data
-        norm = float(np.linalg.norm(v))
-        if norm < 1e-14:
-            return self.point(base.data.copy())
-        if norm >= np.pi:
-            raise ExpOutOfDomain(
-                f"tangent vector norm {norm!r} is at or beyond the cut locus (pi)"
-            )
-        z = np.cos(norm) * base.data + np.sin(norm) * v / norm
-        if np.any(z < -_ORTHANT_TOL):
-            raise ExpOutOfDomain(
-                f"exponential image leaves the positive orthant; min coordinate {z.min()!r}"
-            )
-        return self.point(self.project_to_orthant(z))
-
-    def parallel_transport(
-        self, base: MetricObject, target: MetricObject, v: np.ndarray
-    ) -> np.ndarray:
-        """Parallel-transport tangent vector ``v`` from ``base`` to ``target``
-        along the connecting geodesic."""
-        self._check_pair(base, target)
-        theta, u, norm = self._angle(base, target)
-        if theta < 1e-14:
-            return np.asarray(v, dtype=float).copy()
-        u = u / norm
-        v = np.asarray(v, dtype=float)
-        along = float(np.dot(v, u))
-        perp = v - along * u
-        return perp + along * (np.cos(theta) * u - np.sin(theta) * base.data)
+    def _exp(self, base_row, rows):
+        """Great-circle images clamped onto the orthant, refusing the first
+        row at the cut locus (norm >= pi) or whose image leaves the orthant by
+        more than 1e-9; a total map catches that and clamps the image."""
+        z, norms = _great_circle(base_row, rows)
+        refuse_rows(
+            (norms >= np.pi, lambda i: f"tangent vector norm {float(norms[i])!r} is at "
+                                       "or beyond the cut locus (pi)"),
+            (z.min(axis=1) < -_ORTHANT_TOL, lambda i: "exponential image leaves the positive "
+                                                      f"orthant; min coordinate {z[i].min()!r}"),
+            error=ExpOutOfDomain,
+        )
+        return np.maximum(z, 0.0)
 
     # -- transport map -------------------------------------------------------------
 
     def transport(self, a, b, w) -> MetricObject:
-        self._check_pair(a, b)
-        self._check_member(w, "transported point")
-        moved = self.parallel_transport(a, w, self.log_map(a, b))
+        """Exp at ``w`` of Log_a(b) carried along the geodesic a -> w.  With
+        Log_a(w) = theta u, the geodesic turns u into cos(theta) u - sin(theta) a
+        (the great-circle image at u of -theta a), the part of Log_a(b) along u
+        turns with it, and the rest stays.  Refusals: as :meth:`log_map`, or
+        :class:`TransportOutOfSpace` when the image leaves the orthant."""
+        v = self.log_map(a, b)
+        xi = self.log_map(a, w)
+        theta = float(np.linalg.norm(xi))
+        if theta > 0.0:
+            u = xi / theta
+            turned = _great_circle(u, -theta * a.data[None])[0][0]
+            v = v + float(v @ u) * (turned - u)
         try:
-            return self.exp_map(w, moved)
+            return self.exp_map(w, v)
         except ExpOutOfDomain as err:
             raise TransportOutOfSpace(f"transported point: {err}") from None
 

@@ -22,6 +22,7 @@ from geordd import (
 from geordd.errors import (
     EmbeddingUnavailable,
     EmptyStratum,
+    ExpOutOfDomain,
     LogExpUnavailable,
     MissingAssignment,
     MissingTreatment,
@@ -336,6 +337,13 @@ def _sphere_exp_oracle(base, v):
     return np.cos(norm) * base + np.sin(norm) * v / norm
 
 
+def _tangent_direction(base, direction):
+    """The unit tangent vector at ``base`` along the tangent part of ``direction``."""
+    u = np.asarray(direction, dtype=float)
+    u = u - (u @ base) * base
+    return u / np.linalg.norm(u)
+
+
 def _sphere_fuzzy(
     rng, n=500, p_nc=0.3, scale=0.25, side=NoncomplianceSide.ALWAYS_TAKERS
 ):
@@ -423,6 +431,30 @@ class TestGeodesicRiemannianFuzzy:
         assert "exp_out_of_domain" in est.warnings
         for p in est.endpoints:
             assert np.all(p.data >= 0.0)
+
+    @staticmethod
+    def _chart():
+        sample, sp, omega = _sphere_fuzzy(np.random.default_rng(24), n=60)
+        return rdd_fuzzy._TangentChart(sample, omega, "geodesic embedding variant"), omega
+
+    def test_fallback_clamps_an_image_off_the_orthant(self):
+        chart, omega = self._chart()
+        v = _tangent_direction(omega.data, [0.0, 0.0, 1.0]) * 1.3
+        z = _sphere_exp_oracle(omega.data, v)
+        assert z.min() < -1e-9  # Exp itself refuses this vector
+        got = chart.back(v)
+        assert chart.warnings == ["exp_out_of_domain"]
+        want = np.maximum(z, 0.0) / np.linalg.norm(np.maximum(z, 0.0))
+        np.testing.assert_allclose(got.data, want, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("norm", [2.5, 4.0])
+    def test_fallback_refuses_what_it_cannot_project(self, norm):
+        # at 2.5 the image clamps to zero; at 4 the vector is past the cut locus
+        chart, omega = self._chart()
+        v = _tangent_direction(omega.data, [1.0, -1.0, 0.0]) * norm
+        with pytest.raises(ExpOutOfDomain):
+            chart.back(v)
+        assert chart.warnings == ["exp_out_of_domain"]
 
 
 class TestInvariances:

@@ -27,6 +27,7 @@ from geordd.errors import (
     AntipodalPoints,
     EmbeddingUnavailable,
     EmptyInput,
+    ExpOutOfDomain,
     GeorddError,
     InvariantViolation,
     InverseInfeasible,
@@ -35,10 +36,11 @@ from geordd.errors import (
     NotAPoint,
     ShapeMismatch,
     SpaceMismatch,
+    TransportOutOfSpace,
 )
 from geordd.frechet import Side, batch_lfr_embeddings
 from geordd.io import object_from_json
-from geordd.spaces import HilbertSpace
+from geordd.spaces import HilbertSpace, Space
 from geordd.spaces import base as spaces_base
 from geordd.spaces.base import refuse_rows
 from geordd.spaces.network import laplacian_from_weights
@@ -121,6 +123,32 @@ class TestGeodesic:
         with pytest.raises(AntipodalPoints):
             sp.log_map(z1, z2)
 
+    @pytest.mark.parametrize("dim", [3, 5, 10])
+    def test_sphere_matches_slerp(self, dim):
+        sp, pairs = _sphere_pairs(dim, np.random.default_rng(dim))
+        rng = np.random.default_rng(100 + dim)
+        pairs += [(rand_sphere(sp, rng), rand_sphere(sp, rng)) for _ in range(50)]
+        for a, b in pairs:
+            theta = 2.0 * np.arcsin(np.linalg.norm(b.data - a.data) / 2.0)
+            for t in (0.0, 0.25, rng.uniform(), 0.5, 1.0):
+                got = sp.geodesic(a, b, t).data
+                if theta < 1e-14:
+                    want = a.data
+                else:
+                    want = (np.sin((1 - t) * theta) * a.data
+                            + np.sin(t * theta) * b.data) / np.sin(theta)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_sphere_extrapolation_is_refused_off_the_orthant(self):
+        sp = CompositionalSphere(3)
+        a = CompositionalSphere.from_shares([0.4, 0.35, 0.25])
+        b = CompositionalSphere.from_shares([0.2, 0.3, 0.5])
+        assert np.all(sp.geodesic(a, b, 2.0).data > 0.0)  # inside the orthant
+        for t in (-3.0, 3.0):
+            err = _refusal(sp.geodesic, a, b, t)
+            assert err.code == "invariant_violation"
+            assert isinstance(err, InvariantViolation)
+
 
 def _antipode(space, z):
     from geordd import MetricObject
@@ -147,6 +175,59 @@ class TestTransport:
         a = sp.point(np.array([0.6, 0.64, np.sqrt(1 - 0.6**2 - 0.64**2)]))
         w = sp.point(np.array([0.2, 0.5, np.sqrt(1 - 0.04 - 0.25)]))
         assert sp.distance(sp.transport(a, a, w), w) < 1e-12
+
+    @staticmethod
+    def _sphere_transport_oracle(a, b, w):
+        """Log at a, the rotation that carries the geodesic a -> w, and Exp
+        at w, each written out by hand; None where Exp leaves the orthant."""
+        def log(x, y):
+            theta = 2.0 * np.arcsin(np.linalg.norm(y - x) / 2.0)
+            u = y - (x @ y) * x
+            return np.zeros_like(x) if theta == 0.0 else theta * u / np.linalg.norm(u)
+
+        v, xi = log(a, b), log(a, w)
+        phi = np.linalg.norm(xi)
+        if phi > 0.0:
+            u = xi / phi
+            along = v @ u
+            v = v - along * u + along * (np.cos(phi) * u - np.sin(phi) * a)
+        norm = np.linalg.norm(v)
+        z = w if norm == 0.0 else np.cos(norm) * w + np.sin(norm) * v / norm
+        return None if z.min() < -1e-9 else z
+
+    @pytest.mark.parametrize("dim", [3, 5, 10])
+    def test_sphere_matches_hand_composed_log_rotation_exp(self, dim):
+        sp = CompositionalSphere(dim)
+        rng = np.random.default_rng(dim)
+        moved = 0
+        for _ in range(300):
+            conc = rng.choice([0.5, 5.0, 50.0])
+            a, b, w = (rand_sphere(sp, rng, conc) for _ in range(3))
+            want = self._sphere_transport_oracle(a.data, b.data, w.data)
+            if want is None:
+                with pytest.raises(TransportOutOfSpace):
+                    sp.transport(a, b, w)
+                continue
+            got = sp.transport(a, b, w).data
+            np.testing.assert_allclose(got, np.maximum(want, 0.0), rtol=0.0, atol=1e-13)
+            moved += 1
+        assert 50 < moved < 300  # both outcomes are exercised
+
+    def test_sphere_refusal_codes(self):
+        sp = CompositionalSphere(3)
+        z = sp.point([1.0, 0.0, 0.0])
+        w = CompositionalSphere.from_shares([0.4, 0.35, 0.25])
+        for args in ((z, _antipode(sp, z), w), (z, w, _antipode(sp, z))):
+            err = _refusal(sp.transport, *args)
+            assert err.code == "antipodal_points" and isinstance(err, AntipodalPoints)
+        # w sits near the face x3 = 0; the shift from a to b, carried to w,
+        # pushes it past that face
+        a, b, w = (CompositionalSphere.from_shares(s) for s in
+                   ([0.283, 0.00003, 0.71697], [0.174, 0.121, 0.705], [0.3, 0.685, 0.015]))
+        err = _refusal(sp.transport, a, b, w)
+        assert err.code == "transport_out_of_space" and isinstance(err, TransportOutOfSpace)
+        assert str(err).startswith(
+            "transported point: exponential image leaves the positive orthant")
 
 
 class TestQuotientDistance:
@@ -357,6 +438,14 @@ class TestStackContract:
         name, space, sampler = case
         with pytest.raises(ShapeMismatch):
             space.stack(np.zeros((3,) + space.shape + (1,)))
+        if space.logexp_available:
+            base = sampler(space, np.random.default_rng(23))
+            d = space.shape[0]
+            for v in (np.zeros(d - 1), np.zeros(d + 1), np.zeros((1, d)), np.zeros(())):
+                with pytest.raises(ShapeMismatch):
+                    space.exp_map(base, v)
+            with pytest.raises(NotAPoint):  # the base is checked first
+                space.exp_map(base.data, np.zeros(d + 1))
         if not isinstance(space, HilbertSpace):
             return
         for size in (space.embedding_dim - 1, space.embedding_dim + 1):
@@ -742,6 +831,20 @@ class TestLogExp:
         with pytest.raises(EmptyInput):
             space.log_map(pts[0], [])
 
+    def test_sphere_exp_refusals(self):
+        sp = CompositionalSphere(3)
+        z = sp.point([1.0, 0.0, 0.0])
+        for norm in (np.pi, 3.5):
+            err = _refusal(sp.exp_map, z, [0.0, norm, 0.0])
+            assert err.code == "exp_out_of_domain" and isinstance(err, ExpOutOfDomain)
+            assert "cut locus" in str(err)
+        err = _refusal(sp.exp_map, z, [0.0, -0.5, 0.0])
+        assert err.code == "exp_out_of_domain" and isinstance(err, ExpOutOfDomain)
+        assert str(err).startswith("exponential image leaves the positive orthant")
+        # an image within the orthant tolerance is clamped onto it
+        edge = sp.exp_map(z, [0.0, -1e-10, 0.0])
+        assert edge.data.min() == 0.0
+
     def test_unavailable(self):
         spd = SpdSpace(2, "log_euclidean")
         p = spd.point(np.eye(2))
@@ -751,6 +854,23 @@ class TestLogExp:
         q = w.point([0.0, 1.0, 2.0])
         with pytest.raises(LogExpUnavailable):
             w.exp_map(q, np.zeros(3))
+
+
+def test_each_chart_operation_has_one_body():
+    """Log and Exp are written once, in Space; each chart space supplies only
+    its array hooks."""
+    exported = {obj for obj in vars(geordd.spaces).values()
+                if isinstance(obj, type) and issubclass(obj, Space)}
+    assert {type(space) for _, space, _ in SPACE_CASES} == exported - {Space, HilbertSpace}
+    for _, space, _ in SPACE_CASES:
+        if space.logexp_available:
+            for hook in ("_log", "_exp"):
+                own = getattr(type(space), hook, None)
+                assert own not in (None, getattr(Space, hook, None)), (type(space), hook)
+    for cls in exported:
+        for klass in cls.__mro__:
+            if klass is not Space:
+                assert "log_map" not in vars(klass) and "exp_map" not in vars(klass), klass
 
 
 class TestValidation:
