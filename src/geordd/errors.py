@@ -158,4 +158,5 @@ REFUSAL_ERRORS = (
     InvertedBounds,
     AllWindowsDegenerate,
     SolverDiverged,
+    ExpOutOfDomain,
 )

@@ -36,7 +36,9 @@ weights are held on its window's k support points alone, and the solvers
 work on those rows; the sphere certifies its result against all n points
 with a linear lower bound on the objective at each, O((n + k) d), and
 evaluates the objective, O(k) each, only where the bound leaves a point
-open.
+open.  The tables keep the last single-point profile on each side, so a
+window fitted again on the same tables (the sharp and fuzzy estimators at
+one cutoff) returns the same profile object.
 """
 
 from __future__ import annotations
@@ -233,6 +235,8 @@ class LocalLinearTables:
             if full < n:
                 pm = np.concatenate([pm, (powers[:3, full:] @ psi[full:])[None]])
             self._psi_moments = pm.reshape(-1, psi.shape[1])  # (nb * 3, D)
+        # side -> (window key, the last profile compute_weights built there)
+        self._profiles = {}
 
     @property
     def n(self) -> int:
@@ -529,6 +533,13 @@ def compute_weights(
     the kernel on the support's k points, in O(sqrt(n) + k).  Without them
     the call builds its own, an O(n) set-up.
 
+    The tables keep one profile per side, the last one this function
+    returned on that side: a repeated window (the same center, ``h`` and
+    ``window`` on the same side of the same tables) returns that same frozen
+    profile object, so the sharp fit, the compliance fit and the fuzzy
+    charts at one cutoff share one fit per side.  A new window replaces the
+    side's profile; a degenerate one is never kept.
+
     Raises ``ValueError`` unless ``h`` is positive and finite, and
     :class:`DegenerateWindow` when sigma^2 falls at or below the degeneracy
     floor (which includes every window with fewer than two distinct running
@@ -541,13 +552,20 @@ def compute_weights(
         tables = LocalLinearTables(r_values)
     elif tables.n != np.size(r_values):
         raise ValueError("tables must be built from r_values")
+    # the sign of a zero center reaches the profile's center and signed zeros
+    key = (center, math.copysign(1.0, center), h, lo, hi)
+    held = tables._profiles.get(side)
+    if held is not None and held[0] == key:
+        return held[1]
     win = tables.windows(center, h, side, lo, hi)
     if not win.valid[0]:
         raise DegenerateWindow(
             f"window at {center!r} (h={h!r}, side={side.value}) is degenerate: "
             f"sigma^2 = {float(win.sigma2[0])!r}"
         )
-    return _support_profile(tables, win, 0, center, h, side)
+    profile = _support_profile(tables, win, 0, center, h, side)
+    tables._profiles[side] = key, profile
+    return profile
 
 
 # ---------------------------------------------------------------------------

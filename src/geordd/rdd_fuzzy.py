@@ -16,6 +16,7 @@ without an isometric embedding, such as the compositional sphere.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -203,8 +204,13 @@ class _EmbeddingChart:
             return self.space.inverse_embed(q, project=True)
 
 
+_LOG_ROWS = weakref.WeakKeyDictionary()  # sample -> (reference, its Log rows there)
+
+
 class _TangentChart:
-    """Log chart at ``omega``: a fit is a weighted average of Log coordinates."""
+    """Log chart at ``omega``: a fit is a weighted average of Log coordinates.
+    A sample's Log rows are kept, read-only, for the last reference they
+    were mapped at, so charts at the same reference object map it once."""
 
     def __init__(self, sample: RddSample, reference: MetricObject | None, alt: str):
         space = sample.space
@@ -223,7 +229,12 @@ class _TangentChart:
             # tangent-space rate guarantees assume a fixed reference.
             self.warnings.append("data_dependent_reference")
             self.omega = sample_frechet_mean(sample)
-        self.rows = space.log_map(self.omega, sample.ys)
+        held = _LOG_ROWS.get(sample)
+        if held is None or held[0] is not self.omega:
+            rows = space.log_map(self.omega, sample.ys)
+            rows.setflags(write=False)
+            held = _LOG_ROWS[sample] = self.omega, rows
+        self.rows = held[1]
 
     def fit(self, profile: WeightProfile):
         """Coordinates of the fit; no object is fitted in this chart."""

@@ -148,6 +148,9 @@ class PointStack(Sequence):
         or :class:`SpaceMismatch`.
         """
         if not isinstance(objects, PointStack):
+            if isinstance(objects, np.ndarray):
+                raise NotAPoint("expected a sequence of points, got a numpy array: "
+                                "a point must be a MetricObject")
             if not isinstance(objects, Iterable):
                 raise NotAPoint(f"expected a sequence of points, got {type(objects).__name__}")
             objs = list(objects)

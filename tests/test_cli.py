@@ -712,6 +712,28 @@ class TestCommands:
         report = json.loads((out / "report.json").read_text())
         assert report["estimate"]["variant"] == "geodesic_riemannian"
 
+    def test_fuzzy_geodesic_tangent_refused_past_the_cut_locus_exits_two(self, tmp_path, capsys):
+        # the always-takers' outcome (A) is far from the treated outcome right
+        # of the cutoff (C), and the compliance jump is 0.1: the amplified
+        # shift puts the complier endpoint past the sphere's cut locus
+        rng = np.random.default_rng(5)
+        r = rng.uniform(-1, 1, 200)
+        z = (r >= 0).astype(int)
+        t = np.where(z == 1, 1, (rng.random(200) < 0.9).astype(int))
+        sp = CompositionalSphere(3)
+        shares = np.array([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]])
+        which = np.where(z == 1, 2, 1 - t)
+        ys = sp.stack(np.sqrt(shares[which]))
+        path = tmp_path / "f.csv"
+        write_sample_csv(RddSample(r, ys, 0.0, t, z), path)
+        out = tmp_path / "o"
+        code = main(["fuzzy", "--input", str(path), "--space", "simplex", "--cutoff", "0",
+                     "--bw", "0.5", "--fuzzy-variant", "geodesic-tangent", "--side", "always",
+                     "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "exp_out_of_domain"
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("sizes", [",", "", " , "])
     def test_simulate_refuses_empty_sizes(self, tmp_path, capsys, sizes):
         code = main(["simulate", "--dgp", "setting-I", "--reps", "10", f"--sizes={sizes}",

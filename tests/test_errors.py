@@ -45,3 +45,37 @@ def test_inverted_bounds_keeps_its_bounds():
     back = pickle.loads(pickle.dumps(errors.InvertedBounds(0.3, 0.2)))
     assert (back.b_min, back.b_max) == (0.3, 0.2)
     assert str(back) == "bandwidth bounds are inverted: b_min=0.3 >= b_max=0.2"
+
+
+#: errors that mean bad input, a misuse of the API or a bug, not a refusal of
+#: the estimate on this data; every other class must be in REFUSAL_ERRORS
+NOT_REFUSALS = {
+    errors.GeorddError,
+    errors.SpaceMismatch,
+    errors.ShapeMismatch,
+    errors.NonFinitePayload,
+    errors.InvariantViolation,
+    errors.MixedSpaces,
+    errors.NotAPoint,
+    errors.AntipodalPoints,
+    errors.TransportOutOfSpace,
+    errors.EmbeddingUnavailable,
+    errors.InverseInfeasible,
+    errors.LogExpUnavailable,
+    errors.EmptyInput,
+    errors.MissingTreatment,
+    errors.MissingAssignment,
+    errors.ExcessiveFailures,
+    errors.ParseError,
+}
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
+def test_every_error_class_is_classified(cls):
+    # a new class fails here until it is added to one side or the other
+    refusal = issubclass(cls, errors.REFUSAL_ERRORS)
+    assert refusal != (cls in NOT_REFUSALS)
+
+
+def test_an_exp_refusal_is_a_refusal():
+    assert issubclass(errors.ExpOutOfDomain, errors.REFUSAL_ERRORS)

@@ -161,6 +161,15 @@ class TestRefusals:
         with pytest.raises(NotAPoint, match="MetricObject"):
             weighted_frechet_mean(Euclidean(1).point([0.0]), np.ones(1))
 
+    def test_an_array_in_place_of_points_is_named(self):
+        sp = CompositionalSphere(3)
+        a, b = sp.from_shares([0.5, 0.3, 0.2]), sp.from_shares([0.2, 0.3, 0.5])
+        calls = [lambda: sp.log_map(a, b.data), lambda: sp.geodesic(a, b.data, 0.5),
+                 lambda: sp.log_map(a, sp.stack(b.data[None]).data)]
+        for call in calls:
+            with pytest.raises(NotAPoint, match="numpy array: a point must be a MetricObject"):
+                call()
+
     @pytest.mark.parametrize(
         "other", [Euclidean(2), FunctionalL2(2)], ids=["other-dimension", "other-space"]
     )

@@ -19,7 +19,7 @@ from geordd import (
     ScalarDgp,
     run_campaign,
 )
-from geordd import simlab
+from geordd import errors, simlab
 from geordd.errors import ExcessiveFailures, InsufficientData
 from geordd.simlab import fit_rate, scalar_regression_functions
 
@@ -367,3 +367,14 @@ def test_import_leaves_process_pools_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_an_exp_refusal_in_a_replication_is_a_failed_row(monkeypatch):
+    def refuse(dgp, rng, bandwidth):
+        raise errors.ExpOutOfDomain("refused")
+
+    monkeypatch.setattr(simlab, "_one_rep", refuse)
+    dgp = StepDesign()
+    row, fallback = simlab._rep_row(dgp, 3, np.random.SeedSequence(0), 0.5)
+    assert row["fail_flag"] == 1 and row["rep"] == 3 and not fallback
+    assert np.isnan(row["bias"]) and np.isnan(row["bandwidth"])
