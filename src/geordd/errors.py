@@ -1,7 +1,10 @@
 """Exception hierarchy.
 
 Every error carries a stable ``code`` string so batch tooling (and the CLI)
-can match on error classes without parsing messages.
+can match on error classes without parsing messages.  Every class states its
+kind in its class line, ``refusal=True`` for "the estimate was refused on this
+data" and ``refusal=False`` for bad input, misuse or a bug; a class that
+states none is a ``TypeError`` when defined.
 """
 
 from __future__ import annotations
@@ -12,7 +15,12 @@ class GeorddError(Exception):
     position when a whole stack of payloads was validated at once."""
 
     code = "error"
+    refusal = False
     index: int | None = None
+
+    def __init_subclass__(cls, *, refusal: bool, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.refusal = refusal
 
     def __reduce__(self):
         # rebuilt from its message and attributes, not through a subclass's
@@ -26,93 +34,93 @@ def _rebuild(cls, args):
 
 # --- data / geometry validation -------------------------------------------
 
-class SpaceMismatch(GeorddError):
+class SpaceMismatch(GeorddError, refusal=False):
     code = "space_mismatch"
 
 
-class ShapeMismatch(GeorddError):
+class ShapeMismatch(GeorddError, refusal=False):
     code = "shape_mismatch"
 
 
-class NonFinitePayload(GeorddError):
+class NonFinitePayload(GeorddError, refusal=False):
     code = "non_finite_payload"
 
 
-class InvariantViolation(GeorddError):
+class InvariantViolation(GeorddError, refusal=False):
     code = "invariant_violation"
 
 
-class MixedSpaces(GeorddError):
+class MixedSpaces(GeorddError, refusal=False):
     code = "mixed_spaces"
 
 
-class NotAPoint(GeorddError, TypeError):
+class NotAPoint(GeorddError, TypeError, refusal=False):
     """A value given where points were expected (also a ``TypeError``)."""
 
     code = "not_a_point"
 
 
-class AntipodalPoints(GeorddError):
+class AntipodalPoints(GeorddError, refusal=False):
     code = "antipodal_points"
 
 
-class TransportOutOfSpace(GeorddError):
+class TransportOutOfSpace(GeorddError, refusal=False):
     code = "transport_out_of_space"
 
 
-class EmbeddingUnavailable(GeorddError):
+class EmbeddingUnavailable(GeorddError, refusal=False):
     code = "embedding_unavailable"
 
 
-class InverseInfeasible(GeorddError):
+class InverseInfeasible(GeorddError, refusal=False):
     code = "inverse_infeasible"
 
 
-class LogExpUnavailable(GeorddError):
+class LogExpUnavailable(GeorddError, refusal=False):
     code = "logexp_unavailable"
 
 
-class ExpOutOfDomain(GeorddError):
+class ExpOutOfDomain(GeorddError, refusal=True):
     code = "exp_out_of_domain"
 
 
 # --- estimation -------------------------------------------------------------
 
-class DegenerateWindow(GeorddError):
+class DegenerateWindow(GeorddError, refusal=True):
     code = "degenerate_window"
 
 
-class SolverDiverged(GeorddError):
+class SolverDiverged(GeorddError, refusal=True):
     code = "solver_diverged"
 
 
-class EmptyInput(GeorddError):
+class EmptyInput(GeorddError, refusal=False):
     code = "empty_input"
 
 
-class MissingTreatment(GeorddError):
+class MissingTreatment(GeorddError, refusal=False):
     code = "missing_treatment"
 
 
-class MissingAssignment(GeorddError):
+class MissingAssignment(GeorddError, refusal=False):
     code = "missing_assignment"
 
 
-class WeakCompliance(GeorddError):
+class WeakCompliance(GeorddError, refusal=True):
     code = "weak_compliance"
 
 
-class EmptyStratum(GeorddError):
+class EmptyStratum(GeorddError, refusal=True):
     code = "empty_stratum"
 
 
 # --- bandwidth selection -----------------------------------------------------
 
-class InsufficientData(GeorddError):
+class InsufficientData(GeorddError, refusal=True):
     code = "insufficient_data"
 
 
-class InvertedBounds(GeorddError):
+class InvertedBounds(GeorddError, refusal=True):
     code = "inverted_bounds"
 
     def __init__(self, b_min: float, b_max: float):
@@ -123,19 +131,19 @@ class InvertedBounds(GeorddError):
         )
 
 
-class AllWindowsDegenerate(GeorddError):
+class AllWindowsDegenerate(GeorddError, refusal=True):
     code = "all_windows_degenerate"
 
 
 # --- simulation --------------------------------------------------------------
 
-class ExcessiveFailures(GeorddError):
+class ExcessiveFailures(GeorddError, refusal=False):
     code = "excessive_failures"
 
 
 # --- ingestion ---------------------------------------------------------------
 
-class ParseError(GeorddError):
+class ParseError(GeorddError, refusal=False):
     code = "parse_error"
 
     def __init__(self, message: str, row: int | None = None, column: str | None = None):
@@ -148,15 +156,6 @@ class ParseError(GeorddError):
         super().__init__(message + loc)
 
 
-#: Errors that mean "the estimate was refused on this data", as opposed to
-#: bad inputs or bugs.  The CLI maps these to exit code 2.
-REFUSAL_ERRORS = (
-    DegenerateWindow,
-    WeakCompliance,
-    EmptyStratum,
-    InsufficientData,
-    InvertedBounds,
-    AllWindowsDegenerate,
-    SolverDiverged,
-    ExpOutOfDomain,
-)
+#: The classes that state ``refusal=True``: the CLI maps these to exit code 2,
+#: and a campaign records them as failed replications.
+REFUSAL_ERRORS = tuple(cls for cls in GeorddError.__subclasses__() if cls.refusal)

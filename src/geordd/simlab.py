@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -332,18 +333,19 @@ def _worker_count(n_jobs: int) -> int:
 
 
 def _rep_row(dgp, rep, seed_seq, bandwidth):
-    """One replication's row and fallback flag; a refusal is a failed row.
+    """One replication's row, fallback flag and refusal: a refusal is a
+    failed row with the refused error's ``code``, else the code is None.
     ``_one_rep`` is looked up when called, so a replacement of it is seen
     here and in forked workers alike."""
     try:
         setting, b, bias, fallback = _one_rep(dgp, np.random.default_rng(seed_seq), bandwidth)
-        failed = 0
-    except REFUSAL_ERRORS:
+        refused = None
+    except REFUSAL_ERRORS as err:
         setting, b, bias = dgp.setting, np.nan, np.nan
-        fallback, failed = False, 1
+        fallback, refused = False, err.code
     row = {"setting": setting, "n": dgp.n, "rep": rep, "bandwidth": b, "bias": bias,
-           "fail_flag": failed}
-    return row, fallback
+           "fail_flag": int(refused is not None)}
+    return row, fallback, refused
 
 
 def run_campaign(
@@ -356,9 +358,12 @@ def run_campaign(
     """Monte Carlo campaign over ``sizes`` x ``reps`` replications.
 
     Per-replication seeds are spawned deterministically from the campaign
-    seed, so a campaign is reproducible byte-for-byte.  Replications whose
-    estimate is refused (any of ``errors.REFUSAL_ERRORS``) are recorded with
-    ``fail_flag=1`` and excluded from summaries; the campaign raises
+    seed, so a campaign is reproducible byte-for-byte.  ``sizes`` must be
+    distinct and at least one (``ValueError`` before any replication runs).
+    Replications whose estimate is refused (any of
+    ``errors.REFUSAL_ERRORS``) are recorded with ``fail_flag=1`` and
+    excluded from summaries, and the metadata's ``failures_by_code`` counts
+    them by the refused error's ``code``; the campaign raises
     :class:`ExcessiveFailures` when more than 5 % (``_MAX_FAIL_SHARE``) of
     them fail.
 
@@ -377,6 +382,8 @@ def run_campaign(
     if reps < 10:
         raise ValueError("reps must be >= 10")
     sizes = [int(s) for s in sizes]
+    if not sizes or len(set(sizes)) < len(sizes):
+        raise ValueError(f"sizes must be distinct and at least one, got {sizes}")
     sized = [replace(dgp, n=n) for n in sizes]
     children = np.random.SeedSequence(seed).spawn(len(sizes) * reps)
     jobs = [(sized[i // reps], i % reps, child, bandwidth) for i, child in enumerate(children)]
@@ -392,9 +399,10 @@ def run_campaign(
             results = list(pool.map(_rep_row, *zip(*jobs), chunksize=1))
     else:
         results = list(map(_rep_row, *zip(*jobs)))
-    rows = [row for row, _ in results]
-    n_fail = sum(row["fail_flag"] for row in rows)
-    n_fallback = sum(fallback for _, fallback in results)
+    rows = [row for row, _, _ in results]
+    n_fallback = sum(fallback for _, fallback, _ in results)
+    failures_by_code = dict(sorted(Counter(code for *_, code in results if code).items()))
+    n_fail = sum(failures_by_code.values())
 
     total = len(sizes) * reps
     if n_fail > _MAX_FAIL_SHARE * total:
@@ -419,6 +427,7 @@ def run_campaign(
         "config_hash": _campaign_config_hash(config),
         "config": config,
         "n_failures": n_fail,
+        "failures_by_code": failures_by_code,
         "n_bandwidth_fallbacks": n_fallback,
     }
 

@@ -315,12 +315,7 @@ class Space(ABC):
         raise EmbeddingUnavailable(f"{type(self).__name__} has no isometric embedding")
 
     def hilbert_distance(self, u: np.ndarray, v: np.ndarray) -> float:
-        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        if u.shape != v.shape:
-            raise ShapeMismatch(
-                f"embedding vectors of shapes {u.shape} and {v.shape} cannot be compared"
-            )
-        return self.hilbert_norm(u - v)
+        raise EmbeddingUnavailable(f"{type(self).__name__} has no isometric embedding")
 
     # -- Log/Exp charts (optional) ----------------------------------------------------
 
@@ -382,6 +377,14 @@ class HilbertSpace(Space):
                 f"embedding vectors must have {self.embedding_dim} coordinates"
             )
         return float(np.sqrt(max(self.hilbert_sq_norms(u[None])[0], 0.0)))
+
+    def hilbert_distance(self, u, v) -> float:
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        if u.shape != v.shape:
+            raise ShapeMismatch(
+                f"embedding vectors of shapes {u.shape} and {v.shape} cannot be compared"
+            )
+        return self.hilbert_norm(u - v)
 
     def hilbert_sq_norms(self, rows: np.ndarray) -> np.ndarray:
         """Squared Hilbert norms of the rows of a (k, D) array; one row is

@@ -541,7 +541,8 @@ class TestCommands:
         )
         assert code == 0
         assert (out / "campaign.csv").exists()
-        assert (out / "metadata.json").exists()
+        metadata = json.loads((out / "metadata.json").read_text())
+        assert sum(metadata["failures_by_code"].values()) == metadata["n_failures"]
         assert (out / "slope.json").exists()
         slope = json.loads((out / "slope.json").read_text())
         assert set(slope) >= {"sizes", "mean_bias", "slope"}
@@ -740,6 +741,17 @@ class TestCommands:
                      "--out", str(tmp_path / "sim")])
         assert code == 1
         assert "--sizes" in _one_parse_error(capsys)["message"]
+
+    def test_simulate_refuses_repeated_sizes(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        code = main(["simulate", "--dgp", "setting-I", "--sizes", "100,100", "--reps", "10",
+                     "--bw", "0.3", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        record = json.loads(err)
+        assert record["type"] == "ValueError" and "sizes must be distinct" in record["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("bw", ["x", "0.3,0.3", "", "auto,0.3"])
     def test_simulate_bad_bandwidth_is_a_parse_error(self, tmp_path, capsys, bw):

@@ -1,11 +1,16 @@
-"""Every library error survives pickling, as it must to leave a worker process."""
+"""Every library error survives pickling, as it must to leave a worker process,
+and states its kind, which the CLI's exit code and a campaign's replication
+rows follow."""
 
 import inspect
+import json
 import pickle
 
+import numpy as np
 import pytest
 
-from geordd import errors
+from geordd import ScalarDgp, cli, errors, simlab
+from geordd.io import write_sample_csv
 
 ERRORS = [
     cls for _, cls in inspect.getmembers(errors, inspect.isclass)
@@ -47,35 +52,66 @@ def test_inverted_bounds_keeps_its_bounds():
     assert str(back) == "bandwidth bounds are inverted: b_min=0.3 >= b_max=0.2"
 
 
-#: errors that mean bad input, a misuse of the API or a bug, not a refusal of
-#: the estimate on this data; every other class must be in REFUSAL_ERRORS
-NOT_REFUSALS = {
-    errors.GeorddError,
-    errors.SpaceMismatch,
-    errors.ShapeMismatch,
-    errors.NonFinitePayload,
-    errors.InvariantViolation,
-    errors.MixedSpaces,
-    errors.NotAPoint,
-    errors.AntipodalPoints,
-    errors.TransportOutOfSpace,
-    errors.EmbeddingUnavailable,
-    errors.InverseInfeasible,
-    errors.LogExpUnavailable,
-    errors.EmptyInput,
-    errors.MissingTreatment,
-    errors.MissingAssignment,
-    errors.ExcessiveFailures,
-    errors.ParseError,
-}
+# -- kinds -------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
-def test_every_error_class_is_classified(cls):
-    # a new class fails here until it is added to one side or the other
-    refusal = issubclass(cls, errors.REFUSAL_ERRORS)
-    assert refusal != (cls in NOT_REFUSALS)
+def test_every_error_class_states_its_kind(cls):
+    assert isinstance(cls.__dict__["refusal"], bool)
+    assert issubclass(cls, errors.REFUSAL_ERRORS) == cls.refusal
 
 
-def test_an_exp_refusal_is_a_refusal():
-    assert issubclass(errors.ExpOutOfDomain, errors.REFUSAL_ERRORS)
+def test_a_class_that_states_no_kind_is_refused_when_defined():
+    with pytest.raises(TypeError, match="refusal"):
+        class Unstated(errors.GeorddError):
+            code = "unstated"
+
+
+def test_eight_classes_are_refusals():
+    # a change of kind changes an exit code and a campaign's outcome, so it
+    # is made here on purpose as well as in the class line
+    assert len(errors.REFUSAL_ERRORS) == 8
+
+
+# -- consumers ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sharp_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("errors") / "sharp.csv"
+    write_sample_csv(ScalarDgp(n=100, seed=1).sample()[0], path)
+    return path
+
+
+def _raising(cls):
+    def raise_it(*args, **kwargs):
+        raise _make(cls)
+
+    return raise_it
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
+def test_the_cli_exit_code_follows_the_kind(cls, monkeypatch, sharp_csv, tmp_path, capsys):
+    monkeypatch.setattr(cli, "estimate_sharp", _raising(cls))
+    code = cli.main(["sharp", "--input", str(sharp_csv), "--space", "euclid",
+                     "--cutoff", "0", "--bw", "0.5", "--out", str(tmp_path / "o")])
+    assert code == (2 if cls.refusal else 1)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    record = json.loads(err)
+    assert record["error"] == cls.code and record["type"] == cls.__name__
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
+def test_a_replication_follows_the_kind(cls, monkeypatch):
+    monkeypatch.setattr(simlab, "_one_rep", _raising(cls))
+    args = (ScalarDgp(n=100), 3, np.random.SeedSequence(0), 0.5)
+    if not cls.refusal:
+        with pytest.raises(cls):
+            simlab._rep_row(*args)
+        return
+    row, fallback, refused = simlab._rep_row(*args)
+    assert row["fail_flag"] == 1 and row["rep"] == 3 and not fallback
+    assert np.isnan(row["bias"]) and np.isnan(row["bandwidth"])
+    assert refused == cls.code

@@ -240,6 +240,15 @@ class TestRunCampaign:
         assert res.metadata["rng"] == "numpy-pcg64-seedsequence"
         assert "config_hash" in res.metadata
 
+    @pytest.mark.parametrize("sizes", [[], [100, 100], [100, 200, 100]])
+    def test_sizes_must_be_distinct_and_at_least_one(self, monkeypatch, sizes):
+        def no_rep(dgp, rng, bandwidth):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simlab, "_one_rep", no_rep)
+        with pytest.raises(ValueError, match="sizes must be distinct and at least one"):
+            run_campaign(ScalarDgp(seed=0), sizes=sizes, reps=10, bandwidth=0.4)
+
     def test_mostly_failing_campaign_raises(self):
         # at n = 40 most draws have fewer than 20 observations on one side
         with pytest.raises(ExcessiveFailures, match=r"limit 5%"):
@@ -292,11 +301,33 @@ class TestParallelCampaign:
             assert multiprocessing.active_children() == []
         serial, parallel = results
         assert serial.metadata["n_failures"] == 1
+        assert serial.metadata["failures_by_code"] == {"insufficient_data": 1}
         assert serial.metadata["n_bandwidth_fallbacks"] >= 1
         assert parallel.to_csv() == serial.to_csv()
         assert json.dumps(parallel.metadata) == json.dumps(serial.metadata)
         assert parallel.rate_fit == serial.rate_fit
         assert [row["rep"] for row in parallel.rows] == list(range(10)) * 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_metadata_counts_failures_by_code(self, monkeypatch, workers):
+        refusals = {7: errors.WeakCompliance, 21: errors.InsufficientData,
+                    44: errors.WeakCompliance}
+
+        def refuse_three(dgp, rng, bandwidth):
+            rep = _replication(rng)
+            if rep in refusals:
+                raise refusals[rep]("refused")
+            return dgp.setting, 0.5, 1.0 / dgp.n, False
+
+        monkeypatch.setattr(simlab, "_one_rep", refuse_three)
+        _use_workers(monkeypatch, workers)
+        res = run_campaign(ScalarDgp(seed=0), sizes=[100, 200], reps=30, bandwidth=0.4)
+        assert multiprocessing.active_children() == []
+        by_code = res.metadata["failures_by_code"]
+        assert by_code == {"insufficient_data": 1, "weak_compliance": 2}
+        assert list(by_code) == sorted(by_code)
+        assert sum(by_code.values()) == res.metadata["n_failures"] == 3
+        assert [row["fail_flag"] for row in res.rows].count(1) == 3
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_an_error_in_a_replication_propagates(self, monkeypatch, workers):
@@ -368,13 +399,3 @@ def test_import_leaves_process_pools_unloaded():
     )
     assert out.stdout.strip() == "[]"
 
-
-def test_an_exp_refusal_in_a_replication_is_a_failed_row(monkeypatch):
-    def refuse(dgp, rng, bandwidth):
-        raise errors.ExpOutOfDomain("refused")
-
-    monkeypatch.setattr(simlab, "_one_rep", refuse)
-    dgp = StepDesign()
-    row, fallback = simlab._rep_row(dgp, 3, np.random.SeedSequence(0), 0.5)
-    assert row["fail_flag"] == 1 and row["rep"] == 3 and not fallback
-    assert np.isnan(row["bias"]) and np.isnan(row["bandwidth"])

@@ -296,8 +296,9 @@ class TestEmbedding:
             sp.embed(sp.point([1.0, 0.0, 0.0]))
         with pytest.raises(EmbeddingUnavailable):
             sp.hilbert_norm(np.ones(3))
-        with pytest.raises(EmbeddingUnavailable):
-            sp.hilbert_distance(np.ones(3), np.zeros(3))
+        for other in (np.zeros(3), np.zeros(4)):  # whatever the shapes
+            with pytest.raises(EmbeddingUnavailable):
+                sp.hilbert_distance(np.ones(3), other)
 
     def test_inverse_infeasible_signals_projection(self):
         w = Wasserstein1D(4)
