@@ -84,18 +84,18 @@ def _interval(text: str) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-@_form("a whole number >= 1")
-def _count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise ValueError(text)
-    return count
+def _at_least(lo: int):
+    def whole(text: str) -> int:
+        if (value := int(text)) < lo:
+            raise ValueError(text)
+        return value
+    return _form(f"a whole number >= {lo}")(whole)
 
 
-@_form("whole numbers 'n1,n2,...'")
+@_form("distinct whole numbers >= 40 'n1,n2,...'")
 def _sizes(text: str) -> list[int]:
     sizes = [int(s) for s in text.split(",") if s.strip()]
-    if not sizes:
+    if not sizes or len(set(sizes)) < len(sizes) or min(sizes) < 40:
         raise ValueError(text)
     return sizes
 
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sharp = sub.add_parser("sharp", help="sharp-design estimate at the cutoff")
     add_io(p_sharp)
     p_sharp.add_argument("--bw", type=_bandwidth_pair, default="auto", help="'auto' or 'h0,h1'")
-    p_sharp.add_argument("--bins", type=_count, default=40, help="bin count for plot data")
+    p_sharp.add_argument("--bins", type=_at_least(1), default=40, help="bin count for plot data")
 
     p_fuzzy = sub.add_parser("fuzzy", help="fuzzy-design estimates (needs t column)")
     add_io(p_fuzzy)
@@ -153,17 +153,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="tangent variants only: JSON file with the tangent-space reference "
         "point (default: sample Frechet mean, flagged as data-dependent)",
     )
-    p_fuzzy.add_argument("--bins", type=_count, default=40)
+    p_fuzzy.add_argument("--bins", type=_at_least(1), default=40)
 
     p_bw = sub.add_parser("bandwidth", help="run the data-adaptive bandwidth search")
     add_io(p_bw)
-    p_bw.add_argument("--grid-size", type=_count, default=20)
+    p_bw.add_argument("--grid-size", type=_at_least(1), default=20)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo campaigns on synthetic designs")
     add_io(p_sim, need_input=False)
     p_sim.add_argument("--dgp", choices=_DGPS, default="network")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--reps", type=int, default=100)
+    p_sim.add_argument("--seed", type=_at_least(0), default=0)
+    p_sim.add_argument("--reps", type=_at_least(10), default=100)
     p_sim.add_argument(
         "--sizes", type=_sizes, default="100,200,500,1000", help="comma-separated sample sizes"
     )

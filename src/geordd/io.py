@@ -33,6 +33,7 @@ import numpy as np
 from .errors import InvariantViolation, MixedSpaces, NonFinitePayload, ParseError, ShapeMismatch
 from .sample import RddSample
 from .spaces import (
+    SPD_VARIANTS,
     CompositionalSphere,
     Euclidean,
     FunctionalL2,
@@ -90,6 +91,8 @@ def space_from_spec(
             )
         if name == "laplacian":
             return NetworkLaplacian(m, max_weight)
+        if variant and variant.lower().replace("-", "_") not in SPD_VARIANTS:
+            raise ParseError(f"unknown SPD variant {variant!r}; choose from {SPD_VARIANTS}")
         return SpdSpace(m, variant or "frobenius", power=power)
     raise ParseError(f"unknown space {spec!r}; choose from {SPACE_NAMES}")
 

@@ -20,13 +20,14 @@ space supplies ``shape`` and, where the defaults do not hold:
 
 - ``_validate``, when payloads carry invariants (default: none);
 - ``_embed`` and ``_inverse``, when the embedding is not the flattened
-  payload (default: flatten, and reshape back);
+  payload (default: flatten, and reshape back); the matrix spaces inherit
+  both from the half-vectorised chart of ``spd.MatrixSpace``;
 - ``_project``, the feasibility projection of each row of a ``(k, D)``
   stack onto the image set, when that set is not the whole Hilbert space
   (default: the identity); ``project_embedding`` applies it to one vector or
-  to a stack.  It is the metric projection except in ``NetworkLaplacian``,
-  whose clamp-and-reset rule lands in the image set but not at its nearest
-  point;
+  to a stack.  It is the metric projection (an eigenvalue clip for SPD)
+  except in ``NetworkLaplacian``, whose clamp-and-reset rule lands in the
+  image set but not at its nearest point;
 - ``_hilbert_weights``, when the inner product is not the dot product.
 
 A space with Log/Exp charts supplies ``_log``, the Log coordinates at a base

@@ -4,28 +4,18 @@ Undirected weighted graphs on a fixed node set are represented by their
 Laplacians L = D - W.  The set of such Laplacians with edge weights in
 [0, max_weight] is convex and closed, so the Frobenius metric gives a flat
 geometry in which geodesics are straight lines.  The embedding is the
-half-vectorised chart z = (sqrt(2) L_ij for i < j in ``np.triu_indices``
-order, then L_ii): m(m+1)/2 coordinates under the plain dot product, with
-|z| = |L|_F, instead of the m^2 entries of the flattened matrix.
+half-vectorised chart of :class:`~geordd.spaces.spd.MatrixSpace`, with the
+Laplacian as its own chart matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import HilbertSpace, MetricObject, refuse_rows
-from .spd import _sym
+from .base import MetricObject, refuse_rows
+from .spd import _SQRT2, MatrixSpace, _diag
 
 __all__ = ["NetworkLaplacian", "laplacian_from_weights"]
-
-_SQRT2 = np.sqrt(2.0)
-
-
-def _diag(v: np.ndarray) -> np.ndarray:
-    """Diagonal matrices with the rows of ``v`` on their diagonals."""
-    out = np.zeros(v.shape + v.shape[-1:])
-    np.einsum("...ii->...i", out)[...] = v
-    return out
 
 
 def _off_diagonal(mat: np.ndarray) -> np.ndarray:
@@ -47,7 +37,7 @@ def laplacian_from_weights(w: np.ndarray) -> np.ndarray:
     return _laplacian(0.0 - _off_diagonal(w))
 
 
-class NetworkLaplacian(HilbertSpace):
+class NetworkLaplacian(MatrixSpace):
     """Graph Laplacians of weighted graphs on ``n_nodes`` nodes.
 
     Parameters
@@ -61,24 +51,15 @@ class NetworkLaplacian(HilbertSpace):
     def __init__(self, n_nodes: int, max_weight: float | None = None):
         if n_nodes < 2:
             raise ValueError("n_nodes must be >= 2")
-        self._m = int(n_nodes)
+        super().__init__(int(n_nodes))
         self._wmax = None if max_weight is None else float(max_weight)
         if self._wmax is not None and not self._wmax > 0:
             raise ValueError("max_weight must be positive")
-        m = self._m
-        self._iu = np.triu_indices(m, k=1)
-        self._n_edges = self._iu[0].size
-        # flat payload entry of each chart coordinate: the edges, then the diagonal
-        self._entries = np.concatenate([self._iu[0] * m + self._iu[1], np.arange(m) * (m + 1)])
         # edge coordinates incident to each node, in increasing neighbour order
-        edge = np.zeros((m, m), dtype=np.intp)
-        edge[self._iu] = np.arange(self._n_edges)
+        edge = np.zeros(self.shape, dtype=np.intp)
+        edge[self._iu] = np.arange(len(self._iu[0]))
         edge += edge.T
-        self._incident = edge[~np.eye(m, dtype=bool)].reshape(m, m - 1)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self._m, self._m)
+        self._incident = edge[~np.eye(self._m, dtype=bool)].reshape(self._m, self._m - 1)
 
     @property
     def n_nodes(self) -> int:
@@ -87,10 +68,6 @@ class NetworkLaplacian(HilbertSpace):
     @property
     def max_weight(self) -> float | None:
         return self._wmax
-
-    @property
-    def embedding_dim(self) -> int:
-        return self._m * (self._m + 1) // 2
 
     def _key(self):
         return (self._m, self._wmax)
@@ -108,20 +85,10 @@ class NetworkLaplacian(HilbertSpace):
             (np.diagonal(stack, axis1=1, axis2=2).min(axis=1) < -tol,
              "diagonal entries must be nonnegative"),
             (weight > wmax,
-             lambda i: f"edge weights must not exceed {self._wmax}, got {weight[i]!r}"),
+             lambda i: f"edge weights must not exceed {self._wmax}, got {float(weight[i])!r}"),
         )
         # canonicalize: exact symmetry and exact zero row sums
-        return _laplacian(_sym(off))
-
-    def _embed(self, stack):
-        out = np.take(stack.reshape(len(stack), -1), self._entries, axis=1)
-        out[:, : self._n_edges] *= _SQRT2
-        return out
-
-    def _inverse(self, v):
-        off = np.zeros(self.shape)
-        off[self._iu] = v[: self._n_edges] / _SQRT2
-        return _diag(v[self._n_edges :]) + off + off.T
+        return _laplacian(0.5 * (off + np.swapaxes(off, 1, 2)))
 
     def _project(self, rows):
         """Clamp the edge weights into [0, max_weight] and reset the diagonal
@@ -131,7 +98,7 @@ class NetworkLaplacian(HilbertSpace):
         edge weight also enters two diagonal entries, so clamping it alone
         does not find the nearest admissible Laplacian.
         """
-        e = self._n_edges
+        e = -self._m  # the edge coordinates are all but the last m
         out = rows.copy()
         lo = -_SQRT2 * self._wmax if self._wmax is not None else -np.inf
         off = np.clip(out[:, :e], lo, 0.0, out=out[:, :e])

@@ -127,7 +127,7 @@ class CompositionalSphere(Space):
         refuse_rows(
             (~np.all((y >= -1e-12) & (y < np.inf), axis=1),
              "shares must be finite and nonnegative"),
-            (np.abs(sums - 1.0) > 1e-8, lambda i: f"shares must sum to one, got {sums[i]!r}"),
+            (np.abs(sums - 1.0) > 1e-8, lambda i: f"shares must sum to one, got {float(sums[i])}"),
         )
         y = np.maximum(y, _SHARE_FLOOR)
         return self._checked(np.sqrt(y / y.sum(axis=1, keepdims=True)))
@@ -171,7 +171,7 @@ class CompositionalSphere(Space):
             (norms >= np.pi, lambda i: f"tangent vector norm {float(norms[i])!r} is at "
                                        "or beyond the cut locus (pi)"),
             (z.min(axis=1) < -_ORTHANT_TOL, lambda i: "exponential image leaves the positive "
-                                                      f"orthant; min coordinate {z[i].min()!r}"),
+             f"orthant; min coordinate {float(z[i].min())!r}"),
             error=ExpOutOfDomain,
         )
         return np.maximum(z, 0.0)

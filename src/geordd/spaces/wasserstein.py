@@ -61,8 +61,8 @@ class Wasserstein1D(HilbertSpace):
         diffs = np.diff(stack, axis=1)
         lo, hi = self._support or (-np.inf, np.inf)
         refuse_rows(
-            (diffs.min(axis=1, initial=0.0) < -tol,
-             lambda i: f"quantile function must be nondecreasing; worst step {diffs[i].min()!r}"),
+            (diffs.min(axis=1, initial=0.0) < -tol, lambda i: "quantile function must be "
+             f"nondecreasing; worst step {float(diffs[i].min())!r}"),
             ((stack.min(axis=1) < lo - tol) | (stack.max(axis=1) > hi + tol),
              f"quantile values must stay within the support [{lo}, {hi}]"),
         )

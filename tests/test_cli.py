@@ -747,11 +747,28 @@ class TestCommands:
         code = main(["simulate", "--dgp", "setting-I", "--sizes", "100,100", "--reps", "10",
                      "--bw", "0.3", "--out", str(out)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1, err
-        record = json.loads(err)
-        assert record["type"] == "ValueError" and "sizes must be distinct" in record["message"]
+        assert "--sizes" in _one_parse_error(capsys)["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--sizes", "10,100"), ("--sizes", "39"), ("--reps", "5"), ("--seed", "-1")]
+    )
+    def test_simulate_refuses_bad_counts_by_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "sim"
+        args = ["simulate", "--dgp", "setting-I", "--sizes", "100", "--reps", "10",
+                "--bw", "0.3", "--out", str(out)]
+        code = main(args + [f"{flag}={value}"])
+        assert code == 1
+        assert flag in _one_parse_error(capsys)["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sharp", "validate"])
+    def test_unknown_spd_variant_is_a_parse_error(self, tmp_path, capsys, command):
+        path = _write(tmp_path / "s.csv", "r,y0,y1,y2,y3\n0.5,1,0,0,1\n")
+        code = main([command, "--input", str(path), "--space", "spd:bogus", "--cutoff", "0",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "unknown SPD variant 'bogus'" in _one_parse_error(capsys)["message"]
 
     @pytest.mark.parametrize("bw", ["x", "0.3,0.3", "", "auto,0.3"])
     def test_simulate_bad_bandwidth_is_a_parse_error(self, tmp_path, capsys, bw):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import logm
+from scipy.linalg import expm, fractional_matrix_power, logm
 
 import geordd
 from geordd import (
@@ -40,7 +40,7 @@ from geordd.errors import (
 )
 from geordd.frechet import Side, batch_lfr_embeddings
 from geordd.io import object_from_json
-from geordd.spaces import HilbertSpace, Space
+from geordd.spaces import SPD_VARIANTS, HilbertSpace, Space
 from geordd.spaces import base as spaces_base
 from geordd.spaces.base import refuse_rows
 from geordd.spaces.network import laplacian_from_weights
@@ -273,6 +273,18 @@ class TestQuotientDistance:
         assert quotient_distance(e1, e2) < 1e-10
 
 
+#: SPD variants whose every chart vector is a point
+_WHOLE_CHART = ("log_euclidean", "log_cholesky")
+
+
+def _below_floor(space, v):
+    """The chart vector ``v`` of an SPD space with the smallest eigenvalue of
+    its chart matrix moved to -0.5, below every variant's floor, and the
+    other eigenvalues kept."""
+    lam, vec = np.linalg.eigh(space._symmetric(v[None])[0])
+    return v - space._half_vec((lam[0] + 0.5) * np.outer(vec[:, 0], vec[:, 0])[None])[0]
+
+
 class TestEmbedding:
     def test_euclidean_identity(self):
         eu = Euclidean(3)
@@ -282,8 +294,8 @@ class TestEmbedding:
     def test_spd_log_euclidean_diagonal(self):
         spd = SpdSpace(2, "log_euclidean")
         p = spd.point(np.diag([np.e, np.e**2]))
-        emb = spd.embed(p).reshape(2, 2)
-        np.testing.assert_allclose(emb, np.diag([1.0, 2.0]), atol=1e-12)
+        # the half-vectorised chart: sqrt(2) log(A)_01, then the diagonal of log(A)
+        np.testing.assert_allclose(spd.embed(p), [0.0, 1.0, 2.0], atol=1e-12)
 
     def test_wasserstein_identity(self):
         w = Wasserstein1D(5)
@@ -308,7 +320,7 @@ class TestEmbedding:
         assert np.all(np.diff(out.data) >= 0)
 
         spd = SpdSpace(2, "frobenius")
-        bad = np.array([[1.0, 0.0], [0.0, -1.0]]).ravel()
+        bad = np.array([0.0, 1.0, -1.0])  # the chart of diag(1, -1)
         with pytest.raises(InverseInfeasible):
             spd.inverse_embed(bad)
         fixed = spd.inverse_embed(bad, project=True)
@@ -325,9 +337,11 @@ class TestEmbedding:
             assert space.distance(p, back) < 1e-8
 
 
-#: embeddable spaces whose image set is a proper subset of the Hilbert space
+#: embeddable spaces whose image set is a proper subset of the Hilbert space:
+#: not the linear spaces, nor the SPD variants whose chart is all of it
 BOUNDED_IMAGE_CASES = [
-    c for c in EMBEDDABLE_CASES if not isinstance(c[1], (Euclidean, FunctionalL2))
+    c for c in EMBEDDABLE_CASES
+    if not isinstance(c[1], (Euclidean, FunctionalL2)) and c[1].variant not in _WHOLE_CHART
 ]
 
 
@@ -363,6 +377,8 @@ class TestEmbeddingContract:
         rng = np.random.default_rng(11)
         for _ in range(6):
             v = space.embed(sampler(space, rng)) + rng.normal(size=space.embedding_dim)
+            if isinstance(space, SpdSpace):  # noise stays symmetric: push the spectrum too
+                v = _below_floor(space, v)
             proj = space.project_embedding(v)
             assert np.abs(proj - v).max() > 1e-3
             with pytest.raises(InverseInfeasible):
@@ -657,7 +673,7 @@ class TestLaplacianChart:
         np.testing.assert_array_equal(proj[:, :15][inside], edges[inside])
         np.testing.assert_array_equal(space.project_embedding(proj), proj)
         # every projected row is the chart of an admissible Laplacian
-        back = space.stack(np.stack([space._inverse(row) for row in proj]))
+        back = space.stack(space._inverse(proj))
         np.testing.assert_allclose(space.embed_many(back), proj, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
@@ -689,6 +705,131 @@ class TestLaplacianChart:
         assert sample.space.n_nodes == 10
         assert sample.embeddings.shape == (100, 55)
         assert sample.lfr_tables.psi.shape[1] == 55
+
+
+def _spd_stack(m, rng, k):
+    """k SPD matrices with eigenvalues in [0.5, 3]."""
+    q = np.linalg.qr(rng.normal(size=(k, m, m)))[0]
+    return (q * rng.uniform(0.5, 3.0, (k, 1, m))) @ np.swapaxes(q, 1, 2)
+
+
+def _spd_chart_matrices(variant, mats):
+    """Each variant's chart matrix, written out with scipy: A, A^0.5, log A,
+    or the Cholesky factor with the log of its diagonal."""
+    if variant == "frobenius":
+        return mats
+    if variant == "power":
+        return np.stack([fractional_matrix_power(a, 0.5) for a in mats])
+    if variant == "log_euclidean":
+        return np.stack([logm(a) for a in mats])
+    low = np.linalg.cholesky(mats)
+    diag = np.einsum("...ii->...i", low)
+    diag[...] = np.log(diag)
+    return low
+
+
+def _spd_from_chart(variant, mats):
+    """The inverse of :func:`_spd_chart_matrices` on symmetric matrices (the
+    lower triangle, for log-Cholesky)."""
+    if variant == "frobenius":
+        return mats
+    if variant in ("power", "log_euclidean"):
+        return np.stack([(a @ a) if variant == "power" else expm(a) for a in mats])
+    low = np.tril(mats, -1) + np.stack([np.diag(np.exp(np.diag(a))) for a in mats])
+    return low @ np.swapaxes(low, 1, 2)
+
+
+def _variants_and_sizes(variants):
+    cases = [(v, m) for v in variants for m in (1, 2, 3, 5)]
+    return pytest.mark.parametrize("variant,m", cases, ids=[f"{v}-{m}" for v, m in cases])
+
+
+_ALL_VARIANTS = _variants_and_sizes(SPD_VARIANTS)
+
+
+class TestSpdChart:
+    @_ALL_VARIANTS
+    def test_embedding_dim_is_half_vectorised(self, variant, m):
+        space = SpdSpace(m, variant)
+        assert space.embedding_dim == m * (m + 1) // 2
+        pts = space.stack(_spd_stack(m, np.random.default_rng(m), 4))
+        assert space.embed_many(pts).shape == (4, m * (m + 1) // 2)
+
+    @_ALL_VARIANTS
+    def test_chart_distances_are_the_metric(self, variant, m):
+        space = SpdSpace(m, variant)
+        rng = np.random.default_rng(40 + m)
+        a, b = (space.stack(_spd_stack(m, rng, 30)) for _ in range(2))
+        ca, cb = (_spd_chart_matrices(variant, p.data) for p in (a, b))
+        want = np.linalg.norm(ca - cb, axis=(1, 2))
+        got = np.linalg.norm(space.embed_many(a) - space.embed_many(b), axis=1)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+        for i in range(0, 30, 7):
+            assert space.distance(a[i], b[i]) == pytest.approx(want[i], rel=1e-14)
+
+    @_ALL_VARIANTS
+    def test_stacked_rows_equal_single_rows(self, variant, m):
+        space = SpdSpace(m, variant)
+        rng = np.random.default_rng(50 + m)
+        pts = space.stack(_spd_stack(m, rng, 6))
+        rows = space.embed_many(pts)
+        rows[1::2] += rng.normal(size=(3, space.embedding_dim))  # some off the image set
+        proj = space.project_embedding(rows)
+        back = space._inverse(proj)
+        for i in range(6):
+            assert space.embed(pts[i]).tobytes() == space.embed_many(pts[i : i + 1]).tobytes()
+            assert space.project_embedding(rows[i]).tobytes() == proj[i].tobytes()
+            assert space._inverse(proj[i]).tobytes() == back[i].tobytes()
+        empty = np.empty((0, space.embedding_dim))
+        assert space._inverse(empty).shape == (0, m, m)
+        assert space.project_embedding(empty).shape == empty.shape
+        assert space.embed_many([]).shape == empty.shape
+
+    @_variants_and_sizes(_WHOLE_CHART)
+    def test_every_chart_vector_is_a_point(self, variant, m):
+        space = SpdSpace(m, variant)
+        rng = np.random.default_rng(60 + m)
+        for v in rng.normal(size=(8, space.embedding_dim)):
+            assert space.project_embedding(v).tobytes() == v.tobytes()
+            p = space.inverse_embed(v)
+            np.testing.assert_allclose(space.embed(p), v, rtol=0, atol=1e-12)
+
+    @_variants_and_sizes(["frobenius", "power"])
+    def test_eigenvalue_below_the_floor_needs_projection(self, variant, m):
+        space = SpdSpace(m, variant)
+        rng = np.random.default_rng(70 + m)
+        for p in space.stack(_spd_stack(m, rng, 6)):
+            v = _below_floor(space, space.embed(p))
+            with pytest.raises(InverseInfeasible):
+                space.inverse_embed(v)
+            proj = space.project_embedding(v)
+            # the metric projection moves the one low eigenvalue up to the floor
+            floor = space.eps_pd ** (space.power if variant == "power" else 1.0)
+            assert np.linalg.norm(proj - v) == pytest.approx(0.5 + floor, rel=1e-12)
+            lam = np.linalg.eigvalsh(space._symmetric(proj[None])[0])
+            assert lam.min() == pytest.approx(floor, rel=1e-6)
+            np.testing.assert_allclose(space.project_embedding(proj), proj, rtol=0, atol=1e-14)
+            space.inverse_embed(proj)  # feasible: no projection needed
+
+    @_ALL_VARIANTS
+    def test_batched_fit_maps_back_to_the_wls_fit(self, variant, m):
+        space = SpdSpace(m, variant)
+        rng = np.random.default_rng(80 + m)
+        n = 120
+        r = rng.uniform(-1.0, 1.0, n)
+        pts = space.stack(_spd_stack(m, rng, n) + (1.5 + r + (r >= 0))[:, None, None] * np.eye(m))
+        y = _spd_chart_matrices(variant, pts.data).reshape(n, -1)
+        centers = np.array([-0.6, -0.3, 0.0, 0.2, 0.5])
+        h = 0.45
+        for side in (Side.LEFT, Side.RIGHT):
+            fits, valid = batch_lfr_embeddings(r, space.embed_many(pts), centers, h, side)
+            assert valid.sum() >= 3
+            got = space._inverse(fits[valid])  # the stack form
+            for c, fit in zip(centers[valid], got):
+                keep = r < c if side is Side.LEFT else r >= c
+                chart = wls_line_oracle(r, y, c, h, keep)[0].reshape(1, m, m)
+                oracle = _spd_from_chart(variant, chart)[0]
+                np.testing.assert_allclose(fit, oracle, rtol=1e-10, atol=1e-10)
 
 
 def _sphere_pairs(dim, rng):
@@ -899,6 +1040,25 @@ class TestValidation:
     def test_spd_not_positive(self):
         with pytest.raises(InvariantViolation):
             SpdSpace(2).point([[1.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "refuse,text",
+        [
+            (lambda: NetworkLaplacian(2, max_weight=2.0).point([[3.0, -3.0], [-3.0, 3.0]]),
+             "edge weights must not exceed 2.0, got 3.0"),
+            (lambda: Wasserstein1D(3).point([0.0, 1.0, 0.0]), "worst step -1.0"),
+            (lambda: CompositionalSphere.from_shares([0.5, 0.5, 0.3]),
+             "shares must sum to one, got 1.3"),
+            (lambda: CompositionalSphere(3).exp_map(
+                CompositionalSphere(3).point([1.0, 0.0, 0.0]), [0.0, -1.0, 0.0]),
+             f"min coordinate {-float(np.sin(1.0))!r}"),
+        ],
+        ids=["laplacian-weight", "quantile-step", "share-sum", "exp-orthant"],
+    )
+    def test_refusals_print_plain_floats(self, refuse, text):
+        # a NumPy scalar would print as np.float64(...) under NumPy 2
+        message = str(_refusal(refuse))
+        assert message.endswith(text), message
 
     def test_quantile_not_monotone(self):
         with pytest.raises(InvariantViolation):
