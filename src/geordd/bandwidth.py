@@ -166,7 +166,7 @@ def _loss_unit(sample: RddSample, pts: np.ndarray) -> float:
     squared distance of the outcomes from their mean, in the embedding (on
     the sphere, chordal).  Losses within ``_TIE_TOL`` of it are rounding."""
     if isinstance(sample.space, HilbertSpace):
-        dev = sample.embeddings - sample.embeddings.mean(0)
+        dev = sample.ys.embedded - sample.ys.embedded.mean(0)
         return float(pts[-1] - pts[0]) * float(sample.space.hilbert_sq_norms(dev).mean())
     return float(pts[-1] - pts[0]) * float(np.var(sample.ys.data, axis=0).sum())
 
@@ -202,7 +202,7 @@ def _grid_losses(sample: RddSample, c: float, grid: np.ndarray, pts: np.ndarray)
     if isinstance(space, HilbertSpace):
         (fits_l, ok_l), (fits_r, ok_r) = [
             batch_lfr_embeddings(
-                r, sample.embeddings, centers, h, side, lo=lo, hi=hi, tables=sample.lfr_tables
+                r, sample.ys.embedded, centers, h, side, lo=lo, hi=hi, tables=sample.lfr_tables
             )
             for side, lo, hi in sides
         ]

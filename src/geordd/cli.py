@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -78,18 +79,34 @@ def _form(expected: str):
     return typed
 
 
-@_form("'lo,hi'")
-def _interval(text: str) -> tuple[float, float]:
+def _checked(parse, ok, expected: str):
+    """An argparse type that reads a value with ``parse`` and refuses it,
+    as not of the form ``expected``, unless ``ok`` holds for it."""
+
+    def read(text: str):
+        if not ok(value := parse(text)):
+            raise ValueError(text)
+        return value
+
+    return _form(expected)(read)
+
+
+def _pair(text: str) -> tuple[float, float]:
     lo, _, hi = text.partition(",")
     return float(lo), float(hi)
 
 
+# a NaN fails every comparison, so none of these reads one
+_interval = _checked(_pair, lambda v: v[0] < v[1], "'lo,hi' with lo < hi")
+_finite_interval = _checked(
+    _pair, lambda v: -math.inf < v[0] < v[1] < math.inf, "finite 'lo,hi' with lo < hi"
+)
+_positive = _checked(float, lambda v: v > 0, "a positive number")
+_positive_finite = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+
+
 def _at_least(lo: int):
-    def whole(text: str) -> int:
-        if (value := int(text)) < lo:
-            raise ValueError(text)
-        return value
-    return _form(f"a whole number >= {lo}")(whole)
+    return _checked(int, lambda v: v >= lo, f"a whole number >= {lo}")
 
 
 @_form("distinct whole numbers >= 40 'n1,n2,...'")
@@ -132,9 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument("--cutoff", type=float, required=True)
             p.add_argument("--support", type=_interval, help="lo,hi for wass payloads")
-            p.add_argument("--wmax", type=float, help="laplacian weight cap")
-            p.add_argument("--domain", type=_interval, help="lo,hi grid domain for l2")
-            p.add_argument("--power", type=float, default=0.5, help="spd power exponent")
+            p.add_argument("--wmax", type=_positive, help="laplacian weight cap")
+            p.add_argument("--domain", type=_finite_interval, help="lo,hi grid domain for l2")
+            p.add_argument(
+                "--power", type=_positive_finite, default=0.5, help="spd power exponent"
+            )
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--config", help="JSON config file (flags win)")
 
@@ -239,7 +258,7 @@ def _plot_data(sample: RddSample, h0: float, h1: float, bins: int, out: Path):
     space = sample.space
     if not isinstance(space, HilbertSpace):
         return
-    emb = sample.embeddings
+    emb = sample.ys.embedded
     c = sample.cutoff
     r_lo, r_hi = float(sample.r[0]), float(sample.r[-1])
     below = np.nextafter(c, -np.inf)

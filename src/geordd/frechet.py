@@ -152,13 +152,13 @@ class SolveInfo:
     sphere solve was a full Newton step, or ``"sphere_descent"`` when any
     step was shortened, clamped or taken along the gradient.  ``iterations``
     counts a sphere solve's iterations over both of its starts.
-    ``projected`` says whether the result was projected onto the feasible
-    set; on the sphere, whether the search of the last step, or of the final
-    stall, clamped a candidate to the orthant.  ``grad_norm`` is the sphere
-    solver's final Riemannian gradient norm over sum|w| (NaN for embedding
-    solves, which are exact).  ``multistart_spread`` is always 0.0: the
-    solver has one path and keeps the field for readers of earlier
-    diagnostics.
+    ``projected`` says whether the projection onto the feasible set moved
+    the mean by more than 1e-12 of its sup norm; on the sphere, whether the
+    search of the last step, or of the final stall, clamped a candidate to
+    the orthant.  ``grad_norm`` is the sphere solver's final Riemannian
+    gradient norm over sum|w| (NaN for embedding solves, which are exact).
+    ``multistart_spread`` is always 0.0: the solver has one path and keeps
+    the field for readers of earlier diagnostics.
     """
 
     method: str
@@ -590,7 +590,9 @@ def weighted_frechet_mean(
     (local-linear weights are).  In embeddable spaces the result is the
     inverse-embedded weighted average of the embedded points, projected onto
     the feasible image set: the exact minimizer wherever that projection is
-    metric, which ``NetworkLaplacian``'s clamp-and-reset rule is not.  On the
+    metric, which ``NetworkLaplacian``'s clamp-and-reset rule is not.  The
+    embedded points are the stack's own :attr:`PointStack.embedded` rows,
+    computed once per stack, so a solve embeds nothing again.  On the
     sphere one safeguarded Riemannian Newton iteration is used, whose result
     is certified against every object of ``objects``; ``cfg`` sets its
     stopping rule.  The certificate bounds the objective at all n objects in
@@ -600,8 +602,10 @@ def weighted_frechet_mean(
     cfg = cfg or DEFAULT_SOLVE_CONFIG
     stack = rows = PointStack.of(objects)
     space = stack.space
+    sel = slice(None)
     if isinstance(weights, WeightProfile):
-        rows, weights = stack[weights.support], weights.weights
+        sel, weights = weights.support, weights.weights
+        rows = stack[sel]
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(rows),):
         raise ValueError("weights must match the number of objects")
@@ -609,7 +613,7 @@ def weighted_frechet_mean(
         raise ValueError("weights must be finite")
 
     if isinstance(space, HilbertSpace):
-        result, info = _embedding_mean(space, rows, w)
+        result, info = _embedding_mean(space, stack.embedded[sel], w)
     elif isinstance(space, CompositionalSphere):
         result, info = _sphere_mean(space, rows, w, cfg, stack)
     else:  # pragma: no cover - all shipped spaces are covered above
@@ -617,23 +621,21 @@ def weighted_frechet_mean(
     return (result, info) if return_info else result
 
 
-def _embedding_mean(space: HilbertSpace, stack: PointStack, w):
+def _embedding_mean(space: HilbertSpace, emb: np.ndarray, w):
     total = float(w.sum())
     if total <= 0.0:
         raise SolverDiverged(
             f"total weight {total!r} is not positive; the quadratic objective "
             "has no minimizer"
         )
-    emb = space.embed_many(stack)
     mean = (w @ emb) / total
     proj = space.project_embedding(mean)
     moved = float(np.abs(proj - mean).max())
     out = space.point(space._inverse(proj))  # proj is feasible: no second projection
-    emb -= proj  # residuals in place: emb is this call's own (k, D) array
     info = SolveInfo(
         method="embedding",
-        objective=float((w * space.hilbert_sq_norms(emb)).sum()),
-        projected=moved > 1e-12 * max(1.0, float(np.abs(mean).max())),
+        objective=float((w * space.hilbert_sq_norms(emb - proj)).sum()),
+        projected=moved > 1e-12 * float(np.abs(mean).max()),
     )
     return out, info
 

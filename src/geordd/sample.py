@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
 
-from .errors import EmbeddingUnavailable, InvariantViolation, NonFinitePayload
+from .errors import InvariantViolation, NonFinitePayload
 from .frechet import LocalLinearTables
-from .spaces import HilbertSpace, PointStack, Space
+from .spaces import PointStack, Space
 
 __all__ = ["RddSample", "MIN_SIDE_OBS"]
 
@@ -93,19 +93,6 @@ class RddSample:
         return self.n - self.n_left
 
     @cached_property
-    def embeddings(self) -> np.ndarray:
-        """Embedded outcomes, a read-only (n, D) array; requires an
-        embeddable space."""
-        space = self.space
-        if not isinstance(space, HilbertSpace):
-            raise EmbeddingUnavailable(
-                f"{type(space).__name__} has no isometric embedding"
-            )
-        emb = space.embed_many(self.ys)
-        emb.setflags(write=False)
-        return emb
-
-    @cached_property
     def weight_tables(self) -> LocalLinearTables:
         """Block sums of ``r`` alone, built once and shared by every
         single-center weight profile on this sample."""
@@ -113,9 +100,10 @@ class RddSample:
 
     @cached_property
     def lfr_tables(self) -> LocalLinearTables:
-        """Block sums of ``r`` and :attr:`embeddings`, built once and shared
-        by every batched local-linear fit on this sample."""
-        return LocalLinearTables(self.r, self.embeddings)
+        """Block sums of ``r`` and of the embedded outcomes ``ys.embedded``,
+        built once and shared by every batched local-linear fit on this
+        sample."""
+        return LocalLinearTables(self.r, self.ys.embedded)
 
     def validate_sharp(self):
         """Check the sharp-design consistency T = 1{R >= c} when T is present."""

@@ -4,7 +4,10 @@ A :class:`Space` bundles a metric, its geodesics, a geodesic transport map,
 and (where available) an isometric Hilbert embedding and Log/Exp charts.
 A single point is an immutable :class:`MetricObject`; many points of one
 space are a :class:`PointStack`, one read-only ``(k, *shape)`` payload array
-that wraps a row as a :class:`MetricObject` only when it is indexed.  An
+that wraps a row as a :class:`MetricObject` only when it is indexed.  A
+stack of an embeddable space embeds its rows once, on first use, and holds
+them as :attr:`PointStack.embedded`: every fit on the stack reads those
+rows, and nothing embeds them again.  An
 estimated treatment effect is a :class:`GeodesicEffect`, an ordered pair of
 endpoints compared through the quotient metric :func:`quotient_distance`.
 
@@ -44,6 +47,7 @@ import math
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -131,6 +135,9 @@ class PointStack(Sequence):
     stack, or by :meth:`of`.  An integer index wraps that row
     as a :class:`MetricObject`; a slice or an index array gives the
     :class:`PointStack` of those rows, without validating them again.
+    On an embeddable space, :attr:`embedded` holds the stack's embedded rows,
+    computed once; a slice or an index array does not share them, so a fit
+    on some rows reads them from the whole stack's :attr:`embedded`.
     """
 
     space: "Space"
@@ -169,6 +176,13 @@ class PointStack(Sequence):
         if space is not None and objects.space != space:
             raise SpaceMismatch(f"points belong to {objects.space!r}, expected {space!r}")
         return objects
+
+    @cached_property
+    def embedded(self) -> np.ndarray:
+        """The read-only ``(k, D)`` embedded rows, computed on first use."""
+        emb = self.space.embed_many(self)
+        emb.setflags(write=False)
+        return emb
 
     def __len__(self) -> int:
         return len(self.data)

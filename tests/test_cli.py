@@ -485,7 +485,28 @@ class TestCommands:
         code = main(["sharp", "--input", str(path), "--space", spec, "--cutoff", "0",
                      "--bw", "0.5", *flags, "--out", str(tmp_path / "o")])
         assert code == 1
-        assert json.loads(capsys.readouterr().err.strip())["type"] == "ValueError"
+        assert flags[0] in _one_parse_error(capsys)["message"]
+
+    @pytest.mark.parametrize(
+        "spec, flags",
+        [
+            ("laplacian", ["--wmax", "0"]),
+            ("spd:power", ["--power", "-1"]),
+            ("spd:power", ["--power", "inf"]),
+            ("l2", ["--domain", "1,1"]),
+            ("wass", ["--support", "nan,1"]),
+            ("wass", ["--support", "1,0"]),
+        ],
+        ids=["wmax-zero", "power-negative", "power-inf", "domain-empty", "support-nan",
+             "support-reversed"],
+    )
+    def test_space_parameter_out_of_range_is_a_parse_error(self, tmp_path, capsys, spec, flags):
+        # the command line is refused before the input is opened
+        code = main(["sharp", "--input", str(tmp_path / "absent.csv"), "--space", spec,
+                     "--cutoff", "0", "--bw", "0.5", *flags, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert flags[0] in _one_parse_error(capsys)["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_validate_command(self, tmp_path):
         path = _setting_one_csv(tmp_path, n=100)

@@ -10,6 +10,7 @@ from geordd import (
     RddSample,
     Side,
     SpdSpace,
+    Wasserstein1D,
     compute_weights,
     lfr_estimate,
     weighted_frechet_mean,
@@ -186,6 +187,20 @@ class TestWeightedFrechetMean:
         eu = Euclidean(1)
         with pytest.raises(SolverDiverged):
             weighted_frechet_mean([eu.point([0.0]), eu.point([1.0])], [-1.0, -1.0])
+
+    def test_projection_is_reported_at_the_outcomes_scale(self):
+        # quantile rows of size 1e-6 with a flat stretch, one bumped by 1e-15
+        # on it: under weights (2, -1) the mean dips there, and the isotonic
+        # step moves it by about 5e-16, far above the rounding of its entries
+        space = Wasserstein1D(4)
+        flat = np.array([0.0, 1.0, 1.0, 2.0]) * 1e-6
+        bumped = flat + np.array([0.0, 0.0, 1e-15, 0.0])
+        out, info = weighted_frechet_mean(
+            space.stack([flat, bumped]), [2.0, -1.0], return_info=True
+        )
+        moved = np.abs(space.embed(out) - (2.0 * flat - bumped)).max()
+        assert 1e-16 < moved < 1e-15
+        assert info.projected
 
     def test_sphere_midpoint_vs_golden_section(self):
         sp = CompositionalSphere(3)

@@ -39,7 +39,7 @@ def _euclid_fuzzy(rng, n=600, jump_p=(0.2, 0.8), theta=1.0, sigma=0.0):
     p = np.where(r < 0, jump_p[0], jump_p[1])
     t = (rng.random(n) < p).astype(int)
     y = r + theta * t + sigma * rng.normal(size=n)
-    return RddSample(r=r, ys=tuple(eu.point([v]) for v in y), cutoff=0.0, t=t)
+    return RddSample(r=r, ys=eu.stack(y[:, None]), cutoff=0.0, t=t)
 
 
 def _sharp_compliance(rng, n=400, sigma=0.0):
@@ -47,9 +47,7 @@ def _sharp_compliance(rng, n=400, sigma=0.0):
     r = rng.uniform(-1, 1, n)
     t = (r >= 0).astype(int)
     y = np.sin(r) + 1.0 * t + sigma * rng.normal(size=n)
-    return RddSample(
-        r=r, ys=tuple(eu.point([v]) for v in y), cutoff=0.0, t=t, z=t.copy()
-    )
+    return RddSample(r=r, ys=eu.stack(y[:, None]), cutoff=0.0, t=t, z=t.copy())
 
 
 def _one_sided_wasserstein(rng, n=500, p_at=0.3, shift=1.0):
@@ -84,7 +82,7 @@ def _one_sided_euclid(rng, n=500, p_nc=0.3, side=NoncomplianceSide.ALWAYS_TAKERS
     z = (r >= 0).astype(int)
     t = _one_sided_treatment(rng, z, p_nc, side)
     y = np.sin(r) + 1.0 * t
-    return RddSample(r=r, ys=tuple(eu.point([v]) for v in y), cutoff=0.0, t=t, z=z)
+    return RddSample(r=r, ys=eu.stack(y[:, None]), cutoff=0.0, t=t, z=z)
 
 
 def _tangent_late(sample, reference):

@@ -22,7 +22,10 @@ from geordd import (
     RddSample,
     Side,
     Space,
+    SpdSpace,
     compute_weights,
+    estimate_fuzzy_late,
+    estimate_geodesic_fuzzy,
     estimate_geodesic_riemannian_fuzzy,
     estimate_riemannian_fuzzy,
     estimate_sharp,
@@ -30,6 +33,7 @@ from geordd import (
     weighted_frechet_mean,
 )
 from geordd.errors import (
+    EmbeddingUnavailable,
     EmptyInput,
     GeorddError,
     MixedSpaces,
@@ -137,6 +141,19 @@ class TestPointStack:
         assert emb.flags.writeable and not np.shares_memory(emb, stack.data)
         np.testing.assert_array_equal(emb, stack.data)
 
+    def test_embedded_rows_are_computed_once_and_read_only(self, stack):
+        emb = stack.embedded
+        assert stack.embedded is emb and not emb.flags.writeable
+        np.testing.assert_array_equal(emb, stack.space.embed_many(stack))
+        with pytest.raises(ValueError):
+            emb[0, 0] = 1.0
+
+    def test_a_stack_without_an_embedding_has_no_embedded_rows(self):
+        stack = CompositionalSphere(3).points_from_shares(np.full((2, 3), 1.0 / 3.0))
+        with pytest.raises(EmbeddingUnavailable) as info:
+            stack.embedded
+        assert info.value.code == "embedding_unavailable"
+
 
 class TestRefusals:
     r = np.array([-0.5, 0.1, 0.4])
@@ -204,13 +221,56 @@ class TestRefusals:
 
 def test_estimates_leave_the_embeddings_unchanged():
     sample, _ = NetworkDgp(n=400, seed=8).sample()
-    emb = sample.embeddings
+    emb = sample.ys.embedded
     before = emb.copy()
     search = select_bandwidth(sample)
     estimate_sharp(sample, search.b_star, search.b_star)
-    assert sample.embeddings is emb and not emb.flags.writeable
+    assert sample.ys.embedded is emb and not emb.flags.writeable
     np.testing.assert_array_equal(emb, before)
     np.testing.assert_array_equal(emb, sample.space.embed_many(sample.ys))
+
+
+def _log_euclidean_fuzzy_sample(n: int) -> RddSample:
+    """3 x 3 log-Euclidean outcomes with always-takers left of the cutoff,
+    built as one stack of payloads."""
+    rng = np.random.default_rng(n)
+    r = rng.uniform(-1.0, 1.0, n)
+    z = (r >= 0).astype(int)
+    t = np.where(z == 1, 1, (rng.random(n) < 0.3).astype(int))
+    logs = 0.2 * rng.normal(size=(n, 3, 3)) + np.diag([0.5, 0.0, -0.5]) * (r + t)[:, None, None]
+    lam, vec = np.linalg.eigh(logs + np.swapaxes(logs, 1, 2))
+    payloads = (vec * np.exp(lam)[:, None, :]) @ np.swapaxes(vec, 1, 2)
+    return RddSample(r=r, ys=SpdSpace(3, "log_euclidean").stack(payloads), cutoff=0.0, t=t, z=z)
+
+
+def test_estimates_map_no_embedded_row_again(monkeypatch):
+    """Once a sample's rows are embedded, the sharp, fuzzy LATE and geodesic
+    fuzzy estimates map as many rows through the SPD chart at n = 2,000 as
+    at n = 500: the solves read ``ys.embedded`` and embed nothing again."""
+    chart = SpdSpace._chart
+    counts = {}
+    for n in (500, 2_000):
+        sample = _log_euclidean_fuzzy_sample(n)
+        sample.ys.embedded
+        mapped = []
+
+        def counted(self, mats, inverse=False):
+            if not inverse:
+                mapped[-1] += len(mats)
+            return chart(self, mats, inverse)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(SpdSpace, "_chart", counted)
+            for estimate in (
+                lambda: estimate_sharp(sample, 0.5, 0.5),
+                lambda: estimate_fuzzy_late(sample, 0.5, 0.5),
+                lambda: estimate_geodesic_fuzzy(
+                    sample, 0.5, 0.5, NoncomplianceSide.ALWAYS_TAKERS),
+            ):
+                mapped.append(0)
+                assert estimate().magnitude > 0.0
+        counts[n] = mapped
+    assert counts[500] == counts[2_000], counts
 
 
 def _count_points(monkeypatch) -> dict:

@@ -683,7 +683,7 @@ class TestLaplacianChart:
         centers = np.array([-0.6, -0.3, 0.0, 0.2, 0.5])
         h = 0.45
         fits, valid = batch_lfr_embeddings(
-            r, sample.embeddings, centers, h, side, tables=sample.lfr_tables
+            r, sample.ys.embedded, centers, h, side, tables=sample.lfr_tables
         )
         assert valid.sum() >= 3
         y = sample.ys.data.reshape(n, -1)
@@ -697,13 +697,13 @@ class TestLaplacianChart:
     def test_embeddings_are_c_ordered(self):
         # the engine's block products read contiguous outcome rows
         sample, _ = NetworkDgp(n=100, seed=35).sample()
-        assert sample.embeddings.flags.c_contiguous
+        assert sample.ys.embedded.flags.c_contiguous
         assert sample.lfr_tables.psi.flags.c_contiguous
 
     def test_network_sample_is_fitted_in_55_columns(self):
         sample, _ = NetworkDgp(n=100, seed=34).sample()
         assert sample.space.n_nodes == 10
-        assert sample.embeddings.shape == (100, 55)
+        assert sample.ys.embedded.shape == (100, 55)
         assert sample.lfr_tables.psi.shape[1] == 55
 
 
