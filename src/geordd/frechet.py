@@ -613,7 +613,7 @@ def weighted_frechet_mean(
         raise ValueError("weights must be finite")
 
     if isinstance(space, HilbertSpace):
-        result, info = _embedding_mean(space, stack.embedded[sel], w)
+        result, info = _embedding_mean(space, stack.embedded[sel], w, return_info)
     elif isinstance(space, CompositionalSphere):
         result, info = _sphere_mean(space, rows, w, cfg, stack)
     else:  # pragma: no cover - all shipped spaces are covered above
@@ -621,7 +621,12 @@ def weighted_frechet_mean(
     return (result, info) if return_info else result
 
 
-def _embedding_mean(space: HilbertSpace, emb: np.ndarray, w):
+def _embedding_mean(space: HilbertSpace, emb: np.ndarray, w, with_info: bool):
+    """The weighted mean of embedded rows ``emb``, projected onto the image
+    set, and its :class:`SolveInfo` when ``with_info`` asks for it (else
+    None: the objective costs a pass over the rows).  The point is built by
+    :meth:`~geordd.spaces.base.HilbertSpace._projected_point`, so a space
+    whose projection lands in its validated set does not check it again."""
     total = float(w.sum())
     if total <= 0.0:
         raise SolverDiverged(
@@ -630,12 +635,13 @@ def _embedding_mean(space: HilbertSpace, emb: np.ndarray, w):
         )
     mean = (w @ emb) / total
     proj = space.project_embedding(mean)
-    moved = float(np.abs(proj - mean).max())
-    out = space.point(space._inverse(proj))  # proj is feasible: no second projection
+    out = space._projected_point(proj)  # proj is feasible: no second projection
+    if not with_info:
+        return out, None
     info = SolveInfo(
         method="embedding",
         objective=float((w * space.hilbert_sq_norms(emb - proj)).sum()),
-        projected=moved > 1e-12 * float(np.abs(mean).max()),
+        projected=float(np.abs(proj - mean).max()) > 1e-12 * float(np.abs(mean).max()),
     )
     return out, info
 
@@ -673,6 +679,10 @@ def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig, 
     where it starts and whether the solve raises are what evaluating all n
     candidates gives.  Without a first run (a vanishing extrinsic mean) all
     n are evaluated.
+
+    The result is :meth:`~CompositionalSphere.project_to_orthant` of the
+    best run's point, nonnegative and of unit norm to rounding, so it is a
+    member and is built by :meth:`~geordd.spaces.base.Space._trusted`.
     """
     pts = np.ascontiguousarray(stack.data)
     cands = pts if candidates is stack else np.ascontiguousarray(candidates.data)
@@ -778,7 +788,7 @@ def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig, 
     info.iterations = sum(i.iterations for _, i in runs)
     if any(i.method == "sphere_descent" for _, i in runs):
         info.method = "sphere_descent"
-    return space.point(space.project_to_orthant(z)), info
+    return space._trusted(space.project_to_orthant(z)[None])[0], info
 
 
 def _objective_at_points(cands, pts, w):

@@ -177,10 +177,17 @@ class NetworkDgp:
     ) -> tuple[RddSample, GeodesicEffect]:
         """A draw of ``n`` graphs and the population effect.  It holds two
         (n, m, m) stacks at most: the drawn Laplacians (:meth:`_laplacians`)
-        and their validated copy, then that copy and the sample's sorted one."""
+        and their canonical copy, then that copy and the sample's sorted one.
+
+        The drawn Laplacians are members, so they are put in canonical form
+        without the space's checks (``Space._trusted``): each is exactly
+        symmetric, its edge weights cos(pi R / 2) + jump 1[R >= 0] + U[0, 1)
+        lie in [0, 2 + jump), below ``max_weight`` = 2 + jump, and its
+        diagonal is minus its off-diagonal row sums."""
         rng = rng if rng is not None else np.random.default_rng(self.seed)
         r = rng.uniform(-1.0, 1.0, self.n)
-        sample = RddSample(r=r, ys=self.space.stack(self._laplacians(r, rng)), cutoff=self.cutoff)
+        ys = self.space._trusted(self._laplacians(r, rng))
+        sample = RddSample(r=r, ys=ys, cutoff=self.cutoff)
         return sample, self.true_effect()
 
     def _laplacians(self, r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -206,15 +213,15 @@ class NetworkDgp:
 
     def true_effect(self) -> GeodesicEffect:
         """Geodesic between the expected Laplacians at the two cutoff limits;
-        the reference point is the population mean Laplacian."""
-        space = self.space
+        the reference point is the population mean Laplacian.  Their edge
+        weights are probabilities times mean weights of at most 1.5 + jump,
+        below ``max_weight``, so they are built by ``Space._trusted``."""
         w_left = 1.0 + 0.5  # cos(0) plus the mean of the unit noise
         w_right = w_left + self.jump
-        start = space.point(self._expected_laplacian(w_left))
-        end = space.point(self._expected_laplacian(w_right))
         # average expected weight over R ~ Unif(-1, 1)
         mean_w = 2.0 / math.pi + 0.5 * self.jump + 0.5
-        omega = space.point(self._expected_laplacian(mean_w))
+        scales = np.array([w_left, w_right, mean_w])[:, None, None]
+        start, end, omega = self.space._trusted(self._expected_laplacian(scales))
         return GeodesicEffect(start, end, omega)
 
 

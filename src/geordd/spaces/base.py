@@ -11,17 +11,23 @@ rows, and nothing embeds them again.  An
 estimated treatment effect is a :class:`GeodesicEffect`, an ordered pair of
 endpoints compared through the quotient metric :func:`quotient_distance`.
 
-Payloads are validated a block of rows at a time, by :meth:`Space.stack`
-through each space's ``_validate``; :meth:`Space.point` is its one-row case.
-Code that takes many points accepts a stack or any sequence of
-:class:`MetricObject` values through :meth:`PointStack.of`, which checks and
-stacks a sequence once.
+A point is validated once, where it enters the space.  Caller data enters
+through :meth:`Space.stack`, a block of rows at a time, and
+:meth:`Space.point`, its one-row case: each row is checked by the space's
+``_validate`` and returned as its canonical copy, ``_canonical``.  Rows that
+an operation has just built, and can prove to be members, enter through
+:meth:`Space._trusted`, which applies ``_canonical`` alone and so gives the
+same bits without the checks.  Code that takes many points accepts a stack
+or any sequence of :class:`MetricObject` values through
+:meth:`PointStack.of`, which checks and stacks a sequence once.
 
 Flat spaces derive from :class:`HilbertSpace`, which writes the embedding,
 its inverse, the feasibility rule, geodesics and transport once.  A new flat
 space supplies ``shape`` and, where the defaults do not hold:
 
-- ``_validate``, when payloads carry invariants (default: none);
+- ``_validate``, when payloads carry invariants (default: none), and
+  ``_canonical``, when a member has one canonical form to put it in
+  (default: a copy);
 - ``_embed`` and ``_inverse``, when the embedding is not the flattened
   payload (default: flatten, and reshape back); the matrix spaces inherit
   both from the half-vectorised chart of ``spd.MatrixSpace``;
@@ -31,7 +37,9 @@ space supplies ``shape`` and, where the defaults do not hold:
   to a stack.  It is the metric projection (an eigenvalue clip for SPD)
   except in ``NetworkLaplacian``, whose clamp-and-reset rule lands in the
   image set but not at its nearest point;
-- ``_hilbert_weights``, when the inner product is not the dot product.
+- ``_hilbert_weights``, when the inner product is not the dot product;
+- ``_projection_proves_membership``, False when the payload of a projected
+  chart vector can fail ``_validate`` (default: True).
 
 A space with Log/Exp charts supplies ``_log``, the Log coordinates at a base
 payload of each row of a payload stack, and ``_exp``, its inverse on tangent
@@ -101,12 +109,22 @@ def refuse_rows(*checks, error=InvariantViolation):
         raise err
 
 
+def _refuse_non_finite(block: np.ndarray) -> None:
+    """Refuse the first row of a block with a NaN or infinite entry as
+    :class:`NonFinitePayload`; a finite block passes at the cost of one
+    scan."""
+    if not np.isfinite(block).all():
+        refuse_rows((~np.isfinite(block).reshape(len(block), -1).all(axis=1),
+                     "payload contains NaN or infinite entries"), error=NonFinitePayload)
+
+
 @dataclass(frozen=True, eq=False)
 class MetricObject:
     """A point in a geodesic metric space.
 
-    Instances are produced by ``space.point(data)`` which validates the
-    payload against the space invariants and freezes it.
+    Instances are produced by ``space.point(data)``, which validates a
+    copy of the payload against the space invariants and freezes it, or by
+    indexing a :class:`PointStack`.
     """
 
     space: "Space"
@@ -239,8 +257,14 @@ class Space(ABC):
     # -- points ----------------------------------------------------------------
 
     def point(self, data) -> MetricObject:
-        """Validate ``data`` against the space invariants and wrap it."""
-        return self.stack(np.asarray(data, dtype=float)[None])[0]
+        """Validate ``data`` against the space invariants and wrap its
+        canonical copy: the one-row case of :meth:`stack`, refused as it
+        refuses that row (``index`` 0) and equal to its row bit for bit.
+        The point never shares memory with ``data``."""
+        arr = np.asarray(data, dtype=float)
+        if arr.shape != self.shape:
+            raise ShapeMismatch(f"expected payload of shape {self.shape}, got {arr.shape}")
+        return MetricObject(self, self._checked(np.ascontiguousarray(arr[None]))[0])
 
     def stack(self, payloads) -> PointStack:
         """Validate a ``(k, *shape)`` stack of payloads; a bad row is refused
@@ -279,14 +303,41 @@ class Space(ABC):
         if not np.isfinite(block).all():
             finite = np.isfinite(block).reshape(len(block), -1).all(axis=1)
             self._validate(block[: np.argmin(finite)])  # a bad row before it fails first
-            refuse_rows((~finite, "payload contains NaN or infinite entries"),
-                        error=NonFinitePayload)
+            _refuse_non_finite(block)
         return self._validate(block)
 
-    @abstractmethod
+    def _trusted(self, rows) -> PointStack:
+        """The stack of a ``(k, *shape)`` array of rows that an operation has
+        just built and knows to be members: :meth:`stack` without
+        ``_validate``'s checks.  Each row is put in canonical form by
+        ``_canonical``, so the stack is the one :meth:`stack` returns, bit
+        for bit; a row that is not finite is still refused, as
+        :class:`NonFinitePayload`, so that no NaN becomes a point.
+
+        A caller may pass only rows that ``_validate`` accepts, and states in
+        its docstring why they are members.  The sphere's
+        ``_checked_shares``, which builds its rows inside :meth:`stack`'s
+        block loop, applies ``_canonical`` under the same rule.
+        """
+        return self._stack_blocks(rows, self._trusted_block)
+
+    def _trusted_block(self, block: np.ndarray) -> np.ndarray:
+        _refuse_non_finite(block)
+        return self._canonical(block)
+
     def _validate(self, stack: np.ndarray) -> np.ndarray:
         """Check the invariants of a finite (k, *shape) stack with
-        :func:`refuse_rows`, returning its canonical copy."""
+        :func:`refuse_rows`, then return ``self._canonical(stack)``, so that
+        a trusted row and a checked row come out the same (default: no
+        invariants).  A space whose checks and canonical step share work
+        returns what ``_canonical`` computes from it, through the same
+        function."""
+        return self._canonical(stack)
+
+    @abstractmethod
+    def _canonical(self, stack: np.ndarray) -> np.ndarray:
+        """The canonical copy of a finite (k, *shape) stack of members, as a
+        new array: what rounding left of an invariant is restored exactly."""
 
     def _check_member(self, a: MetricObject, name: str = "argument"):
         if not isinstance(a, MetricObject):
@@ -407,7 +458,7 @@ class HilbertSpace(Space):
         left = rows if self._hilbert_weights is None else rows * self._hilbert_weights
         return np.matmul(left[:, None, :], rows[:, :, None]).ravel()
 
-    def _validate(self, stack: np.ndarray) -> np.ndarray:
+    def _canonical(self, stack: np.ndarray) -> np.ndarray:
         return stack.copy()
 
     def _embed(self, stack: np.ndarray) -> np.ndarray:
@@ -428,6 +479,20 @@ class HilbertSpace(Space):
         """Project each row of a (k, D) array onto the image set (new array)."""
         return rows.copy()
 
+    #: whether ``_inverse`` maps every row of ``_project``'s output to a
+    #: payload that ``_validate`` accepts, so that a projected point is built
+    #: by :meth:`_trusted` (see :meth:`_projected_point`)
+    _projection_proves_membership: bool = True
+
+    def _projected_point(self, proj: np.ndarray) -> MetricObject:
+        """The point at a (D,) chart vector that ``_project`` returned.  Its
+        payload is a member wherever ``_projection_proves_membership`` holds,
+        and is built by :meth:`_trusted`; elsewhere :meth:`point` checks it."""
+        payload = self._inverse(proj)
+        if self._projection_proves_membership:
+            return self._trusted(payload[None])[0]
+        return self.point(payload)
+
     def embed(self, a: MetricObject) -> np.ndarray:
         return self.embed_many([a])[0]
 
@@ -444,7 +509,9 @@ class HilbertSpace(Space):
         """The point embedded at ``v``; with ``project``, at its projection.
 
         Otherwise raises :class:`InverseInfeasible` when the projection moves
-        ``v`` by more than ``1e-8 * max(1, |v|_inf)`` in the sup norm.
+        ``v`` by more than ``1e-8 * |v|_inf`` in the sup norm, a gap relative
+        to the vector's own scale.  Either way the point is that of the
+        projected vector, built by :meth:`_projected_point`.
         """
         v = np.asarray(v, dtype=float).ravel()
         if v.size != self.embedding_dim:
@@ -455,12 +522,12 @@ class HilbertSpace(Space):
             raise NonFinitePayload("embedding vector contains NaN or infinite entries")
         proj = self.project_embedding(v)
         gap = float(np.abs(proj - v).max())
-        if not project and gap > 1e-8 * max(1.0, float(np.abs(v).max())):
+        if not project and gap > 1e-8 * float(np.abs(v).max()):
             raise InverseInfeasible(
                 f"vector is outside the image set of {self!r} (projection moves "
                 f"it by {gap!r}); pass project=True to project first"
             )
-        return self.point(self._inverse(proj))
+        return self._projected_point(proj)
 
     def distance(self, a, b) -> float:
         self._check_pair(a, b)

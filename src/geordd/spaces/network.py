@@ -30,6 +30,12 @@ def _laplacian(off: np.ndarray) -> np.ndarray:
     return _diag(-off.sum(axis=-1)) + off
 
 
+def _symmetric_laplacian(off: np.ndarray) -> np.ndarray:
+    """The canonical Laplacians of off-diagonal parts ``off``: exactly
+    symmetric, with exactly zero row sums."""
+    return _laplacian(0.5 * (off + np.swapaxes(off, 1, 2)))
+
+
 def laplacian_from_weights(w: np.ndarray) -> np.ndarray:
     """Graph Laplacian L = D - W of a symmetric weight matrix, or of each
     matrix in a stack (diagonals ignored)."""
@@ -73,7 +79,9 @@ class NetworkLaplacian(MatrixSpace):
         return (self._m, self._wmax)
 
     def _validate(self, stack):
-        tol = 1e-10 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+        """The invariants, each to 1e-10 of the matrix's largest entry; the
+        checks and the canonical step share one off-diagonal copy."""
+        tol = 1e-10 * np.abs(stack).max(axis=(1, 2))
         off = _off_diagonal(stack)
         weight = -off.min(axis=(1, 2))
         wmax = np.inf if self._wmax is None else self._wmax + tol
@@ -87,8 +95,10 @@ class NetworkLaplacian(MatrixSpace):
             (weight > wmax,
              lambda i: f"edge weights must not exceed {self._wmax}, got {float(weight[i])!r}"),
         )
-        # canonicalize: exact symmetry and exact zero row sums
-        return _laplacian(0.5 * (off + np.swapaxes(off, 1, 2)))
+        return _symmetric_laplacian(off)
+
+    def _canonical(self, stack):
+        return _symmetric_laplacian(_off_diagonal(stack))
 
     def _project(self, rows):
         """Clamp the edge weights into [0, max_weight] and reset the diagonal

@@ -137,7 +137,7 @@ class SpdSpace(MatrixSpace):
 
     def _validate(self, stack):
         scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-        sym = 0.5 * (stack + np.swapaxes(stack, 1, 2))
+        sym = self._canonical(stack)
         lam_min = np.linalg.eigvalsh(sym).min(axis=1)
         refuse_rows(
             (np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2)) > 1e-10 * scale,
@@ -147,6 +147,21 @@ class SpdSpace(MatrixSpace):
              f"{_EPS_PD!r}"),
         )
         return sym
+
+    def _canonical(self, stack):
+        """Each matrix symmetrised."""
+        return 0.5 * (stack + np.swapaxes(stack, 1, 2))
+
+    @property
+    def _projection_proves_membership(self) -> bool:
+        """Under ``frobenius``, and ``power`` with p <= 1, a projected chart
+        matrix has eigenvalues at least the image of ``eps_pd``, and maps back
+        to a payload whose eigenvalues are ``eps_pd`` less rounding of order
+        1e-16 |A|, which ``_validate``'s 1e-12 max(1, |A|) absorbs.  For p > 1
+        the chart floor eps_pd^p is below the rounding of the chart's
+        eigenvalues, and ``log_euclidean`` and ``log_cholesky`` project by the
+        identity, so their payloads can fall below ``eps_pd``."""
+        return self._variant == "frobenius" or (self._variant == "power" and self._power <= 1.0)
 
     # -- chart ----------------------------------------------------------------------
 

@@ -98,6 +98,10 @@ class CompositionalSphere(Space):
              lambda i: f"point is not on the unit sphere: |z| = {float(norms[i])!r}"),
             (stack.min(axis=1) < -1e-10, "coordinates must be nonnegative"),
         )
+        return self._canonical(stack)
+
+    def _canonical(self, stack):
+        """Negative rounding clamped to zero, and each row renormalised."""
         out = np.maximum(stack, 0.0)
         return out / _row_norms(out)[:, None]
 
@@ -112,7 +116,8 @@ class CompositionalSphere(Space):
         y = np.asarray(shares, dtype=float)
         if y.ndim != 1 or y.size < 2:
             raise InvariantViolation("shares must be a vector of length >= 2")
-        return cls(y.size).points_from_shares(y[None])[0]
+        space = cls(y.size)
+        return MetricObject(space, space._checked_shares(np.ascontiguousarray(y[None]))[0])
 
     def points_from_shares(self, shares) -> PointStack:
         """:meth:`from_shares` for each row of a (k, dim) stack of shares, as
@@ -122,7 +127,14 @@ class CompositionalSphere(Space):
 
     def _checked_shares(self, y: np.ndarray) -> np.ndarray:
         """The payloads of a contiguous block of shares, refused at its first
-        bad row."""
+        bad row.
+
+        The payloads are members, and are put in canonical form without
+        ``_validate`` (as :meth:`_trusted` does): the checked shares are
+        finite, and floored at 1e-12 and divided by their sum they are
+        positive and sum to one to rounding, so their square roots are
+        positive and of unit norm to rounding, far inside the 1e-10 that
+        ``_validate`` allows."""
         sums = y.sum(axis=1)
         refuse_rows(
             (~np.all((y >= -1e-12) & (y < np.inf), axis=1),
@@ -130,7 +142,7 @@ class CompositionalSphere(Space):
             (np.abs(sums - 1.0) > 1e-8, lambda i: f"shares must sum to one, got {float(sums[i])}"),
         )
         y = np.maximum(y, _SHARE_FLOOR)
-        return self._checked(np.sqrt(y / y.sum(axis=1, keepdims=True)))
+        return self._canonical(np.sqrt(y / y.sum(axis=1, keepdims=True)))
 
     def to_shares(self, a: MetricObject) -> np.ndarray:
         self._check_member(a)

@@ -57,7 +57,9 @@ class Wasserstein1D(HilbertSpace):
         return (self._n, self._support)
 
     def _validate(self, stack):
-        tol = 1e-10 * np.maximum(1.0, np.abs(stack).max(axis=1))
+        """Nondecreasing, and inside the support, each to 1e-10 of the
+        row's largest magnitude."""
+        tol = 1e-10 * np.abs(stack).max(axis=1)
         diffs = np.diff(stack, axis=1)
         lo, hi = self._support or (-np.inf, np.inf)
         refuse_rows(
@@ -66,7 +68,12 @@ class Wasserstein1D(HilbertSpace):
             ((stack.min(axis=1) < lo - tol) | (stack.max(axis=1) > hi + tol),
              f"quantile values must stay within the support [{lo}, {hi}]"),
         )
-        out = np.maximum.accumulate(stack, axis=1)  # canonicalize tiny inversions
+        return self._canonical(stack)
+
+    def _canonical(self, stack):
+        """Tiny inversions removed by a running maximum, and each row clipped
+        into the support."""
+        out = np.maximum.accumulate(stack, axis=1)
         if self._support is not None:
             out = np.clip(out, *self._support)
         return out

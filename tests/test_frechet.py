@@ -158,6 +158,26 @@ class TestWeightedFrechetMean:
         with pytest.raises(EmptyInput):
             weighted_frechet_mean([], [])
 
+    @pytest.mark.parametrize("case", [c for c in SPACE_CASES if isinstance(c[1], HilbertSpace)],
+                             ids=lambda c: c[0])
+    def test_objective_is_computed_only_when_asked_for(self, case, monkeypatch):
+        name, space, sampler = case
+        rng = np.random.default_rng(17)
+        pts = space.stack([sampler(space, rng).data for _ in range(12)])
+        w = rng.uniform(-0.2, 1.0, 12)
+        out, info = weighted_frechet_mean(pts, w, return_info=True)
+        norms, calls = HilbertSpace.hilbert_sq_norms, []
+
+        def counted(self, rows):
+            calls.append(len(rows))
+            return norms(self, rows)
+
+        monkeypatch.setattr(HilbertSpace, "hilbert_sq_norms", counted)
+        assert weighted_frechet_mean(pts, w).data.tobytes() == out.data.tobytes()
+        assert calls == []
+        again, info_again = weighted_frechet_mean(pts, w, return_info=True)
+        assert calls == [12] and repr(info_again) == repr(info)
+
     @pytest.mark.parametrize(
         "space, sampler",
         [

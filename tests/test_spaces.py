@@ -312,6 +312,18 @@ class TestEmbedding:
             with pytest.raises(EmbeddingUnavailable):
                 sp.hilbert_distance(np.ones(3), other)
 
+    def test_inverse_gap_is_relative_to_the_vector(self):
+        # at outcome scale 1e-6 the projection moves this vector by 5e-15,
+        # under an absolute 1e-8 gap but 1.7e-9 of the vector's own scale
+        v = 1e-6 * np.array([0.0, 1.0, 2.0, 1.99, 3.0])
+        with pytest.raises(InverseInfeasible):
+            Wasserstein1D(5).inverse_embed(v)
+        out = Wasserstein1D(5).inverse_embed(v, project=True)
+        assert np.all(np.diff(out.data) >= 0.0)
+        near = 1e-6 * np.array([0.0, 1.0, 2.0, 2.0 - 1e-9, 3.0])  # moved by 5e-16
+        out = Wasserstein1D(5).inverse_embed(near)
+        assert out.data[2] == out.data[3]
+
     def test_inverse_infeasible_signals_projection(self):
         w = Wasserstein1D(4)
         with pytest.raises(InverseInfeasible):
@@ -1015,7 +1027,66 @@ def test_each_chart_operation_has_one_body():
                 assert "log_map" not in vars(klass) and "exp_map" not in vars(klass), klass
 
 
+#: the payloads of :class:`TestValidation`, and payloads each space accepts,
+#: some of them only after canonicalisation
+_VALIDATION_CASES = [
+    ("off-sphere", CompositionalSphere(3), [1.0, 1.0, 0.0]),
+    ("negative-sphere-coordinate", CompositionalSphere(2), [np.sqrt(0.5), -np.sqrt(0.5)]),
+    ("laplacian-asymmetric", NetworkLaplacian(2), [[1.0, -1.0], [0.0, 1.0]]),
+    ("laplacian-row-sums", NetworkLaplacian(2), [[1.0, -0.5], [-0.5, 1.0]]),
+    ("laplacian-weight-cap", NetworkLaplacian(2, max_weight=1.0), [[2.0, -2.0], [-2.0, 2.0]]),
+    ("laplacian-weight", NetworkLaplacian(2, max_weight=2.0), [[3.0, -3.0], [-3.0, 3.0]]),
+    ("spd-not-positive", SpdSpace(2), [[1.0, 0.0], [0.0, 0.0]]),
+    ("quantile-step", Wasserstein1D(3), [0.0, 1.0, 0.0]),
+    ("quantile-not-monotone", Wasserstein1D(3), [0.0, 1.0, 0.5]),
+    ("quantile-support", Wasserstein1D(3, support=(0.0, 1.0)), [0.0, 0.5, 2.0]),
+    ("non-finite", Euclidean(2), [0.0, np.nan]),
+    ("wrong-shape", Euclidean(2), [0.0, 1.0, 2.0]),
+    ("sphere", CompositionalSphere(3), [0.6, 0.8 + 1e-12, -1e-12]),
+    ("laplacian", NetworkLaplacian(3), [[1.0, -1.0, -0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, -0.0]]),
+    ("spd", SpdSpace(2, "power"), [[2.0, 1e-11], [0.0, 1.0]]),
+    ("quantile", Wasserstein1D(3, support=(0.0, 1.0)), [0.0, 0.5, 0.5 - 1e-12]),
+    ("euclidean", Euclidean(2), [1.0, -2.0]),
+]
+
+
 class TestValidation:
+    @pytest.mark.parametrize("space, payload", [c[1:] for c in _VALIDATION_CASES],
+                             ids=[c[0] for c in _VALIDATION_CASES])
+    def test_point_is_the_stacks_one_row_case(self, space, payload):
+        x = np.array(payload, dtype=float)
+        try:
+            want = space.stack(x[None])[0]
+        except GeorddError as err:
+            got = _refusal(space.point, x)
+            assert type(got) is type(err)
+            assert (got.code, str(got), got.index) == (err.code, str(err), err.index)
+            return
+        before = x.copy()
+        p = space.point(x)
+        assert p.data.tobytes() == want.data.tobytes()
+        assert not p.data.flags.writeable and x.flags.writeable
+        assert not np.shares_memory(p.data, x)
+        x += 1.0
+        assert p.data.tobytes() == want.data.tobytes()
+        assert space.point(before).data.tobytes() == want.data.tobytes()
+
+    def test_laplacian_tolerance_is_relative(self):
+        # at outcome scale 1e-6 an asymmetry of 1e-11 is 1e-5 of the largest
+        # entry, under an absolute 1e-10 tolerance but far over 1e-10 of it
+        lap = 1e-6 * laplacian_from_weights(np.ones((4, 4)))
+        NetworkLaplacian(4).point(lap)
+        lap[0, 1] += 1e-11
+        with pytest.raises(InvariantViolation, match="symmetric"):
+            NetworkLaplacian(4).point(lap)
+
+    def test_quantile_tolerance_is_relative(self):
+        q = 1e-6 * np.array([0.0, 1.0, 2.0, 2.0 - 1e-5, 3.0])  # a step of -1e-11
+        with pytest.raises(InvariantViolation, match="nondecreasing"):
+            Wasserstein1D(5).point(q)
+        q[3] = 2e-6 - 1e-23  # an inversion of rounding size is repaired
+        assert Wasserstein1D(5).point(q).data[3] == 2e-6
+
     def test_off_sphere(self):
         with pytest.raises(InvariantViolation):
             CompositionalSphere(3).point([1.0, 1.0, 0.0])
