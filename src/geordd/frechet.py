@@ -682,7 +682,7 @@ def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig, 
 
     The result is :meth:`~CompositionalSphere.project_to_orthant` of the
     best run's point, nonnegative and of unit norm to rounding, so it is a
-    member and is built by :meth:`~geordd.spaces.base.Space._trusted`.
+    member and is built by :meth:`~geordd.spaces.base.Space._trusted_point`.
     """
     pts = np.ascontiguousarray(stack.data)
     cands = pts if candidates is stack else np.ascontiguousarray(candidates.data)
@@ -788,7 +788,7 @@ def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig, 
     info.iterations = sum(i.iterations for _, i in runs)
     if any(i.method == "sphere_descent" for _, i in runs):
         info.method = "sphere_descent"
-    return space._trusted(space.project_to_orthant(z)[None])[0], info
+    return space._trusted_point(space.project_to_orthant(z)), info
 
 
 def _objective_at_points(cands, pts, w):

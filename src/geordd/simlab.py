@@ -213,15 +213,13 @@ class NetworkDgp:
 
     def true_effect(self) -> GeodesicEffect:
         """Geodesic between the expected Laplacians at the two cutoff limits;
-        the reference point is the population mean Laplacian.  Their edge
-        weights are probabilities times mean weights of at most 1.5 + jump,
-        below ``max_weight``, so they are built by ``Space._trusted``."""
+        the reference point is the population mean Laplacian."""
         w_left = 1.0 + 0.5  # cos(0) plus the mean of the unit noise
         w_right = w_left + self.jump
         # average expected weight over R ~ Unif(-1, 1)
         mean_w = 2.0 / math.pi + 0.5 * self.jump + 0.5
         scales = np.array([w_left, w_right, mean_w])[:, None, None]
-        start, end, omega = self.space._trusted(self._expected_laplacian(scales))
+        start, end, omega = self.space.stack(self._expected_laplacian(scales))
         return GeodesicEffect(start, end, omega)
 
 

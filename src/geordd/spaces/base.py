@@ -321,6 +321,12 @@ class Space(ABC):
         """
         return self._stack_blocks(rows, self._trusted_block)
 
+    def _trusted_point(self, payload: np.ndarray) -> MetricObject:
+        """:meth:`_trusted`'s one-row case, built as :meth:`point` builds
+        its point, for a payload of shape ``self.shape`` under the same
+        rule."""
+        return MetricObject(self, self._trusted_block(np.ascontiguousarray(payload[None]))[0])
+
     def _trusted_block(self, block: np.ndarray) -> np.ndarray:
         _refuse_non_finite(block)
         return self._canonical(block)
@@ -481,16 +487,17 @@ class HilbertSpace(Space):
 
     #: whether ``_inverse`` maps every row of ``_project``'s output to a
     #: payload that ``_validate`` accepts, so that a projected point is built
-    #: by :meth:`_trusted` (see :meth:`_projected_point`)
+    #: by :meth:`_trusted_point` (see :meth:`_projected_point`)
     _projection_proves_membership: bool = True
 
     def _projected_point(self, proj: np.ndarray) -> MetricObject:
         """The point at a (D,) chart vector that ``_project`` returned.  Its
         payload is a member wherever ``_projection_proves_membership`` holds,
-        and is built by :meth:`_trusted`; elsewhere :meth:`point` checks it."""
+        and is built by :meth:`_trusted_point`; elsewhere :meth:`point` checks
+        it."""
         payload = self._inverse(proj)
         if self._projection_proves_membership:
-            return self._trusted(payload[None])[0]
+            return self._trusted_point(payload)
         return self.point(payload)
 
     def embed(self, a: MetricObject) -> np.ndarray:

@@ -152,16 +152,9 @@ class SpdSpace(MatrixSpace):
         """Each matrix symmetrised."""
         return 0.5 * (stack + np.swapaxes(stack, 1, 2))
 
-    @property
-    def _projection_proves_membership(self) -> bool:
-        """Under ``frobenius``, and ``power`` with p <= 1, a projected chart
-        matrix has eigenvalues at least the image of ``eps_pd``, and maps back
-        to a payload whose eigenvalues are ``eps_pd`` less rounding of order
-        1e-16 |A|, which ``_validate``'s 1e-12 max(1, |A|) absorbs.  For p > 1
-        the chart floor eps_pd^p is below the rounding of the chart's
-        eigenvalues, and ``log_euclidean`` and ``log_cholesky`` project by the
-        identity, so their payloads can fall below ``eps_pd``."""
-        return self._variant == "frobenius" or (self._variant == "power" and self._power <= 1.0)
+    #: every projected point is checked: the log charts project by the
+    #: identity, so a fit with signed weights can leave the eigenvalue floor
+    _projection_proves_membership = False
 
     # -- chart ----------------------------------------------------------------------
 

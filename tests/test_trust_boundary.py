@@ -25,7 +25,7 @@ from geordd import (
     weighted_frechet_mean,
 )
 from geordd import spaces
-from geordd.errors import InvariantViolation, NonFinitePayload
+from geordd.errors import NonFinitePayload
 from geordd.spaces import HilbertSpace, Space
 
 SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
@@ -38,10 +38,6 @@ _FLAT = {
     "laplacian_unbounded": lambda s: NetworkLaplacian(4),
     "wasserstein": lambda s: Wasserstein1D(12, support=(-3.0 * s, 2.0 * s)),
     "wasserstein_unbounded": lambda s: Wasserstein1D(12),
-    "spd_frobenius": lambda s: SpdSpace(3, "frobenius"),
-    "spd_power": lambda s: SpdSpace(3, "power", power=0.5),
-    "spd_power_quarter": lambda s: SpdSpace(3, "power", power=0.25),
-    "spd_power_one": lambda s: SpdSpace(3, "power", power=1.0),
 }
 
 
@@ -58,13 +54,15 @@ def _validate_classes():
 @pytest.fixture
 def unchecked(monkeypatch):
     """The (space, rows) pairs handed to ``_canonical`` outside ``_validate``
-    from here to the end of the test, and the count of ``_validate`` calls."""
-    record = {"rows": [], "validate_calls": 0}
+    from here to the end of the test, and the count of ``_validate`` calls
+    and of the rows they check."""
+    record = {"rows": [], "validate_calls": 0, "validated_rows": 0}
     depth = [0]
 
     def spy_validate(validate):
         def wrapper(self, stack):
             record["validate_calls"] += 1
+            record["validated_rows"] += len(stack)
             depth[0] += 1
             try:
                 return validate(self, stack)
@@ -98,10 +96,7 @@ def _assert_members(record):
 
 def _points(space, scale, rng, k):
     """k points of a flat space at outcome scale ``scale``: projected random
-    chart vectors, or SPD matrices with eigenvalues in [0.5, 3] ``scale``."""
-    if isinstance(space, SpdSpace):
-        q = np.linalg.qr(rng.normal(size=(k, 3, 3)))[0]
-        return space.stack((q * scale * rng.uniform(0.5, 3.0, (k, 1, 3))) @ np.swapaxes(q, 1, 2))
+    chart vectors."""
     rows = space.project_embedding(scale * rng.normal(size=(k, space.embedding_dim)))
     return space.stack([space._inverse(row) for row in rows])
 
@@ -139,19 +134,6 @@ def test_projected_points_are_members(name, scale, unchecked):
     _assert_members(unchecked)
 
 
-@pytest.mark.parametrize("variant, power", [("frobenius", 0.5), ("power", 0.5), ("power", 0.25)])
-@pytest.mark.parametrize("scale", SCALES)
-def test_spd_projections_at_the_eigenvalue_floor_are_members(variant, power, scale, unchecked):
-    # chart matrices with eigenvalues far below the floor are clipped to it
-    space = SpdSpace(3, variant, power=power)
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        lam = scale * np.array([1.0, -rng.uniform(0.0, 1.0), -1e-14])
-        space.inverse_embed(space._half_vec(((q * lam) @ q.T)[None])[0], project=True)
-    _assert_members(unchecked)
-
-
 def test_laplacian_projections_at_the_weight_cap_are_members(unchecked):
     for scale in SCALES:
         space = NetworkLaplacian(6, max_weight=scale)
@@ -163,23 +145,19 @@ def test_laplacian_projections_at_the_weight_cap_are_members(unchecked):
     _assert_members(unchecked)
 
 
-def test_spd_power_above_one_is_checked():
-    # the chart floor eps_pd^p is below the rounding of the chart's
-    # eigenvalues, so a projected payload can fall below eps_pd: it is checked
-    space = SpdSpace(3, "power", power=1.5)
+@pytest.mark.parametrize("variant", ["frobenius", "power", "log_euclidean", "log_cholesky"])
+def test_spd_projected_points_are_checked(variant, unchecked):
+    # no SPD projection is trusted: each projected point goes through point
+    space = SpdSpace(3, variant, power=1.5)
     assert not space._projection_proves_membership
     rng = np.random.default_rng(9)
-    rows = space.project_embedding(rng.normal(size=(200, space.embedding_dim)))
-    with np.errstate(invalid="ignore"):  # a chart eigenvalue rounded below zero
-        payloads = space._inverse(rows)
-    payloads = payloads[np.isfinite(payloads).all(axis=(1, 2))]
-    refused = 0
-    for p in payloads:
-        try:
-            space._validate(p[None])
-        except InvariantViolation:
-            refused += 1
-    assert refused > 0
+    q = np.linalg.qr(rng.normal(size=(6, 3, 3)))[0]
+    pts = space.stack((q * rng.uniform(0.5, 3.0, (6, 1, 3))) @ np.swapaxes(q, 1, 2))
+    for op in (lambda: space.inverse_embed(space.embed(pts[0]), project=True),
+               lambda: weighted_frechet_mean(pts, _signed_weights(rng, 6, False))):
+        unchecked["validate_calls"] = 0
+        op()
+        assert unchecked["validate_calls"] >= 1
 
 
 @pytest.mark.parametrize("dim", [2, 3, 7])
@@ -281,7 +259,7 @@ def test_trusting_operations_do_not_validate(unchecked):
     sphere = CompositionalSphere(3).points_from_shares(shares)
     network = _network_sample()
     spd = _log_euclidean_sample()
-    calls = {}
+    checked = {}
     for name, op in [
         ("from_shares", lambda: [CompositionalSphere.from_shares(y) for y in shares]),
         ("NetworkDgp.sample", lambda: NetworkDgp(n=200, seed=15).sample()),
@@ -289,8 +267,10 @@ def test_trusting_operations_do_not_validate(unchecked):
         ("network estimate_sharp", lambda: estimate_sharp(network, 0.5, 0.5)),
         ("log-Euclidean estimate_sharp", lambda: estimate_sharp(spd, 0.5, 0.5)),
     ]:
-        unchecked["validate_calls"] = 0
+        unchecked["validated_rows"] = 0
         op()
-        calls[name] = unchecked["validate_calls"]
-    assert calls.pop("log-Euclidean estimate_sharp") >= 1, calls
-    assert set(calls.values()) == {0}, calls
+        checked[name] = unchecked["validated_rows"]
+    assert checked.pop("log-Euclidean estimate_sharp") >= 1, checked
+    # a draw's 200 graphs are trusted; its effect's three Laplacians are checked
+    assert checked.pop("NetworkDgp.sample") == 3, checked
+    assert set(checked.values()) == {0}, checked
