@@ -26,6 +26,7 @@ import csv
 import functools
 import itertools
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,23 @@ def ingest(path, space_spec: str | Space, cutoff: float, **space_opts) -> RddSam
     return ingest_jsonl(path, space_spec, cutoff)
 
 
+def _mirror_plan(shape: tuple[int, ...]):
+    """For an (m, m) payload with m >= 2, the flat indices of its upper
+    triangle, the flat index of each entry's upper-triangle twin, and a getter
+    that places each entry from its position among the upper-triangle ones;
+    ``None`` for any other shape (a getter of one index returns no tuple)."""
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
+        return None
+    m = shape[0]
+    i, j = np.triu_indices(m)
+    upper = i * m + j
+    i, j = np.divmod(np.arange(m * m), m)
+    twin = np.minimum(i, j) * m + np.maximum(i, j)
+    position = np.empty(m * m, dtype=np.intp)
+    position[upper] = np.arange(upper.size)
+    return upper, twin, operator.itemgetter(*position[twin].tolist())
+
+
 def write_sample_csv(sample: RddSample, path) -> None:
     """Serialize a sample to the CSV form accepted by :func:`ingest_csv`.
 
@@ -334,11 +352,20 @@ def write_sample_csv(sample: RddSample, path) -> None:
     exactly once on the way in).  Records are formatted and written a block
     of rows at a time (:func:`~geordd.spaces.base.block_rows`), so memory
     beyond the sample is that of one block at any n.
+
+    Each value is written as its ``repr``.  A block of square payloads that
+    equals its transpose bit for bit (every Laplacian and SPD sample, which
+    are stored symmetrised) formats only the upper triangle of each row and
+    writes each string at both mirrored positions; any other block, one with
+    0.0 opposite -0.0 among them, formats every entry.  Either way the file's
+    bytes are the same.
     """
     meta = [name for name in ("t", "z") if getattr(sample, name) is not None]
     columns = [sample.r] + [getattr(sample, name) for name in meta]
     payload = sample.ys.data.reshape(sample.n, -1)
     shares = isinstance(sample.space, CompositionalSphere)
+    mirror = _mirror_plan(sample.space.shape) if payload.dtype == np.float64 else None
+    upper, twin, place = mirror or (None, None, None)
     header = ",".join(["r"] + meta + [f"y{j}" for j in range(payload.shape[1])])
     step = block_rows(payload.shape[1])
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -347,8 +374,12 @@ def write_sample_csv(sample: RddSample, path) -> None:
             rows = slice(start, start + step)
             y = payload[rows] ** 2 if shares else payload[rows]  # the shares
             block = [col[rows].tolist() for col in columns]
+            if mirror and np.array_equal(bits := y.view(np.int64), bits[:, twin]):
+                fields = (place(list(map(repr, row))) for row in y[:, upper].tolist())
+            else:
+                fields = (map(repr, row) for row in y.tolist())
             # no repr of a float needs CSV quoting; lines end as csv.writer ends them
             fh.writelines(
-                ",".join([repr(r), *map(str, tz), *map(repr, ys)]) + "\r\n"
-                for r, *tz, ys in zip(*block, y.tolist())
+                ",".join([repr(r), *map(str, tz), *ys]) + "\r\n"
+                for r, *tz, ys in zip(*block, fields)
             )

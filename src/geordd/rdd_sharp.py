@@ -8,7 +8,7 @@ estimates are compared through the quotient metric on geodesics.
 from __future__ import annotations
 
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,5 +94,11 @@ def estimate_sharp(
         h1=float(h1),
         n0=sample.n_left,
         n1=sample.n_right,
-        diagnostics={"left": asdict(info0), "right": asdict(info1)},
+        diagnostics={"left": _as_dict(info0), "right": _as_dict(info1)},
     )
+
+
+def _as_dict(info) -> dict:
+    """A :class:`~geordd.frechet.SolveInfo` as a dict of its fields; they are
+    scalars, so unlike ``dataclasses.asdict`` nothing is copied."""
+    return {f.name: getattr(info, f.name) for f in fields(info)}

@@ -17,7 +17,8 @@ metric through a matrix map, so every variant is such a chart:
 Every chart vector of ``log_euclidean`` and ``log_cholesky`` is the chart of
 an SPD matrix, so their projection is the identity; under ``frobenius`` and
 ``power`` it is the metric projection that clips the eigenvalues of S at the
-image of ``eps_pd``.  Geodesics interpolate linearly in the chart; transport
+image of ``eps_pd``, or of 1e-12 of the payload's largest eigenvalue when that
+is larger.  Geodesics interpolate linearly in the chart; transport
 adds the chart displacement and projects back when the result leaves the
 image set.
 """
@@ -32,7 +33,8 @@ __all__ = ["MatrixSpace", "SpdSpace", "SPD_VARIANTS"]
 
 SPD_VARIANTS = ("frobenius", "power", "log_euclidean", "log_cholesky")
 
-#: positive-definiteness floor for validation and projection
+#: positive-definiteness floor for validation and projection, absolute: in
+#: the units of the payload entries, whatever the matrix's scale
 _EPS_PD = 1e-10
 
 _SQRT2 = np.sqrt(2.0)
@@ -136,13 +138,15 @@ class SpdSpace(MatrixSpace):
     # -- validation ---------------------------------------------------------------
 
     def _validate(self, stack):
-        scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+        """Symmetric to 1e-10 of the matrix's largest entry, and every
+        eigenvalue positive and at least ``eps_pd`` less 1e-12 of that entry."""
+        scale = np.abs(stack).max(axis=(1, 2))
         sym = self._canonical(stack)
         lam_min = np.linalg.eigvalsh(sym).min(axis=1)
         refuse_rows(
             (np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2)) > 1e-10 * scale,
              "matrix must be symmetric"),
-            (lam_min < _EPS_PD - 1e-12 * scale,
+            ((lam_min <= 0.0) | (lam_min < _EPS_PD - 1e-12 * scale),
              lambda i: f"smallest eigenvalue {float(lam_min[i])!r} is below the floor "
              f"{_EPS_PD!r}"),
         )
@@ -172,6 +176,14 @@ class SpdSpace(MatrixSpace):
     def _project(self, rows):
         if self._variant in ("log_euclidean", "log_cholesky"):
             return super()._project(rows)
-        # the smallest admissible eigenvalue of a chart matrix
-        floor = _EPS_PD if self._variant == "frobenius" else _EPS_PD**self._power
-        return self._half_vec(_spectral(self._symmetric(rows), lambda lam: np.maximum(lam, floor)))
+        # The smallest admissible eigenvalue of a chart matrix: the image of
+        # eps_pd, or of 1e-12 of the payload's largest eigenvalue when that is
+        # larger, so that the payload's smallest one stays above its rounding
+        # and validation finds it positive at any scale.
+        p = 1.0 if self._variant == "frobenius" else self._power
+
+        def clip(lam):
+            floor = np.maximum(_EPS_PD**p, 1e-12**p * lam.max(axis=-1, keepdims=True))
+            return np.maximum(lam, floor)
+
+        return self._half_vec(_spectral(self._symmetric(rows), clip))

@@ -6,6 +6,7 @@ one 20,000-graph sample path.  A sample built from records already sorted
 keeps their stack, and a refused payload names its line in the file.
 """
 
+import builtins
 import gc
 import json
 import tracemalloc
@@ -13,7 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geordd import CompositionalSphere, Euclidean, NetworkDgp, RddSample
+from geordd import CompositionalSphere, Euclidean, NetworkDgp, RddSample, SpdSpace
+from geordd import io as geordd_io
 from geordd.errors import InvariantViolation, NonFinitePayload
 from geordd.io import ingest, ingest_csv, ingest_jsonl, write_sample_csv
 from geordd.spaces import PointStack
@@ -90,12 +92,36 @@ def _scalar_tz_sample(n: int) -> RddSample:
     return RddSample(r, Euclidean(2).stack(rng.normal(size=(n, 2)) + t[:, None]), 0.0, t, z)
 
 
+def _spd_sample(m: int, n: int) -> RddSample:
+    rng = np.random.default_rng(10)
+    a = rng.normal(size=(n, m, m))
+    r = rng.uniform(-1, 1, n)
+    return RddSample(r, SpdSpace(m).stack(a @ np.swapaxes(a, 1, 2) + np.eye(m)), 0.0)
+
+
+def _unmirrored_sample() -> RddSample:
+    """Three blocks of six (4, 4) payloads, built directly: the first
+    symmetric, the second with 0.0 opposite -0.0, the third with one
+    asymmetric pair.  Only the first is its own transpose bit for bit."""
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(18, 4, 4))
+    ys = a + np.swapaxes(a, 1, 2)
+    ys[8, 0, 2], ys[8, 2, 0] = 0.0, -0.0
+    ys[15, 3, 1] += 1e-3
+    return RddSample(np.linspace(-1.0, 1.0, 18), PointStack(SpdSpace(4), ys), 0.0)
+
+
 @pytest.mark.parametrize(
     "make, rows_per_block",
     [(lambda: NetworkDgp(n=_three_blocks_and_some(100), seed=8).sample()[0], None),
      (lambda: _shares_sample(40), 6), (lambda: _scalar_tz_sample(40), 6),
-     (lambda: _scalar_tz_sample(5), 6)],
-    ids=["network", "shares", "scalar-t-z", "one-block"],
+     (lambda: _scalar_tz_sample(5), 6), (lambda: _spd_sample(3, 40), 6),
+     (lambda: _spd_sample(1, 40), 6),
+     (lambda: NetworkDgp(n=300, seed=5, n_nodes=6, jump=0.0, p_within=0.3,
+                         p_between=0.0).sample()[0], 40),
+     (_unmirrored_sample, 6)],
+    ids=["network", "shares", "scalar-t-z", "one-block", "spd3", "spd1", "isolated-nodes",
+         "unmirrored"],
 )
 def test_writer_equals_the_whole_text(tmp_path, monkeypatch, make, rows_per_block):
     sample = make()
@@ -105,6 +131,34 @@ def test_writer_equals_the_whole_text(tmp_path, monkeypatch, make, rows_per_bloc
     write_sample_csv(sample, tmp_path / "blocks.csv")
     _whole_csv(sample, tmp_path / "whole.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_a_laplacian_row_formats_each_mirrored_entry_once(tmp_path, monkeypatch):
+    # r, then the 55 entries on and above the diagonal of a 10-node Laplacian
+    sample, _ = NetworkDgp(n=50, seed=12).sample()
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return builtins.repr(value)
+
+    monkeypatch.setattr(geordd_io, "repr", counting_repr, raising=False)
+    write_sample_csv(sample, tmp_path / "graphs.csv")
+    assert len(calls) == sample.n * (1 + 55)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: NetworkDgp(n=_three_blocks_and_some(100), seed=13).sample()[0],
+     lambda: _spd_sample(3, 40)],
+    ids=["laplacian", "spd"],
+)
+def test_mirrored_payloads_survive_a_round_trip(tmp_path, make):
+    sample = make()
+    write_sample_csv(sample, tmp_path / "sample.csv")
+    again = ingest_csv(tmp_path / "sample.csv", sample.space, sample.cutoff)
+    assert again.r.tobytes() == sample.r.tobytes()
+    assert again.ys.data.tobytes() == sample.ys.data.tobytes()
 
 
 def test_ingest_names_the_line_of_a_bad_record_in_the_third_block(tmp_path):

@@ -823,6 +823,20 @@ class TestSpdChart:
             np.testing.assert_allclose(space.project_embedding(proj), proj, rtol=0, atol=1e-14)
             space.inverse_embed(proj)  # feasible: no projection needed
 
+    @pytest.mark.parametrize("variant", ["frobenius", "power"])
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e9])
+    def test_projected_points_pass_validation_at_any_scale(self, variant, scale):
+        # above |A| = 1e3 a floor of 1e-10 is below the rounding of the
+        # largest eigenvalue, and the payload's smallest one could read <= 0
+        space = SpdSpace(4, variant)
+        rng = np.random.default_rng(90)
+        for _ in range(40):
+            q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+            chart = (q * (scale * np.array([1.0, 0.5, 0.3, -0.2]))) @ q.T
+            v = space._half_vec(0.5 * (chart + chart.T)[None])[0]
+            lam = np.linalg.eigvalsh(space.inverse_embed(v, project=True).data)
+            assert lam.min() > 0.0
+
     @_ALL_VARIANTS
     def test_batched_fit_maps_back_to_the_wls_fit(self, variant, m):
         space = SpdSpace(m, variant)
@@ -1086,6 +1100,28 @@ class TestValidation:
             Wasserstein1D(5).point(q)
         q[3] = 2e-6 - 1e-23  # an inversion of rounding size is repaired
         assert Wasserstein1D(5).point(q).data[3] == 2e-6
+
+    @pytest.mark.parametrize("variant", SPD_VARIANTS)
+    def test_spd_refuses_a_negative_eigenvalue_at_any_scale(self, variant):
+        # at |A| = 1e6 a margin of 1e-12 of the largest entry would pass
+        # -2.6e-10, and the power and log charts of that matrix are NaN
+        q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
+        a = (q * np.array([1e6, 5e5, -2.7e-10])) @ q.T
+        a = 0.5 * (a + a.T)
+        lam = float(np.linalg.eigvalsh(a).min())
+        assert lam < 0.0
+        err = _refusal(SpdSpace(3, variant).point, a)
+        assert type(err) is InvariantViolation
+        assert str(err) == f"smallest eigenvalue {lam!r} is below the floor 1e-10"
+
+    @pytest.mark.parametrize("variant", SPD_VARIANTS)
+    def test_spd_symmetry_tolerance_is_relative(self, variant):
+        # at scale 1e-6 an asymmetry of 1e-13 is 1e-7 of the largest entry
+        a = 1e-6 * np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 2.0]])
+        SpdSpace(3, variant).point(a)
+        a[0, 1] += 1e-13
+        with pytest.raises(InvariantViolation, match="^matrix must be symmetric$"):
+            SpdSpace(3, variant).point(a)
 
     def test_off_sphere(self):
         with pytest.raises(InvariantViolation):
