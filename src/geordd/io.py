@@ -16,6 +16,21 @@ Supported sample formats:
 - JSON lines: one record per line, ``{"r": ..., "t": ..., "z": ...,
   "y": {"space": ..., "variant": ..., "shape": [...], "data": [...]}}``.
 
+Both are read as UTF-8, after a byte-order mark if the file starts with one.
+
+A large CSV body is parsed in parallel on Linux.  The rule that sets a
+campaign's worker count (:func:`~geordd._workers.worker_count`: usable CPUs
+over the BLAS thread count) gives the processes, at most one per 4 MiB of
+body, and none forks while a second thread runs; so with BLAS left at its
+default the body is read serially, and with ``OPENBLAS_NUM_THREADS=1`` on
+two CPUs a body of 8 MiB or more is read in two.  The body is cut at line
+ends into one byte range per process; this process parses the first, forked
+children the rest, each with the same reader, and their rows land in order
+in one array, so the sample is bit for bit the serial one.  Any failure (a
+refused value or field count, a range of another width, a ``"`` anywhere in
+the body, a child that ends early, a failed ``fork``) reads the body again
+serially, so a refusal is the same on either path.
+
 Compositional inputs are accepted as raw shares (rows on the simplex) and
 square-root transformed at load; all other spaces ingest payloads directly.
 """
@@ -24,13 +39,19 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
 import json
 import operator
+import os
+import signal
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 
+from ._workers import worker_count
 from .errors import InvariantViolation, MixedSpaces, NonFinitePayload, ParseError, ShapeMismatch
 from .sample import RddSample
 from .spaces import (
@@ -196,7 +217,7 @@ def _parses(records: list[str]) -> bool:
 def _csv_records(path):
     """The nonblank records after the header, each with its line number.
     The file is read again this way only to locate an error."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line, row in enumerate(csv.reader(fh), 1):
             if line > 1 and row:
                 yield line, row
@@ -240,9 +261,145 @@ def _first_bad_record(path, header, n_meta) -> ParseError:
     return ParseError("bad payload value", row=lines[lo])
 
 
+#: the least body, in bytes, that each process of a parallel parse reads
+_RANGE_BYTES = 4 << 20
+
+
+class _ByteRange(io.RawIOBase):
+    """The bytes ``start:stop`` of the binary file ``raw``.  A ``"`` among
+    them is a ``ValueError``: a quoted field may hold a newline, so a cut at
+    one may have split a record."""
+
+    def __init__(self, raw, start: int, stop: int):
+        super().__init__()
+        raw.seek(start)
+        self._raw, self._left = raw, stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        view = memoryview(buffer)[:self._left]
+        n = self._raw.readinto(view)
+        if b'"' in view[:n].tobytes():
+            raise ValueError("a quoted field in a parallel range")
+        self._left -= n
+        return n
+
+
+def _read_range(path, start: int, stop: int) -> np.ndarray:
+    """:func:`_read_numbers` of the records in bytes ``start:stop`` of the
+    file at ``path``, whose lines are read as ``open(path, encoding="utf-8")``
+    reads them, never held as one string."""
+    with open(path, "rb", buffering=0) as raw, warnings.catch_warnings():
+        # a range of blank lines reads as one empty column, which is refused
+        warnings.simplefilter("ignore")
+        return _read_numbers(io.TextIOWrapper(_ByteRange(raw, start, stop), encoding="utf-8"))
+
+
+def _ranges(path, start: int, stop: int, k: int) -> list[tuple[int, int]]:
+    """Bytes ``start:stop`` of the file at ``path`` as at most ``k`` nonempty
+    ranges, each cut just past the first ``\\n`` at or after i/k of the way.
+    In UTF-8 that byte is never part of a longer character."""
+    cuts = [start]
+    with open(path, "rb") as fh:
+        for i in range(1, k):
+            fh.seek(start + (stop - start) * i // k)
+            fh.readline()
+            cuts.append(min(fh.tell(), stop))
+    cuts.append(stop)
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _fill(fd: int, array: np.ndarray) -> bool:
+    """Read the pipe ``fd`` into the contiguous ``array``; False if the pipe
+    ends first."""
+    view = memoryview(array).cast("B")
+    while view:
+        n = os.readv(fd, [view])
+        if not n:
+            return False
+        view = view[n:]
+    return True
+
+
+def _send_range(fd: int, inherited: list[int], path, start: int, stop: int):
+    """In a forked child: close the ``inherited`` read ends, write the shape,
+    then the raw float64 rows, of :func:`_read_range` to the pipe ``fd``, and
+    leave with ``os._exit``."""
+    code = 1
+    try:
+        for read in inherited:
+            os.close(read)
+        rows = _read_range(path, start, stop)
+        with open(fd, "wb") as out:
+            out.write(np.array(rows.shape, dtype=np.int64).tobytes())
+            out.write(memoryview(rows).cast("B"))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_in_ranges(path, start: int, stop: int, width: int) -> np.ndarray | None:
+    """The records in bytes ``start:stop`` of the file at ``path``, parsed
+    in ranges at once, or None where the serial read must decide.
+
+    The rule of :func:`~geordd._workers.worker_count` gives one process per
+    ``_RANGE_BYTES`` of body at most; with more than one, and no second
+    thread running, this process reads the first range while forked children
+    read the rest, and each child's rows land after it in one array.  Any
+    refusal (a ``ValueError``, a ``"``, a range not ``width`` wide, a pipe
+    that ends early, an ``OSError`` from ``pipe`` or ``fork``) gives None;
+    on any outcome every child is reaped, and killed unless it has sent all
+    its rows."""
+    k = worker_count((stop - start) // _RANGE_BYTES)
+    if k < 2 or threading.active_count() > 1:
+        return None
+    first, *rest = _ranges(path, start, stop, k)
+    pipes, children, values = [], [], None
+    try:
+        for lo, hi in rest:
+            read, write = os.pipe()
+            pipes.append(read)
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(write)
+                raise
+            if pid == 0:
+                _send_range(write, pipes, path, lo, hi)
+            os.close(write)
+            children.append(pid)
+        own = _read_range(path, *first)
+        shapes = np.zeros((len(pipes), 2), dtype=np.int64)
+        if (own.shape[1] != width or not all(map(_fill, pipes, shapes))
+                or (shapes[:, 1] != width).any()):
+            return None
+        out = np.empty((len(own) + int(shapes[:, 0].sum()), width))
+        out[:len(own)] = own
+        at = len(own)
+        del own
+        for fd, rows in zip(pipes, shapes[:, 0].tolist()):
+            if not _fill(fd, out[at:at + rows]):
+                return None
+            at += rows
+        values = out
+    except (ValueError, OSError):
+        return None
+    finally:
+        # read ends first: a child blocked on a full pipe then exits
+        for fd in pipes:
+            os.close(fd)
+        for pid in children:
+            if values is None:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return values
+
+
 def ingest_csv(path, space_spec: str | Space, cutoff: float, **space_opts) -> RddSample:
     """Load an RDD sample from CSV; see the module docstring for the format."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         # readline, not iteration, so that fh.tell() stays available
         header = next(csv.reader(iter(fh.readline, "")), None)
         if header is None:
@@ -252,15 +409,20 @@ def ingest_csv(path, space_spec: str | Space, cutoff: float, **space_opts) -> Rd
             space = space_spec
         else:
             space = space_from_spec(space_spec, len(header) - n_meta, **space_opts)
+        # a byte offset, since the decoder holds no state at a line end
+        # (state would put this cookie beyond 2**64, and the body would be
+        # read serially)
         start = fh.tell()
         values = np.empty((0, len(header)))
         # only when a record follows: np.loadtxt warns about an empty body
         if any(line != "\n" for line in iter(fh.readline, "")):
             fh.seek(start)
-            try:
-                values = _read_numbers(fh)
-            except ValueError:
-                values = None
+            values = _read_in_ranges(path, start, os.fstat(fh.fileno()).st_size, len(header))
+            if values is None:
+                try:
+                    values = _read_numbers(fh)
+                except ValueError:
+                    values = None
     if values is None or values.shape[1] != len(header):
         raise _first_bad_record(path, header, n_meta)
     payload = values[:, n_meta:].reshape(len(values), *space.shape)
@@ -275,7 +437,7 @@ def ingest_jsonl(path, space: Space, cutoff: float) -> RddSample:
     """Load an RDD sample from JSON lines of MetricObject records."""
     lines, r, t, z, ys = [], [], [], [], []
     has_t = has_z = None
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for i, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -315,7 +477,7 @@ def ingest(path, space_spec: str | Space, cutoff: float, **space_opts) -> RddSam
     if suffix not in (".jsonl", ".ndjson"):
         return ingest_csv(path, space_spec, cutoff, **space_opts)
     if not isinstance(space_spec, Space):
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             first = next((line for line in fh if line.strip()), None)
         if first is None:
             raise ParseError(f"{path}: empty file")

@@ -254,12 +254,16 @@ class _TangentChart:
 def _projected_exp(omega: MetricObject, v: np.ndarray) -> MetricObject:
     """Fallback for Exp arguments outside the chart domain (only the sphere's
     Exp has a bounded domain): the great-circle image clamped onto the orthant,
-    refused below the cut locus only when it clamps to zero."""
+    refused below the cut locus only when it clamps to zero.  The clamped row
+    is trusted: ``project_to_orthant`` returns a nonnegative unit vector or
+    refuses the zero vector, so the row is a member, and the trusted point
+    is the checked one bit for bit (``_validate`` returns ``_canonical`` of
+    the rows it accepts)."""
     space = omega.space
     z, norms = _great_circle(omega.data, np.asarray(v, dtype=float)[None])
     if norms[0] < np.pi:
         try:
-            return space.point(space.project_to_orthant(z[0]))
+            return space._trusted_point(space.project_to_orthant(z[0]))
         except InvariantViolation:  # the image clamps to zero
             pass
     raise ExpOutOfDomain(f"tangent vector of norm {float(norms[0])!r} has no image to project: "

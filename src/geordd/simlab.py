@@ -18,14 +18,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
+from ._workers import worker_count as _worker_count
 from .bandwidth import compute_bounds, select_bandwidth
 from .errors import REFUSAL_ERRORS, AllWindowsDegenerate, ExcessiveFailures, InvertedBounds
 from .rdd_sharp import estimate_sharp
@@ -309,32 +308,6 @@ def _one_rep(dgp, rng, bandwidth):
     est = estimate_sharp(sample, b, b, reference=truth.reference)
     bias = quotient_distance(est.effect, truth, truth.reference)
     return dgp.setting, b, bias, fallback
-
-
-#: thread-count variables that BLAS libraries read, in the order consulted
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _worker_count(n_jobs: int) -> int:
-    """Worker processes for ``n_jobs`` replications: as many as fit on the
-    usable CPUs at the BLAS thread count each process runs, at most one per
-    job.  The BLAS count is the first of ``_BLAS_THREAD_VARS`` set to a
-    positive integer, else every usable CPU (BLAS's own default), so an
-    unpinned BLAS gets one process.  Processes are forked, so off Linux
-    there is one."""
-    if not sys.platform.startswith("linux"):
-        return 1
-    usable = len(os.sched_getaffinity(0))
-    blas = usable
-    for var in _BLAS_THREAD_VARS:
-        try:
-            value = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if value > 0:
-            blas = value
-            break
-    return min(usable // blas, n_jobs)
 
 
 def _rep_row(dgp, rep, seed_seq, bandwidth):

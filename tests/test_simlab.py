@@ -20,6 +20,7 @@ from geordd import (
     run_campaign,
 )
 from geordd import errors, simlab
+from geordd._workers import BLAS_THREAD_VARS, worker_count
 from geordd.errors import ExcessiveFailures, InsufficientData
 from geordd.simlab import fit_rate, scalar_regression_functions
 
@@ -375,16 +376,16 @@ class TestParallelCampaign:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)),
                             raising=False)
         monkeypatch.setattr(sys, "platform", "linux")
-        for var in simlab._BLAS_THREAD_VARS:
+        for var in BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert simlab._worker_count(n_jobs) == want
+        assert worker_count(n_jobs) == want
 
     def test_no_workers_off_linux(self, monkeypatch):
         monkeypatch.setattr(sys, "platform", "darwin")
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert simlab._worker_count(40) == 1
+        assert worker_count(40) == 1
 
 
 def test_import_leaves_process_pools_unloaded():

@@ -9,6 +9,8 @@ the checked path's bits; that it still refuses non-finite rows; and that
 the operations which trust their rows call ``_validate`` no more.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,8 @@ from geordd import (
     estimate_sharp,
     weighted_frechet_mean,
 )
-from geordd import spaces
-from geordd.errors import NonFinitePayload
+from geordd import rdd_fuzzy, spaces
+from geordd.errors import ExpOutOfDomain, NonFinitePayload
 from geordd.spaces import HilbertSpace, Space
 
 SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
@@ -274,3 +276,27 @@ def test_trusting_operations_do_not_validate(unchecked):
     # a draw's 200 graphs are trusted; its effect's three Laplacians are checked
     assert checked.pop("NetworkDgp.sample") == 3, checked
     assert set(checked.values()) == {0}, checked
+
+
+def test_the_sphere_exp_fallback_trusts_its_projection(unchecked):
+    # Exp arguments beyond the orthant: the clamped great-circle image is
+    # built as a trusted point, with the checked point's bits
+    space = CompositionalSphere(4)
+    rng = np.random.default_rng(16)
+    omegas = space.points_from_shares(rng.dirichlet(np.ones(4), 30))
+    tangents, checked = [], []
+    for omega, u in zip(omegas, rng.normal(size=(30, 4))):
+        u -= (u @ omega.data) * omega.data
+        tangents.append(rng.uniform(0.5, 3.0) * u / np.linalg.norm(u))
+        z = rdd_fuzzy._great_circle(omega.data, tangents[-1][None])[0][0]
+        if z.max() > 0.0:  # else the image clamps to zero, and is refused
+            checked.append(space.point(space.project_to_orthant(z)).data.tobytes())
+    unchecked["rows"].clear()
+    unchecked["validated_rows"] = 0
+    trusted = []
+    for omega, v in zip(omegas, tangents):
+        with contextlib.suppress(ExpOutOfDomain):
+            trusted.append(rdd_fuzzy._projected_exp(omega, v).data.tobytes())
+    assert unchecked["validated_rows"] == 0
+    _assert_members(unchecked)
+    assert trusted == checked and len(checked) >= 20
