@@ -21,14 +21,15 @@ Both are read as UTF-8, after a byte-order mark if the file starts with one.
 A large CSV body is parsed in parallel on Linux.  The rule that sets a
 campaign's worker count (:func:`~geordd._workers.worker_count`: usable CPUs
 over the BLAS thread count) gives the processes, at most one per 4 MiB of
-body, and none forks while a second thread runs; so with BLAS left at its
-default the body is read serially, and with ``OPENBLAS_NUM_THREADS=1`` on
-two CPUs a body of 8 MiB or more is read in two.  The body is cut at line
-ends into one byte range per process; this process parses the first, forked
-children the rest, each with the same reader, and their rows land in order
-in one array, so the sample is bit for bit the serial one.  Any failure (a
-refused value or field count, a range of another width, a ``"`` anywhere in
-the body, a child that ends early, a failed ``fork``) reads the body again
+body; so with BLAS left at its default the body is read serially, and with
+``OPENBLAS_NUM_THREADS=1`` on two CPUs a body of 8 MiB or more is read in
+two.  The body is cut at line ends into one byte range per process, and
+:func:`~geordd._workers.fork_map` parses each in a forked child with the
+same reader while this process waits (or all of them here, one after
+another, while a second thread runs).  Their rows land in order in one
+array, so the sample is bit for bit the serial one.  Any failure (a refused
+value or field count, a range of another width, a ``"`` anywhere in the
+body, a child that ends early, a failed ``fork``) reads the body again
 serially, so a refusal is the same on either path.
 
 Compositional inputs are accepted as raw shares (rows on the simplex) and
@@ -44,14 +45,12 @@ import itertools
 import json
 import operator
 import os
-import signal
-import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from ._workers import worker_count
+from ._workers import fork_map, worker_count
 from .errors import InvariantViolation, MixedSpaces, NonFinitePayload, ParseError, ShapeMismatch
 from .sample import RddSample
 from .spaces import (
@@ -311,90 +310,23 @@ def _ranges(path, start: int, stop: int, k: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
-def _fill(fd: int, array: np.ndarray) -> bool:
-    """Read the pipe ``fd`` into the contiguous ``array``; False if the pipe
-    ends first."""
-    view = memoryview(array).cast("B")
-    while view:
-        n = os.readv(fd, [view])
-        if not n:
-            return False
-        view = view[n:]
-    return True
-
-
-def _send_range(fd: int, inherited: list[int], path, start: int, stop: int):
-    """In a forked child: close the ``inherited`` read ends, write the shape,
-    then the raw float64 rows, of :func:`_read_range` to the pipe ``fd``, and
-    leave with ``os._exit``."""
-    code = 1
-    try:
-        for read in inherited:
-            os.close(read)
-        rows = _read_range(path, start, stop)
-        with open(fd, "wb") as out:
-            out.write(np.array(rows.shape, dtype=np.int64).tobytes())
-            out.write(memoryview(rows).cast("B"))
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def _read_in_ranges(path, start: int, stop: int, width: int) -> np.ndarray | None:
     """The records in bytes ``start:stop`` of the file at ``path``, parsed
-    in ranges at once, or None where the serial read must decide.
-
-    The rule of :func:`~geordd._workers.worker_count` gives one process per
-    ``_RANGE_BYTES`` of body at most; with more than one, and no second
-    thread running, this process reads the first range while forked children
-    read the rest, and each child's rows land after it in one array.  Any
-    refusal (a ``ValueError``, a ``"``, a range not ``width`` wide, a pipe
-    that ends early, an ``OSError`` from ``pipe`` or ``fork``) gives None;
-    on any outcome every child is reaped, and killed unless it has sent all
-    its rows."""
-    k = worker_count((stop - start) // _RANGE_BYTES)
-    if k < 2 or threading.active_count() > 1:
+    in ranges by :func:`~geordd._workers.fork_map`, one range per process of
+    :func:`~geordd._workers.worker_count` (at most one per ``_RANGE_BYTES``
+    of body); or None where the serial read must decide: with fewer than
+    two processes, a ``start`` that is no byte offset inside the file (a
+    text file's ``tell`` after a header ended by a lone ``\\r`` holds a
+    decoder's state), or any refusal (a ``ValueError``, a ``"``, a range
+    not ``width`` wide, a child that ends early, a failed ``fork``)."""
+    k = worker_count((stop - start) // _RANGE_BYTES) if start < stop else 1
+    if k < 2:
         return None
-    first, *rest = _ranges(path, start, stop, k)
-    pipes, children, values = [], [], None
     try:
-        for lo, hi in rest:
-            read, write = os.pipe()
-            pipes.append(read)
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(write)
-                raise
-            if pid == 0:
-                _send_range(write, pipes, path, lo, hi)
-            os.close(write)
-            children.append(pid)
-        own = _read_range(path, *first)
-        shapes = np.zeros((len(pipes), 2), dtype=np.int64)
-        if (own.shape[1] != width or not all(map(_fill, pipes, shapes))
-                or (shapes[:, 1] != width).any()):
-            return None
-        out = np.empty((len(own) + int(shapes[:, 0].sum()), width))
-        out[:len(own)] = own
-        at = len(own)
-        del own
-        for fd, rows in zip(pipes, shapes[:, 0].tolist()):
-            if not _fill(fd, out[at:at + rows]):
-                return None
-            at += rows
-        values = out
+        parts = fork_map(_read_range, [(path, *cut) for cut in _ranges(path, start, stop, k)], k)
     except (ValueError, OSError):
         return None
-    finally:
-        # read ends first: a child blocked on a full pipe then exits
-        for fd in pipes:
-            os.close(fd)
-        for pid in children:
-            if values is None:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return values
+    return np.concatenate(parts) if all(part.shape[1] == width for part in parts) else None
 
 
 def ingest_csv(path, space_spec: str | Space, cutoff: float, **space_opts) -> RddSample:
@@ -409,9 +341,7 @@ def ingest_csv(path, space_spec: str | Space, cutoff: float, **space_opts) -> Rd
             space = space_spec
         else:
             space = space_from_spec(space_spec, len(header) - n_meta, **space_opts)
-        # a byte offset, since the decoder holds no state at a line end
-        # (state would put this cookie beyond 2**64, and the body would be
-        # read serially)
+        # a byte offset unless the decoder holds state (see _read_in_ranges)
         start = fh.tell()
         values = np.empty((0, len(header)))
         # only when a record follows: np.loadtxt warns about an empty body

@@ -24,6 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from ._workers import fork_map
 from ._workers import worker_count as _worker_count
 from .bandwidth import compute_bounds, select_bandwidth
 from .errors import REFUSAL_ERRORS, AllWindowsDegenerate, ExcessiveFailures, InvertedBounds
@@ -345,17 +346,16 @@ def run_campaign(
     :class:`ExcessiveFailures` when more than 5 % (``_MAX_FAIL_SHARE``) of
     them fail.
 
-    On Linux the replications run in forked worker processes when more than
-    one fits on the usable CPUs (``os.sched_getaffinity``) at the BLAS
-    thread count each runs: the first of ``OPENBLAS_NUM_THREADS``,
-    ``MKL_NUM_THREADS`` and ``OMP_NUM_THREADS`` set to a positive integer,
-    else every usable CPU.  So with BLAS left at its default, or on one
-    usable CPU (``taskset -c 0``), the campaign runs serially in this
-    process; with ``OPENBLAS_NUM_THREADS=1`` on two CPUs it runs in two
-    workers.  Each replication draws from its own seed, so the rows, the
-    counts and the rate fit are byte-identical either way.  Only the
-    spans and counters that a profiler or tracer records in the workers
-    are not seen in this process.
+    On Linux the replications are dealt in turn to forked workers by
+    :func:`~geordd._workers.fork_map`, as many as
+    :func:`~geordd._workers.worker_count` fits on the usable CPUs at the
+    BLAS thread count each runs, while this process waits for their rows.
+    So with BLAS left at its default, on one usable CPU (``taskset -c 0``)
+    or while a second thread runs, the campaign runs serially here; with
+    ``OPENBLAS_NUM_THREADS=1`` on two CPUs it runs in two workers.  Each
+    replication draws from its own seed, so the rows, the counts and the
+    rate fit are byte-identical either way; only the spans and counters
+    that a profiler or tracer records in the workers are not seen here.
     """
     if reps < 10:
         raise ValueError("reps must be >= 10")
@@ -366,17 +366,7 @@ def run_campaign(
     children = np.random.SeedSequence(seed).spawn(len(sizes) * reps)
     jobs = [(sized[i // reps], i % reps, child, bandwidth) for i, child in enumerate(children)]
 
-    workers = _worker_count(len(jobs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        # forked, not spawned: a worker starts with every module loaded, in
-        # milliseconds, and sees the ``_one_rep`` of this process
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            results = list(pool.map(_rep_row, *zip(*jobs), chunksize=1))
-    else:
-        results = list(map(_rep_row, *zip(*jobs)))
+    results = fork_map(_rep_row, jobs, _worker_count(len(jobs)))
     rows = [row for row, _, _ in results]
     n_fallback = sum(fallback for _, fallback, _ in results)
     failures_by_code = dict(sorted(Counter(code for *_, code in results if code).items()))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,28 @@ def network_campaign():
     )
     result.metadata["elapsed_seconds"] = time.perf_counter() - start
     return result
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls made in this process from here on."""
+    calls = []
+    fork = os.fork
+
+    def spy():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return calls
+
+
+def no_child_left():
+    """Check that this process has no child, running or unreaped;
+    ``multiprocessing.active_children`` sees only its own, not those of
+    ``os.fork``."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------

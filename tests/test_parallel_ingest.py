@@ -1,9 +1,9 @@
-"""A large CSV body is parsed in ranges at once, in this process and in
-forked children, and gives the serial parse's sample and refusals.
+"""A large CSV body is parsed in ranges at once, each in a forked child,
+and gives the serial parse's sample and refusals.
 
 The tests lower the size floor ``_RANGE_BYTES`` so that a small body spans
 several ranges, and report four usable CPUs with BLAS on one thread, so
-that the body is cut into four ranges, each parsed by its own process.
+that the body is cut into four ranges, each parsed by its own child.
 Where a test leaves the CPUs as they are, it reads them through the real
 ``os.sched_getaffinity`` (CI reruns this file under ``taskset -c 0``).
 """
@@ -18,8 +18,9 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import SPACE_CASES
+from conftest import SPACE_CASES, no_child_left
 from geordd import Euclidean, NetworkDgp, RddSample, run_campaign, simlab
+from geordd import _workers
 from geordd import io as gio
 from geordd._workers import BLAS_THREAD_VARS
 from geordd.errors import GeorddError
@@ -27,20 +28,6 @@ from geordd.io import ingest, ingest_csv, ingest_jsonl, write_sample_csv
 
 #: payload fields after r in the hand-written bodies below
 WIDTH = 3
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The ``os.fork`` calls made in this process from here on."""
-    calls = []
-    fork = os.fork
-
-    def spy():
-        calls.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", spy)
-    return calls
 
 
 @pytest.fixture
@@ -77,11 +64,6 @@ def _floor(monkeypatch, path, ranges=4):
     """Lower the size floor so that the body of ``path`` holds ``ranges``
     of it."""
     monkeypatch.setattr(gio, "_RANGE_BYTES", max(1, path.stat().st_size // (ranges + 1)))
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _serial(fn, *args, **kwargs):
@@ -153,10 +135,10 @@ def test_ranges_give_the_serial_sample(tmp_path, monkeypatch, forks, in_ranges, 
     _floor(monkeypatch, path)
     assert len(_line_ranges(path)) == 4
     parallel = _outcome(ingest_csv, path, space, 0.0)
-    assert len(forks) == 3 and in_ranges == [True]
+    assert len(forks) == 4 and in_ranges == [True]
     assert parallel == _outcome(_serial, ingest_csv, path, space, 0.0)
     assert parallel[0] == np.sort(r).tobytes()  # a sample keeps its records sorted by r
-    _no_child_left()
+    no_child_left()
 
 
 def _put(lines, line, at, char):
@@ -195,11 +177,11 @@ def test_ranges_give_the_serial_refusal(tmp_path, monkeypatch, forks, refusal, n
     _write(path, lines, newline)
     assert _line_ranges(path) == ranges
     parallel = _outcome(ingest_csv, path, "euclid", 0.0)
-    assert len(forks) == 3
+    assert len(forks) == 4
     serial = _outcome(_serial, ingest_csv, path, "euclid", 0.0)
     assert parallel == serial
     assert serial[0] is gio.ParseError and serial[2] is not None, serial
-    _no_child_left()
+    no_child_left()
 
 
 @NEWLINES
@@ -210,7 +192,7 @@ def test_blank_lines_at_a_cut_are_skipped(tmp_path, monkeypatch, forks, in_range
     path = _write(tmp_path / "spaced.csv", spaced, newline)
     _floor(monkeypatch, path)
     parallel = _outcome(ingest_csv, path, "euclid", 0.0)
-    assert len(forks) == 3 and in_ranges == [True]
+    assert len(forks) == 4 and in_ranges == [True]
     assert parallel == _outcome(_serial, ingest_csv, path, "euclid", 0.0)
     assert parallel == _outcome(ingest_csv, _write(tmp_path / "dense.csv", lines, newline),
                                 "euclid", 0.0)
@@ -224,11 +206,11 @@ def test_a_quoted_body_is_parsed_serially(tmp_path, monkeypatch, forks, in_range
     path = _write(tmp_path / "quoted.csv", lines, newline)
     _floor(monkeypatch, path)
     parallel = _outcome(ingest_csv, path, "euclid", 0.0)
-    assert len(forks) == 3 and in_ranges == [False]
+    assert len(forks) == 4 and in_ranges == [False]
     assert parallel == _outcome(_serial, ingest_csv, path, "euclid", 0.0)
     assert parallel == _outcome(ingest_csv, _write(tmp_path / "plain.csv", _body(), newline),
                                 "euclid", 0.0)
-    _no_child_left()
+    no_child_left()
 
 
 def test_lone_carriage_returns_are_read_serially(tmp_path, monkeypatch, forks, in_ranges):
@@ -241,6 +223,20 @@ def test_lone_carriage_returns_are_read_serially(tmp_path, monkeypatch, forks, i
     _floor(monkeypatch, path)
     assert _outcome(ingest_csv, path, "euclid", 0.0) == want
     assert forks == [] and in_ranges == [False, False]
+
+
+def test_a_start_past_the_end_is_cut_into_no_ranges(tmp_path, monkeypatch, forks, in_ranges):
+    # the start is checked for a byte offset before the body is cut, not
+    # through the process count of a negative body length
+    _cpus(monkeypatch)
+    monkeypatch.setattr(gio, "worker_count", lambda n_tasks: 4)
+    cut, ranges = [], gio._ranges
+    monkeypatch.setattr(gio, "_ranges", lambda *args: cut.append(args[1]) or ranges(*args))
+    want = _outcome(ingest_csv, _write(tmp_path / "lf.csv", _body(), "\n"), "euclid", 0.0)
+    assert len(forks) == 4 and len(cut) == 1
+    path = _write(tmp_path / "mac.csv", _body(), "\r")
+    assert _outcome(ingest_csv, path, "euclid", 0.0) == want
+    assert len(forks) == 4 and len(cut) == 1 and in_ranges == [True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +281,7 @@ def test_no_fork_beside_a_second_thread(tmp_path, monkeypatch, forks):
         thread.join()
     assert forks == []
     assert ingest_csv(path, "euclid", 0.0).n == 60
-    assert len(forks) == 3
+    assert len(forks) == 4
 
 
 def test_ingest_forks_on_the_usable_cpus(tmp_path, monkeypatch, forks):
@@ -294,9 +290,10 @@ def test_ingest_forks_on_the_usable_cpus(tmp_path, monkeypatch, forks):
     path = _write(tmp_path / "body.csv", _body(), "\n")
     _floor(monkeypatch, path, ranges=4)
     sample = ingest_csv(path, "euclid", 0.0)
-    assert len(forks) == min(len(os.sched_getaffinity(0)), 4) - 1
+    cpus = min(len(os.sched_getaffinity(0)), 4)
+    assert len(forks) == (cpus if cpus > 1 else 0)
     assert _outcome(lambda: sample) == _outcome(_serial, ingest_csv, path, "euclid", 0.0)
-    _no_child_left()
+    no_child_left()
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +304,7 @@ def test_ingest_forks_on_the_usable_cpus(tmp_path, monkeypatch, forks):
 def test_a_campaign_leaves_no_child(monkeypatch):
     monkeypatch.setattr(simlab, "_worker_count", lambda n_jobs: 2)
     run_campaign(NetworkDgp(seed=3), sizes=[100], reps=10, seed=3)
-    _no_child_left()
+    no_child_left()
 
 
 def test_a_parallel_ingest_leaves_no_child(tmp_path, monkeypatch, forks):
@@ -318,8 +315,8 @@ def test_a_parallel_ingest_leaves_no_child(tmp_path, monkeypatch, forks):
     _floor(monkeypatch, path)
     back = ingest_csv(path, "laplacian", 0.0, max_weight=3.0)
     assert back.ys.data.tobytes() == sample.ys.data.tobytes()
-    assert len(forks) == 3
-    _no_child_left()
+    assert len(forks) == 4
+    no_child_left()
 
 
 def test_a_refusal_in_a_later_range_leaves_no_child(tmp_path, monkeypatch, forks):
@@ -332,8 +329,8 @@ def test_a_refusal_in_a_later_range_leaves_no_child(tmp_path, monkeypatch, forks
     _write(path, lines, "\n")
     with pytest.raises(gio.ParseError, match=f"expected 4 fields, got 5 \\(row {line}\\)"):
         ingest_csv(path, "euclid", 0.0)
-    assert len(forks) == 3
-    _no_child_left()
+    assert len(forks) == 4
+    no_child_left()
 
 
 def test_an_error_in_this_process_kills_every_child(tmp_path, monkeypatch, forks):
@@ -341,20 +338,17 @@ def test_an_error_in_this_process_kills_every_child(tmp_path, monkeypatch, forks
     _cpus(monkeypatch)
     path = _write(tmp_path / "body.csv", _body(), "\n")
     _floor(monkeypatch, path)
-    read_range, pid, killed = gio._read_range, os.getpid(), []
+    killed, kill = [], os.kill
 
-    def out_of_memory_here(*args):
-        if os.getpid() == pid:
-            raise MemoryError
-        return read_range(*args)
+    def out_of_memory_here(pipe):
+        raise MemoryError
 
-    kill = os.kill
-    monkeypatch.setattr(gio, "_read_range", out_of_memory_here)
+    monkeypatch.setattr(_workers, "_receive", out_of_memory_here)
     monkeypatch.setattr(os, "kill", lambda child, sig: killed.append(child) or kill(child, sig))
     with pytest.raises(MemoryError):
         ingest_csv(path, "euclid", 0.0)
-    assert len(forks) == len(killed) == 3
-    _no_child_left()
+    assert len(forks) == len(killed) == 4
+    no_child_left()
 
 
 def test_the_campaign_forks_on_the_usable_cpus(monkeypatch, forks):
@@ -362,7 +356,7 @@ def test_the_campaign_forks_on_the_usable_cpus(monkeypatch, forks):
     _pin_blas(monkeypatch)
     run_campaign(NetworkDgp(seed=3), sizes=[100], reps=10, seed=3)
     assert bool(forks) == (len(os.sched_getaffinity(0)) > 1)
-    _no_child_left()
+    no_child_left()
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import no_child_left
 from geordd import (
     Euclidean,
     GeodesicEffect,
@@ -299,7 +299,7 @@ class TestParallelCampaign:
             _use_workers(monkeypatch, workers)
             results.append(run_campaign(dgp, sizes=[100, 200], reps=10, seed=3,
                                         bandwidth=bandwidth))
-            assert multiprocessing.active_children() == []
+            no_child_left()
         serial, parallel = results
         assert serial.metadata["n_failures"] == 1
         assert serial.metadata["failures_by_code"] == {"insufficient_data": 1}
@@ -323,7 +323,7 @@ class TestParallelCampaign:
         monkeypatch.setattr(simlab, "_one_rep", refuse_three)
         _use_workers(monkeypatch, workers)
         res = run_campaign(ScalarDgp(seed=0), sizes=[100, 200], reps=30, bandwidth=0.4)
-        assert multiprocessing.active_children() == []
+        no_child_left()
         by_code = res.metadata["failures_by_code"]
         assert by_code == {"insufficient_data": 1, "weak_compliance": 2}
         assert list(by_code) == sorted(by_code)
@@ -343,14 +343,14 @@ class TestParallelCampaign:
             run_campaign(ScalarDgp(seed=0), sizes=[100], reps=10, bandwidth=0.4)
         raised_here = str(info.value) == f"bug in process {os.getpid()}"
         assert raised_here == (workers == 1)
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_worker_outlives_excessive_failures(self, monkeypatch, workers):
         _use_workers(monkeypatch, workers)
         with pytest.raises(ExcessiveFailures, match=r"limit 5%"):
             run_campaign(ScalarDgp(n=40), sizes=[40], reps=10, seed=0)
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
     # (usable CPUs, BLAS variables set, jobs) -> workers
     RULE = [
@@ -389,10 +389,14 @@ class TestParallelCampaign:
 
 
 def test_import_leaves_process_pools_unloaded():
-    # a process pool costs an import 24 ms, and only a parallel campaign
-    # starts one, so it is imported there
+    # nor does a parallel campaign load one: its replications are forked by
+    # geordd._workers.fork_map, which needs neither multiprocessing nor
+    # concurrent.futures (24 ms of import)
     env = {**os.environ, "PYTHONPATH": str(Path(simlab.__file__).parents[1])}
     code = ("import sys, geordd, geordd.cli; "
+            "geordd.simlab._worker_count = lambda n_jobs: 2; "
+            "geordd.run_campaign(geordd.ScalarDgp(seed=0), sizes=[100], reps=10, "
+            "bandwidth=0.4); "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     out = subprocess.run(
