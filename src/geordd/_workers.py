@@ -1,6 +1,12 @@
 """How many processes a task may fork (:func:`worker_count`, the one rule
-for a campaign's workers and a CSV body's ranges), and the one way that
-they are forked (:func:`fork_map`, which runs them while this process waits)."""
+for its three users: a campaign's replications, the ranges of a CSV body
+that :func:`~geordd.io.ingest_csv` parses, and the ranges of rows that
+:func:`~geordd.io.write_sample_csv` formats), and the one way that they are
+forked (:func:`fork_map`, which runs them while this process waits).
+
+The two CSV users take at most one process per 4 MiB of body, their size
+floor.  The writer holds the text of at most one range per process, each
+at most 32 MiB, and writes it here; no child touches its file."""
 
 from __future__ import annotations
 

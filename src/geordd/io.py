@@ -32,6 +32,14 @@ value or field count, a range of another width, a ``"`` anywhere in the
 body, a child that ends early, a failed ``fork``) reads the body again
 serially, so a refusal is the same on either path.
 
+:func:`write_sample_csv` forks by the same rule, with the body's size
+estimated from its first block of rows: so under ``OPENBLAS_NUM_THREADS=1``
+on two CPUs a body of 8 MiB or more is formatted in forked children, in
+rounds of one range per process, and written here in order.  This process
+holds the text of at most one range per process, each at most 32 MiB at the
+longest ``repr`` of every value; with one process it formats and writes one
+block of rows at a time.  The bytes are the serial writer's either way.
+
 Compositional inputs are accepted as raw shares (rows on the simplex) and
 square-root transformed at load; all other spaces ingest payloads directly.
 """
@@ -260,7 +268,8 @@ def _first_bad_record(path, header, n_meta) -> ParseError:
     return ParseError("bad payload value", row=lines[lo])
 
 
-#: the least body, in bytes, that each process of a parallel parse reads
+#: the least body, in bytes, that each process of a parallel parse reads or
+#: of a parallel write formats: the size floor of both
 _RANGE_BYTES = 4 << 20
 
 
@@ -436,21 +445,25 @@ def _mirror_plan(shape: tuple[int, ...]):
     return upper, twin, operator.itemgetter(*position[twin].tolist())
 
 
-def write_sample_csv(sample: RddSample, path) -> None:
-    """Serialize a sample to the CSV form accepted by :func:`ingest_csv`.
+#: the most text, in bytes, that one range of a parallel write may hold, at
+#: the longest repr of every value: enough that 20,000 ten-node graphs on
+#: two processes go in one round of two ranges
+_RANGE_TEXT = 32 << 20
 
-    Compositional samples are written back as shares, matching the ingestion
-    convention for the simplex space (so the square-root transform is applied
-    exactly once on the way in).  Records are formatted and written a block
-    of rows at a time (:func:`~geordd.spaces.base.block_rows`), so memory
-    beyond the sample is that of one block at any n.
+#: characters in the longest ``repr`` of a float64, ``-2.2250738585072014e-308``
+_REPR_CHARS = 24
+
+
+def _format_rows(sample: RddSample, start: int, stop: int) -> bytes:
+    """The records of rows ``start:stop`` of ``sample`` as CSV text, formatted
+    a block of rows at a time (:func:`~geordd.spaces.base.block_rows`).
 
     Each value is written as its ``repr``.  A block of square payloads that
     equals its transpose bit for bit (every Laplacian and SPD sample, which
     are stored symmetrised) formats only the upper triangle of each row and
     writes each string at both mirrored positions; any other block, one with
-    0.0 opposite -0.0 among them, formats every entry.  Either way the file's
-    bytes are the same.
+    0.0 opposite -0.0 among them, formats every entry.  Either way the text
+    is the same.
     """
     meta = [name for name in ("t", "z") if getattr(sample, name) is not None]
     columns = [sample.r] + [getattr(sample, name) for name in meta]
@@ -458,20 +471,67 @@ def write_sample_csv(sample: RddSample, path) -> None:
     shares = isinstance(sample.space, CompositionalSphere)
     mirror = _mirror_plan(sample.space.shape) if payload.dtype == np.float64 else None
     upper, twin, place = mirror or (None, None, None)
-    header = ",".join(["r"] + meta + [f"y{j}" for j in range(payload.shape[1])])
     step = block_rows(payload.shape[1])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(header + "\r\n")
-        for start in range(0, sample.n, step):
-            rows = slice(start, start + step)
-            y = payload[rows] ** 2 if shares else payload[rows]  # the shares
-            block = [col[rows].tolist() for col in columns]
-            if mirror and np.array_equal(bits := y.view(np.int64), bits[:, twin]):
-                fields = (place(list(map(repr, row))) for row in y[:, upper].tolist())
-            else:
-                fields = (map(repr, row) for row in y.tolist())
-            # no repr of a float needs CSV quoting; lines end as csv.writer ends them
-            fh.writelines(
-                ",".join([repr(r), *map(str, tz), *ys]) + "\r\n"
-                for r, *tz, ys in zip(*block, fields)
-            )
+    out = io.BytesIO()
+    for first in range(start, stop, step):
+        rows = slice(first, min(first + step, stop))
+        y = payload[rows] ** 2 if shares else payload[rows]  # the shares
+        block = [col[rows].tolist() for col in columns]
+        if mirror and np.array_equal(bits := y.view(np.int64), bits[:, twin]):
+            fields = (place(list(map(repr, row))) for row in y[:, upper].tolist())
+        else:
+            fields = (map(repr, row) for row in y.tolist())
+        # no repr of a float needs CSV quoting; lines end as csv.writer ends them
+        out.write("".join(
+            ",".join([repr(r), *map(str, tz), *ys]) + "\r\n"
+            for r, *tz, ys in zip(*block, fields)
+        ).encode())
+    return out.getvalue()
+
+
+def write_sample_csv(sample: RddSample, path) -> None:
+    """Serialize a sample to the CSV form accepted by :func:`ingest_csv`.
+
+    Compositional samples are written back as shares, matching the ingestion
+    convention for the simplex space (so the square-root transform is applied
+    exactly once on the way in).  Records are formatted by
+    :func:`_format_rows`, a block of rows at a time, and the file's bytes are
+    the same however the rows are cut and by however many processes.
+
+    This process writes the header and the first block of rows.  That
+    block's bytes per row times the sample's rows estimate the body's size,
+    which sets the process count k by the rule that parses a large body
+    (:func:`~geordd._workers.worker_count`, at most one process per
+    ``_RANGE_BYTES``, 4 MiB, of body: the size floor).  With k = 1 the rest
+    is formatted and written a block at a time, so memory beyond the sample
+    is that of one block at any n.  With k >= 2 (a body of 8 MiB or more on
+    two CPUs with BLAS on one thread, such as 20,000 ten-node graphs) the
+    rest is cut at block boundaries into ranges of at most ceil(blocks / k)
+    blocks, each at most ``_RANGE_TEXT`` (32 MiB) of text were every value
+    written at its longest ``repr``, but at least one block.
+    :func:`~geordd._workers.fork_map` formats them in rounds of k ranges,
+    each in a forked child (or all here, while a second thread runs), and
+    this process writes a round's text in order before the next round
+    starts.  So beside its first block it holds the text of at most k
+    ranges: at most k x 32 MiB, and never more than the body.
+    Only this process writes to the file.
+    """
+    meta = [name for name in ("t", "z") if getattr(sample, name) is not None]
+    width = int(np.prod(sample.space.shape))
+    header = ",".join(["r"] + meta + [f"y{j}" for j in range(width)])
+    n, step = sample.n, block_rows(width)
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\r\n".encode())
+        written = fh.write(_format_rows(sample, 0, step))
+        # the body's size, estimated from its first block, sets the processes
+        k = max(1, worker_count(written * n // min(step, n) // _RANGE_BYTES))
+        blocks = 1  # in a range: one at a time with one process
+        if k > 1:
+            # a block's text at the longest repr of each value and separator
+            longest = step * ((1 + len(meta) + width) * (_REPR_CHARS + 1) + 1)
+            blocks = max(1, min(-(-(n - step) // (step * k)), _RANGE_TEXT // longest))
+        cut = blocks * step
+        ranges = [(sample, a, min(a + cut, n)) for a in range(step, n, cut)]
+        for first in range(0, len(ranges), k):
+            fh.flush()  # so that no forked child holds unwritten bytes of the file
+            fh.writelines(fork_map(_format_rows, ranges[first:first + k], k))

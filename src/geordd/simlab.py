@@ -6,7 +6,8 @@ network-valued outcomes drawn from a weighted stochastic block model whose
 edge-weight law jumps at the cutoff.  Both follow one protocol: a frozen
 dataclass with ``n`` and ``seed`` fields, a ``setting`` string naming the
 design, and ``sample(rng=None)`` returning ``(RddSample, GeodesicEffect)``,
-a draw and the population effect it estimates.  :func:`run_campaign` runs
+a draw and the population effect it estimates; each design builds its
+space and that effect once, on first use.  :func:`run_campaign` runs
 any design that follows it through the full pipeline (data-adaptive
 bandwidth, sharp estimation, quotient-metric bias against the known truth)
 over replications and sample sizes, and fits the log-log rate of the mean
@@ -19,7 +20,8 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -93,7 +95,7 @@ class ScalarDgp:
     def cutoff(self) -> float:
         return 0.0
 
-    @property
+    @cached_property
     def space(self) -> Euclidean:
         return Euclidean(1)
 
@@ -109,6 +111,10 @@ class ScalarDgp:
         return sample, self.true_effect()
 
     def true_effect(self) -> GeodesicEffect:
+        return self._truth
+
+    @cached_property
+    def _truth(self) -> GeodesicEffect:
         m_minus, m_plus = scalar_regression_functions(self.setting)
         space = self.space
         start = space.point([float(m_minus(0.0))])
@@ -158,7 +164,7 @@ class NetworkDgp:
     def cutoff(self) -> float:
         return 0.0
 
-    @property
+    @cached_property
     def space(self) -> NetworkLaplacian:
         # weights are bounded by cos <= 1 plus the jump plus unit noise
         return NetworkLaplacian(self.n_nodes, max_weight=2.0 + self.jump)
@@ -214,6 +220,10 @@ class NetworkDgp:
     def true_effect(self) -> GeodesicEffect:
         """Geodesic between the expected Laplacians at the two cutoff limits;
         the reference point is the population mean Laplacian."""
+        return self._truth
+
+    @cached_property
+    def _truth(self) -> GeodesicEffect:
         w_left = 1.0 + 0.5  # cos(0) plus the mean of the unit noise
         w_right = w_left + self.jump
         # average expected weight over R ~ Unif(-1, 1)
@@ -381,7 +391,8 @@ def run_campaign(
     config = {
         "dgp": type(dgp).__name__,
         "dgp_params": {
-            k: v for k, v in dgp.__dict__.items() if isinstance(v, (int, float, str))
+            f.name: v for f in fields(dgp)
+            if isinstance(v := getattr(dgp, f.name), (int, float, str))
         },
         "sizes": sizes,
         "reps": reps,

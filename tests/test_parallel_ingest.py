@@ -1,19 +1,26 @@
 """A large CSV body is parsed in ranges at once, each in a forked child,
-and gives the serial parse's sample and refusals.
+and gives the serial parse's sample and refusals; a large sample is written
+in ranges, each formatted in a forked child, and gives the serial writer's
+bytes.
 
 The tests lower the size floor ``_RANGE_BYTES`` so that a small body spans
 several ranges, and report four usable CPUs with BLAS on one thread, so
 that the body is cut into four ranges, each parsed by its own child.
-Where a test leaves the CPUs as they are, it reads them through the real
+The writer's tests cut its blocks to a few rows and force the process
+count through ``worker_count`` or the same CPU report.  Where a test
+leaves the CPUs as they are, it reads them through the real
 ``os.sched_getaffinity`` (CI reruns this file under ``taskset -c 0``).
 """
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +30,10 @@ from geordd import Euclidean, NetworkDgp, RddSample, run_campaign, simlab
 from geordd import _workers
 from geordd import io as gio
 from geordd._workers import BLAS_THREAD_VARS
-from geordd.errors import GeorddError
+from geordd.errors import GeorddError, InvariantViolation
 from geordd.io import ingest, ingest_csv, ingest_jsonl, write_sample_csv
+from geordd.spaces import PointStack, SpdSpace
+from geordd.spaces import base as spaces_base
 
 #: payload fields after r in the hand-written bodies below
 WIDTH = 3
@@ -356,6 +365,171 @@ def test_the_campaign_forks_on_the_usable_cpus(monkeypatch, forks):
     _pin_blas(monkeypatch)
     run_campaign(NetworkDgp(seed=3), sizes=[100], reps=10, seed=3)
     assert bool(forks) == (len(os.sched_getaffinity(0)) > 1)
+    no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# a large sample is written in ranges, each formatted in a forked child
+# ---------------------------------------------------------------------------
+
+
+def _small_blocks(monkeypatch, sample, rows=5):
+    """Blocks of ``rows`` rows of ``sample``: 80 rows are a first block and
+    15 more."""
+    width = int(np.prod(sample.space.shape))
+    monkeypatch.setattr(spaces_base, "_BLOCK_ENTRIES", rows * width)
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _serial_sha256(sample, path):
+    """The SHA-256 of ``sample`` written with one process."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gio, "worker_count", lambda n_tasks: 1)
+        write_sample_csv(sample, path)
+    return _sha256(path)
+
+
+def _draw(case, n=80):
+    """``n`` records of the geometry of ``case``, with t and z columns."""
+    _, space, draw = case
+    rng = np.random.default_rng(23)
+    r = rng.uniform(-1.0, 1.0, n)
+    t, z = (rng.random(n) < 0.5).astype(float), (r >= 0.0).astype(float)
+    return RddSample(r=r, ys=space.stack(np.stack([draw(space, rng).data for _ in r])),
+                     cutoff=0.0, t=t, z=z)
+
+
+def _signed_zeros(n=80):
+    """Symmetric (4, 4) payloads, with 0.0 opposite -0.0 in a row of the
+    first block and in one of a later range: those blocks are written entry
+    by entry, the others from their upper triangles."""
+    rng = np.random.default_rng(29)
+    a = rng.normal(size=(n, 4, 4))
+    ys = a + np.swapaxes(a, 1, 2)
+    for row in (2, 57):
+        ys[row, 0, 2], ys[row, 2, 0] = 0.0, -0.0
+    return RddSample(np.linspace(-1.0, 1.0, n), PointStack(SpdSpace(4), ys), 0.0)
+
+
+WRITES = [pytest.param(lambda case=case: _draw(case), id=case[0]) for case in SPACE_CASES]
+WRITES.append(pytest.param(_signed_zeros, id="signed-zeros"))
+
+
+@pytest.mark.parametrize("make", WRITES)
+def test_ranges_write_the_serial_bytes(tmp_path, monkeypatch, forks, make):
+    sample = make()
+    _small_blocks(monkeypatch, sample)
+    want = _serial_sha256(sample, tmp_path / "serial.csv")
+    assert forks == []
+    monkeypatch.setattr(gio, "worker_count", lambda n_tasks: 4)
+    path = tmp_path / "ranges.csv"
+    write_sample_csv(sample, path)
+    assert len(forks) == 4  # 15 blocks in ranges of 4, 4, 4 and 3
+    assert _sha256(path) == want
+    assert ingest_csv(path, "euclid", 0.0).r.tobytes() == sample.r.tobytes()
+    no_child_left()
+
+
+def _write_floor(monkeypatch, sample, path, ranges=4):
+    """Cut the size floor so that the body of ``sample`` holds ``ranges``
+    of it, and write it there serially."""
+    _small_blocks(monkeypatch, sample)
+    want = _serial_sha256(sample, path)
+    monkeypatch.setattr(gio, "_RANGE_BYTES", path.stat().st_size // (ranges + 1))
+    return want
+
+
+@pytest.mark.parametrize("setting", [_one_cpu, _blas_unpinned, _below_the_floor],
+                         ids=["one-cpu", "blas-unpinned", "below-the-floor"])
+def test_no_fork_in_a_write(tmp_path, monkeypatch, forks, setting):
+    sample = _draw(SPACE_CASES[3])
+    want = _write_floor(monkeypatch, sample, tmp_path / "serial.csv")
+    _cpus(monkeypatch)
+    write_sample_csv(sample, tmp_path / "sample.csv")
+    assert len(forks) == 4
+    setting(monkeypatch)
+    write_sample_csv(sample, tmp_path / "sample.csv")
+    assert len(forks) == 4
+    assert _sha256(tmp_path / "sample.csv") == want
+
+
+def test_no_fork_in_a_write_beside_a_second_thread(tmp_path, monkeypatch, forks):
+    sample = _draw(SPACE_CASES[3])
+    want = _write_floor(monkeypatch, sample, tmp_path / "serial.csv")
+    _cpus(monkeypatch)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        write_sample_csv(sample, tmp_path / "sample.csv")
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == [] and _sha256(tmp_path / "sample.csv") == want
+    write_sample_csv(sample, tmp_path / "sample.csv")
+    assert len(forks) == 4 and _sha256(tmp_path / "sample.csv") == want
+
+
+def test_a_write_forks_on_the_usable_cpus(tmp_path, monkeypatch, forks):
+    # the real affinity: no child on one usable CPU
+    _pin_blas(monkeypatch)
+    sample = _draw(SPACE_CASES[3])
+    want = _write_floor(monkeypatch, sample, tmp_path / "serial.csv")
+    write_sample_csv(sample, tmp_path / "sample.csv")
+    cpus = min(len(os.sched_getaffinity(0)), 4)
+    assert len(forks) == (cpus if cpus > 1 else 0)
+    assert _sha256(tmp_path / "sample.csv") == want
+    no_child_left()
+
+
+def test_a_child_error_in_a_write_is_raised_here(tmp_path, monkeypatch, forks):
+    sample = _draw(SPACE_CASES[3])
+    _small_blocks(monkeypatch, sample)
+    monkeypatch.setattr(gio, "worker_count", lambda n_tasks: 4)
+    here, format_rows = os.getpid(), gio._format_rows
+
+    def refuse_in_a_child(sample, start, stop):
+        if os.getpid() != here and start <= 45 < stop:
+            raise InvariantViolation(f"rows {start}:{stop} refused in a child")
+        return format_rows(sample, start, stop)
+
+    monkeypatch.setattr(gio, "_format_rows", refuse_in_a_child)
+    with pytest.raises(InvariantViolation, match="^rows 45:65 refused in a child$"):
+        write_sample_csv(sample, tmp_path / "sample.csv")
+    assert len(forks) == 4
+    no_child_left()
+
+
+def test_a_write_in_rounds_holds_at_most_one_range_per_process(tmp_path, monkeypatch,
+                                                                forks):
+    # 2 processes and ranges of 4 blocks of 50 rows (at the longest repr of
+    # each value): the 1,950 rows after the first block go in 10 ranges, 5
+    # rounds of 2
+    sample, _ = NetworkDgp(n=2_000, seed=4, n_nodes=6).sample()
+    _small_blocks(monkeypatch, sample, rows=50)
+    row_text = 37 * (gio._REPR_CHARS + 1) + 1
+    monkeypatch.setattr(gio, "_RANGE_TEXT", 4 * 50 * row_text)
+    want = _serial_sha256(sample, tmp_path / "serial.csv")
+    monkeypatch.setattr(gio, "worker_count", lambda n_tasks: 2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        gio._format_rows(sample, 0, 50)
+        block = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        write_sample_csv(sample, tmp_path / "sample.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forks) == 10
+    assert _sha256(tmp_path / "sample.csv") == want
+    # this process holds two ranges beside its own first block, not the body
+    bound = 2 * gio._RANGE_TEXT + block
+    assert peak < bound < (tmp_path / "sample.csv").stat().st_size
     no_child_left()
 
 

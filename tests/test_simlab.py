@@ -170,6 +170,37 @@ class TestSamplingProtocol:
         assert "setting" not in {f.name for f in dataclasses.fields(NetworkDgp)}
         assert "setting" not in NetworkDgp().__dict__
 
+    @pytest.mark.parametrize("dgp", DESIGNS, ids=["scalar", "network"])
+    def test_space_and_truth_are_built_once(self, dgp):
+        dgp = dataclasses.replace(dgp)  # a fresh design, nothing built yet
+        sample, truth = dgp.sample()
+        assert dgp.space is dgp.space and sample.space == dgp.space
+        assert truth is dgp.true_effect() is dgp.sample()[1]
+        again = dataclasses.replace(dgp, n=dgp.n + 10)
+        assert again.space is not dgp.space and again.space == dgp.space
+        assert again.true_effect().start.data.tobytes() == truth.start.data.tobytes()
+
+    @pytest.mark.parametrize(
+        "dgp, config_hash, params",
+        [(ScalarDgp(setting="II", seed=0), "98a81d446078ce5e",
+          {"n": 1000, "seed": 0, "setting": "II", "sigma": 0.5, "tau": 1.0}),
+         (NetworkDgp(seed=3), "a937b5ff21971704",
+          {"jump": 1.0, "n": 500, "n_nodes": 10, "p_between": 0.2, "p_within": 0.5,
+           "seed": 3})],
+        ids=["scalar", "network"],
+    )
+    def test_a_built_design_gives_the_same_campaign(self, dgp, config_hash, params):
+        # the config holds the design's fields alone, as before the space and
+        # truth were kept on it; the hashes are those of that code
+        fresh = run_campaign(dataclasses.replace(dgp), sizes=[100, 200], reps=10, seed=3)
+        dgp.space, dgp.true_effect()
+        vars(dgp)["_cached_scale"] = 2.0  # a number kept on a design is no field of it
+        built = run_campaign(dgp, sizes=[100, 200], reps=10, seed=3)
+        assert built.metadata["config"]["dgp_params"] == params
+        assert built.metadata["config_hash"] == config_hash
+        assert json.dumps(built.metadata) == json.dumps(fresh.metadata)
+        assert built.to_csv() == fresh.to_csv()
+
     def test_any_design_with_the_protocol_runs_a_campaign(self):
         res = run_campaign(StepDesign(), sizes=[100, 200], reps=10, seed=4)
         assert {row["setting"] for row in res.rows} == {"step"}
