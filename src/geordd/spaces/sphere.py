@@ -92,7 +92,8 @@ class CompositionalSphere(Space):
         return (self._dim,)
 
     def _validate(self, stack):
-        norms = _row_norms(stack)
+        with np.errstate(over="ignore"):  # a huge finite row is refused, not warned of
+            norms = _row_norms(stack)
         refuse_rows(
             (np.abs(norms - 1.0) > 1e-10,
              lambda i: f"point is not on the unit sphere: |z| = {float(norms[i])!r}"),
@@ -103,7 +104,8 @@ class CompositionalSphere(Space):
     def _canonical(self, stack):
         """Negative rounding clamped to zero, and each row renormalised."""
         out = np.maximum(stack, 0.0)
-        return out / _row_norms(out)[:, None]
+        out /= _row_norms(out)[:, None]
+        return out
 
     @classmethod
     def from_shares(cls, shares) -> MetricObject:
@@ -111,13 +113,15 @@ class CompositionalSphere(Space):
 
         Zero shares are floored at 1e-12 and the composition renormalized
         before taking square roots, so boundary compositions stay inside the
-        open orthant where the geometry is well behaved.
+        open orthant where the geometry is well behaved.  The shares are
+        checked and mapped as a one-row block of :meth:`points_from_shares`,
+        and are never written to.
         """
         y = np.asarray(shares, dtype=float)
         if y.ndim != 1 or y.size < 2:
             raise InvariantViolation("shares must be a vector of length >= 2")
         space = cls(y.size)
-        return MetricObject(space, space._checked_shares(np.ascontiguousarray(y[None]))[0])
+        return MetricObject(space, space._checked_shares(y[None])[0])
 
     def points_from_shares(self, shares) -> PointStack:
         """:meth:`from_shares` for each row of a (k, dim) stack of shares, as
@@ -126,8 +130,16 @@ class CompositionalSphere(Space):
         return self._stack_blocks(shares, self._checked_shares)
 
     def _checked_shares(self, y: np.ndarray) -> np.ndarray:
-        """The payloads of a contiguous block of shares, refused at its first
-        bad row.
+        """The payloads of a nonempty block of shares, refused at its first
+        bad row.  ``y`` is read and never written.
+
+        Every share must be at least -1e-12 and finite, and every row sum
+        within 1e-8 of one.  A block passes on three whole-block reductions:
+        its least share, its largest share, which must be at most 1 + 1e-8
+        so that no row sum can overflow, and its largest |row sum - 1|.  Only
+        a block that fails them builds the per-row masks, which refuse its
+        first bad row (and accept the rare good row with a share above
+        1 + 1e-8).
 
         The payloads are members, and are put in canonical form without
         ``_validate`` (as :meth:`_trusted` does): the checked shares are
@@ -135,14 +147,20 @@ class CompositionalSphere(Space):
         positive and sum to one to rounding, so their square roots are
         positive and of unit norm to rounding, far inside the 1e-10 that
         ``_validate`` allows."""
-        sums = y.sum(axis=1)
-        refuse_rows(
-            (~np.all((y >= -1e-12) & (y < np.inf), axis=1),
-             "shares must be finite and nonnegative"),
-            (np.abs(sums - 1.0) > 1e-8, lambda i: f"shares must sum to one, got {float(sums[i])}"),
-        )
+        if not (np.minimum.reduce(y, axis=None) >= -1e-12
+                and np.maximum.reduce(y, axis=None) <= 1.0 + 1e-8
+                and np.maximum.reduce(np.abs(np.add.reduce(y, axis=1) - 1.0)) <= 1e-8):
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, or huge shares
+                sums = y.sum(axis=1)
+            refuse_rows(
+                (~np.all((y >= -1e-12) & (y < np.inf), axis=1),
+                 "shares must be finite and nonnegative"),
+                (np.abs(sums - 1.0) > 1e-8,
+                 lambda i: f"shares must sum to one, got {float(sums[i])}"),
+            )
         y = np.maximum(y, _SHARE_FLOOR)
-        return self._canonical(np.sqrt(y / y.sum(axis=1, keepdims=True)))
+        y /= np.add.reduce(y, axis=1, keepdims=True)
+        return self._canonical(np.sqrt(y, out=y))
 
     def to_shares(self, a: MetricObject) -> np.ndarray:
         self._check_member(a)

@@ -604,6 +604,97 @@ class TestStackBlocks:
         assert (err.code, err.index) == ("invariant_violation", rows - 3)
 
 
+_NONNEGATIVE = "shares must be finite and nonnegative"
+
+#: a row of shares at the edge of each check, and what refuses it (None: accepted)
+_SHARE_EDGES = {
+    "share-at-minus-1e-12": ([0.5, 0.5 + 1e-12, -1e-12], None),
+    "share-below-minus-1e-12": ([0.5, 0.5 + 1.1e-12, -1.1e-12], _NONNEGATIVE),
+    "nan": ([0.5, np.nan, 0.5], _NONNEGATIVE),
+    "plus-inf": ([0.5, np.inf, 0.0], _NONNEGATIVE),
+    "minus-inf": ([0.5, 0.5, -np.inf], _NONNEGATIVE),
+    "both-infs": ([np.inf, -np.inf, 1.0], _NONNEGATIVE),
+    "sum-over-by-0.9e-8": ([0.5, 0.5 + 0.9e-8, 0.0], None),
+    "sum-under-by-0.9e-8": ([0.5, 0.5 - 0.9e-8, 0.0], None),
+    "sum-over-by-1.1e-8": ([0.5, 0.5 + 1.1e-8, 0.0], "shares must sum to one, got 1.000000011"),
+    "sum-under-by-1.1e-8": ([0.5, 0.5 - 1.1e-8, 0.0], "shares must sum to one, got 0.999999989"),
+    "huge-shares": ([1e308, 1e308, 0.0], "shares must sum to one, got inf"),
+}
+
+
+class TestShareBlocks:
+    """``from_shares`` and ``points_from_shares`` check a block of shares
+    with one pass of whole-block reductions, and build the per-row refusal
+    only when it fails; each boundary row is accepted or refused as one row
+    and at any place in a stack of three blocks of three rows."""
+
+    @staticmethod
+    def _stack_with(row, at):
+        rng = np.random.default_rng(41)
+        shares = rng.dirichlet(np.full(3, 2.0), 9)
+        shares[at] = row
+        return shares
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("at", [0, 4, 8], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("edge", list(_SHARE_EDGES), ids=list(_SHARE_EDGES))
+    def test_edge_rows_as_one_row_and_in_a_stack(self, edge, at, monkeypatch):
+        row, refused = _SHARE_EDGES[edge]
+        space = CompositionalSphere(3)
+        shares = self._stack_with(row, at)
+        whole = None if refused else space.points_from_shares(shares)
+        _blocks_of(monkeypatch, space, 3)
+        if refused is None:
+            one = CompositionalSphere.from_shares(row)
+            pts = space.points_from_shares(shares)
+            assert pts.data.tobytes() == whole.data.tobytes()
+            assert pts[at].data.tobytes() == one.data.tobytes()
+            assert np.all(one.data > 0.0)
+            return
+        for fn, arg, index in ((CompositionalSphere.from_shares, row, 0),
+                               (space.points_from_shares, shares, at)):
+            err = _refusal(fn, arg)
+            assert (type(err), err.code, str(err), err.index) == (
+                InvariantViolation, "invariant_violation", refused, index)
+
+    def test_a_share_above_one_in_a_row_summing_to_one_is_accepted(self):
+        # 4,000 shares of -1e-12 let one share exceed 1 + 1e-8 while the row
+        # sums to 1 + 0.8e-8: the whole-block pass is not enough to accept
+        # it, and the per-row checks accept it
+        row = np.zeros(4001)
+        row[0], row[1:] = 1.0 + 1.2e-8, -1e-12
+        z = CompositionalSphere.from_shares(row).data
+        floored = np.maximum(row, 1e-12)
+        np.testing.assert_allclose(z, np.sqrt(floored / floored.sum()), rtol=1e-12)
+
+    @pytest.mark.parametrize("refused", [False, True], ids=["accepted", "refused"])
+    def test_the_callers_shares_are_not_written(self, refused, monkeypatch):
+        # a C-contiguous float64 array reaches the checker as itself (a
+        # block of it as a view), so a write there would reach the caller
+        space = CompositionalSphere(3)
+        shares = self._stack_with([0.0, 0.25, 0.75], 4)
+        shares[8] = [0.5, 0.5, 0.5] if refused else [1.0, 0.0, 0.0]
+        assert np.ascontiguousarray(shares) is shares
+        assert np.ascontiguousarray(shares[3:6]).base is shares
+        before = shares.tobytes()
+        _blocks_of(monkeypatch, space, 3)
+        CompositionalSphere.from_shares(shares[4])
+        for fn, arg in ((CompositionalSphere.from_shares, shares[8]),
+                        (space.points_from_shares, shares)):
+            _refusal(fn, arg) if refused else fn(arg)
+            assert shares.tobytes() == before
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_huge_point_is_refused_without_a_warning(self):
+        space = CompositionalSphere(3)
+        want = "point is not on the unit sphere: |z| = inf"
+        for fn, arg, index in ((space.point, [1e200, 1e200, 0.0], 0),
+                               (space.stack, [[1.0, 0.0, 0.0], [1e200, 1e200, 0.0]], 1)):
+            err = _refusal(fn, arg)
+            assert (type(err), err.code, str(err), err.index) == (
+                InvariantViolation, "invariant_violation", want, index)
+
+
 def _half_vec(stack):
     """The Laplacian chart written out: sqrt(2) L_ij for i < j in
     ``np.triu_indices`` order, then the diagonal, for each matrix of a stack."""
