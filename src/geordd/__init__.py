@@ -15,7 +15,6 @@ from .bandwidth import (
     select_bandwidth,
 )
 from .frechet import (
-    FrechetSolveConfig,
     Side,
     WeightProfile,
     compute_weights,
@@ -81,7 +80,6 @@ __all__ = [
     # local Frechet regression
     "Side",
     "WeightProfile",
-    "FrechetSolveConfig",
     "compute_weights",
     "weighted_frechet_mean",
     "lfr_estimate",

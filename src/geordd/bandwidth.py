@@ -100,8 +100,8 @@ def compute_bounds(r_values, c: float) -> tuple[float, float]:
             f"cutoff, got {below.size} below and {above.size} at-or-above"
         )
     largest_gap = float(np.diff(r).max()) if r.size > 1 else 0.0
-    d_below = float(np.sort(c - below)[MIN_SIDE_OBS - 1])
-    d_above = float(np.sort(above - c)[MIN_SIDE_OBS - 1])
+    d_below = float(c - below[-MIN_SIDE_OBS])
+    d_above = float(above[MIN_SIDE_OBS - 1] - c)
     b_min = max(largest_gap, d_below, d_above)
     b_max = 0.5 * min(c - r[0], r[-1] - c)
     if b_min >= b_max:

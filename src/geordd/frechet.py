@@ -58,7 +58,6 @@ from .spaces.sphere import _arc_angles
 __all__ = [
     "Side",
     "WeightProfile",
-    "FrechetSolveConfig",
     "SolveInfo",
     "LocalLinearTables",
     "compute_weights",
@@ -78,6 +77,11 @@ _CELL_BUDGET = 1 << 18
 #: whether the kernel vanishes at the values just below and at a support's
 #: lower bound, and just below and at its upper bound
 _SUPPORT_PATTERN = np.array([[True], [False], [False], [True]])
+
+#: a sphere solver run stops once |grad| / sum|w| is at most ``_GRAD_TOL``,
+#: and gives up after ``_MAX_ITER`` iterations
+_MAX_ITER = 200
+_GRAD_TOL = 1e-10
 
 
 class Side(enum.Enum):
@@ -124,26 +128,6 @@ class WeightProfile:
                 arr.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class FrechetSolveConfig:
-    """Stopping rule for the iterative (sphere) solver; embeddable spaces
-    ignore it.
-
-    Each run of the sphere solver stops once its relative gradient norm
-    |grad| / sum|w| is at most ``grad_tol``, or when no step lowers the
-    objective, and gives up after ``max_iter`` iterations.
-    """
-
-    max_iter: int = 200
-    grad_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
-
-
 @dataclass
 class SolveInfo:
     """Diagnostics from one weighted Frechet mean solve.
@@ -168,9 +152,6 @@ class SolveInfo:
     projected: bool = False
     multistart_spread: float = 0.0
     grad_norm: float = float("nan")
-
-
-DEFAULT_SOLVE_CONFIG = FrechetSolveConfig()
 
 
 class LocalLinearTables:
@@ -576,7 +557,7 @@ def compute_weights(
 def weighted_frechet_mean(
     objects: Sequence[MetricObject],
     weights,
-    cfg: FrechetSolveConfig | None = None,
+    cfg: None = None,
     *,
     return_info: bool = False,
 ):
@@ -594,12 +575,14 @@ def weighted_frechet_mean(
     embedded points are the stack's own :attr:`PointStack.embedded` rows,
     computed once per stack, so a solve embeds nothing again.  On the
     sphere one safeguarded Riemannian Newton iteration is used, whose result
-    is certified against every object of ``objects``; ``cfg`` sets its
-    stopping rule.  The certificate bounds the objective at all n objects in
-    O((n + k) d) for k weighted rows and evaluates it, O(k) each, only at
-    those the bound cannot rule out (:func:`_sphere_mean`).
+    is certified against every object of ``objects``.  The certificate
+    bounds the objective at all n objects in O((n + k) d) for k weighted
+    rows and evaluates it, O(k) each, only at those the bound cannot rule
+    out (:func:`_sphere_mean`).  ``cfg`` must be None (any other value
+    raises ``TypeError``): the benchmark tracer's solve wrapper passes it.
     """
-    cfg = cfg or DEFAULT_SOLVE_CONFIG
+    if cfg is not None:
+        raise TypeError(f"cfg must be None, got {type(cfg).__name__}")
     stack = rows = PointStack.of(objects)
     space = stack.space
     sel = slice(None)
@@ -615,7 +598,7 @@ def weighted_frechet_mean(
     if isinstance(space, HilbertSpace):
         result, info = _embedding_mean(space, stack.embedded[sel], w, return_info)
     elif isinstance(space, CompositionalSphere):
-        result, info = _sphere_mean(space, rows, w, cfg, stack)
+        result, info = _sphere_mean(space, rows, w, stack)
     else:  # pragma: no cover - all shipped spaces are covered above
         raise NotImplementedError(f"no Frechet mean solver for {type(space).__name__}")
     return (result, info) if return_info else result
@@ -646,13 +629,13 @@ def _embedding_mean(space: HilbertSpace, emb: np.ndarray, w, with_info: bool):
     return out, info
 
 
-def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig, candidates):
+def _sphere_mean(space: CompositionalSphere, stack, w, candidates):
     """Weighted Frechet mean on the sphere orthant.
 
     Safeguarded Riemannian Newton on the weighted squared arc length, with
     its closed-form gradient and Hessian (Buss & Fillmore 2001, ACM TOG
     20(2); Absil, Mahony & Sepulchre 2008, ch. 6).  A run stops once
-    |grad| / sum|w| is at most ``cfg.grad_tol``, or after ``cfg.max_iter``
+    |grad| / sum|w| is at most ``_GRAD_TOL``, or after ``_MAX_ITER``
     iterations.  Each iteration takes the Newton direction when the Hessian
     is positive definite on the tangent space, else the gradient.  A full
     Newton step shorter than pi/2 that stays in the orthant is taken unless
@@ -682,7 +665,7 @@ def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig, 
 
     The result is :meth:`~CompositionalSphere.project_to_orthant` of the
     best run's point, nonnegative and of unit norm to rounding, so it is a
-    member and is built by :meth:`~geordd.spaces.base.Space._trusted_point`.
+    member and is built by :meth:`~geordd.spaces.base.Space._trusted`.
     """
     pts = np.ascontiguousarray(stack.data)
     cands = pts if candidates is stack else np.ascontiguousarray(candidates.data)
@@ -721,10 +704,10 @@ def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig, 
     def run(z):
         """One run from the unit orthant point z, as ``(z, SolveInfo)``."""
         f, newton, clamped, converged = objective(z), True, False, True
-        for it in range(1, cfg.max_iter + 1):
+        for it in range(1, _MAX_ITER + 1):
             g, theta, u, norms = direction(z)
             gnorm = float(np.linalg.norm(g))
-            if gnorm <= cfg.grad_tol:
+            if gnorm <= _GRAD_TOL:
                 break
             # half the Riemannian Hessian over sum|w|, on the tangent space at z:
             # sum_i w_i [v_i v_i^T + theta_i cot(theta_i) (P - v_i v_i^T)] with
@@ -788,7 +771,7 @@ def _sphere_mean(space: CompositionalSphere, stack, w, cfg: FrechetSolveConfig, 
     info.iterations = sum(i.iterations for _, i in runs)
     if any(i.method == "sphere_descent" for _, i in runs):
         info.method = "sphere_descent"
-    return space._trusted_point(space.project_to_orthant(z)), info
+    return space._trusted(space.project_to_orthant(z)[None])[0], info
 
 
 def _objective_at_points(cands, pts, w):

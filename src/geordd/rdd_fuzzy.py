@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,8 +76,7 @@ class NoncomplianceSide(enum.Enum):
 
 @dataclass(frozen=True)
 class ComplianceFit:
-    """Local linear fits of the treatment indicator on each side of the cutoff,
-    with the left and right weight profiles behind them (``profiles``)."""
+    """Local linear fits of the treatment indicator on each side of the cutoff."""
 
     m0: float
     m1: float
@@ -85,7 +84,6 @@ class ComplianceFit:
     slope1: float
     h0: float
     h1: float
-    profiles: tuple[WeightProfile, WeightProfile] = field(repr=False, compare=False)
 
     @property
     def denominator(self) -> float:
@@ -159,16 +157,12 @@ def _require_columns(sample: RddSample, assignment: bool = False):
 def estimate_compliance(sample: RddSample, h0: float, h1: float) -> ComplianceFit:
     """Local linear intercepts of T on R at the cutoff, one per side."""
     _require_columns(sample)
-    line, profiles = [], []
+    line = []
     for h, side in ((h0, Side.LEFT), (h1, Side.RIGHT)):
         p = compute_weights(sample.r, sample.cutoff, h, side, tables=sample.weight_tables)
         line += [float(w @ sample.t[p.support]) / p.n_norm for w in (p.weights, p.slope_weights)]
-        profiles.append(p)
     m0, b0, m1, b1 = line
-    return ComplianceFit(
-        m0=m0, m1=m1, slope0=b0, slope1=b1, h0=float(h0), h1=float(h1),
-        profiles=tuple(profiles),
-    )
+    return ComplianceFit(m0=m0, m1=m1, slope0=b0, slope1=b1, h0=float(h0), h1=float(h1))
 
 
 class _EmbeddingChart:
@@ -263,7 +257,7 @@ def _projected_exp(omega: MetricObject, v: np.ndarray) -> MetricObject:
     z, norms = _great_circle(omega.data, np.asarray(v, dtype=float)[None])
     if norms[0] < np.pi:
         try:
-            return space._trusted_point(space.project_to_orthant(z[0]))
+            return space._trusted(space.project_to_orthant(z[0])[None])[0]
         except InvariantViolation:  # the image clamps to zero
             pass
     raise ExpOutOfDomain(f"tangent vector of norm {float(norms[0])!r} has no image to project: "
@@ -288,7 +282,9 @@ def _estimate(
         raise WeakCompliance(
             f"compliance jump {den!r} is within the refusal threshold {DELTA_COMPLY}"
         )
-    (nu0, mu0), (nu1, mu1) = (chart.fit(p) for p in fit.profiles)
+    tables = sample.weight_tables  # they return the compliance fit's two profiles
+    nu0, mu0 = chart.fit(compute_weights(sample.r, sample.cutoff, h0, Side.LEFT, tables=tables))
+    nu1, mu1 = chart.fit(compute_weights(sample.r, sample.cutoff, h1, Side.RIGHT, tables=tables))
     tau = (nu1 - nu0) / den
 
     endpoints = effect = None

@@ -258,13 +258,10 @@ class Space(ABC):
 
     def point(self, data) -> MetricObject:
         """Validate ``data`` against the space invariants and wrap its
-        canonical copy: the one-row case of :meth:`stack`, refused as it
-        refuses that row (``index`` 0) and equal to its row bit for bit.
-        The point never shares memory with ``data``."""
-        arr = np.asarray(data, dtype=float)
-        if arr.shape != self.shape:
-            raise ShapeMismatch(f"expected payload of shape {self.shape}, got {arr.shape}")
-        return MetricObject(self, self._checked(np.ascontiguousarray(arr[None]))[0])
+        canonical copy: the one row of :meth:`stack` of ``data[None]``,
+        refused as that stack is (``index`` 0).  The point never shares
+        memory with ``data``."""
+        return self.stack(np.asarray(data, dtype=float)[None])[0]
 
     def stack(self, payloads) -> PointStack:
         """Validate a ``(k, *shape)`` stack of payloads; a bad row is refused
@@ -320,12 +317,6 @@ class Space(ABC):
         block loop, applies ``_canonical`` under the same rule.
         """
         return self._stack_blocks(rows, self._trusted_block)
-
-    def _trusted_point(self, payload: np.ndarray) -> MetricObject:
-        """:meth:`_trusted`'s one-row case, built as :meth:`point` builds
-        its point, for a payload of shape ``self.shape`` under the same
-        rule."""
-        return MetricObject(self, self._trusted_block(np.ascontiguousarray(payload[None]))[0])
 
     def _trusted_block(self, block: np.ndarray) -> np.ndarray:
         _refuse_non_finite(block)
@@ -487,17 +478,17 @@ class HilbertSpace(Space):
 
     #: whether ``_inverse`` maps every row of ``_project``'s output to a
     #: payload that ``_validate`` accepts, so that a projected point is built
-    #: by :meth:`_trusted_point` (see :meth:`_projected_point`)
+    #: by :meth:`_trusted` (see :meth:`_projected_point`)
     _projection_proves_membership: bool = True
 
     def _projected_point(self, proj: np.ndarray) -> MetricObject:
         """The point at a (D,) chart vector that ``_project`` returned.  Its
         payload is a member wherever ``_projection_proves_membership`` holds,
-        and is built by :meth:`_trusted_point`; elsewhere :meth:`point` checks
+        and is built by :meth:`_trusted`; elsewhere :meth:`point` checks
         it."""
         payload = self._inverse(proj)
         if self._projection_proves_membership:
-            return self._trusted_point(payload)
+            return self._trusted(payload[None])[0]
         return self.point(payload)
 
     def embed(self, a: MetricObject) -> np.ndarray:

@@ -32,8 +32,10 @@ def _laplacian(off: np.ndarray) -> np.ndarray:
 
 def _symmetric_laplacian(off: np.ndarray) -> np.ndarray:
     """The canonical Laplacians of off-diagonal parts ``off``: exactly
-    symmetric, with exactly zero row sums."""
-    return _laplacian(0.5 * (off + np.swapaxes(off, 1, 2)))
+    symmetric, with exactly zero row sums.  ``off`` is halved in place
+    before adding, so that no sum overflows."""
+    off *= 0.5
+    return _laplacian(off + np.swapaxes(off, 1, 2))
 
 
 def laplacian_from_weights(w: np.ndarray) -> np.ndarray:
@@ -85,16 +87,17 @@ class NetworkLaplacian(MatrixSpace):
         off = _off_diagonal(stack)
         weight = -off.min(axis=(1, 2))
         wmax = np.inf if self._wmax is None else self._wmax + tol
-        refuse_rows(
-            (np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2)) > tol,
-             "Laplacian must be symmetric"),
-            (np.abs(stack.sum(axis=2)).max(axis=1) > tol, "Laplacian rows must sum to zero"),
-            (off.max(axis=(1, 2)) > tol, "off-diagonal entries must be nonpositive"),
-            (np.diagonal(stack, axis1=1, axis2=2).min(axis=1) < -tol,
-             "diagonal entries must be nonnegative"),
-            (weight > wmax,
-             lambda i: f"edge weights must not exceed {self._wmax}, got {float(weight[i])!r}"),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # huge gaps and sums are refused
+            refuse_rows(
+                (np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2)) > tol,
+                 "Laplacian must be symmetric"),
+                (np.abs(stack.sum(axis=2)).max(axis=1) > tol, "Laplacian rows must sum to zero"),
+                (off.max(axis=(1, 2)) > tol, "off-diagonal entries must be nonpositive"),
+                (np.diagonal(stack, axis1=1, axis2=2).min(axis=1) < -tol,
+                 "diagonal entries must be nonnegative"),
+                (weight > wmax,
+                 lambda i: f"edge weights must not exceed {self._wmax}, got {float(weight[i])!r}"),
+            )
         return _symmetric_laplacian(off)
 
     def _canonical(self, stack):

@@ -143,18 +143,20 @@ class SpdSpace(MatrixSpace):
         scale = np.abs(stack).max(axis=(1, 2))
         sym = self._canonical(stack)
         lam_min = np.linalg.eigvalsh(sym).min(axis=1)
-        refuse_rows(
-            (np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2)) > 1e-10 * scale,
-             "matrix must be symmetric"),
-            ((lam_min <= 0.0) | (lam_min < _EPS_PD - 1e-12 * scale),
-             lambda i: f"smallest eigenvalue {float(lam_min[i])!r} is below the floor "
-             f"{_EPS_PD!r}"),
-        )
+        with np.errstate(over="ignore"):  # an overflowing gap is refused
+            refuse_rows(
+                (np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2)) > 1e-10 * scale,
+                 "matrix must be symmetric"),
+                ((lam_min <= 0.0) | (lam_min < _EPS_PD - 1e-12 * scale),
+                 lambda i: f"smallest eigenvalue {float(lam_min[i])!r} is below the floor "
+                 f"{_EPS_PD!r}"),
+            )
         return sym
 
     def _canonical(self, stack):
-        """Each matrix symmetrised."""
-        return 0.5 * (stack + np.swapaxes(stack, 1, 2))
+        """Each matrix symmetrised, halved before adding so that no sum overflows."""
+        half = 0.5 * stack
+        return half + np.swapaxes(half, 1, 2)
 
     #: every projected point is checked: the log charts project by the
     #: identity, so a fit with signed weights can leave the eigenvalue floor

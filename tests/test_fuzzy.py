@@ -10,7 +10,6 @@ from geordd import (
     RddSample,
     Side,
     Wasserstein1D,
-    compute_weights,
     estimate_compliance,
     estimate_fuzzy_late,
     estimate_geodesic_fuzzy,
@@ -29,6 +28,7 @@ from geordd.errors import (
     WeakCompliance,
 )
 import geordd.rdd_fuzzy as rdd_fuzzy
+from geordd.frechet import LocalLinearTables
 from conftest import rand_sphere, wls_intercept_oracle, wls_line_oracle
 
 
@@ -288,18 +288,19 @@ class TestRiemannianFuzzy:
         np.testing.assert_allclose(est.tau, oracle, atol=1e-8)
 
     def test_weight_profiles_computed_once_per_side(self, monkeypatch):
-        # the outcome fits reuse the compliance fit's two profiles
+        # the outcome fits take the compliance fit's two windows from the
+        # sample's weight tables: one engine pass per side, not two
         calls = []
+        windows = LocalLinearTables.windows
 
-        def counted(*args, **kwargs):
-            calls.append(args[1:3])
-            return compute_weights(*args, **kwargs)
+        def counted(self, centers, h, side, *args):
+            calls.append((float(h), side))
+            return windows(self, centers, h, side, *args)
 
-        monkeypatch.setattr(rdd_fuzzy, "compute_weights", counted)
+        monkeypatch.setattr(LocalLinearTables, "windows", counted)
         sample = _euclid_fuzzy(np.random.default_rng(14), n=300)
         est = estimate_riemannian_fuzzy(sample, Euclidean(1).point([0.0]), 0.4, 0.5)
-        assert calls == [(0.0, 0.4), (0.0, 0.5)]
-        assert est.compliance.profiles[0].side is Side.LEFT
+        assert calls == [(0.4, Side.LEFT), (0.5, Side.RIGHT)]
         assert est.compliance.to_json() == estimate_compliance(sample, 0.4, 0.5).to_json()
 
     @pytest.mark.parametrize("estimate", TANGENT_ESTIMATORS)

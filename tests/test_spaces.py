@@ -695,6 +695,46 @@ class TestShareBlocks:
                 InvariantViolation, "invariant_violation", want, index)
 
 
+def _huge_cases():
+    """(id, space, a huge member, a huge antisymmetric payload, its refusal)
+    for the matrix spaces, whose canonical steps symmetrise."""
+    edge = np.zeros((3, 3))
+    edge[:2, :2] = [[1e308, -1e308], [-1e308, 1e308]]
+    anti = np.zeros((3, 3))
+    anti[0, 1], anti[1, 0] = 1e308, -1e308
+    cases = [("laplacian-2", NetworkLaplacian(2), edge[:2, :2], anti[:2, :2]),
+             ("laplacian-3", NetworkLaplacian(3), edge, anti)]
+    cases = [c + ("Laplacian must be symmetric",) for c in cases]
+    return cases + [(f"spd-{v}", SpdSpace(2, v), 1e308 * np.eye(2), anti[:2, :2],
+                     "matrix must be symmetric") for v in SPD_VARIANTS]
+
+
+_HUGE_CASES = _huge_cases()
+
+
+class TestHugeMatrices:
+    """A finite matrix payload near the largest double gets a typed answer,
+    with no overflow warning: a member is accepted with its own bits, and
+    an antisymmetric one is refused as not symmetric, alone and as row 3 of
+    a stack."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", _HUGE_CASES, ids=[c[0] for c in _HUGE_CASES])
+    def test_huge_payloads(self, case):
+        _, space, member, anti, refused = case
+        small = space.point(np.eye(space.shape[0]) if isinstance(space, SpdSpace)
+                            else laplacian_from_weights(1.0 - np.eye(space.shape[0])))
+        rows = np.stack([small.data] * 5)
+        rows[3] = member
+        assert space.point(member).data.tobytes() == member.tobytes()
+        assert space.stack(rows)[3].data.tobytes() == member.tobytes()
+        rows[3] = anti
+        for fn, arg, index in ((space.point, anti, 0), (space.stack, rows, 3)):
+            err = _refusal(fn, arg)
+            assert (type(err), err.code, str(err), err.index) == (
+                InvariantViolation, "invariant_violation", refused, index)
+
+
 def _half_vec(stack):
     """The Laplacian chart written out: sqrt(2) L_ij for i < j in
     ``np.triu_indices`` order, then the diagonal, for each matrix of a stack."""

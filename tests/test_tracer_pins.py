@@ -7,7 +7,9 @@ name a (module, attribute) pair that the tracer still wraps; once it stops
 wrapping one, the pin is dead code and this test says where.  The tracer
 also counts calls of the space methods it names in ``_COUNTED``, on each
 class that defines one; a method that no longer exists under its name would
-leave its counter at 0.
+leave its counter at 0.  ``weighted_frechet_mean`` keeps a positional
+``cfg`` slot, which takes only None, because the tracer's solve wrapper
+forwards one.
 """
 
 import ast
@@ -15,7 +17,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from geordd import spaces
+import numpy as np
+import pytest
+
+from geordd import CompositionalSphere, Euclidean, spaces, weighted_frechet_mean
 
 ROOT = Path(__file__).resolve().parents[1]
 PIN = "# noqa: F401 - bench/tracing.py wraps this module's name"
@@ -79,3 +84,28 @@ def test_every_counted_method_is_defined_on_an_exported_space():
     classes = [c for c in classes if isinstance(c, type) and issubclass(c, spaces.Space)]
     defined = {meth for c in classes for meth in vars(c)}
     assert sorted(set(_tracing()._COUNTED) - defined) == []
+
+
+def test_the_solve_wrapper_forwards_a_third_positional_argument():
+    # once it forwards two, the ``cfg`` slot of weighted_frechet_mean can go
+    tracing = _tracing()
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(args)
+        return weighted_frechet_mean(*args, **kwargs)
+
+    wrapper = tracing._solve(tracing.Tracer(), spy, spaces.CompositionalSphere)
+    wrapper(Euclidean(2).stack(np.eye(2)), np.ones(2))
+    assert len(seen) == 1 and len(seen[0]) == 3 and seen[0][2] is None
+
+
+@pytest.mark.parametrize("space", [Euclidean(3), CompositionalSphere(3)], ids=["flat", "sphere"])
+def test_the_cfg_slot_takes_only_none(space):
+    rows = np.abs(np.random.default_rng(3).normal(size=(6, 3)))
+    pts = space.stack(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    w = np.linspace(0.5, 1.5, 6)
+    assert weighted_frechet_mean(pts, w, None).data.tobytes() == (
+        weighted_frechet_mean(pts, w).data.tobytes())
+    with pytest.raises(TypeError):
+        weighted_frechet_mean(pts, w, object())
