@@ -2,7 +2,8 @@
 for its three users: a campaign's replications, the ranges of a CSV body
 that :func:`~geordd.io.ingest_csv` parses, and the ranges of rows that
 :func:`~geordd.io.write_sample_csv` formats), and the one way that they are
-forked (:func:`fork_map`, which runs them while this process waits).
+forked (:func:`fork_map`, which runs them while this process waits and
+reads each child's results as one pickle).
 
 The two CSV users take at most one process per 4 MiB of body, their size
 floor.  The writer holds the text of at most one range per process, each
@@ -15,8 +16,6 @@ import pickle
 import signal
 import sys
 import threading
-
-import numpy as np
 
 #: thread-count variables that BLAS libraries read, in the order consulted
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
@@ -46,8 +45,7 @@ def worker_count(n_tasks: int) -> int:
 def _send(out, inherited, fn, jobs):
     """In a forked child: close the ``inherited`` read ends, send ``fn``'s
     results for ``jobs`` (or the exception that one raised) down the pipe
-    ``out`` as a protocol-5 pickle, after the sizes of its out-of-band array
-    buffers and the buffers themselves, and leave with ``os._exit``."""
+    ``out`` as one protocol-5 pickle, and leave with ``os._exit``."""
     code = 1
     try:
         for pipe in inherited:
@@ -56,12 +54,8 @@ def _send(out, inherited, fn, jobs):
             reply = [fn(*job) for job in jobs]
         except Exception as err:
             reply = err
-        buffers = []
-        data = pickle.dumps(reply, protocol=5, buffer_callback=buffers.append)
-        raws = [buffer.raw() for buffer in buffers]
         with out:
-            pickle.dump([raw.nbytes for raw in raws], out)
-            out.writelines([*raws, data])
+            pickle.dump(reply, out, protocol=5)
         code = 0
     finally:
         os._exit(code)
@@ -69,13 +63,11 @@ def _send(out, inherited, fn, jobs):
 
 def _receive(pipe) -> list:
     """The results that a child sent down ``pipe``; raise what it raised.
-    Each array buffer is read straight into the memory its array keeps.  A
-    child that ends before its reply is whole is a ``ChildProcessError``."""
+    An array arrives bit-equal, and writable unless it was read-only in the
+    child.  A child that ends before its reply is whole is a
+    ``ChildProcessError``."""
     try:
-        buffers = [np.empty(size, dtype=np.uint8) for size in pickle.load(pipe)]
-        if any(pipe.readinto(buffer) != len(buffer) for buffer in buffers):
-            raise EOFError
-        reply = pickle.load(pipe, buffers=buffers)
+        reply = pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
         raise ChildProcessError("a child process ended before it sent its results") from None
     if isinstance(reply, Exception):

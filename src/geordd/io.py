@@ -170,18 +170,19 @@ def _bad_value(value, row: int, column: str) -> ParseError:
 
 def _build_sample(line_of, r, t, z, payload, to_stack, cutoff) -> RddSample:
     """Check the parsed columns and build the sample, validating the payload
-    stack with ``to_stack``; errors name ``line_of(i)``, the line of record
-    ``i``."""
+    stack with ``to_stack``; a refused record is named by ``line_of(i)``,
+    the line of record ``i``."""
     for name, col in (("t", t), ("z", z)):
         bad = [] if col is None else np.flatnonzero((col != 0.0) & (col != 1.0))
         if len(bad):
             value, row = float(col[bad[0]]), line_of(bad[0])
             raise ParseError(f"{name} must be 0 or 1, got {value!r}", row=row, column=name)
     try:
-        ys = to_stack(payload)
+        return RddSample(r=r, ys=to_stack(payload), cutoff=cutoff, t=t, z=z)
     except (InvariantViolation, NonFinitePayload) as err:
+        if err.index is None:
+            raise
         raise type(err)(f"row {line_of(err.index)}: {err}") from None
-    return RddSample(r=r, ys=ys, cutoff=cutoff, t=t, z=z)
 
 
 def _split_header(header: list[str]):

@@ -33,7 +33,8 @@ from .errors import (
     MissingTreatment,
     WeakCompliance,
 )
-from .frechet import Side, WeightProfile, compute_weights, weighted_frechet_mean
+from .frechet import Side, WeightProfile, compute_weights
+from .frechet import weighted_frechet_mean  # noqa: F401 - bench/tracing.py wraps this module's name
 from .rdd_sharp import sample_frechet_mean
 from .sample import RddSample
 from .spaces import GeodesicEffect, HilbertSpace, MetricObject
@@ -179,13 +180,14 @@ class _EmbeddingChart:
                 f"{alt} instead"
             )
         self.space = space
-        self.ys = sample.ys
+        self.rows = sample.ys.embedded
         self.warnings: list[str] = []
 
-    def fit(self, profile: WeightProfile):
-        """Coordinates of the fit, and the fitted object."""
-        mu = weighted_frechet_mean(self.ys, profile)
-        return self.space.embed(mu), mu
+    def fit(self, profile: WeightProfile) -> np.ndarray:
+        """Coordinates of the fit: the projected weighted average of the
+        window's embedded rows, whose point ``weighted_frechet_mean`` returns."""
+        mean = (profile.weights @ self.rows[profile.support]) / profile.weights.sum()
+        return self.space.project_embedding(mean)
 
     def norm(self, u: np.ndarray) -> float:
         return self.space.hilbert_norm(u)
@@ -230,9 +232,9 @@ class _TangentChart:
             held = _LOG_ROWS[sample] = self.omega, rows
         self.rows = held[1]
 
-    def fit(self, profile: WeightProfile):
-        """Coordinates of the fit; no object is fitted in this chart."""
-        return (profile.weights @ self.rows[profile.support]) / profile.weights.sum(), None
+    def fit(self, profile: WeightProfile) -> np.ndarray:
+        """Coordinates of the fit: the weighted average of the window's Log rows."""
+        return (profile.weights @ self.rows[profile.support]) / profile.weights.sum()
 
     def norm(self, u: np.ndarray) -> float:
         return float(np.linalg.norm(u))
@@ -277,14 +279,14 @@ def _estimate(
     fit = estimate_compliance(sample, h0, h1)
     m0 = float(np.clip(fit.m0, 0.0, 1.0))
     m1 = float(np.clip(fit.m1, 0.0, 1.0))
-    den = m1 - m0
+    den = fit.denominator
     if abs(den) <= DELTA_COMPLY:
         raise WeakCompliance(
             f"compliance jump {den!r} is within the refusal threshold {DELTA_COMPLY}"
         )
     tables = sample.weight_tables  # they return the compliance fit's two profiles
-    nu0, mu0 = chart.fit(compute_weights(sample.r, sample.cutoff, h0, Side.LEFT, tables=tables))
-    nu1, mu1 = chart.fit(compute_weights(sample.r, sample.cutoff, h1, Side.RIGHT, tables=tables))
+    nu0 = chart.fit(compute_weights(sample.r, sample.cutoff, h0, Side.LEFT, tables=tables))
+    nu1 = chart.fit(compute_weights(sample.r, sample.cutoff, h1, Side.RIGHT, tables=tables))
     tau = (nu1 - nu0) / den
 
     endpoints = effect = None
@@ -302,16 +304,16 @@ def _estimate(
                 raise EmptyStratum(
                     f"the {stratum} stratum is degenerate near the cutoff: {err}"
                 ) from None
-            plus, _ = chart.fit(replace(profile, support=idx[profile.support]))
-            targets = [(plus + (nu - plus) / den, None) for nu in (nu0, nu1)]
+            plus = chart.fit(replace(profile, support=idx[profile.support]))
+            targets = [plus + (nu - plus) / den for nu in (nu0, nu1)]
         elif abs(den - 1.0) > _FULL_COMPLIANCE_TOL:
             raise EmptyStratum(
                 f"the {stratum} stratum is empty but the fitted compliance jump "
                 f"is {den!r}, not one"
             )
         else:  # full compliance: the stratum term cancels
-            targets = [(nu0, mu0), (nu1, mu1)]
-        endpoints = tuple(mu if mu is not None else chart.back(q) for q, mu in targets)
+            targets = [nu0, nu1]
+        endpoints = tuple(chart.back(q) for q in targets)
         omega = chart.omega if chart.omega is not None else sample_frechet_mean(sample)
         effect = GeodesicEffect(*endpoints, omega)
 

@@ -9,6 +9,7 @@ import numpy as np
 from .errors import InvariantViolation, NonFinitePayload
 from .frechet import LocalLinearTables
 from .spaces import PointStack, Space
+from .spaces.base import refuse_rows
 
 __all__ = ["RddSample", "MIN_SIDE_OBS"]
 
@@ -27,8 +28,10 @@ class RddSample:
     Records are stored sorted by the running variable, so two samples with
     the same records in any order are bit-identical; an observation exactly
     at the cutoff belongs to the treated (right) side.  The running values
-    and the cutoff must be finite.  Data-adaptive bandwidth selection
-    additionally requires :data:`MIN_SIDE_OBS` observations on each side.
+    and the cutoff must be finite.  A refused running value or assignment
+    names its record's position in the given order in the error's
+    ``index``.  Data-adaptive bandwidth selection additionally requires
+    :data:`MIN_SIDE_OBS` observations on each side.
     """
 
     r: np.ndarray
@@ -42,7 +45,8 @@ class RddSample:
         if r.ndim != 1 or r.size == 0:
             raise InvariantViolation("running variable must be a nonempty vector")
         if not np.all(np.isfinite(r)):
-            raise NonFinitePayload("running variable contains NaN or infinite values")
+            refuse_rows((~np.isfinite(r), "running variable contains NaN or infinite values"),
+                        error=NonFinitePayload)
         c = float(self.cutoff)
         if not np.isfinite(c):
             raise NonFinitePayload(f"cutoff must be finite, got {c!r}")
@@ -67,14 +71,13 @@ class RddSample:
                 raise InvariantViolation(f"{name} column must align with records")
             if not np.all(np.isin(arr, (0.0, 1.0))):
                 raise InvariantViolation(f"{name} column must be 0/1")
+            if name == "z":
+                refuse_rows((arr != (r >= c), "assignment column must equal the cutoff "
+                             "indicator 1{R >= c}"))
             object.__setattr__(self, name, (arr if order is None else arr[order]).astype(int))
             getattr(self, name).setflags(write=False)
 
         object.__setattr__(self, "cutoff", c)
-        if self.z is not None and np.any(self.z != (self.r >= c).astype(int)):
-            raise InvariantViolation(
-                "assignment column must equal the cutoff indicator 1{R >= c}"
-            )
 
     @property
     def n(self) -> int:

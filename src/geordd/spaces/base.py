@@ -434,20 +434,35 @@ class HilbertSpace(Space):
     _hilbert_weights: np.ndarray | None = None
 
     def hilbert_norm(self, u) -> float:
+        """The Hilbert norm of ``u``: inf where it exceeds the float range.
+        Only a vector whose plain squared sum is not finite is rescaled by
+        its largest |coordinate|, so every other one keeps its bits."""
         u = np.asarray(u, dtype=float).ravel()
         if u.size != self.embedding_dim:
             raise ShapeMismatch(
                 f"embedding vectors must have {self.embedding_dim} coordinates"
             )
-        return float(np.sqrt(max(self.hilbert_sq_norms(u[None])[0], 0.0)))
+        with np.errstate(over="ignore"):
+            sq = self.hilbert_sq_norms(u[None])[0]
+        if math.isfinite(sq):
+            return float(np.sqrt(max(sq, 0.0)))
+        scale = float(np.abs(u).max())
+        if not math.isfinite(scale):
+            return scale
+        return scale * math.sqrt(self.hilbert_sq_norms(u[None] / scale)[0])
 
     def hilbert_distance(self, u, v) -> float:
+        """The Hilbert norm of ``u - v``; a difference beyond the float range
+        is taken at half scale, so the distance is inf only when it is."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         if u.shape != v.shape:
             raise ShapeMismatch(
                 f"embedding vectors of shapes {u.shape} and {v.shape} cannot be compared"
             )
-        return self.hilbert_norm(u - v)
+        with np.errstate(over="ignore"):
+            diff = u - v
+        norm = self.hilbert_norm(diff)
+        return 2.0 * self.hilbert_norm(u / 2.0 - v / 2.0) if norm == math.inf else norm
 
     def hilbert_sq_norms(self, rows: np.ndarray) -> np.ndarray:
         """Squared Hilbert norms of the rows of a (k, D) array; one row is

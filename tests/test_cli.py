@@ -23,7 +23,7 @@ from geordd import (
 )
 from geordd import io
 from geordd.cli import build_parser, main
-from geordd.errors import InvariantViolation, ParseError
+from geordd.errors import InvariantViolation, NonFinitePayload, ParseError
 from geordd.io import ingest, ingest_csv, write_sample_csv
 
 from conftest import rand_function, rand_laplacian, rand_quantile, rand_spd
@@ -139,6 +139,35 @@ class TestIngest:
         with pytest.raises(ParseError, match=f"row 3, column {column}") as info:
             ingest(path, "euclid", cutoff=0.0)
         assert (info.value.row, info.value.column) == (3, column)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("r", [[-0.6, -0.2, 0.4, 0.8], [0.4, 0.8, -0.2, -0.6]],
+                             ids=["sorted", "unsorted"])
+    @pytest.mark.parametrize("fault, error, message", [
+        ("r", NonFinitePayload, "running variable contains NaN or infinite values"),
+        ("z", InvariantViolation, "assignment column must equal the cutoff indicator 1{R >= c}"),
+    ], ids=["nan-r", "z-off-cutoff"])
+    def test_record_refusals_name_the_line(self, tmp_path, fmt, r, fault, error, message):
+        # records 2 and 3 are refused; the first of them in the file, on line
+        # 4, is named, also where record 3 sorts first
+        r, z = list(r), [int(x >= 0.0) for x in r]
+        for i in (2, 3):
+            if fault == "r":
+                r[i] = math.nan
+            else:
+                z[i] = 1 - z[i]
+        if fmt == "csv":
+            rows = (f"{ri!r},{zi},{zi},{i}.0\n" for i, (ri, zi) in enumerate(zip(r, z)))
+            text = "r,t,z,y0\n" + "".join(rows)
+            path = _write(tmp_path / "s.csv", text)
+        else:
+            recs = [{"r": ri, "t": zi, "z": zi, "y": Euclidean(1).point([float(i)]).to_json()}
+                    for i, (ri, zi) in enumerate(zip(r, z))]
+            path = _write(tmp_path / "s.jsonl", "\n" + "\n".join(map(json.dumps, recs)) + "\n")
+        with pytest.raises(error) as info:
+            ingest(path, "euclid", cutoff=0.0)
+        assert (type(info.value), info.value.code, str(info.value)) == (
+            error, error.code, f"row 4: {message}")
 
     def test_jsonl_ingestion(self, tmp_path):
         space = Euclidean(2)

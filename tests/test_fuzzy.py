@@ -17,6 +17,7 @@ from geordd import (
     estimate_riemannian_fuzzy,
     estimate_sharp,
     sample_frechet_mean,
+    weighted_frechet_mean,
 )
 from geordd.errors import (
     EmbeddingUnavailable,
@@ -28,8 +29,8 @@ from geordd.errors import (
     WeakCompliance,
 )
 import geordd.rdd_fuzzy as rdd_fuzzy
-from geordd.frechet import LocalLinearTables
-from conftest import rand_sphere, wls_intercept_oracle, wls_line_oracle
+from geordd.frechet import LocalLinearTables, compute_weights
+from conftest import EMBEDDABLE_CASES, rand_sphere, wls_intercept_oracle, wls_line_oracle
 
 
 def _euclid_fuzzy(rng, n=600, jump_p=(0.2, 0.8), theta=1.0, sigma=0.0):
@@ -226,6 +227,58 @@ class TestGeodesicFuzzy:
         assert not geo.warnings
         diff = space.embed(geo.endpoints[1]) - space.embed(geo.endpoints[0])
         np.testing.assert_allclose(diff, geo.tau, atol=1e-8)
+
+
+def _embeddable_fuzzy(space, sampler, seed, full):
+    """An always-takers sample of ``space``'s outcomes, drawn around the
+    segment between two random points, or a fully compliant one."""
+    rng = np.random.default_rng(seed)
+    a, b = sampler(space, rng), sampler(space, rng)
+    r = rng.uniform(-1, 1, 300)
+    z = (r >= 0).astype(int)
+    t = z.copy() if full else np.where(z == 1, 1, (rng.random(r.size) < 0.3).astype(int))
+    ys = [space.geodesic(space.geodesic(a, b, 0.25 + 0.2 * ri + 0.3 * ti), sampler(space, rng), 0.2)
+          for ri, ti in zip(r, t)]
+    return RddSample(r=r, ys=ys, cutoff=0.0, t=t, z=z)
+
+
+def _relative(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestEmbeddingChart:
+    """The embedding chart fits the projected weighted average of the
+    embedded rows; it equals psi of the weighted Frechet mean, the fit
+    solved as an object and embedded again."""
+
+    @pytest.mark.parametrize("name, space, sampler", EMBEDDABLE_CASES,
+                             ids=[c[0] for c in EMBEDDABLE_CASES])
+    def test_against_the_solve_then_embed_oracle(self, name, space, sampler):
+        sample = _embeddable_fuzzy(space, sampler, 12, full=False)
+        h0, h1 = 0.4, 0.5
+        profiles = [compute_weights(sample.r, 0.0, h, side)
+                    for h, side in ((h0, Side.LEFT), (h1, Side.RIGHT))]
+        nu0, nu1 = (space.embed(weighted_frechet_mean(sample.ys, p)) for p in profiles)
+        late = estimate_fuzzy_late(sample, h0, h1)
+        assert _relative(late.tau, (nu1 - nu0) / late.denominator) <= 1e-13
+
+        idx = np.flatnonzero((sample.t == 1) & (sample.z == 0))
+        stratum = compute_weights(sample.r[idx], 0.0, h0, Side.LEFT)
+        plus = space.embed(weighted_frechet_mean(sample.ys[idx], stratum))
+        geo = estimate_geodesic_fuzzy(sample, h0, h1, NoncomplianceSide.ALWAYS_TAKERS)
+        for got, nu in zip(geo.endpoints, (nu0, nu1)):
+            want = space.inverse_embed(plus + (nu - plus) / geo.denominator, project=True)
+            assert _relative(got.data, want.data) <= 1e-13
+
+    @pytest.mark.parametrize("name, space, sampler", EMBEDDABLE_CASES,
+                             ids=[c[0] for c in EMBEDDABLE_CASES])
+    def test_full_compliance_endpoints_are_the_sharp_ones(self, name, space, sampler):
+        sample = _embeddable_fuzzy(space, sampler, 13, full=True)
+        sharp = estimate_sharp(sample, 0.4, 0.5)
+        geo = estimate_geodesic_fuzzy(sample, 0.4, 0.5, NoncomplianceSide.ALWAYS_TAKERS)
+        assert geo.denominator == pytest.approx(1.0, abs=1e-12)
+        for got, want in zip(geo.endpoints, (sharp.start, sharp.end)):
+            assert _relative(got.data, want.data) <= 1e-12
 
 
 @pytest.mark.parametrize("estimate", GEODESIC_ESTIMATORS)

@@ -4,6 +4,7 @@ import copy
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -733,6 +734,81 @@ class TestHugeMatrices:
             err = _refusal(fn, arg)
             assert (type(err), err.code, str(err), err.index) == (
                 InvariantViolation, "invariant_violation", refused, index)
+
+
+def _exact_sq(space, u, v=None):
+    """The squared Hilbert norm of chart coordinates ``u`` (or of ``u - v``)
+    in exact rational arithmetic."""
+    u = [Fraction(x) for x in np.ravel(u)]
+    if v is not None:
+        u = [x - Fraction(y) for x, y in zip(u, np.ravel(v))]
+    w = space._hilbert_weights
+    w = [Fraction(1)] * len(u) if w is None else [Fraction(x) for x in w]
+    return sum((wi * x * x for wi, x in zip(w, u)), Fraction(0))
+
+
+def _huge_metric_cases():
+    """(id, space, chart vector u, chart vector v or None): a distance when v
+    is given, else a norm, each of which overflows a plain squared sum."""
+    edge = NetworkLaplacian(2).point([[1e308, -1e308], [-1e308, 1e308]])
+    zero = NetworkLaplacian(2).point(np.zeros((2, 2)))
+    cases = [("laplacian-edge", NetworkLaplacian(2), edge, zero)]
+    for v in SPD_VARIANTS:
+        sp = SpdSpace(2, v)
+        cases.append((f"spd-{v}", sp, sp.point(1e308 * np.eye(2)), sp.point(np.eye(2))))
+    for name, sp in (("euclidean", Euclidean(3)), ("functional_l2", FunctionalL2(3)),
+                     ("wasserstein", Wasserstein1D(3))):
+        low = sp.point([-1e308] * 3)
+        cases.append((name, sp, sp.point([-1e308, 0.0, 1e308]), low))
+        cases.append((f"{name}-opposite", sp, sp.point([1e308] * 3), low))
+    # a coordinate difference beyond the float range, in a distance within it
+    sp, one = FunctionalL2(101), np.eye(101)[0]
+    cases.append(("functional_l2-101", sp, sp.point(1e308 * one), sp.point(-1e308 * one)))
+    cases = [(n, sp, sp.embed(a), sp.embed(b)) for n, sp, a, b in cases]
+    norms = (("euclidean", Euclidean(2)), ("functional_l2", FunctionalL2(3)),
+             ("wasserstein", Wasserstein1D(3)), ("laplacian", NetworkLaplacian(3)))
+    return cases + [(f"{name}-norm", sp, np.full(sp.embedding_dim, 1e200), None)
+                    for name, sp in norms]
+
+
+_HUGE_METRIC_CASES = _huge_metric_cases()
+
+
+class TestHugeMetric:
+    """The flat metric of huge members is their true value, with no overflow
+    warning: finite where it fits the float range and inf beyond it, while
+    every ordinary vector keeps the plain squared sum's bits."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", _HUGE_METRIC_CASES, ids=[c[0] for c in _HUGE_METRIC_CASES])
+    def test_huge_metric(self, case):
+        _, space, u, v = case
+        got = space.hilbert_norm(u) if v is None else space.hilbert_distance(u, v)
+        sq = _exact_sq(space, u, v)
+        if sq > Fraction(sys.float_info.max) ** 2:
+            assert got == np.inf
+        else:
+            assert np.isfinite(got)
+            assert abs(Fraction(got) ** 2 - sq) <= sq / 10**14
+
+    def test_worked_values(self):
+        assert Euclidean(2).hilbert_norm([1e200, 1e200]) == pytest.approx(2**0.5 * 1e200, rel=1e-15)
+        sp = SpdSpace(2, "power")
+        assert sp.distance(sp.point(1e308 * np.eye(2)), sp.point(np.eye(2))) == pytest.approx(
+            2**0.5 * 1e154, rel=1e-15)
+        sp = Euclidean(2)
+        assert sp.distance(sp.point([1e308, -1e308]), sp.point([-1e308, 1e308])) == np.inf
+
+    @pytest.mark.parametrize("name, space, sampler", EMBEDDABLE_CASES,
+                             ids=[c[0] for c in EMBEDDABLE_CASES])
+    def test_ordinary_vectors_keep_their_bits(self, name, space, sampler):
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            a, b = sampler(space, rng), sampler(space, rng)
+            u, v = space.embed(a), space.embed(b)
+            for got, row in ((space.hilbert_norm(u), u), (space.distance(a, b), u - v),
+                             (space.hilbert_distance(u, v), u - v)):
+                assert got == float(np.sqrt(space.hilbert_sq_norms(row[None])[0]))
 
 
 def _half_vec(stack):

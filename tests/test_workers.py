@@ -7,6 +7,7 @@ them through the real ``os.sched_getaffinity`` (CI reruns this file under
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import threading
 import time
@@ -100,6 +101,55 @@ def test_arrays_arrive_bit_equal_and_writable():
     big = results[0][0]
     big[0, 0] = 1.5
     assert big[0, 0] == 1.5
+    no_child_left()
+
+
+def _read_only(seed):
+    out = np.random.default_rng(seed).normal(size=(500, 7))
+    out.setflags(write=False)
+    return out
+
+
+def test_a_read_only_array_arrives_bit_equal_and_read_only():
+    for seed, got in enumerate(fork_map(_read_only, _jobs(2), 2)):
+        want = _read_only(seed)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert not got.flags.writeable
+    no_child_left()
+
+
+class _CutPipe:
+    """A child's pipe end that passes on only the first ``keep`` bytes
+    written to it."""
+
+    def __init__(self, out, keep):
+        self.out, self.keep = out, keep
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        self.out.write(data[:self.keep])
+        self.keep = max(self.keep - len(data), 0)
+        return len(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.out.close()
+
+
+def test_a_reply_cut_inside_an_array_is_an_error(monkeypatch, forks):
+    big = np.arange(8000.0)
+    whole = pickle.dumps([big], protocol=5)
+    start = whole.index(big.tobytes())
+    keep = start + big.nbytes // 2
+    with pytest.raises(pickle.UnpicklingError, match="pickle data was truncated"):
+        pickle.loads(whole[:keep])
+    send = _workers._send
+    monkeypatch.setattr(_workers, "_send", lambda out, *rest: send(_CutPipe(out, keep), *rest))
+    with pytest.raises(ChildProcessError, match="ended before it sent its results"):
+        fork_map(lambda i: big, _jobs(2), 2)
+    assert len(forks) == 2
     no_child_left()
 
 
