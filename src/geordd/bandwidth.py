@@ -26,7 +26,6 @@ from .errors import AllWindowsDegenerate, InsufficientData, InvertedBounds, Solv
 from .frechet import (
     Side,
     _support_profile,
-    _windows_in_runs,
     batch_lfr_embeddings,
     compute_weights,  # noqa: F401 - bench/tracing.py wraps this module's name
     weighted_frechet_mean,
@@ -212,7 +211,7 @@ def _grid_losses(sample: RddSample, c: float, grid: np.ndarray, pts: np.ndarray)
         sq.flat[keep] = space.hilbert_sq_norms(gap)
     else:
         tables = sample.weight_tables
-        wins = {side: _windows_in_runs(tables, centers, h, side, lo, hi) for side, lo, hi in sides}
+        wins = {side: tables.windows(centers, h, side, lo, hi) for side, lo, hi in sides}
         keep = wins[Side.LEFT].valid & wins[Side.RIGHT].valid
         for i in np.flatnonzero(keep):
             profiles = (

@@ -27,9 +27,12 @@ every window of a bandwidth search, fitted in batches on embeddable spaces
 engine sorts the running variable once and keeps block-anchored power sums
 of it and of the embedded outcomes; each window is then assembled exactly
 from whole-block sums and the points of its two partial blocks, with no
-dense window arrays.  The partial blocks of many windows enter their fits
-through one small product per block, so a fit depends on the other centers
-of a call only to rounding.  One rule marks a window degenerate: sigma^2 <=
+dense window arrays.  It takes the centers of a call in runs under a fixed
+cell budget, so every call has bounded memory, and works in units of a
+power of two near the span of the running variable, so that no scale of it
+overflows or underflows the power sums.  The partial blocks of many windows
+enter their fits through one small product per block, so a fit depends on
+the other centers of a call only to rounding.  One rule marks a window degenerate: sigma^2 <=
 ``SIGMA2_FLOOR``.  That includes windows with fewer than two distinct
 running values, whose sigma^2 is rounding noise.  A single-point fit's
 weights are held on its window's k support points alone, and the solvers
@@ -66,7 +69,8 @@ __all__ = [
     "batch_lfr_embeddings",
 ]
 
-#: windows with sigma^2 at or below this are degenerate (unit-scaled R)
+#: windows with sigma^2 at or below this are degenerate (sigma^2 does not
+#: depend on the scale of R)
 SIGMA2_FLOOR = 1e-14
 
 #: the most (center, slot) cells one engine pass may hold: batched fits at
@@ -160,10 +164,16 @@ class LocalLinearTables:
 
     ``r`` is (n,) and ``psi`` an optional (n, D) array of outcome rows (the
     embedded outcomes of a batched fit).  ``r`` is sorted once, stably, if it
-    is not sorted already.  The sorted values are cut into blocks of about
-    sqrt(n) points, each with its own anchor a_b (its first value), and each
-    block keeps the power sums of x = r - a_b up to x^3 and, with ``psi``,
-    the sums of x^q psi for q <= 2.  Building them costs O(n D) once; build
+    is not sorted already, and the attribute ``r`` holds the sorted values
+    divided by the tables' scale: the power of two 2^e with 2^(e-1) <= span
+    < 2^e for the span of r (1 when the span is 0 or not finite).  In those
+    units no power sum overflows or underflows; the division is exact, so
+    rescaling r by a power of two moves no bit of any window's weights or
+    fits.  :meth:`windows` takes centers, bandwidths and clamps in the units
+    of r.  The sorted values are cut into blocks of about sqrt(n) points,
+    each with its own anchor a_b (its first value), and each block keeps the
+    power sums of x = r - a_b up to x^3 and, with ``psi``, the sums of
+    x^q psi for q <= 2.  Building them costs O(n D) once; build
     them once per sample and reuse them for every bandwidth and center.
 
     The kernel is linear on each side of a center, so a window's moments and
@@ -190,6 +200,9 @@ class LocalLinearTables:
         n = r.size
         block = math.isqrt(n - 1) + 1
         starts = np.arange(0, n, block)
+        span = r[-1] - r[0]
+        self._scale = math.ldexp(1.0, math.frexp(span)[1]) if 0.0 < span < np.inf else 1.0
+        r = r / self._scale
         self.r = r
         # r, then +inf and -inf to stand in past its end and (at index -1)
         # before its start
@@ -257,19 +270,42 @@ class LocalLinearTables:
         one call can hold the windows of several bandwidths; every entry must
         be positive and finite (``ValueError`` otherwise).  ``lo``/``hi``
         optionally clamp each window to R in [lo, hi] (inclusive,
-        broadcastable to (m,)).  A call costs about 90 NumPy calls whatever
-        m, with outcome rows one product per block and linear piece that a
-        partial block touches, and work and memory of O(m sqrt(n)):
-        :func:`_windows_in_runs` takes many centers in few calls, each under
-        a bounded number of cells.  A window's moments, ``valid`` flag,
-        ``n_norm`` and bounds do not depend on the other centers of the call,
-        and its fits only to rounding.
+        broadcastable to (m,)).  The centers are taken in runs of consecutive
+        centers that each hold at most ``_CELL_BUDGET`` slot cells (runs of
+        2,730 one-sided centers at n = 1,000 and of 616 at n = 20,000), so a
+        call of any size has bounded memory.  A run costs about 90 NumPy
+        calls whatever its length, with outcome rows one product per block
+        and linear piece that a partial block touches, and work and memory of
+        O(m sqrt(n)).  A window's moments, ``valid`` flag, ``n_norm`` and
+        bounds do not depend on the other centers of the call, and its fits
+        only to rounding.
         """
+        c = np.asarray(centers, dtype=float).reshape(-1)
+        h = _bandwidths(h, c.size)
+        # checked in the units of r, so that a refusal names the value given
+        c, h = c / self._scale, h / self._scale
+        lo, hi = (None if v is None else np.divide(v, self._scale) for v in (lo, hi))
+        run = max(1, _CELL_BUDGET // self._cells_per_center(side))
+        if c.size <= run:
+            return self._run(c, h, side, lo, hi)
+        lo, hi = (None if v is None else np.broadcast_to(v, c.shape) for v in (lo, hi))
+        wins = [
+            self._run(
+                c[i : i + run], h[i : i + run], side,
+                *(None if v is None else v[i : i + run] for v in (lo, hi)),
+            )
+            for i in range(0, c.size, run)
+        ]
+        # every field but the fits has its centers on the last axis
+        fits = None if self.psi is None else np.concatenate([w.fits for w in wins])
+        return _Windows(*(np.concatenate(f, axis=-1) for f in zip(*(w[:-1] for w in wins))), fits)
+
+    def _run(self, c, h, side: Side, lo, hi) -> "_Windows":
+        """:meth:`windows` in one pass, at the (m,) centers ``c`` with the
+        checked (m,) bandwidths ``h``, all in the tables' units."""
         r, n, offsets = self.r, self.r.size, self._offsets
         block = offsets.size
-        c = np.asarray(centers, dtype=float).reshape(-1)
         m = c.size
-        h = _bandwidths(h, m)
 
         # side and clamp: n_norm counts them, support or not; d < 0 below i_c
         i_c = r.searchsorted(c, "left")
@@ -430,11 +466,11 @@ class _Windows(NamedTuple):
 
     ``n_norm`` (m,) counts the observations on the kernel's side of each
     center inside the clamp, ``mu`` (3, m) holds the normalized kernel
-    moments, ``sigma2`` (m,) is mu0 * mu2 - mu1^2, and ``valid`` marks
-    sigma2 > ``SIGMA2_FLOOR``.  ``lo``/``hi`` (m,) bound each center's
-    support on its side and in the clamp as sorted indices [lo, hi).  ``fits``
-    (m, D) are the local-linear fits of the tables' outcome rows (NaN rows
-    where not valid), or None without them.
+    moments in the units of the tables' ``r``, ``sigma2`` (m,) is mu0 * mu2
+    - mu1^2, and ``valid`` marks sigma2 > ``SIGMA2_FLOOR``.  ``lo``/``hi``
+    (m,) bound each center's support on its side and in the clamp as sorted
+    indices [lo, hi).  ``fits`` (m, D) are the local-linear fits of the
+    tables' outcome rows (NaN rows where not valid), or None without them.
     """
 
     n_norm: np.ndarray
@@ -446,47 +482,28 @@ class _Windows(NamedTuple):
     fits: np.ndarray | None
 
 
-def _windows_in_runs(tables, centers, h, side: Side, lo=None, hi=None) -> _Windows:
-    """:meth:`LocalLinearTables.windows` at any number of centers, in runs of
-    consecutive centers that keep each run's slot arrays under
-    ``_CELL_BUDGET`` cells (runs of 2,730 one-sided centers at n = 1,000 and
-    of 616 at n = 20,000).  A call pays the engine's fixed cost of about 90
-    NumPy calls once per run, and its memory stays bounded at any m and n.
-    """
-    c = np.asarray(centers, dtype=float).reshape(-1)
-    h, lo, hi = (None if v is None else np.broadcast_to(v, c.shape) for v in (h, lo, hi))
-    run = max(1, _CELL_BUDGET // tables._cells_per_center(side))
-    wins = [
-        tables.windows(
-            c[i : i + run], h[i : i + run], side,
-            *(None if v is None else v[i : i + run] for v in (lo, hi)),
-        )
-        for i in range(0, max(c.size, 1), run)
-    ]
-    # every field but the fits has its centers on the last axis
-    fits = None if tables.psi is None else np.concatenate([w.fits for w in wins])
-    return _Windows(*(np.concatenate(f, axis=-1) for f in zip(*(w[:-1] for w in wins))), fits)
-
-
 def _support_profile(tables, win: _Windows, j: int, center: float, h: float, side: Side):
     """The weights of the valid window ``j`` of ``win``, at ``center`` with
     bandwidth ``h``: the kernel on the k points of its support, in O(k)."""
     mu0, mu1, mu2 = win.mu[:, j].tolist()
     sigma2 = float(win.sigma2[j])
     start, stop = int(win.lo[j]), int(win.hi[j])
-    d = tables.r[start:stop] - center
-    k = (h - np.abs(d)) / (h * h * sigma2)
+    # the kernel in the tables' units; the moments and slope back in those of r
+    s = tables._scale
+    d = tables.r[start:stop] - center / s
+    hs = h / s
+    k = (hs - np.abs(d)) / (hs * hs * sigma2)
     return WeightProfile(
         bandwidth=h,
         side=side,
         center=center,
-        mu0=mu0,
+        mu0=mu0 / s,
         mu1=mu1,
-        mu2=mu2,
+        mu2=mu2 * s,
         sigma2=sigma2,
         weights=k * (mu2 - mu1 * d),
         n_norm=int(win.n_norm[j]),
-        slope_weights=k * (mu0 * d - mu1),
+        slope_weights=k * (mu0 * d - mu1) / s,
         support=slice(start, stop) if tables.order is None else tables.order[start:stop],
     )
 
@@ -866,15 +883,15 @@ def batch_lfr_embeddings(
     valid : (m,) boolean mask of non-degenerate windows.
 
     After the set-up a call costs O(m sqrt(n) D): whole blocks through their
-    sums, the partial blocks through one product per block.  The engine takes
-    the centers in runs (:func:`_windows_in_runs`), so the caller need not
-    split them, and memory stays bounded at any m and n.  Fits are raw
-    weighted averages; callers project them onto the feasible image set per
-    space.
+    sums, the partial blocks through one product per block.
+    :meth:`LocalLinearTables.windows` takes the centers in runs under a fixed
+    cell budget, so the caller need not split them, and memory stays bounded
+    at any m and n.  Fits are raw weighted averages; callers project them
+    onto the feasible image set per space.
     """
     if tables is None:
         tables = LocalLinearTables(r_obs, emb)
     elif tables.n != np.size(r_obs) or tables.psi is None:
         raise ValueError("tables must be built from r_obs and emb")
-    win = _windows_in_runs(tables, centers, h, side, lo, hi)
+    win = tables.windows(centers, h, side, lo, hi)
     return win.fits, win.valid

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import MetricObject, refuse_rows
-from .spd import _SQRT2, MatrixSpace, _diag
+from .spd import _OFF_MAX, _SQRT2, MatrixSpace, _diag
 
 __all__ = ["NetworkLaplacian", "laplacian_from_weights"]
 
@@ -97,6 +97,8 @@ class NetworkLaplacian(MatrixSpace):
                  "diagonal entries must be nonnegative"),
                 (weight > wmax,
                  lambda i: f"edge weights must not exceed {self._wmax}, got {float(weight[i])!r}"),
+                (weight > _OFF_MAX, lambda i: f"edge weights must not exceed {_OFF_MAX!r} "
+                 f"(the chart's range), got {float(weight[i])!r}"),
             )
         return _symmetric_laplacian(off)
 

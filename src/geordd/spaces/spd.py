@@ -39,6 +39,10 @@ _EPS_PD = 1e-10
 
 _SQRT2 = np.sqrt(2.0)
 
+#: the largest off-diagonal magnitude whose chart coordinate sqrt(2) S_ij is
+#: finite; a payload entry above it is refused
+_OFF_MAX = float(np.finfo(float).max / _SQRT2)
+
 
 def _diag(v: np.ndarray) -> np.ndarray:
     """Diagonal matrices with the rows of ``v`` on their diagonals."""
@@ -139,10 +143,15 @@ class SpdSpace(MatrixSpace):
 
     def _validate(self, stack):
         """Symmetric to 1e-10 of the matrix's largest entry, and every
-        eigenvalue positive and at least ``eps_pd`` less 1e-12 of that entry."""
+        eigenvalue positive and at least ``eps_pd`` less 1e-12 of that entry.
+        Under ``frobenius`` the payload is the chart matrix, so no
+        off-diagonal entry may exceed ``_OFF_MAX`` in magnitude."""
         scale = np.abs(stack).max(axis=(1, 2))
         sym = self._canonical(stack)
         lam_min = np.linalg.eigvalsh(sym).min(axis=1)
+        off = np.zeros(len(sym))
+        if self._variant == "frobenius":
+            off = np.abs(sym[:, self._iu[0], self._iu[1]]).max(axis=1, initial=0.0)
         with np.errstate(over="ignore"):  # an overflowing gap is refused
             refuse_rows(
                 (np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2)) > 1e-10 * scale,
@@ -150,6 +159,8 @@ class SpdSpace(MatrixSpace):
                 ((lam_min <= 0.0) | (lam_min < _EPS_PD - 1e-12 * scale),
                  lambda i: f"smallest eigenvalue {float(lam_min[i])!r} is below the floor "
                  f"{_EPS_PD!r}"),
+                (off > _OFF_MAX, lambda i: f"off-diagonal entries must not exceed {_OFF_MAX!r} "
+                 f"in magnitude, got {float(off[i])!r}"),
             )
         return sym
 

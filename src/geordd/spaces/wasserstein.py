@@ -58,9 +58,11 @@ class Wasserstein1D(HilbertSpace):
 
     def _validate(self, stack):
         """Nondecreasing, and inside the support, each to 1e-10 of the
-        row's largest magnitude."""
+        row's largest magnitude.  A step beyond the float range is +-inf,
+        and only a -inf one is refused."""
         tol = 1e-10 * np.abs(stack).max(axis=1)
-        diffs = np.diff(stack, axis=1)
+        with np.errstate(over="ignore"):
+            diffs = np.diff(stack, axis=1)
         lo, hi = self._support or (-np.inf, np.inf)
         refuse_rows(
             (diffs.min(axis=1, initial=0.0) < -tol, lambda i: "quantile function must be "
@@ -84,7 +86,9 @@ class Wasserstein1D(HilbertSpace):
         from scipy.optimize import isotonic_regression  # slow to import; only used here
 
         out = rows.copy()
-        for i in np.flatnonzero(~np.all(np.diff(rows, axis=1) >= 0.0, axis=1)):
+        with np.errstate(over="ignore"):  # an infinite step keeps its sign
+            falls = ~np.all(np.diff(rows, axis=1) >= 0.0, axis=1)
+        for i in np.flatnonzero(falls):
             out[i] = isotonic_regression(rows[i], weights=self._hilbert_weights).x
         if self._support is not None:
             out = np.clip(out, *self._support)

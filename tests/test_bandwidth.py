@@ -275,14 +275,15 @@ def _lattice_sample():
 
 
 def _count_windows(monkeypatch):
+    # the centers of each engine pass: the runs that windows takes them in
     calls = []
-    windows = LocalLinearTables.windows
+    run = LocalLinearTables._run
 
     def spy(self, *args, **kwargs):
         calls.append(np.size(args[0]))
-        return windows(self, *args, **kwargs)
+        return run(self, *args, **kwargs)
 
-    monkeypatch.setattr(LocalLinearTables, "windows", spy)
+    monkeypatch.setattr(LocalLinearTables, "_run", spy)
     return calls
 
 
@@ -396,3 +397,49 @@ class TestSphereSearch:
         losses, skipped, _ = _piecewise_integrals(pts, sq, valid, c)
         np.testing.assert_array_equal(search.losses, losses)
         np.testing.assert_array_equal(search.skipped, skipped)
+
+
+def _rescaled(sample, a):
+    return RddSample(r=a * sample.r, ys=sample.ys, cutoff=a * sample.cutoff)
+
+
+def _assert_search_scales(search, base, a):
+    # r -> a r moves every length by a and keeps every window's weights
+    np.testing.assert_array_equal(search.skipped, base.skipped)
+    assert search.b_star / a == pytest.approx(base.b_star, rel=1e-13)
+    np.testing.assert_allclose(search.grid / a, base.grid, rtol=1e-13)
+    np.testing.assert_allclose(search.losses / a, base.losses, rtol=1e-9)
+
+
+class TestRunningVariableScale:
+    """The engine works in units of a power of two near the span of r, so no
+    scale of the running variable lets its power sums overflow or underflow
+    (tier-1 turns a NumPy RuntimeWarning into an error)."""
+
+    def test_any_scale_keeps_the_search_and_the_estimate(self):
+        from geordd import estimate_sharp
+
+        rng = np.random.default_rng(7)
+        r = rng.uniform(-1, 1, 400)
+        y = np.sin(2 * r) + (r >= 0) + rng.normal(0, 0.3, r.size)
+        sample = _euclid_sample(r, y)
+        base = select_bandwidth(sample)
+        magnitude = estimate_sharp(sample, base.b_star, base.b_star).magnitude
+        for k in range(-300, 301, 30):
+            a = 10.0**k
+            moved = _rescaled(sample, a)
+            search = select_bandwidth(moved)
+            _assert_search_scales(search, base, a)
+            est = estimate_sharp(moved, search.b_star, search.b_star)
+            assert est.magnitude == pytest.approx(magnitude, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [1e-150, 1e150])
+    def test_network_search_at_an_extreme_scale(self, a):
+        sample = _network_sample(300)
+        _assert_search_scales(select_bandwidth(_rescaled(sample, a)), select_bandwidth(sample), a)
+
+    @pytest.mark.parametrize("a", [1e-150, 1e150])
+    def test_sphere_search_at_an_extreme_scale(self, a):
+        sample = _sphere_sample(3, np.random.default_rng(4).uniform(-1, 1, 120), 6)
+        base = select_bandwidth(sample, grid_size=4)
+        _assert_search_scales(select_bandwidth(_rescaled(sample, a), grid_size=4), base, a)

@@ -32,7 +32,12 @@ from geordd import (
 from geordd.bandwidth import select_bandwidth
 from geordd.io import ingest, write_sample_csv
 from geordd.errors import DegenerateWindow
-from geordd.frechet import LocalLinearTables, WeightProfile, batch_lfr_embeddings
+from geordd.frechet import (
+    _CELL_BUDGET,
+    LocalLinearTables,
+    WeightProfile,
+    batch_lfr_embeddings,
+)
 
 from conftest import dense, rand_sphere, triangular, wls_line_oracle
 
@@ -408,6 +413,88 @@ def test_large_n_network_search_memory():
         tracemalloc.stop()
     assert np.isfinite(search.b_star)
     assert peak < 32 * 2**20
+
+
+def test_windows_memory_is_bounded():
+    # one call at 5,000 centers runs in passes under the cell budget; in one
+    # pass it held 17.4 KB per center (86.8 MB) here
+    r = np.random.default_rng(22).uniform(-1, 1, 20_000)
+    tables = LocalLinearTables(r)
+    centers = np.linspace(-0.9, 0.9, 5_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        win = tables.windows(centers, 0.1, Side.TWO_SIDED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert win.valid.all()
+    assert peak < 24 * 2**20
+
+
+@pytest.mark.parametrize("side", SIDES, ids=side_id)
+def test_windows_in_several_runs_equal_their_runs(side, monkeypatch):
+    rng = np.random.default_rng(23)
+    r = rng.uniform(-1, 1, 3_000)
+    tables = LocalLinearTables(r, rng.normal(size=(3_000, 2)))
+    m = 2_000
+    centers = rng.uniform(-1, 1, m)
+    h = rng.uniform(0.02, 0.4, m)
+    lo = centers - rng.uniform(0, 0.5, m)
+    # the runs below split each pass of the joint call in uneven pieces
+    run = _CELL_BUDGET // tables._cells_per_center(side)
+    assert run < m
+    pieces = [
+        tables.windows(centers[i : i + 300], h[i : i + 300], side, lo[i : i + 300], 0.75)
+        for i in range(0, m, 300)
+    ]
+    runs = []
+    engine = LocalLinearTables._run
+    monkeypatch.setattr(
+        LocalLinearTables, "_run", lambda self, *args: runs.append(len(args[0])) or engine(self, *args)
+    )
+    joint = tables.windows(centers, h, side, lo, 0.75)
+    assert runs == [min(run, m - i) for i in range(0, m, run)]
+    for name in joint._fields:
+        alone = np.concatenate([getattr(p, name) for p in pieces], axis=0 if name == "fits" else -1)
+        if name == "fits":
+            np.testing.assert_allclose(joint.fits, alone, rtol=1e-12, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(getattr(joint, name), alone)
+
+
+@pytest.mark.parametrize("exponent", [-500, 500])
+def test_power_of_two_scales_are_exact(exponent):
+    # the engine works in units of a power of two near the span of r, so at
+    # r * 2**k every length scales exactly and the weights keep their bits;
+    # without those units the power sums underflow or overflow here
+    a = 2.0**exponent
+    rng = np.random.default_rng(24)
+    r = rng.uniform(-1, 1, 700)
+    emb = rng.normal(size=(700, 3))
+    base, scaled = LocalLinearTables(r, emb), LocalLinearTables(a * r, emb)
+    for side in SIDES:
+        for center, h, window in [(0.0, 0.3, None), (0.35, 0.2, (0.1, 0.5))]:
+            p = compute_weights(r, center, h, side, window, tables=base)
+            q = compute_weights(
+                a * r, a * center, a * h, side,
+                None if window is None else (a * window[0], a * window[1]), tables=scaled,
+            )
+            assert (q.center, q.bandwidth) == (a * p.center, a * p.bandwidth)
+            assert (q.mu0, q.mu1, q.mu2, q.sigma2) == (p.mu0 / a, p.mu1, p.mu2 * a, p.sigma2)
+            assert q.n_norm == p.n_norm
+            np.testing.assert_array_equal(q.support, p.support)
+            np.testing.assert_array_equal(q.weights.view(np.int64), p.weights.view(np.int64))
+            np.testing.assert_array_equal(q.slope_weights, p.slope_weights / a)
+        centers = np.linspace(-0.95, 0.95, 41)
+        h = np.linspace(0.02, 0.6, 41)
+        fits, valid = batch_lfr_embeddings(r, emb, centers, h, side, lo=centers - 0.3, tables=base)
+        moved = batch_lfr_embeddings(
+            a * r, emb, a * centers, a * h, side, lo=a * (centers - 0.3), tables=scaled
+        )
+        assert valid.any()
+        np.testing.assert_array_equal(moved[1], valid)
+        np.testing.assert_array_equal(moved[0].view(np.int64), fits.view(np.int64))
 
 
 def test_large_n_ingest_memory(tmp_path):

@@ -736,6 +736,66 @@ class TestHugeMatrices:
                 InvariantViolation, "invariant_violation", refused, index)
 
 
+_OFF_MAX = np.finfo(float).max / np.sqrt(2.0)
+
+
+def _chart_range_cases():
+    """(id, space, payload with off-diagonal magnitude w, its refusal), for
+    the matrix spaces whose chart scales an off-diagonal entry by sqrt(2)."""
+    def laplacian(w):
+        return np.array([[w, -w], [-w, w]])
+
+    def spd(w):
+        return np.array([[np.finfo(float).max, w], [w, np.finfo(float).max]])
+
+    return [("laplacian", NetworkLaplacian(2), laplacian,
+             "edge weights must not exceed {!r} (the chart's range), got 1.5e+308"),
+            ("spd-frobenius", SpdSpace(2), spd,
+             "off-diagonal entries must not exceed {!r} in magnitude, got 1.5e+308")]
+
+
+_CHART_RANGE_CASES = _chart_range_cases()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", _CHART_RANGE_CASES, ids=[c[0] for c in _CHART_RANGE_CASES])
+def test_off_diagonal_entries_beyond_the_chart_range_are_refused(case):
+    # sqrt(2) w overflows above max / sqrt(2): the largest accepted entry
+    # charts and measures with no warning, and the next ones are refused
+    _, space, payload, refused = case
+    edge = space.point(payload(_OFF_MAX))
+    assert space.distance(edge, edge) == 0.0
+    rows = np.stack([payload(1.0)] * 5)
+    rows[3] = payload(1.5e308)
+    for fn, arg, index in ((space.point, rows[3], 0), (space.stack, rows, 3)):
+        err = _refusal(fn, arg)
+        assert (type(err), err.code, str(err), err.index) == (
+            InvariantViolation, "invariant_violation", refused.format(float(_OFF_MAX)), index)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestHugeQuantileSteps:
+    """A quantile step beyond the float range is +-inf: +inf is a
+    nondecreasing step and -inf is refused, with no overflow warning."""
+
+    def test_an_infinite_rise_is_accepted_and_projected_as_it_is(self):
+        space, q = Wasserstein1D(2), np.array([-1e308, 1e308])
+        a = space.point(q)
+        assert a.data.tobytes() == q.tobytes()
+        assert space.project_embedding(q).tobytes() == q.tobytes()
+        b = space.point([0.0, 1.0])
+        # 2 b - a falls by more than the float range: pooled to its mean
+        assert space.transport(a, b, b).data.tolist() == [0.0, 0.0]
+
+    def test_an_infinite_fall_is_refused(self):
+        space = Wasserstein1D(2)
+        rows = np.array([[0.0, 1.0]] * 5)
+        rows[3] = [1e308, -1e308]
+        err = _refusal(space.stack, rows)
+        assert (type(err), err.code, err.index) == (InvariantViolation, "invariant_violation", 3)
+        assert str(err) == "quantile function must be nondecreasing; worst step -inf"
+
+
 def _exact_sq(space, u, v=None):
     """The squared Hilbert norm of chart coordinates ``u`` (or of ``u - v``)
     in exact rational arithmetic."""
