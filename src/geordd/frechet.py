@@ -32,11 +32,11 @@ cell budget, so every call has bounded memory, and works in units of a
 power of two near the span of the running variable, so that no scale of it
 overflows or underflows the power sums.  The partial blocks of many windows
 enter their fits through one small product per block, so a fit depends on
-the other centers of a call only to rounding.  One rule marks a window degenerate: sigma^2 <=
-``SIGMA2_FLOOR``.  That includes windows with fewer than two distinct
-running values, whose sigma^2 is rounding noise.  A single-point fit's
-weights are held on its window's k support points alone, and the solvers
-work on those rows; the sphere certifies its result against all n points
+the other centers of a call only to rounding.  One rule marks a window
+degenerate: sigma^2 <= ``SIGMA2_FLOOR``.  That includes windows with fewer
+than two distinct running values, whose sigma^2 is rounding noise.  A
+single-point fit's weights are held on its window's k support points alone,
+and the solvers work on those rows; the sphere certifies its result against all n points
 with a linear lower bound on the objective at each, O((n + k) d), and
 evaluates the objective, O(k) each, only where the bound leaves a point
 open.  The tables keep the last single-point profile on each side, so a
@@ -503,7 +503,7 @@ def _support_profile(tables, win: _Windows, j: int, center: float, h: float, sid
         sigma2=sigma2,
         weights=k * (mu2 - mu1 * d),
         n_norm=int(win.n_norm[j]),
-        slope_weights=k * (mu0 * d - mu1) / s,
+        slope_weights=k * (mu0 / s * d - mu1 / s),
         support=slice(start, stop) if tables.order is None else tables.order[start:stop],
     )
 
