@@ -280,11 +280,12 @@ class LocalLinearTables:
         bounds do not depend on the other centers of the call, and its fits
         only to rounding.
         """
-        c = np.asarray(centers, dtype=float).reshape(-1)
-        h = _bandwidths(h, c.size)
+        s = self._scale
+        c = np.divide(centers, s, dtype=float).reshape(-1)
         # checked in the units of r, so that a refusal names the value given
-        c, h = c / self._scale, h / self._scale
-        lo, hi = (None if v is None else np.divide(v, self._scale) for v in (lo, hi))
+        h = _bandwidths(h, c.size) / s
+        lo = None if lo is None else np.divide(lo, s)
+        hi = None if hi is None else np.divide(hi, s)
         run = max(1, _CELL_BUDGET // self._cells_per_center(side))
         if c.size <= run:
             return self._run(c, h, side, lo, hi)
