@@ -281,7 +281,7 @@ class LocalLinearTables:
         only to rounding.
         """
         s = self._scale
-        c = np.divide(centers, s, dtype=float).reshape(-1)
+        c = np.asarray(centers, dtype=float).reshape(-1) / s
         # checked in the units of r, so that a refusal names the value given
         h = _bandwidths(h, c.size) / s
         lo = None if lo is None else np.divide(lo, s)
