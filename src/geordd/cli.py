@@ -201,7 +201,8 @@ def _config_flags(argv: list[str]) -> list[str]:
     """The entries of the ``--config`` file named in ``argv``, as flags.
 
     A key is an option name without its leading dashes (``_`` for ``-``
-    allowed), so ``{"grid_size": 5}`` becomes ``--grid-size=5``.  The path
+    allowed), so ``{"grid_size": 5}`` becomes ``--grid-size=5``; a value is
+    a string or a number, and any other JSON value is refused.  The path
     is found apart from the command's parser, which would refuse a command
     line whose required options are in the file.
     """
@@ -214,6 +215,9 @@ def _config_flags(argv: list[str]) -> list[str]:
         cfg = json.load(fh)
     if not isinstance(cfg, dict) or "config" in cfg:
         raise ParseError(f"{path}: config must be a JSON object without a config entry")
+    for key, value in cfg.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ParseError(f"{path}: config entry {key!r} must be a string or a number")
     return [f"--{key.replace('_', '-')}={value}" for key, value in cfg.items()]
 
 

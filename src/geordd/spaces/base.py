@@ -38,8 +38,8 @@ space supplies ``shape`` and, where the defaults do not hold:
   except in ``NetworkLaplacian``, whose clamp-and-reset rule lands in the
   image set but not at its nearest point;
 - ``_hilbert_weights``, when the inner product is not the dot product;
-- ``_projection_proves_membership``, False when the payload of a projected
-  chart vector can fail ``_validate`` (default: True).
+- ``_projected_point``, when the payload of a projected chart vector can
+  fail ``_validate`` (default: built by :meth:`Space._trusted`).
 
 A space with Log/Exp charts supplies ``_log``, the Log coordinates at a base
 payload of each row of a payload stack, and ``_exp``, its inverse on tangent
@@ -92,6 +92,14 @@ def block_rows(row_entries: int) -> int:
     """Rows in one block of rows of ``row_entries`` payload entries each: at
     most ``_BLOCK_ENTRIES`` entries in all, and at least one row."""
     return max(1, _BLOCK_ENTRIES // row_entries)
+
+
+def trapezoid_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` uniform points of [lo, hi] and their trapezoid-rule weights."""
+    step = (hi - lo) / (n - 1)
+    w = np.full(n, step)
+    w[0] = w[-1] = step / 2.0
+    return np.linspace(lo, hi, n), w
 
 
 def refuse_rows(*checks, error=InvariantViolation):
@@ -237,7 +245,8 @@ class Space(ABC):
 
     @property
     def logexp_available(self) -> bool:
-        return False
+        """Whether the space has Log/Exp charts: its class implements ``_log``."""
+        return type(self)._log is not Space._log
 
     def __eq__(self, other):
         if self is other:
@@ -491,20 +500,11 @@ class HilbertSpace(Space):
         """Project each row of a (k, D) array onto the image set (new array)."""
         return rows.copy()
 
-    #: whether ``_inverse`` maps every row of ``_project``'s output to a
-    #: payload that ``_validate`` accepts, so that a projected point is built
-    #: by :meth:`_trusted` (see :meth:`_projected_point`)
-    _projection_proves_membership: bool = True
-
     def _projected_point(self, proj: np.ndarray) -> MetricObject:
-        """The point at a (D,) chart vector that ``_project`` returned.  Its
-        payload is a member wherever ``_projection_proves_membership`` holds,
-        and is built by :meth:`_trusted`; elsewhere :meth:`point` checks
-        it."""
-        payload = self._inverse(proj)
-        if self._projection_proves_membership:
-            return self._trusted(payload[None])[0]
-        return self.point(payload)
+        """The point at a (D,) chart vector that ``_project`` returned, built
+        by :meth:`_trusted`: ``_inverse`` maps every projected row to a
+        payload that ``_validate`` accepts."""
+        return self._trusted(self._inverse(proj)[None])[0]
 
     def embed(self, a: MetricObject) -> np.ndarray:
         return self.embed_many([a])[0]

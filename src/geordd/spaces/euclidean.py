@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import HilbertSpace
+from .base import HilbertSpace, trapezoid_grid
 
 __all__ = ["Euclidean", "FunctionalL2"]
 
@@ -21,13 +21,6 @@ class Euclidean(HilbertSpace):
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return (self._dim,)
-
-    @property
-    def logexp_available(self) -> bool:
-        return True
-
-    def _key(self):
         return (self._dim,)
 
     # Log/Exp are plain shifts in a flat space.
@@ -61,11 +54,7 @@ class FunctionalL2(HilbertSpace):
             raise ValueError("domain must be a finite, nondegenerate interval")
         self._n = int(n_grid)
         self._domain = (lo, hi)
-        self.grid = np.linspace(lo, hi, self._n)
-        step = (hi - lo) / (self._n - 1)
-        w = np.full(self._n, step)
-        w[0] = w[-1] = step / 2.0
-        self._hilbert_weights = w
+        self.grid, self._hilbert_weights = trapezoid_grid(lo, hi, self._n)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -145,13 +145,21 @@ class SpdSpace(MatrixSpace):
         """Symmetric to 1e-10 of the matrix's largest entry, and every
         eigenvalue positive and at least ``eps_pd`` less 1e-12 of that entry.
         Under ``frobenius`` the payload is the chart matrix, so no
-        off-diagonal entry may exceed ``_OFF_MAX`` in magnitude."""
+        off-diagonal entry may exceed ``_OFF_MAX`` in magnitude; under
+        ``power`` and ``log_euclidean`` the chart image of the largest
+        eigenvalue, lam^p or log(lam), must be finite."""
         scale = np.abs(stack).max(axis=(1, 2))
         sym = self._canonical(stack)
-        lam_min = np.linalg.eigvalsh(sym).min(axis=1)
-        off = np.zeros(len(sym))
+        lam = np.linalg.eigvalsh(sym)
+        lam_min = lam.min(axis=1)
+        off = image = np.zeros(len(sym))
         if self._variant == "frobenius":
             off = np.abs(sym[:, self._iu[0], self._iu[1]]).max(axis=1, initial=0.0)
+        elif self._variant != "log_cholesky":
+            # lam^p, or lam itself, whose log is finite where lam is; a row with
+            # a negative eigenvalue, whose power may be NaN, is refused first
+            with np.errstate(over="ignore", invalid="ignore"):
+                image = lam.max(axis=1) ** (self._power if self._variant == "power" else 1.0)
         with np.errstate(over="ignore"):  # an overflowing gap is refused
             refuse_rows(
                 (np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2)) > 1e-10 * scale,
@@ -161,6 +169,8 @@ class SpdSpace(MatrixSpace):
                  f"{_EPS_PD!r}"),
                 (off > _OFF_MAX, lambda i: f"off-diagonal entries must not exceed {_OFF_MAX!r} "
                  f"in magnitude, got {float(off[i])!r}"),
+                (~np.isfinite(image), lambda i: f"largest eigenvalue {float(lam[i].max())!r} "
+                 f"has no finite {self._variant} chart image"),
             )
         return sym
 
@@ -169,9 +179,10 @@ class SpdSpace(MatrixSpace):
         half = 0.5 * stack
         return half + np.swapaxes(half, 1, 2)
 
-    #: every projected point is checked: the log charts project by the
-    #: identity, so a fit with signed weights can leave the eigenvalue floor
-    _projection_proves_membership = False
+    def _projected_point(self, proj):
+        """Checked by :meth:`point`: the log charts project by the identity,
+        so a fit with signed weights can leave the eigenvalue floor."""
+        return self.point(self._inverse(proj))
 
     # -- chart ----------------------------------------------------------------------
 

@@ -84,13 +84,6 @@ class CompositionalSphere(Space):
     def shape(self) -> tuple[int, ...]:
         return (self._dim,)
 
-    @property
-    def logexp_available(self) -> bool:
-        return True
-
-    def _key(self):
-        return (self._dim,)
-
     def _validate(self, stack):
         with np.errstate(over="ignore"):  # a huge finite row is refused, not warned of
             norms = _row_norms(stack)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import HilbertSpace, refuse_rows
+from .base import HilbertSpace, refuse_rows, trapezoid_grid
 
 __all__ = ["Wasserstein1D"]
 
@@ -39,11 +39,7 @@ class Wasserstein1D(HilbertSpace):
                 raise ValueError("support must be a nondegenerate interval")
             support = (lo, hi)
         self._support = support
-        self.grid = np.linspace(0.0, 1.0, self._n)
-        step = 1.0 / (self._n - 1)
-        w = np.full(self._n, step)
-        w[0] = w[-1] = step / 2.0
-        self._hilbert_weights = w
+        self.grid, self._hilbert_weights = trapezoid_grid(0.0, 1.0, self._n)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -708,15 +708,21 @@ class TestCommands:
         assert code == 1
         assert "--bin 10" in _one_parse_error(capsys)["message"]
 
-    @pytest.mark.parametrize("entries", [[0.5], {"config": "other.json"}, {"support": [0, 1]}],
-                             ids=["not-an-object", "nested-config", "list-value"])
-    def test_config_file_refuses_other_shapes(self, tmp_path, capsys, entries):
+    @pytest.mark.parametrize("entries", [[0.5], {"config": "other.json"}, {"support": [0, 1]},
+                                         {"out": None}, {"out": True}],
+                             ids=["not-an-object", "nested-config", "list-value", "null-value",
+                                  "true-value"])
+    def test_config_file_refuses_other_shapes(self, tmp_path, capsys, monkeypatch, entries):
+        # a null or boolean value is refused, not written out as None or True
+        monkeypatch.chdir(tmp_path)
         path = _setting_one_csv(tmp_path, n=200)
         cfg = _write(tmp_path / "cfg.json", json.dumps(entries))
+        out = [] if "out" in entries else ["--out", str(tmp_path / "o")]
         code = main(["sharp", "--input", str(path), "--space", "euclid", "--cutoff", "0",
-                     "--bw", "0.5", "--config", str(cfg), "--out", str(tmp_path / "o")])
+                     "--bw", "0.5", "--config", str(cfg), *out])
         assert code == 1
         _one_parse_error(capsys)
+        assert not any((tmp_path / d).exists() for d in ("o", "None", "True"))
 
     @pytest.mark.parametrize("key", ["fuzzy-variant", "fuzzy_variant"])
     def test_config_keys_take_either_spelling(self, tmp_path, key):

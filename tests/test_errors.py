@@ -67,6 +67,39 @@ def test_a_class_that_states_no_kind_is_refused_when_defined():
             code = "unstated"
 
 
+def test_the_codes_are_a_stable_table():
+    # batch tooling matches on code, in the CLI's stderr and in a campaign's
+    # failures_by_code, so a code changes here on purpose or not at all
+    assert {cls.__name__: cls.code for cls in ERRORS} == {
+        "AllWindowsDegenerate": "all_windows_degenerate",
+        "AntipodalPoints": "antipodal_points",
+        "DegenerateWindow": "degenerate_window",
+        "EmbeddingUnavailable": "embedding_unavailable",
+        "EmptyInput": "empty_input",
+        "EmptyStratum": "empty_stratum",
+        "ExcessiveFailures": "excessive_failures",
+        "ExpOutOfDomain": "exp_out_of_domain",
+        "GeorddError": "error",
+        "InsufficientData": "insufficient_data",
+        "InvariantViolation": "invariant_violation",
+        "InverseInfeasible": "inverse_infeasible",
+        "InvertedBounds": "inverted_bounds",
+        "LogExpUnavailable": "logexp_unavailable",
+        "MissingAssignment": "missing_assignment",
+        "MissingTreatment": "missing_treatment",
+        "MixedSpaces": "mixed_spaces",
+        "NonFinitePayload": "non_finite_payload",
+        "NotAPoint": "not_a_point",
+        "ParseError": "parse_error",
+        "ShapeMismatch": "shape_mismatch",
+        "SolverDiverged": "solver_diverged",
+        "SpaceMismatch": "space_mismatch",
+        "TransportOutOfSpace": "transport_out_of_space",
+        "WeakCompliance": "weak_compliance",
+    }
+    assert len({cls.code for cls in ERRORS}) == len(ERRORS)
+
+
 def test_eight_classes_are_refusals():
     # a change of kind changes an exit code and a campaign's outcome, so it
     # is made here on purpose as well as in the class line

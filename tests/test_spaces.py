@@ -773,6 +773,44 @@ def test_off_diagonal_entries_beyond_the_chart_range_are_refused(case):
             InvariantViolation, "invariant_violation", refused.format(float(_OFF_MAX)), index)
 
 
+def _chart_image_cases():
+    """(id, space, an accepted payload whose largest eigenvalue's chart image
+    is near the float range, a payload whose image is beyond it), for the SPD
+    charts that map eigenvalues through lam^p or log(lam)."""
+    near = np.array([[0.9e308, 0.8e308], [0.8e308, 0.9e308]])  # largest eigenvalue 1.7e308
+    wide = np.array([[1.79e308, 1.27e308], [1.27e308, 1.79e308]])  # largest eigenvalue inf
+    root = np.sqrt(np.finfo(float).max) * np.eye(2)
+    return [("power", SpdSpace(2, "power"), near, wide),
+            ("log_euclidean", SpdSpace(2, "log_euclidean"), near, wide),
+            ("power-2", SpdSpace(2, "power", power=2.0), root, 1e200 * np.eye(2))]
+
+
+_CHART_IMAGE_CASES = _chart_image_cases()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", _CHART_IMAGE_CASES, ids=[c[0] for c in _CHART_IMAGE_CASES])
+def test_eigenvalues_beyond_the_chart_image_are_refused(case):
+    # the largest eigenvalue's chart image must be finite: the accepted
+    # payload charts and measures with no warning, and the other is refused
+    _, space, accepted, payload = case
+    edge = space.point(accepted)
+    assert np.isfinite(space.embed(edge)).all()
+    assert space.distance(edge, edge) == 0.0 and space.distance(edge, space.point(np.eye(2))) > 0
+    rows = np.stack([np.eye(2)] * 5)
+    rows[3] = payload
+    for fn, arg, index in ((space.point, payload, 0), (space.stack, rows, 3)):
+        err = _refusal(fn, arg)
+        assert (type(err), err.code, err.index) == (InvariantViolation, "invariant_violation", index)
+        assert str(err).endswith(f"has no finite {space.variant} chart image")
+
+
+@pytest.mark.parametrize("variant", ["frobenius", "log_cholesky"])
+def test_charts_without_an_eigenvalue_map_keep_an_infinite_eigenvalue(variant):
+    payload = _CHART_IMAGE_CASES[0][3]
+    assert SpdSpace(2, variant).point(payload).data.tobytes() == payload.tobytes()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestHugeQuantileSteps:
     """A quantile step beyond the float range is +-inf: +inf is a
@@ -1486,6 +1524,18 @@ class TestSerialization:
         assert not SpdSpace(2, "log_cholesky").logexp_available
         assert isinstance(FunctionalL2(24), HilbertSpace)
         assert not FunctionalL2(24).logexp_available
+
+    def test_logexp_available_follows_the_charts(self):
+        # a class that implements _log also implements _exp, and exactly
+        # those classes report charts
+        classes = {cls for cls in map(geordd.spaces.__dict__.get, geordd.spaces.__all__)
+                   if isinstance(cls, type) and issubclass(cls, Space) and cls is not Space}
+        charted = {cls for cls in classes if cls._log is not Space._log}
+        assert charted == {Euclidean, CompositionalSphere}
+        assert all(cls._exp is not Space._exp for cls in charted)
+        assert {type(space) for _, space, _ in SPACE_CASES} == classes - {HilbertSpace}
+        for name, space, _ in SPACE_CASES:
+            assert space.logexp_available == (type(space) in charted), name
 
     def test_effect_length_is_endpoint_distance(self):
         rng = np.random.default_rng(8)

@@ -122,7 +122,8 @@ def _signed_weights(rng, k, extrapolate):
 @pytest.mark.parametrize("scale", SCALES)
 def test_projected_points_are_members(name, scale, unchecked):
     space = _FLAT[name](scale)
-    assert isinstance(space, HilbertSpace) and space._projection_proves_membership
+    assert isinstance(space, HilbertSpace)
+    assert type(space)._projected_point is HilbertSpace._projected_point
     rng = np.random.default_rng(int(np.log10(scale)) + 40)
     pts = _points(space, scale, rng, 9)
     unchecked["rows"].clear()
@@ -151,7 +152,7 @@ def test_laplacian_projections_at_the_weight_cap_are_members(unchecked):
 def test_spd_projected_points_are_checked(variant, unchecked):
     # no SPD projection is trusted: each projected point goes through point
     space = SpdSpace(3, variant, power=1.5)
-    assert not space._projection_proves_membership
+    assert type(space)._projected_point is not HilbertSpace._projected_point
     rng = np.random.default_rng(9)
     q = np.linalg.qr(rng.normal(size=(6, 3, 3)))[0]
     pts = space.stack((q * rng.uniform(0.5, 3.0, (6, 1, 3))) @ np.swapaxes(q, 1, 2))
